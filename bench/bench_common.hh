@@ -10,7 +10,10 @@
 #define TCORAM_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -93,6 +96,28 @@ hasFlag(int argc, char **argv, const char *flag)
         if (std::strcmp(argv[i], flag) == 0)
             return true;
     return false;
+}
+
+/** Number stored under @p key in the flat JSON baseline file @p path
+ *  (the committed bench/<name>_baseline.json); fatal if the file or
+ *  the key is missing. */
+inline double
+baselineNumber(const std::string &path, const std::string &key)
+{
+    std::ifstream f(path);
+    if (!f)
+        tcoram_fatal("cannot read baseline ", path);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    const std::string text = ss.str();
+    const std::string needle = "\"" + key + "\"";
+    const std::size_t pos = text.find(needle);
+    const std::size_t colon = pos == std::string::npos
+                                  ? std::string::npos
+                                  : text.find(':', pos + needle.size());
+    if (colon == std::string::npos)
+        tcoram_fatal("baseline ", path, " lacks ", key);
+    return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 /**

@@ -1,15 +1,10 @@
 /**
  * @file
- * Functional-datapath throughput bench: fused position-map updates +
- * cross-stage batched path crypto vs the two reference datapaths.
- *
- *  - Fused:          one path access per tree per logical access, all
- *                    write-back encrypts retired in ONE batched call
- *                    (H+2 engine calls per access for H stages).
- *  - FusedImmediate: same access structure, per-tree immediate
- *                    encrypt — the bit-identity reference.
- *  - Legacy:         the pre-fusion get/set recursion (three path
- *                    accesses per stage, ~3·(H+1) engine calls).
+ * Functional-datapath throughput bench: the recursive Path ORAM with
+ * fused position-map updates (one path access per tree per logical
+ * access) and path-level batched crypto (one decrypt and one
+ * write-back encrypt per tree: 2·(H+1) engine calls per access for H
+ * recursion stages).
  *
  * Geometry mirrors the timing experiments' FunctionalOramDevice: the
  * paper's 2^26-block modeled tree with the functional datapath capped
@@ -17,19 +12,19 @@
  * chain included.
  *
  * Usage:
- *   bench_functional_rate [--quick] [--check] [--json <path>]
- *                         [--depth-sweep]
+ *   bench_functional_rate [--quick] [--check] [--baseline <path>]
+ *                         [--json <path>] [--depth-sweep]
  *
- * --check runs the self-contained correctness/perf gates (no baseline
- * file needed — every gate is machine-independent or a ratio):
- *   1. fused accesses/s >= 2x legacy accesses/s at paper scale;
- *   2. fused and FusedImmediate serialized states (every tree's DRAM
- *      image, nonces, PRF counters, stash, maps) byte-identical after
- *      the same mixed workload, and every served payload equal;
- *   3. fused crypto-call delta per access == treeCount() + 1 (H+2);
- *   4. ColumnBatch serialization independent of chunk assignment.
- * --depth-sweep additionally measures and gates H in {0,1,2,3} (the
- * ASan CI job drives this with --quick).
+ * --check runs the deterministic, machine-independent gates:
+ *   1. fusion: every tree's accessCount() advances by exactly 1 per
+ *      logical access (a get+set cascade would cost 3 per stage);
+ *   2. crypto-call delta per access == 2·treeCount();
+ *   3. ColumnBatch serialization independent of chunk assignment.
+ * --baseline <path> adds the throughput backstop: accesses/s at H = 3
+ * must exceed the file's "acc_per_s_h3_floor", a deliberately
+ * conservative value (bench/functional_baseline.json).
+ * --depth-sweep measures and gates H in {0,1,2,3} (the ASan CI job
+ * drives this with --quick).
  */
 
 #include <algorithm>
@@ -42,7 +37,6 @@
 
 #include "bench_common.hh"
 #include "common/rng.hh"
-#include "common/serial.hh"
 #include "oram/path_oram.hh"
 #include "sim/column_batch.hh"
 
@@ -70,19 +64,20 @@ paperScaleConfig(unsigned recursion_levels)
     return c;
 }
 
-struct ModeResult
+struct RunResult
 {
     double accPerS = 0.0;
-    std::uint64_t cryptoPerAccess = 0; ///< steady-state delta
-    std::vector<std::uint8_t> image;   ///< serialized state
-    std::uint64_t servedHash = 0;      ///< FNV-1a over served payloads
+    std::uint64_t cryptoCalls = 0; ///< engine calls over the sample
+    /** Every tree's accessCount() advanced by exactly one per logical
+     *  access over the measured sample. */
+    bool onePathPerTree = true;
 };
 
 /** Warm up, run @p accesses of the standard mixed workload, measure. */
-ModeResult
-runMode(const oram::OramConfig &c, oram::Datapath dp, std::size_t accesses)
+RunResult
+run(const oram::OramConfig &c, std::size_t accesses)
 {
-    oram::RecursivePathOram o(c, 4242, crypto::CryptoBackend::Auto, dp);
+    oram::RecursivePathOram o(c, 4242);
     std::vector<std::uint8_t> out(c.blockBytes);
     std::vector<std::uint8_t> data(c.blockBytes, 0x5a);
     Rng rng(7);
@@ -90,8 +85,9 @@ runMode(const oram::OramConfig &c, oram::Datapath dp, std::size_t accesses)
     for (int i = 0; i < 400; ++i)
         o.accessInto(rng.nextBounded(4096), oram::Op::Read, {}, out);
 
-    ModeResult r;
-    std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
+    std::vector<std::uint64_t> paths0(o.treeCount());
+    for (std::size_t t = 0; t < o.treeCount(); ++t)
+        paths0[t] = o.tree(t).accessCount();
     const std::uint64_t calls0 = o.cryptoCalls();
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < accesses; ++i) {
@@ -102,20 +98,16 @@ runMode(const oram::OramConfig &c, oram::Datapath dp, std::size_t accesses)
         } else {
             o.accessInto(id, oram::Op::Read, {}, out);
         }
-        for (const std::uint8_t b : out)
-            hash = (hash ^ b) * 1099511628211ull;
     }
+    RunResult r;
     r.accPerS = static_cast<double>(accesses) / secondsSince(t0);
-    r.cryptoPerAccess = (o.cryptoCalls() - calls0) / accesses;
-    r.servedHash = hash;
-
-    ByteWriter w;
-    o.saveState(w);
-    r.image = w.data();
+    r.cryptoCalls = o.cryptoCalls() - calls0;
+    for (std::size_t t = 0; t < o.treeCount(); ++t)
+        r.onePathPerTree &= o.tree(t).accessCount() - paths0[t] == accesses;
     return r;
 }
 
-/** Gate 4: chunk-assignment-independent ColumnBatch bytes. */
+/** Gate 3: chunk-assignment-independent ColumnBatch bytes. */
 bool
 columnBatchIdentityHolds()
 {
@@ -147,14 +139,13 @@ main(int argc, char **argv)
     const bool sweep = bench::hasFlag(argc, argv, "--depth-sweep");
     const std::string json_path =
         bench::argValue(argc, argv, "--json", "BENCH_functional.json");
+    const char *baseline_path =
+        bench::argValue(argc, argv, "--baseline", nullptr);
 
     const std::size_t accesses = quick ? 2000 : 20000;
-    // Legacy's 3-accesses-per-stage cascade is ~3x the work; a smaller
-    // sample keeps its wall share proportionate.
-    const std::size_t legacy_accesses = quick ? 800 : 8000;
 
-    bench::banner("functional datapath: fused map updates + batched "
-                  "cross-stage crypto");
+    bench::banner("functional datapath: fused map updates + path-level "
+                  "batched crypto");
 
     std::vector<std::pair<std::string, double>> results;
     auto put = [&](const std::string &key, double v) {
@@ -172,58 +163,45 @@ main(int argc, char **argv)
     const std::vector<unsigned> depths =
         sweep ? std::vector<unsigned>{0, 1, 2, 3} : std::vector<unsigned>{3};
 
-    double headline_speedup = 0.0;
+    double headline = 0.0;
     for (const unsigned levels : depths) {
         const oram::OramConfig c = paperScaleConfig(levels);
         const std::uint64_t trees = 1 + c.recursionChain().size();
+        const RunResult r = run(c, accesses);
+        const double calls_per_access =
+            static_cast<double>(r.cryptoCalls) / static_cast<double>(accesses);
 
-        const ModeResult fused =
-            runMode(c, oram::Datapath::Fused, accesses);
-        const ModeResult unfused =
-            runMode(c, oram::Datapath::FusedImmediate, accesses);
-        const ModeResult legacy =
-            runMode(c, oram::Datapath::Legacy, legacy_accesses);
-
-        const double speedup = fused.accPerS / legacy.accPerS;
-        std::printf("H=%u (%llu trees): fused %9.1f acc/s   "
-                    "unfused %9.1f acc/s   legacy %9.1f acc/s   "
-                    "(fused/legacy %.2fx, %llu crypto calls/access)\n",
+        std::printf("H=%u (%llu trees): %9.1f acc/s   "
+                    "(%.2f crypto calls/access)\n",
                     levels, static_cast<unsigned long long>(trees),
-                    fused.accPerS, unfused.accPerS, legacy.accPerS,
-                    speedup,
-                    static_cast<unsigned long long>(fused.cryptoPerAccess));
+                    r.accPerS, calls_per_access);
 
         const std::string suffix = "_h" + std::to_string(levels);
-        put("acc_per_s_fused" + suffix, fused.accPerS);
-        put("acc_per_s_unfused" + suffix, unfused.accPerS);
-        put("acc_per_s_legacy" + suffix, legacy.accPerS);
-        put("speedup_fused_vs_legacy" + suffix, speedup);
-        put("crypto_calls_per_access" + suffix,
-            static_cast<double>(fused.cryptoPerAccess));
+        put("acc_per_s" + suffix, r.accPerS);
+        put("crypto_calls_per_access" + suffix, calls_per_access);
         if (levels == 3)
-            headline_speedup = speedup;
+            headline = r.accPerS;
 
         if (check) {
-            // Legacy serves the same logical content through a
-            // different access structure, so only the payload stream
-            // is comparable — and only over its own (shorter) sample.
-            gate(fused.image == unfused.image,
-                 "fused vs FusedImmediate serialized state diverged");
-            gate(fused.servedHash == unfused.servedHash,
-                 "fused vs FusedImmediate served payloads diverged");
-            gate(fused.cryptoPerAccess == trees + 1,
-                 "fused crypto calls per access != treeCount() + 1");
-            gate(unfused.cryptoPerAccess >= 2 * trees,
-                 "FusedImmediate lost its per-tree encrypt accounting");
-            if (levels == 3)
-                gate(speedup >= 2.0,
-                     "fused datapath < 2x legacy accesses/s");
+            gate(r.onePathPerTree,
+                 "a tree did not run exactly one path access per "
+                 "logical access");
+            gate(r.cryptoCalls == 2 * trees * accesses,
+                 "crypto calls per access != 2 * treeCount()");
         }
     }
 
     if (check)
         gate(columnBatchIdentityHolds(),
              "ColumnBatch bytes depend on chunk assignment");
+
+    if (baseline_path != nullptr) {
+        const double floor =
+            bench::baselineNumber(baseline_path, "acc_per_s_h3_floor");
+        std::printf("throughput backstop: H=3 %.1f acc/s vs floor %.1f\n",
+                    headline, floor);
+        gate(headline >= floor, "H=3 accesses/s below the baseline floor");
+    }
 
     // --- JSON artifact ---
     {
@@ -244,11 +222,9 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", json_path.c_str());
     }
 
-    if (check) {
-        if (!ok)
-            return 1;
-        std::printf("check OK%s (headline fused/legacy %.2fx)\n",
-                    sweep ? " (depth sweep)" : "", headline_speedup);
-    }
+    if (!ok)
+        return 1;
+    if (check || baseline_path != nullptr)
+        std::printf("check OK%s\n", sweep ? " (depth sweep)" : "");
     return 0;
 }

@@ -158,21 +158,6 @@ benchOram(crypto::CryptoBackend backend, std::size_t accesses)
     return static_cast<double>(accesses) / secondsSince(t0);
 }
 
-/** Minimal flat-JSON number extraction: "key": value. */
-bool
-jsonNumber(const std::string &text, const std::string &key, double *out)
-{
-    const std::string needle = "\"" + key + "\"";
-    const std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const std::size_t colon = text.find(':', pos + needle.size());
-    if (colon == std::string::npos)
-        return false;
-    *out = std::strtod(text.c_str() + colon + 1, nullptr);
-    return true;
-}
-
 } // namespace
 
 int
@@ -278,21 +263,10 @@ main(int argc, char **argv)
 
     // --- CI regression gate ---
     if (baseline_path != nullptr) {
-        std::ifstream f(baseline_path);
-        if (!f)
-            tcoram_fatal("cannot read baseline ", baseline_path);
-        std::stringstream ss;
-        ss << f.rdbuf();
-        const std::string base = ss.str();
-        double ratio_base = 0.0, abs_floor = 0.0;
-        if (!jsonNumber(base, "speedup_oram_ttable_vs_scalar",
-                        &ratio_base) ||
-            !jsonNumber(base, "oram_accesses_per_s_ttable_floor",
-                        &abs_floor)) {
-            tcoram_fatal("baseline ", baseline_path,
-                         " lacks speedup_oram_ttable_vs_scalar / "
-                         "oram_accesses_per_s_ttable_floor");
-        }
+        const double ratio_base = bench::baselineNumber(
+            baseline_path, "speedup_oram_ttable_vs_scalar");
+        const double abs_floor = bench::baselineNumber(
+            baseline_path, "oram_accesses_per_s_ttable_floor");
         const double ratio = oram_ttable / oram_scalar;
         const double ratio_floor = 0.8 * ratio_base;
         std::printf("regression check: ttable/scalar oram speedup "

@@ -25,10 +25,10 @@ OramController::OramController(const OramConfig &cfg, dram::MemoryIf &mem,
                   "write-back tail cannot retire before the read phase");
     bytesPerAccess_ = cfg_.totalBytesPerAccess();
     chunksPerAccess_ = divCeil(bytesPerAccess_, 16);
-    // Fused datapath: one batched whole-path decrypt per tree plus ONE
-    // cross-stage batched write-back encrypt for the whole access —
-    // H+2 engine calls for H recursion stages (path_oram.hh).
-    cryptoCallsPerAccess_ = cfg_.recursionChain().size() + 2;
+    // One batched whole-path decrypt plus one batched write-back
+    // encrypt per tree — 2·(H+1) engine calls for H recursion stages
+    // (path_oram.hh).
+    cryptoCallsPerAccess_ = 2 * (cfg_.recursionChain().size() + 1);
     std::vector<OramConfig> trees = cfg_.recursionChain();
     trees.insert(trees.begin(), cfg_);
     for (const auto &tree : trees)

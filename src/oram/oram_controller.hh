@@ -119,11 +119,10 @@ class OramController
     std::uint64_t cryptoBytesPerAccess() const { return bytesPerAccess_; }
 
     /**
-     * Batched crypto-engine invocations per access with the fused
-     * path-level engine: one whole-path decrypt per tree (data + each
-     * recursive position-map ORAM) plus ONE cross-stage batched
-     * write-back encrypt for the whole access — H+2 for H recursion
-     * stages.
+     * Batched crypto-engine invocations per access with the path-level
+     * engine: one whole-path decrypt and one whole-path write-back
+     * encrypt per tree (data + each recursive position-map ORAM) —
+     * 2·(H+1) for H recursion stages.
      */
     std::uint64_t cryptoCallsPerAccess() const
     {

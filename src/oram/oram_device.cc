@@ -59,8 +59,7 @@ FunctionalOramDevice::FunctionalOramDevice(const OramConfig &cfg,
                                            std::uint64_t datapath_block_cap,
                                            crypto::CryptoBackend backend,
                                            PathMode mode,
-                                           const EvictionConfig &evict,
-                                           Datapath dp)
+                                           const EvictionConfig &evict)
     : ctrl_(cfg, mem, rng, mode, evict), funcCfg_(cfg), keySeed_(key_seed)
 {
     if (datapath_block_cap != 0)
@@ -71,8 +70,7 @@ FunctionalOramDevice::FunctionalOramDevice(const OramConfig &cfg,
     // under a cap touches every block, the worst case for occupancy.
     funcCfg_.stashCapacity =
         std::max<std::size_t>(funcCfg_.stashCapacity, 1024);
-    func_ = std::make_unique<RecursivePathOram>(funcCfg_, key_seed, backend,
-                                                dp);
+    func_ = std::make_unique<RecursivePathOram>(funcCfg_, key_seed, backend);
     scratchOut_.assign(funcCfg_.blockBytes, 0);
     scratchData_.assign(funcCfg_.blockBytes, 0);
 }
@@ -218,8 +216,7 @@ makeOramDevice(const OramDeviceSpec &spec, const OramConfig &cfg,
     if (spec.kind == "functional") {
         auto dev = std::make_unique<FunctionalOramDevice>(
             cfg, mem, rng, spec.keySeed, spec.functionalBlockCap,
-            spec.cryptoBackend, spec.pathMode, spec.evictionConfig(),
-            spec.datapath);
+            spec.cryptoBackend, spec.pathMode, spec.evictionConfig());
         // Data-fault kinds arm the fault-tolerant datapath; timing
         // kinds belong to the DRAM decorator and are ignored here.
         if (spec.fault.enabled() && spec.fault.has(dram::kFaultDataMask))

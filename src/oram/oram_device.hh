@@ -130,15 +130,12 @@ class FunctionalOramDevice : public timing::OramDeviceIf
      * @param mode path scheduling policy the charging is calibrated
      *        under (the datapath itself is mode-independent)
      * @param evict background eviction engine configuration
-     * @param dp recursion datapath structure (oram/path_oram.hh);
-     *        observable stats are datapath-independent
      */
     FunctionalOramDevice(
         const OramConfig &cfg, dram::MemoryIf &mem, Rng &rng,
         std::uint64_t key_seed, std::uint64_t datapath_block_cap = 0,
         crypto::CryptoBackend backend = crypto::CryptoBackend::Auto,
-        PathMode mode = PathMode::Sync, const EvictionConfig &evict = {},
-        Datapath dp = Datapath::Fused);
+        PathMode mode = PathMode::Sync, const EvictionConfig &evict = {});
 
     const char *kind() const override { return "functional"; }
 
@@ -260,11 +257,6 @@ struct OramDeviceSpec
     std::uint64_t functionalBlockCap = 0;
     /** Bucket-crypto engine for the functional datapath. */
     crypto::CryptoBackend cryptoBackend = crypto::CryptoBackend::Auto;
-    /** Recursion datapath structure for the functional backend (fused
-     *  map updates + batched cross-stage crypto by default; the
-     *  FusedImmediate/Legacy references exist for differential tests
-     *  and benchmarking). */
-    Datapath datapath = Datapath::Fused;
 
     /**
      * Path read/write-back scheduling the per-access charging is

@@ -139,16 +139,6 @@ PathOram::nextLeaf()
 void
 PathOram::readPath(Leaf leaf)
 {
-    // Self-heal an out-of-band read-after-defer: if this tree's last
-    // write-back is still pending in the batch, its DRAM ciphertexts
-    // are stale while the bucket nonces were already bumped at defer
-    // time — decrypting now would fill the stash with garbage. The
-    // fused access cascade flushes at end-of-access before any tree is
-    // touched again, so this never fires on the hot path; it exists
-    // for out-of-band consultations (position-map reads from
-    // checkInvariant, direct per-tree access in tests).
-    if (batch_ != nullptr && deferEpoch_ == batch_->epoch())
-        batch_->flush();
     if (auth_ != nullptr) {
         verifiedReadPath(leaf);
         return;
@@ -343,11 +333,7 @@ PathOram::writePath(Leaf leaf)
     // Fresh nonces for the whole path in one batched PRF call (drawn
     // deepest level first, preserving the historical stream order),
     // then ONE batched CTR call re-encrypts every bucket into the
-    // stored DRAM image — or, with a crypto batch attached, the
-    // segments are deferred and the owner's end-of-access flush
-    // retires every tree's write-back in a single call. The keystream
-    // is a pure function of (key, nonce), so deferred and immediate
-    // write-backs produce bit-identical ciphertexts.
+    // stored DRAM image.
     prf_.nextMany(buf_.nonces);
     nonceDraws_ += levels;
     buf_.segments.clear();
@@ -364,13 +350,6 @@ PathOram::writePath(Leaf leaf)
                  .subspan(l * sb, sb),
              ct.data});
     }
-    if (batch_ != nullptr && auth_ == nullptr) {
-        batch_->defer(buf_.segments);
-        deferEpoch_ = batch_->epoch();
-        return;
-    }
-    // Immediate write-back: no batch attached, or integrity enabled —
-    // the tag commit below needs the ciphertext bytes now.
     cipher_.xcryptSegments(buf_.segments);
     ++cryptoCalls_;
 
@@ -402,9 +381,9 @@ PathOram::beginAccess(BlockId id)
     // Substitute a uniform leaf instead, modeling an ORAM whose
     // position map was randomized at initialization (§5's session
     // load); the dedicated PRF keeps the remap/nonce streams intact.
-    // Draw order per access is unchanged from the unfused datapath:
-    // first-touch substitute, then the remap leaf, then (in
-    // writePath) the path nonces — drawStats() pins this.
+    // Draw order per access: first-touch substitute, then the remap
+    // leaf, then (in writePath) the path nonces — drawStats() pins
+    // the per-access quota.
     const bool first = !touched_[id];
     const Leaf subst =
         first ? static_cast<Leaf>(initLeafPrf_.next64() &
@@ -512,10 +491,6 @@ PathOram::evictPath(Leaf leaf)
 bool
 PathOram::checkInvariant(const std::vector<BlockId> &ids)
 {
-    // Unseals dram_ directly, so any pending deferred write-back of
-    // this tree must land first (see the readPath() self-heal).
-    if (batch_ != nullptr && deferEpoch_ == batch_->epoch())
-        batch_->flush();
     for (BlockId id : ids) {
         if (stash_.contains(id))
             continue;
@@ -579,13 +554,6 @@ PathOram::retriesIssued() const
 void
 PathOram::saveState(ByteWriter &w) const
 {
-    // A pending deferred write-back means dram_ holds old ciphertext
-    // under an already-bumped nonce — land it before serializing, or
-    // the restored instance (which has no pending batch) would decode
-    // garbage. Mutates only through the non-const batch pointer; the
-    // logical (plaintext) state is unchanged.
-    if (batch_ != nullptr && deferEpoch_ == batch_->epoch())
-        batch_->flush();
     w.u64(accesses_);
     w.u64(evictions_);
     w.u64(blocksEvicted_);
@@ -673,13 +641,11 @@ struct RecursivePathOram::Stage : public PositionMapIf
 {
     Stage(const OramConfig &cfg, PositionMapIf &inner_map,
           std::uint64_t key_seed, std::uint64_t outer_entries,
-          crypto::CryptoBackend backend, std::uint64_t cipher_seed,
-          bool fused_)
+          crypto::CryptoBackend backend, std::uint64_t cipher_seed)
         : oram(cfg, inner_map, key_seed, 0, backend, cipher_seed),
           entriesPerBlock(cfg.blockBytes / 8),
           entries(outer_entries),
-          blockBuf(cfg.blockBytes, 0),
-          fused(fused_)
+          blockBuf(cfg.blockBytes, 0)
     {
     }
 
@@ -692,26 +658,11 @@ struct RecursivePathOram::Stage : public PositionMapIf
         return load64le(blockBuf.data() + off);
     }
 
-    void
-    set(BlockId id, Leaf leaf) override
-    {
-        tcoram_assert(id < entries, "recursive set out of range");
-        oram.accessInto(id / entriesPerBlock, Op::Read, {}, blockBuf);
-        const std::uint64_t off = (id % entriesPerBlock) * 8;
-        store64le(blockBuf.data() + off, leaf);
-        oram.accessInto(id / entriesPerBlock, Op::Write, blockBuf, blockBuf);
-    }
-
     Leaf
     update(BlockId id, Leaf leaf) override
     {
-        // Legacy datapath: fall back to the composed get+set, i.e.
-        // three path accesses per stage (get's one, set's two).
-        if (!fused)
-            return PositionMapIf::update(id, leaf);
-
-        // Fused datapath: ONE path access patches the label in the
-        // stash-resident copy between the read and write phases.
+        // ONE path access patches the label in the stash-resident copy
+        // between the read and write phases.
         tcoram_assert(id < entries, "recursive update out of range");
         const std::span<std::uint8_t> payload =
             oram.beginAccess(id / entriesPerBlock);
@@ -728,23 +679,17 @@ struct RecursivePathOram::Stage : public PositionMapIf
     std::uint64_t entriesPerBlock;
     std::uint64_t entries;
     std::vector<std::uint8_t> blockBuf;
-    bool fused;
 };
 
 RecursivePathOram::RecursivePathOram(const OramConfig &cfg,
                                      std::uint64_t key_seed,
-                                     crypto::CryptoBackend backend,
-                                     Datapath dp)
-    : cfg_(cfg), datapath_(dp)
+                                     crypto::CryptoBackend backend)
+    : cfg_(cfg)
 {
     const auto chain = cfg_.recursionChain();
-    const bool fused = datapath_ != Datapath::Legacy;
 
     // Every tree shares ONE bucket-encryption key (the paper's single
-    // AES key κ) so the cross-stage crypto batch can retire all
-    // write-backs under it; per-tree PRF seeds stay distinct. The
-    // shared key is used in every mode — Legacy differs only in access
-    // structure, so fused-vs-legacy DRAM images stay comparable.
+    // AES key κ); per-tree PRF seeds stay distinct.
     const std::uint64_t cipher_seed = key_seed;
 
     // Build from the innermost (smallest) ORAM outward. The innermost
@@ -762,7 +707,7 @@ RecursivePathOram::RecursivePathOram(const OramConfig &cfg,
                 (i == 0) ? cfg_.numBlocks : chain[i - 1].numBlocks;
             auto stage = std::make_unique<Stage>(
                 chain[i], *next_map, key_seed + 17 * (i + 1), outer_entries,
-                backend, cipher_seed, fused);
+                backend, cipher_seed);
             next_map = stage.get();
             recursion_.push_back(std::move(stage));
         }
@@ -770,19 +715,6 @@ RecursivePathOram::RecursivePathOram(const OramConfig &cfg,
 
     data_ = std::make_unique<PathOram>(cfg_, *next_map, key_seed, 0,
                                        backend, cipher_seed);
-
-    if (datapath_ == Datapath::Fused) {
-        batch_ = std::make_unique<PathCryptoBatch>(
-            crypto::keyFromSeed(cipher_seed), backend);
-        std::size_t levels = data_->config().treeDepth() + 1;
-        for (auto &stage : recursion_)
-            levels += stage->oram.config().treeDepth() + 1;
-        batch_->reserve(levels);
-        data_->attachCryptoBatch(batch_.get());
-        for (auto &stage : recursion_)
-            stage->oram.attachCryptoBatch(batch_.get());
-    }
-
     drawSnap_.resize(treeCount());
 }
 
@@ -801,8 +733,6 @@ RecursivePathOram::cryptoCalls() const
     std::uint64_t total = data_->cryptoCalls();
     for (const auto &stage : recursion_)
         total += stage->oram.cryptoCalls();
-    if (batch_ != nullptr)
-        total += batch_->flushes();
     return total;
 }
 
@@ -818,19 +748,11 @@ RecursivePathOram::snapshotDraws()
 void
 RecursivePathOram::finishLogicalAccess([[maybe_unused]] bool remapping)
 {
-    // ONE batched engine call retires every tree's deferred write-back:
-    // the logical access costs H+1 path-read decrypts plus this flush.
-    if (batch_ != nullptr)
-        batch_->flush();
-
 #ifndef NDEBUG
-    // Stream invariant (fused modes only; Legacy's get+set cascade
-    // legitimately draws more): relative to snapshotDraws(), each tree
-    // consumed exactly `levels` write-back nonces, one remap leaf
-    // (none for an eviction pass) and at most one first-touch
-    // substitute (none for dummies/evictions, where remapping=false).
-    if (datapath_ == Datapath::Legacy)
-        return;
+    // Stream invariant: relative to snapshotDraws(), each tree
+    // consumed exactly `levels` write-back nonces, one remap leaf and
+    // at most one first-touch substitute (none for dummies, where
+    // remapping=false).
     for (std::size_t i = 0; i < treeCount(); ++i) {
         const PathOram &t = tree(i);
         const PathOram::DrawStats d = t.drawStats();
@@ -894,8 +816,6 @@ RecursivePathOram::backgroundEvict(std::uint64_t g)
     const OramConfig &c = data_->config();
     data_->evictPath(
         EvictionEngine::scheduleLeaf(g, c.treeDepth(), c.numLeaves()));
-    if (batch_ != nullptr)
-        batch_->flush();
 }
 
 std::uint64_t

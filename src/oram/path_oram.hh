@@ -21,14 +21,12 @@
  * Crypto is batched at path granularity: a path read decrypts every
  * bucket on the path with ONE CtrCipher::xcryptSegments call (each
  * bucket keeps its own nonce, so the wire format is unchanged), and a
- * write-back re-encrypts the whole path with one more — or, with a
- * PathCryptoBatch attached, defers its segments so one cross-stage
- * call retires EVERY tree's write-back of a logical access. Write-back
- * nonces and position-map remap leaves are likewise drawn through the
- * PRF's batched entry points. Stash eviction precomputes each
- * resident's deepest legal level once per access (XOR of leaf labels)
- * and buckets the sweep by level instead of rescanning the stash per
- * tree level.
+ * write-back re-encrypts the whole path with one more — two engine
+ * calls per tree per access. Write-back nonces and position-map remap
+ * leaves are likewise drawn through the PRF's batched entry points.
+ * Stash eviction precomputes each resident's deepest legal level once
+ * per access (XOR of leaf labels) and buckets the sweep by level
+ * instead of rescanning the stash per tree level.
  *
  * The access itself is phase-split: beginAccess() performs the fused
  * position-map update (PositionMapIf::update — ONE recursive access
@@ -75,98 +73,6 @@ enum class Op
     Write,
 };
 
-/**
- * Recursive datapath structure (RecursivePathOram). The observable
- * stats of a run are datapath-independent (the controller charges the
- * modeled geometry either way); the modes exist so the fused paths can
- * be differentially tested and benchmarked against their references.
- */
-enum class Datapath : std::uint8_t
-{
-    /** Fused map updates + cross-stage deferred write-back encrypt
-     *  retired with one batched call per logical access (default). */
-    Fused,
-    /** Fused map updates, per-tree immediate write-back encrypt. Draws
-     *  the identical PRF streams as Fused, so DRAM images, stashes and
-     *  position maps match bit for bit — the differential reference. */
-    FusedImmediate,
-    /** Pre-fusion recursion: Stage::get then Stage::set per stage
-     *  (~3 accesses per stage per logical access). Retained as the
-     *  in-binary baseline bench_functional_rate measures against. */
-    Legacy,
-};
-
-/**
- * Cross-stage deferred write-back crypto. Each tree's writePath()
- * appends its (nonce, plaintext-span, DRAM-span) segments here instead
- * of encrypting immediately; RecursivePathOram flushes ONCE at the end
- * of the logical access, so the whole access costs H+2 engine calls
- * (H+1 per-tree path-read decrypts + 1 batched write-back) instead of
- * 2·(H+1). Requires every participating tree to share one bucket-
- * encryption key (the paper's single AES key κ — per-tree PRF seeds
- * stay distinct). The deferred plaintext spans live in each tree's
- * PathBuffer arena, which is touched at most once per logical access,
- * and the segment list is reserved up front — steady-state deferral is
- * allocation-free (test-enforced).
- */
-class PathCryptoBatch
-{
-  public:
-    PathCryptoBatch(const crypto::Key128 &key, crypto::CryptoBackend backend)
-        : cipher_(key, backend)
-    {
-    }
-
-    /** Pre-size the segment list (sum of tree levels). */
-    void reserve(std::size_t segments) { segs_.reserve(segments); }
-
-    /** Append one tree's write-back segments; every referenced span
-     *  must stay valid until flush(). */
-    void
-    defer(std::span<const crypto::CtrSegment> segs)
-    {
-        segs_.insert(segs_.end(), segs.begin(), segs.end());
-    }
-
-    /** Retire every deferred segment with ONE batched engine call
-     *  (no-op, and no engine call, when nothing is deferred). */
-    void
-    flush()
-    {
-        if (segs_.empty())
-            return;
-        cipher_.xcryptSegments(segs_);
-        segs_.clear();
-        ++flushes_;
-        ++epoch_;
-    }
-
-    bool empty() const { return segs_.empty(); }
-    std::size_t pending() const { return segs_.size(); }
-    std::size_t capacity() const { return segs_.capacity(); }
-    /** Batched engine calls issued by flush() so far. */
-    std::uint64_t flushes() const { return flushes_; }
-    /**
-     * Flush generation: advances on every non-empty flush. A tree
-     * records epoch() when it defers; if the recorded value still
-     * matches at its next path read, its ciphertext is not in DRAM yet
-     * and it must flush first (the bucket nonces were already bumped
-     * at defer time, so reading stale bytes would decode garbage).
-     * The fused access cascade never trips this — every tree's defer
-     * is flushed at end-of-access before that tree is touched again —
-     * but out-of-band consultations (position-map reads from
-     * checkInvariant, direct per-tree test access) self-heal through
-     * it instead of silently corrupting the stash.
-     */
-    std::uint64_t epoch() const { return epoch_; }
-
-  private:
-    crypto::CtrCipher cipher_;
-    std::vector<crypto::CtrSegment> segs_;
-    std::uint64_t flushes_ = 0;
-    std::uint64_t epoch_ = 1;
-};
-
 class PathOram
 {
   public:
@@ -183,8 +89,7 @@ class PathOram
      * @param cipher_seed when set, the bucket-encryption key is derived
      *        from this seed instead of key_seed (PRF seeds still come
      *        from key_seed). RecursivePathOram shares one cipher seed
-     *        across all trees so a PathCryptoBatch can retire every
-     *        tree's write-back under a single key.
+     *        across all trees: the paper's single bucket key κ.
      */
     PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
              std::uint64_t key_seed, Addr base_addr = 0,
@@ -218,30 +123,19 @@ class PathOram
      */
     std::span<std::uint8_t> beginAccess(BlockId id);
 
-    /** Write phase: eviction sweep, encode, encrypt (or defer to the
-     *  attached PathCryptoBatch) the path beginAccess() read. */
+    /** Write phase: eviction sweep, encode and encrypt the path
+     *  beginAccess() read. */
     void finishAccess();
 
-    /**
-     * Defer write-back encrypts to @p batch (not owned; nullptr
-     * detaches). The owner must flush the batch before this tree's
-     * next path operation — the deferred plaintext lives in this
-     * instance's path arena. Trees with integrity enabled ignore the
-     * batch and encrypt immediately (tag commit needs the ciphertext).
-     */
-    void attachCryptoBatch(PathCryptoBatch *batch) { batch_ = batch; }
-
-    /** Batched crypto-engine calls this instance actually issued
-     *  (init, path reads, immediate write-backs; deferred write-backs
-     *  are counted by their batch's flush). */
+    /** Batched crypto-engine calls this instance issued (init, path
+     *  reads, write-backs). */
     std::uint64_t cryptoCalls() const { return cryptoCalls_; }
 
     /**
-     * Cumulative PRF consumption, for the fused-vs-legacy stream
-     * invariant (tests and RecursivePathOram's debug asserts): any
-     * single logical access consumes exactly `levels` write-back
-     * nonces, one remap leaf, and at most one first-touch substitute —
-     * whatever the datapath mode.
+     * Cumulative PRF consumption, for the per-access stream invariant
+     * (tests and RecursivePathOram's debug asserts): any single
+     * logical access consumes exactly `levels` write-back nonces, one
+     * remap leaf, and at most one first-touch substitute per tree.
      */
     struct DrawStats
     {
@@ -391,11 +285,6 @@ class PathOram
     std::uint64_t blocksEvicted_ = 0;
     Leaf lastLeaf_ = 0;
 
-    /** Deferred write-back sink (not owned; nullptr = immediate). */
-    PathCryptoBatch *batch_ = nullptr;
-    /** batch_->epoch() at this tree's last defer; equal to the live
-     *  epoch iff our ciphertext is still pending (epoch 0 = never). */
-    std::uint64_t deferEpoch_ = 0;
     /** Batched engine calls issued by this instance. */
     std::uint64_t cryptoCalls_ = 0;
     // PRF consumption telemetry (drawStats()); not checkpointed —
@@ -427,20 +316,10 @@ class PathOram
 class RecursivePathOram
 {
   public:
-    /**
-     * @param dp datapath structure: Fused (default) shares one bucket-
-     *        encryption key across trees and retires every write-back
-     *        with one batched call per access; FusedImmediate is the
-     *        bit-identical per-tree-encrypt reference; Legacy is the
-     *        pre-fusion get/set recursion kept as a bench baseline.
-     */
     RecursivePathOram(
         const OramConfig &cfg, std::uint64_t key_seed,
-        crypto::CryptoBackend backend = crypto::CryptoBackend::Auto,
-        Datapath dp = Datapath::Fused);
+        crypto::CryptoBackend backend = crypto::CryptoBackend::Auto);
     ~RecursivePathOram();
-
-    Datapath datapath() const { return datapath_; }
 
     /** Allocation-free access; contract identical to PathOram::accessInto. */
     void accessInto(BlockId id, Op op, std::span<const std::uint8_t> data,
@@ -466,15 +345,14 @@ class RecursivePathOram
     std::size_t treeCount() const { return 1 + recursion_.size(); }
 
     /** Tree @p i: 0 = data, 1..H = recursion stages (innermost first —
-     *  construction order; differential tests iterate all of them). */
+     *  construction order). */
     const PathOram &tree(std::size_t i) const;
 
     /**
-     * Batched crypto-engine calls actually issued across all trees and
-     * the deferred-flush batch. With the Fused datapath the steady-
-     * state delta per logical access is exactly treeCount() + 1 (H+1
-     * path-read decrypts + 1 batched write-back flush) — the H+2
-     * invariant the tests pin.
+     * Batched crypto-engine calls issued across all trees. The delta
+     * per logical access is exactly 2·treeCount() (one path-read
+     * decrypt and one write-back encrypt per tree) — the 2·(H+1)
+     * budget the tests pin.
      */
     std::uint64_t cryptoCalls() const;
 
@@ -503,19 +381,15 @@ class RecursivePathOram
     /** One recursion stage: an ORAM holding packed leaf labels. */
     struct Stage;
 
-    /** Flush the deferred write-back batch (Fused mode; no-op
-     *  otherwise) and debug-check the per-tree PRF draw quotas. */
+    /** Debug-check the per-tree PRF draw quotas of the access. */
     void finishLogicalAccess(bool remapping);
     /** Snapshot per-tree draw counters into drawSnap_ (debug). */
     void snapshotDraws();
 
     OramConfig cfg_;
-    Datapath datapath_ = Datapath::Fused;
     std::vector<std::unique_ptr<Stage>> recursion_; // innermost first
     std::unique_ptr<PositionMapIf> flatMap_;        // backs last stage
     std::unique_ptr<PathOram> data_;
-    /** Cross-stage deferred write-back (Fused mode only). */
-    std::unique_ptr<PathCryptoBatch> batch_;
     /** Per-tree draw snapshot for the debug stream invariant. */
     std::vector<PathOram::DrawStats> drawSnap_;
 };

@@ -26,24 +26,14 @@ class PositionMapIf
     /** Current leaf of @p id. */
     virtual Leaf get(BlockId id) = 0;
 
-    /** Remap @p id to @p leaf. */
-    virtual void set(BlockId id, Leaf leaf) = 0;
-
     /**
      * Fused remap: store @p leaf for @p id and return the label it
      * replaces — the one operation a Path ORAM access actually needs.
-     * For an ORAM-backed map this is the whole point: one fused
-     * read-patch-write path access per recursion stage instead of
-     * get's read/write followed by set's read/write. The default
-     * composes get+set for maps where the distinction doesn't matter.
+     * For an ORAM-backed map this is the whole point: one
+     * read-patch-write path access per recursion stage instead of a
+     * get's access followed by a set's read and write-back.
      */
-    virtual Leaf
-    update(BlockId id, Leaf leaf)
-    {
-        const Leaf old = get(id);
-        set(id, leaf);
-        return old;
-    }
+    virtual Leaf update(BlockId id, Leaf leaf) = 0;
 
     /** Number of mapped blocks. */
     virtual std::uint64_t size() const = 0;
@@ -61,8 +51,9 @@ class FlatPositionMap : public PositionMapIf
     explicit FlatPositionMap(std::uint64_t num_blocks, Leaf init_leaf = 0);
 
     Leaf get(BlockId id) override;
-    void set(BlockId id, Leaf leaf) override;
     Leaf update(BlockId id, Leaf leaf) override;
+    /** Remap @p id to @p leaf (initialization and tests). */
+    void set(BlockId id, Leaf leaf);
     std::uint64_t size() const override { return map_.size(); }
 
     /** Checkpoint support. */

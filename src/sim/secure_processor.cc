@@ -278,7 +278,6 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
         dev_spec.pathMode = cfg_.pathMode();
         dev_spec.keySeed = cfg_.seed ^ 0x0de71ce5ull;
         dev_spec.functionalBlockCap = cfg_.functionalBlockCap;
-        dev_spec.datapath = cfg_.functionalDatapathKind();
         dev_spec.cryptoBackend =
             cfg_.cryptoBackend.empty()
                 ? crypto::CryptoBackend::Auto

@@ -22,7 +22,7 @@ toStatDump(const SimResult &r)
           static_cast<double>(r.oramBytesPerAccess));
     d.set("oram.crypto_bytes", static_cast<double>(r.cryptoBytes));
     d.set("oram.crypto_calls", static_cast<double>(r.cryptoCalls));
-    // Fused-datapath budget check: H+2 per access (H recursion stages)
+    // Crypto budget check: 2·(H+1) per access (H recursion stages)
     // when ORAM traffic exists; 0 for the no-ORAM baselines.
     const std::uint64_t oram_accesses = r.oramReal + r.oramDummy;
     d.set("oram.crypto_calls_per_access",

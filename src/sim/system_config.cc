@@ -77,20 +77,6 @@ SystemConfig::oramDeviceKind() const
     return oramDevice;
 }
 
-oram::Datapath
-SystemConfig::functionalDatapathKind() const
-{
-    if (functionalDatapath.empty() || functionalDatapath == "fused")
-        return oram::Datapath::Fused;
-    if (functionalDatapath == "unfused")
-        return oram::Datapath::FusedImmediate;
-    if (functionalDatapath == "legacy")
-        return oram::Datapath::Legacy;
-    tcoram_fatal("config '", name, "': unknown functional datapath \"",
-                 functionalDatapath,
-                 "\" (known: fused, unfused, legacy)");
-}
-
 std::string
 SystemConfig::dramModeKind() const
 {

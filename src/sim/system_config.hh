@@ -21,10 +21,6 @@
 #include "timing/dispatch_policy.hh"
 #include "timing/rate_learner.hh"
 
-namespace tcoram::oram {
-enum class Datapath : std::uint8_t; // oram/path_oram.hh
-} // namespace tcoram::oram
-
 namespace tcoram::workload {
 struct WorkloadParams; // workload/workload_source.hh
 } // namespace tcoram::workload
@@ -148,20 +144,6 @@ struct SystemConfig
 
     /** Resolved device kind (fatal on an unknown oramDevice string). */
     std::string oramDeviceKind() const;
-
-    /**
-     * Recursion datapath structure of the functional device
-     * (oram/path_oram.hh). Empty selects the fused engine (one path
-     * access per recursion stage, one batched cross-stage write-back
-     * encrypt); "unfused" is the draw-identical per-tree-encrypt
-     * reference (FusedImmediate); "legacy" the pre-fusion get/set
-     * recursion. Observable stats are datapath-independent — the
-     * non-default modes exist for differential tests and benchmarks.
-     */
-    std::string functionalDatapath;
-
-    /** Resolved datapath (fatal on an unknown functionalDatapath). */
-    oram::Datapath functionalDatapathKind() const;
 
     /**
      * Path read/write-back scheduling of the ORAM controller against

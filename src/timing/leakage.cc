@@ -11,6 +11,18 @@
 
 namespace tcoram::timing {
 
+namespace {
+/** ln|Γ(x)| via the reentrant lgamma_r: std::lgamma writes libm's
+ *  global signgam, a data race when parallel ExperimentEngine workers
+ *  account leakage at the same time. */
+double
+lnGamma(double x)
+{
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+} // namespace
+
 double
 LeakageAccountant::oramTimingBits(std::size_t num_rates, unsigned num_epochs)
 {
@@ -66,8 +78,7 @@ LeakageAccountant::unprotectedBits(Cycles t, Cycles olat)
     auto lg_choose = [&](double n, double k) {
         if (k < 0 || k > n)
             return -std::numeric_limits<double>::infinity();
-        return (std::lgamma(n + 1) - std::lgamma(k + 1) -
-                std::lgamma(n - k + 1)) /
+        return (lnGamma(n + 1) - lnGamma(k + 1) - lnGamma(n - k + 1)) /
                ln2;
     };
 

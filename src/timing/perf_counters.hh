@@ -17,14 +17,13 @@
  * Plus crypto-work attribution counters (not part of the paper's
  * Figure 4): bytes pushed through the bucket AES-CTR engine and the
  * number of batched crypto calls, for Table-2-style energy/perf
- * reports. With the fused datapath (oram/path_oram.hh) every real AND
- * dummy access costs H+2 batched calls for H recursion stages — one
- * whole-path decrypt per tree plus ONE cross-stage write-back encrypt
- * — versus ~3·(H+1) for the legacy get/set recursion. Unlike the
- * learner's counters these are run-cumulative — reset() deliberately
- * keeps them, and the sim layer reads them off the enforcer at the end
- * of a run (SimResult cryptoBytes/cryptoCalls, dumped as
- * oram.crypto_bytes/crypto_calls/crypto_calls_per_access).
+ * reports. With the path-level engine (oram/path_oram.hh) every real
+ * AND dummy access costs 2·(H+1) batched calls for H recursion stages
+ * — one whole-path decrypt and one whole-path write-back encrypt per
+ * tree. Unlike the learner's counters these are run-cumulative —
+ * reset() deliberately keeps them, and the sim layer reads them off
+ * the enforcer at the end of a run (SimResult cryptoBytes/cryptoCalls,
+ * dumped as oram.crypto_bytes/crypto_calls/crypto_calls_per_access).
  */
 
 #ifndef TCORAM_TIMING_PERF_COUNTERS_HH

@@ -1,13 +1,12 @@
 /**
  * @file
- * Fused-datapath tests: bit-identity of the deferred cross-stage
- * crypto batch against the per-tree immediate reference (saveState
- * images and served payloads), the H+2 crypto-call budget across
- * recursion depths, functional equivalence of the Legacy get/set
- * cascade, the phase-split label helpers (load64le/store64le), the
- * fused FlatPositionMap::update, out-of-band self-healing of pending
- * deferred write-backs, and the allocation-free steady state of the
- * deferred segment list (counting global new/delete).
+ * Functional-datapath tests: served payloads against a plain block
+ * model, saveState digests pinned byte for byte (mixed load and
+ * background eviction), the 2·(H+1) crypto-call budget across
+ * recursion depths, the phase-split label helpers (load64le/
+ * store64le), the fused FlatPositionMap::update, the stash/tree
+ * invariant after load, and the allocation-free steady state of the
+ * recursive access (counting global new/delete).
  */
 
 #include <gtest/gtest.h>
@@ -15,17 +14,16 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitutils.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
+#include "crypto/sha256.hh"
 #include "oram/path_oram.hh"
 #include "oram/position_map.hh"
-#include "sim/experiment.hh"
-#include "sim/report.hh"
-#include "sim/secure_processor.hh"
-#include "workload/spec_suite.hh"
 
 // ---------------------------------------------------------------------
 // Counting allocator hook (same pattern as test_pipeline.cc): every
@@ -129,21 +127,24 @@ recursiveConfig(unsigned levels, std::uint64_t blocks = 128)
 }
 
 /** Drive @p o through a deterministic mixed workload (writes, reads,
- *  dummies) and return every served payload concatenated. */
-std::vector<std::uint8_t>
+ *  dummies), checking every served payload against a plain block
+ *  model. */
+void
 driveMixed(oram::RecursivePathOram &o, const oram::OramConfig &c,
            BlockId blocks, int rounds)
 {
+    std::vector<std::vector<std::uint8_t>> model(blocks);
     std::vector<std::uint8_t> out(c.blockBytes);
     std::vector<std::uint8_t> data(c.blockBytes);
-    std::vector<std::uint8_t> served;
     auto fill = [&](std::uint8_t tag) {
         for (std::size_t i = 0; i < data.size(); ++i)
             data[i] = static_cast<std::uint8_t>(tag * 131 + i);
     };
+    std::uint64_t mismatches = 0;
     for (BlockId id = 0; id < blocks; ++id) {
         fill(static_cast<std::uint8_t>(id));
         o.accessInto(id, oram::Op::Write, data, out);
+        model[id] = data;
     }
     Rng rng(2026);
     for (int round = 0; round < rounds; ++round) {
@@ -151,75 +152,75 @@ driveMixed(oram::RecursivePathOram &o, const oram::OramConfig &c,
         if (rng.nextBool(0.4)) {
             fill(static_cast<std::uint8_t>(rng.next()));
             o.accessInto(id, oram::Op::Write, data, out);
+            model[id] = data;
         } else if (rng.nextBool(0.1)) {
             o.dummyAccess();
+            continue;
         } else {
             o.accessInto(id, oram::Op::Read, {}, out);
         }
-        served.insert(served.end(), out.begin(), out.end());
+        mismatches += out != model[id];
     }
-    return served;
+    EXPECT_EQ(mismatches, 0u) << "served payloads diverged from the model";
 }
 
-std::vector<std::uint8_t>
-imageOf(const oram::RecursivePathOram &o)
+/** SHA-256 of the full serialized state (every tree's DRAM image,
+ *  nonces, PRF counters, stash, and the innermost flat map). */
+std::string
+stateDigest(const oram::RecursivePathOram &o)
 {
     ByteWriter w;
     o.saveState(w);
-    return w.data();
+    return crypto::toHex(crypto::Sha256::hash(w.data()));
 }
 
 // ---------------------------------------------------------------------
-// Differential: deferred batched write-back vs immediate per-tree
-// encrypt. Same seed, same access sequence, same datapath structure —
-// the ONLY difference is when the CTR engine runs. CTR keystream is a
-// pure function of (key, nonce), so the serialized state (every
-// tree's DRAM ciphertexts, nonces, PRF counters, stash, maps) must be
-// byte-identical, as must every served payload.
+// Byte-identity pins: the serialized state after a fixed mixed
+// workload is a pure function of (geometry, seed, access sequence).
+// These digests were recorded before the functional datapath was
+// collapsed to one structure; any change to the PRF draw order, the
+// bucket encoding or the write-back keying moves them.
 // ---------------------------------------------------------------------
 
-TEST(FusedDatapath, DeferredMatchesImmediateBitForBit)
+TEST(FusedDatapath, SaveStateMatchesPinnedDigest)
 {
-    for (unsigned levels : {0u, 2u}) {
+    const std::pair<unsigned, const char *> pinned[] = {
+        {0u, "9210ad1b36a672c9eed7f1dad51f38e870ca6301640f17cdcc588c594207067e"},
+        {2u, "6732a1ca76d1181fbe1b8adad62f8722a41d6aa9c05d7b65fb1c87ae52ee2b24"},
+    };
+    for (const auto &[levels, digest] : pinned) {
         const oram::OramConfig c = recursiveConfig(levels);
-        oram::RecursivePathOram fused(c, 909, crypto::CryptoBackend::Auto,
-                                      oram::Datapath::Fused);
-        oram::RecursivePathOram imm(c, 909, crypto::CryptoBackend::Auto,
-                                    oram::Datapath::FusedImmediate);
-        const auto served_fused = driveMixed(fused, c, 48, 1500);
-        const auto served_imm = driveMixed(imm, c, 48, 1500);
-        EXPECT_EQ(served_fused, served_imm) << "levels=" << levels;
-        EXPECT_EQ(imageOf(fused), imageOf(imm)) << "levels=" << levels;
+        oram::RecursivePathOram o(c, 909);
+        driveMixed(o, c, 48, 1500);
+        EXPECT_EQ(stateDigest(o), digest) << "levels=" << levels;
     }
 }
 
-TEST(FusedDatapath, LegacyCascadeServesIdenticalPayloads)
+TEST(FusedDatapath, BackgroundEvictionMatchesPinnedDigest)
 {
-    // Legacy re-creates the pre-fusion get/set recursion: three path
-    // accesses per stage instead of one. Per-tree PRF streams differ
-    // (more draws), so DRAM images legitimately diverge — but the
-    // logical content must not.
     const oram::OramConfig c = recursiveConfig(2);
-    oram::RecursivePathOram fused(c, 4242, crypto::CryptoBackend::Auto,
-                                  oram::Datapath::Fused);
-    oram::RecursivePathOram legacy(c, 4242, crypto::CryptoBackend::Auto,
-                                   oram::Datapath::Legacy);
-    EXPECT_EQ(driveMixed(fused, c, 48, 800), driveMixed(legacy, c, 48, 800));
+    oram::RecursivePathOram o(c, 909);
+    driveMixed(o, c, 48, 1500);
+    for (std::uint64_t g = 0; g < 64; ++g)
+        o.backgroundEvict(g);
+    EXPECT_EQ(o.evictionCount(), 64u * o.treeCount());
+    EXPECT_EQ(stateDigest(o),
+              "69342415a4457ca8612fa039f0a9528338d759e8f4312da2ad2f381cf6ddaf42");
 }
 
 // ---------------------------------------------------------------------
-// The H+2 crypto budget, pinned across recursion depths: every
+// The 2·(H+1) crypto budget, pinned across recursion depths: every
 // logical access (real or dummy, first-touch or steady-state) costs
-// exactly treeCount() + 1 batched engine calls — H+1 whole-path read
-// decrypts plus ONE cross-stage write-back flush.
+// one whole-path read decrypt plus one whole-path write-back encrypt
+// per tree.
 // ---------------------------------------------------------------------
 
-TEST(FusedDatapath, CryptoCallsPerAccessIsTreesPlusOne)
+TEST(FusedDatapath, CryptoCallsPerAccessIsTwoPerTree)
 {
     for (unsigned levels : {0u, 1u, 2u, 3u}) {
         const oram::OramConfig c = recursiveConfig(levels, 256);
         oram::RecursivePathOram o(c, 31 + levels);
-        const std::uint64_t per_access = o.treeCount() + 1;
+        const std::uint64_t per_access = 2 * o.treeCount();
 
         std::vector<std::uint8_t> out(c.blockBytes);
         std::vector<std::uint8_t> data(c.blockBytes, 0x5a);
@@ -241,12 +242,6 @@ TEST(FusedDatapath, CryptoCallsPerAccessIsTreesPlusOne)
     }
 }
 
-// ---------------------------------------------------------------------
-// Out-of-band consultations self-heal pending deferred write-backs:
-// a direct position-map read between logical accesses (what
-// checkInvariant does) must not decode stale ciphertext.
-// ---------------------------------------------------------------------
-
 TEST(FusedDatapath, InvariantHoldsAfterMixedLoad)
 {
     const oram::OramConfig c = recursiveConfig(2);
@@ -256,39 +251,9 @@ TEST(FusedDatapath, InvariantHoldsAfterMixedLoad)
     for (BlockId i = 0; i < 48; ++i)
         ids[i] = i;
     // checkInvariant consults the recursive position map (Stage::get,
-    // which defers ITS write-back) between direct bucket unseals —
-    // the epoch self-heal in readPath keeps every decode consistent.
+    // a full path access per stage) between direct bucket unseals.
     EXPECT_TRUE(o.dataOram().checkInvariant(ids));
     EXPECT_TRUE(o.dataOram().checkInvariant(ids)) << "re-entrant";
-}
-
-// ---------------------------------------------------------------------
-// End-to-end plumbing: config string -> datapath kind -> identical
-// simulation results (the observable timing/stat plane is datapath-
-// independent by construction).
-// ---------------------------------------------------------------------
-
-TEST(FusedDatapath, ConfigSelectsDatapathAndResultsMatch)
-{
-    auto base = sim::SystemConfig::baseOram();
-    base.oram.numBlocks = 1 << 12;
-    base.epoch0 = 1 << 16;
-    base.ipcWindow = 50'000;
-
-    auto fused = base;
-    fused.functionalDatapath = "fused";
-    auto unfused = base;
-    unfused.functionalDatapath = "unfused";
-    EXPECT_EQ(fused.functionalDatapathKind(), oram::Datapath::Fused);
-    EXPECT_EQ(unfused.functionalDatapathKind(),
-              oram::Datapath::FusedImmediate);
-    EXPECT_EQ(base.functionalDatapathKind(), oram::Datapath::Fused)
-        << "empty string = default";
-
-    const auto prof = workload::specProfile("mcf");
-    const sim::SimResult a = sim::runOne(fused, prof, 150'000);
-    const sim::SimResult b = sim::runOne(unfused, prof, 150'000);
-    EXPECT_EQ(sim::csvRow(a), sim::csvRow(b));
 }
 
 // ---------------------------------------------------------------------
@@ -302,7 +267,7 @@ TEST(FlatPositionMap, UpdateSwapsInOneTouch)
     m.set(3, 41);
     EXPECT_EQ(m.update(3, 99), 41u);
     EXPECT_EQ(m.get(3), 99u);
-    // Must agree with the interface-default get+set decomposition.
+    // Must agree with the get+set decomposition.
     oram::FlatPositionMap ref(8);
     ref.set(3, 41);
     const Leaf old = ref.get(3);
@@ -327,8 +292,7 @@ TEST(BitUtils, Load64Store64RoundTrip)
 
 // ---------------------------------------------------------------------
 // Allocation-free steady state: once warm, the fused recursive access
-// (including the deferred segment list and its flush) performs zero
-// heap allocations per access.
+// performs zero heap allocations per access.
 // ---------------------------------------------------------------------
 
 TEST(AllocationFree, FusedRecursiveSteadyStateAccess)

@@ -78,7 +78,12 @@ TEST(FunctionalOramDevice, MovesRealDataWithTimingCharging)
     auto wr = timing::OramTransaction::real(123, /*is_write=*/true);
     wr.data = payload;
     wr.out = out;
+    const std::uint64_t calls0 = func_dev.functionalOram().cryptoCalls();
     const auto cw = func_dev.submit(0, wr);
+    // The modeled per-access crypto count is what the datapath really
+    // issues (uncapped tree: model and datapath share one geometry).
+    EXPECT_EQ(func_dev.functionalOram().cryptoCalls() - calls0,
+              cw.cryptoCalls);
 
     auto rd = timing::OramTransaction::real(123, /*is_write=*/false);
     rd.out = out;
@@ -97,8 +102,11 @@ TEST(FunctionalOramDevice, MovesRealDataWithTimingCharging)
     EXPECT_EQ(func_dev.accessLatency(), timing_dev.accessLatency());
 
     // Dummies run the whole datapath too.
+    const std::uint64_t calls1 = func_dev.functionalOram().cryptoCalls();
     const auto cd = func_dev.submit(cr.done, timing::OramTransaction::dummy());
     EXPECT_EQ(cd.done - cd.start, func_dev.accessLatency());
+    EXPECT_EQ(func_dev.functionalOram().cryptoCalls() - calls1,
+              cd.cryptoCalls);
     EXPECT_EQ(func_dev.realAccesses(), 2u);
     EXPECT_EQ(func_dev.dummyAccesses(), 1u);
     EXPECT_GT(func_dev.dataBytesMoved(), 0u);

@@ -118,10 +118,10 @@ TEST(SecureProcessor, OramLatencyReported)
 
 TEST(SecureProcessor, CryptoWorkAttributed)
 {
-    // Fused-datapath budget: every (real or dummy) ORAM access costs
-    // one whole-path decrypt per tree plus ONE cross-stage batched
-    // write-back encrypt — bytes = accesses x bytes-per-access, calls
-    // = accesses x (trees + 1), i.e. H+2 for H recursion stages. Both
+    // Crypto budget: every (real or dummy) ORAM access costs one
+    // whole-path decrypt and one whole-path write-back encrypt per
+    // tree — bytes = accesses x bytes-per-access, calls = accesses x
+    // 2 x trees, i.e. 2·(H+1) for H recursion stages. Both
     // the enforcer-counter path (dynamic) and the analytic path
     // (base_oram, no enforcer) must agree with that identity;
     // base_dram does no bucket crypto at all.
@@ -134,7 +134,7 @@ TEST(SecureProcessor, CryptoWorkAttributed)
         EXPECT_EQ(r.cryptoBytes, accesses * r.oramBytesPerAccess)
             << cfg.name;
         const std::uint64_t trees = 1 + cfg.oram.recursionChain().size();
-        EXPECT_EQ(r.cryptoCalls, accesses * (trees + 1)) << cfg.name;
+        EXPECT_EQ(r.cryptoCalls, accesses * 2 * trees) << cfg.name;
     }
     const SimResult dram = runOne(fastConfig(SystemConfig::baseDram()),
                                   workload::specProfile("mcf"), kShortRun);

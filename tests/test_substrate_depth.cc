@@ -197,10 +197,10 @@ TEST(StatDumpExport, CoversKeyScalars)
     EXPECT_DOUBLE_EQ(d.get("leakage.paper_bits"), 64.0);
     EXPECT_DOUBLE_EQ(d.get("sim.instructions"), 200'000.0);
     EXPECT_GT(d.get("oram.real_accesses"), 0.0);
-    // Fused-datapath crypto budget: H+2 batched calls per access for
-    // H recursion stages (trees + 1), exported as a per-access rate.
+    // Crypto budget: 2·(H+1) batched calls per access for H recursion
+    // stages (two per tree), exported as a per-access rate.
     const double trees = 1.0 + cfg.oram.recursionChain().size();
-    EXPECT_DOUBLE_EQ(d.get("oram.crypto_calls_per_access"), trees + 1.0);
+    EXPECT_DOUBLE_EQ(d.get("oram.crypto_calls_per_access"), 2.0 * trees);
     // Background-eviction telemetry rides the same export (zero under
     // the sync default, where the engine is off).
     EXPECT_TRUE(d.has("oram.stash_occupancy"));
