@@ -41,7 +41,7 @@
 #include "oram/oram_device.hh"
 #include "oram/oram_controller.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
+#include "sim/shard_worker.hh"
 #include "timing/rate_enforcer.hh"
 
 using namespace tcoram;
@@ -162,13 +162,16 @@ asyncShardStreamsPeriodic(Cycles rate, std::string &detail)
     timing::RateLearner learner{rates};
     protocol::LeakageParams params;
     params.rateCount = 1;
-    sim::OramScheduler sched(device, rates, schedule, learner, rate,
-                             params);
+    sim::RingScheduler::Options opts;
+    opts.ringCapacity = 512; // the whole backlog is queued up front
+    sim::RingScheduler sched(device, rates, schedule, learner, rate,
+                             params, opts);
 
     sched.openSession(0x5eed);
     for (std::uint64_t k = 0; k < 512; ++k)
-        sched.submit(0, k, timing::OramTransaction::real(k * 7919ull));
-    const Cycles last = sched.run();
+        if (!sched.trySubmit(0, k, timing::OramTransaction::real(k * 7919ull)))
+            tcoram_fatal("async backlog overflows its lane");
+    const Cycles last = sched.runUntilIdle();
     sched.drainUntil(last + 16 * (rate + device.accessLatency()));
 
     for (std::uint32_t i = 0; i < kShards; ++i) {

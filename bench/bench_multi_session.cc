@@ -2,7 +2,8 @@
  * @file
  * Multi-session scaling bench: N closed-loop client sessions (each a
  * §5 protocol session with its own leakage budget and think time)
- * share ONE rate-enforced ORAM device through sim::OramScheduler.
+ * share ONE rate-enforced ORAM device (a 1-shard array, bit-identical
+ * to the bare device) through the ring scheduler.
  * Sweeps N = 1..64 and reports, per session count:
  *
  *  - aggregate throughput and device utilization (completions x slot
@@ -15,6 +16,9 @@
  *
  * The enforced stream itself is session-count-independent (pinned by
  * tests/test_scheduler.cc); this bench quantifies what sharing costs.
+ * The closed loop steps the scheduler one transaction at a time
+ * (runUntilServed), so each completion respawns its session's next
+ * request before the next slot is dispatched.
  *
  * Usage:
  *   bench_multi_session [--quick] [--json <path>] [--check]
@@ -36,8 +40,8 @@
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
-#include "sim/oram_scheduler.hh"
-#include "timing/rate_enforcer.hh"
+#include "oram/sharded_device.hh"
+#include "sim/shard_worker.hh"
 
 using namespace tcoram;
 
@@ -72,17 +76,17 @@ runPoint(std::size_t n_sessions, Cycles rate, Cycles horizon)
 {
     dram::DramModel mem{dram::DramConfig{}};
     Rng calib_rng(42);
-    const oram::OramConfig geometry = oram::OramConfig::benchConfig();
-    oram::TimingOramDevice device(geometry, mem, calib_rng);
+    oram::ShardedOramDevice device(oram::OramDeviceSpec{},
+                                   oram::OramConfig::benchConfig(),
+                                   /*shards=*/1, /*route_seed=*/7, mem,
+                                   calib_rng);
 
     const timing::RateSet rates(std::vector<Cycles>{rate});
     const timing::EpochSchedule schedule(Cycles{1} << 30, 2, Cycles{1} << 40);
     const timing::RateLearner learner(rates);
-    timing::RateEnforcer enforcer(device, rates, schedule, learner, rate);
-
     protocol::LeakageParams params;
     params.rateCount = rates.size(); // single rate: 0 ORAM-timing bits
-    sim::OramScheduler sched(enforcer, params);
+    sim::RingScheduler sched(device, rates, schedule, learner, rate, params);
 
     // Sessions alternate unlimited and finite (64-bit) budgets so the
     // admission handshake and the shared monitor both get exercised.
@@ -98,19 +102,25 @@ runPoint(std::size_t n_sessions, Cycles rate, Cycles horizon)
     auto think_gap = [&](std::size_t s) {
         return 2000 + think[s].nextBounded(28000); // mean ~16 K cycles
     };
+    auto submit = [&](std::uint32_t s, Cycles arrival) {
+        if (!sched.trySubmit(s, arrival,
+                             timing::OramTransaction::real(next_block[s]++)))
+            tcoram_fatal("closed loop exceeded the lane bound");
+    };
     for (std::size_t s = 0; s < n_sessions; ++s)
-        sched.submit(static_cast<std::uint32_t>(s), think_gap(s),
-                     timing::OramTransaction::real(next_block[s]++));
+        submit(static_cast<std::uint32_t>(s), think_gap(s));
 
-    // Serve; completed requests respawn after think time until horizon.
+    // Serve one at a time; each completed request respawns after think
+    // time until horizon.
     Cycles last = 0;
-    while (auto served = sched.serveNext()) {
-        last = std::max(last, served->completion.done);
-        const std::uint32_t s = served->sessionId;
-        const Cycles again = served->completion.done + think_gap(s);
+    sim::SessionRing::Completion c;
+    for (std::uint64_t n = 1; sched.runUntilServed(n) == n; ++n) {
+        if (!sched.lane(0).popCompletion(c))
+            tcoram_fatal("served transaction without a completion");
+        last = std::max(last, c.completion.done);
+        const Cycles again = c.completion.done + think_gap(c.sessionId);
         if (again < horizon)
-            sched.submit(s, again,
-                         timing::OramTransaction::real(next_block[s]++));
+            submit(c.sessionId, again);
     }
 
     SweepPoint p;

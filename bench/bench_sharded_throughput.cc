@@ -2,7 +2,7 @@
  * @file
  * Sharded ORAM device array scaling bench: S closed sessions feed M
  * rate-enforced subtree devices (oram/sharded_device.hh) through the
- * shard-aware sim::OramScheduler. Sweeps M in {1, 2, 4, 8, 16} x
+ * ring scheduler (sim/shard_worker.hh). Sweeps M in {1, 2, 4, 8, 16} x
  * session counts with a fixed open-loop backlog and reports, per
  * point:
  *
@@ -17,7 +17,7 @@
  * each shard's recorded observable stream must be exactly periodic
  * (gap = rate + that shard's OLAT, dummies included), and the M = 1
  * array must emit a stream bit-identical to the bare unsharded
- * device behind the PR 3 single-enforcer scheduler.
+ * device behind one enforcer fed the same arrivals.
  *
  * Usage:
  *   bench_sharded_throughput [--quick] [--json <path>] [--check]
@@ -42,7 +42,7 @@
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
+#include "sim/shard_worker.hh"
 #include "timing/rate_enforcer.hh"
 
 using namespace tcoram;
@@ -119,29 +119,23 @@ struct RateConfig
  * The ONE workload every harness runs (the M = 1 equality check is
  * only meaningful because all paths feed literally this): open-loop,
  * every session queues its whole backlog up front (arrivals at cycle
- * k), so each slot serves continuously until its FIFO drains — the
- * saturation regime where the scaling claim must hold. After the run,
- * trailing dummies keep every stream going past the last real
- * completion — periodicity must survive the drain too.
- * @return the last real completion cycle (the throughput span).
+ * k, session-minor), so each slot serves continuously until its queue
+ * drains — the saturation regime where the scaling claim must hold.
  */
-Cycles
-driveWorkload(sim::OramScheduler &sched, std::size_t n_sessions,
-              std::uint64_t total_txns, Cycles slot_period)
+template <typename Submit>
+void
+forEachArrival(std::size_t n_sessions, std::uint64_t total_txns,
+               Submit &&submit)
 {
-    for (std::size_t s = 0; s < n_sessions; ++s)
-        sched.openSession(mixSeed(0x5a7d, s));
     const std::uint64_t per_session = total_txns / n_sessions;
     for (std::uint64_t k = 0; k < per_session; ++k)
         for (std::size_t s = 0; s < n_sessions; ++s)
-            sched.submit(static_cast<std::uint32_t>(s), k,
-                         timing::OramTransaction::real(blockId(s, k)));
-    const Cycles last = sched.run();
-    sched.drainUntil(last + 8 * slot_period);
-    return last;
+            submit(static_cast<std::uint32_t>(s), k,
+                   timing::OramTransaction::real(blockId(s, k)));
 }
 
-/** Sharded harness: M recorded subtrees behind the shard scheduler. */
+/** Sharded harness: M recorded subtrees behind the ring scheduler,
+ *  whose one lane holds the whole backlog. */
 struct ShardedRun
 {
     dram::DramModel mem{dram::DramConfig{}};
@@ -149,14 +143,44 @@ struct ShardedRun
     oram::OramDeviceSpec inner; // timing backend per subtree
     oram::ShardedOramDevice device;
     RateConfig rc;
-    sim::OramScheduler sched;
+    sim::RingScheduler sched;
 
-    explicit ShardedRun(std::uint32_t shards)
+    ShardedRun(std::uint32_t shards, std::uint64_t total_txns)
         : device(inner, oram::OramConfig::benchConfig(), shards,
                  kRouteSeed, mem, rng, /*record=*/true),
           sched(device, rc.rates, rc.schedule, rc.learner, kRate,
-                RateConfig::params())
+                RateConfig::params(), options(total_txns))
     {
+    }
+
+    static sim::RingScheduler::Options
+    options(std::uint64_t total_txns)
+    {
+        sim::RingScheduler::Options o;
+        o.ringCapacity = total_txns;
+        return o;
+    }
+
+    /**
+     * Run the workload, then fire trailing dummies that keep every
+     * stream going past the last real completion — periodicity must
+     * survive the drain too.
+     * @return the last completion cycle (the throughput span).
+     */
+    Cycles
+    drive(std::size_t n_sessions, std::uint64_t total_txns)
+    {
+        for (std::size_t s = 0; s < n_sessions; ++s)
+            sched.openSession(mixSeed(0x5a7d, s));
+        forEachArrival(n_sessions, total_txns,
+                       [&](std::uint32_t s, Cycles k,
+                           const timing::OramTransaction &txn) {
+                           if (!sched.trySubmit(s, k, txn))
+                               tcoram_fatal("backlog overflows its lane");
+                       });
+        const Cycles last = sched.runUntilIdle();
+        sched.drainUntil(last + 8 * (kRate + device.accessLatency()));
+        return last;
     }
 };
 
@@ -164,11 +188,9 @@ SweepPoint
 runPoint(std::uint32_t n_shards, std::size_t n_sessions,
          std::uint64_t total_txns)
 {
-    ShardedRun run(n_shards);
+    ShardedRun run(n_shards, total_txns);
     oram::ShardedOramDevice &device = run.device;
-    const Cycles last =
-        driveWorkload(run.sched, n_sessions, total_txns,
-                      kRate + device.accessLatency());
+    const Cycles last = run.drive(n_sessions, total_txns);
 
     SweepPoint p;
     p.shards = n_shards;
@@ -207,9 +229,10 @@ runPoint(std::uint32_t n_shards, std::size_t n_sessions,
 }
 
 /**
- * The bare-device reference: driveWorkload through the PR 3
- * single-enforcer scheduler over an unsharded TimingOramDevice.
- * Returns the full observable stream (reals + dummies).
+ * The bare-device reference: the same arrivals, in submission order,
+ * through one enforcer over an unsharded TimingOramDevice, then the
+ * same trailing drain. Returns the full observable stream (reals +
+ * dummies).
  */
 std::vector<StreamEvent>
 bareStream(std::size_t n_sessions, std::uint64_t total_txns)
@@ -222,9 +245,13 @@ bareStream(std::size_t n_sessions, std::uint64_t total_txns)
     RateConfig rc;
     timing::RateEnforcer enforcer(recorder, rc.rates, rc.schedule,
                                   rc.learner, kRate);
-    sim::OramScheduler sched(enforcer, RateConfig::params());
-    driveWorkload(sched, n_sessions, total_txns,
-                  kRate + recorder.accessLatency());
+    Cycles last = enforcer.lastCompletion();
+    forEachArrival(n_sessions, total_txns,
+                   [&](std::uint32_t, Cycles k,
+                       const timing::OramTransaction &txn) {
+                       last = std::max(last, enforcer.serve(k, txn).done);
+                   });
+    enforcer.drainUntil(last + 8 * (kRate + recorder.accessLatency()));
     return events(recorder);
 }
 
@@ -232,9 +259,8 @@ bareStream(std::size_t n_sessions, std::uint64_t total_txns)
 std::vector<StreamEvent>
 shardedM1Stream(std::size_t n_sessions, std::uint64_t total_txns)
 {
-    ShardedRun run(1);
-    driveWorkload(run.sched, n_sessions, total_txns,
-                  kRate + run.device.accessLatency());
+    ShardedRun run(1, total_txns);
+    run.drive(n_sessions, total_txns);
     return events(*run.device.recorder(0));
 }
 
@@ -279,7 +305,7 @@ main(int argc, char **argv)
     }
 
     // M = 1 transparency: the array's single stream must be
-    // bit-identical to the bare device behind the PR 3 scheduler.
+    // bit-identical to the bare device behind one enforcer.
     const std::size_t eq_sessions = session_counts.back();
     const bool m1_identical =
         bareStream(eq_sessions, total_txns) ==

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <sstream>
 #include <thread>
 
 #include "common/log.hh"
@@ -10,37 +9,8 @@
 
 namespace tcoram::sim {
 
-namespace {
-
-protocol::LeakageParams
-runParams(const KvServingConfig &cfg)
-{
-    protocol::LeakageParams p;
-    // Single-candidate rate set: rate decisions reveal lg(1) = 0 bits
-    // and the slot grid is pinned, which is what makes the "exactly
-    // periodic" gate exact rather than statistical.
-    p.rateCount = 1;
-    p.epoch0 = cfg.epoch0;
-    return p;
-}
-
-oram::OramDeviceSpec
-innerSpec(const KvServingConfig &cfg)
-{
-    oram::OramDeviceSpec spec;
-    spec.kind = cfg.deviceKind;
-    spec.keySeed = mixSeed(cfg.seed, 0x0de71ce5ull);
-    spec.functionalBlockCap = cfg.functionalBlockCap;
-    return spec;
-}
-
-} // namespace
-
 KvServingRun::KvServingRun(const KvServingConfig &cfg)
-    : cfg_(cfg), mem_(dram::DramConfig{}), rng_(cfg.seed),
-      rates_(std::vector<Cycles>{cfg.rate}),
-      schedule_(cfg.epoch0, 2, Cycles{1} << 40), learner_(rates_),
-      backend_(cfg.kv)
+    : cfg_(cfg), backend_(cfg.kv)
 {
     tcoram_assert(cfg_.shards >= 1, "kv serving needs a shard");
     tcoram_assert(cfg_.lanes >= 1, "kv serving needs a lane");
@@ -66,17 +36,16 @@ KvServingRun::KvServingRun(const KvServingConfig &cfg)
                       "-block KV table exceeds the ", per_shard,
                       "-block per-shard subtree");
     }
-    device_ = std::make_unique<oram::ShardedOramDevice>(
-        innerSpec(cfg_), ocfg, cfg_.shards,
-        mixSeed(cfg_.seed, 0x0072a7e5ull), mem_, rng_, /*record=*/true);
+    oram::OramDeviceSpec spec;
+    spec.kind = cfg_.deviceKind;
+    spec.functionalBlockCap = cfg_.functionalBlockCap;
     RingScheduler::Options opts;
     opts.lanes = cfg_.lanes;
     opts.ringCapacity = cfg_.ringCapacity;
     opts.threads = cfg_.threads;
     opts.recordLatencies = false; // whole-op latencies tracked here
-    sched_ = std::make_unique<RingScheduler>(*device_, rates_, schedule_,
-                                             learner_, cfg_.rate,
-                                             runParams(cfg_), opts);
+    stack_ = std::make_unique<ServingStack>(spec, cfg_.shards, cfg_.rate,
+                                            cfg_.epoch0, cfg_.seed, opts);
     source_ = workload::loadWorkload(cfg_.workload);
     const std::uint32_t ranks = source_->ranks();
     tcoram_assert(ranks >= 1, "kv serving: workload has no ranks");
@@ -84,7 +53,7 @@ KvServingRun::KvServingRun(const KvServingConfig &cfg)
     laneSessions_.assign(cfg_.lanes, {});
     for (std::uint32_t rank = 0; rank < ranks; ++rank) {
         const auto lane = static_cast<std::uint16_t>(rank % cfg_.lanes);
-        const std::uint32_t sid = sched_->openSession(
+        const std::uint32_t sid = stack_->scheduler().openSession(
             mixSeed(cfg_.seed, 0x5e55'0000ull + rank), -1.0, lane);
         Session s(backend_);
         s.sid = sid;
@@ -197,7 +166,7 @@ KvServingRun::advanceSession(Session &s)
                 st.blockId, st.isWrite, s.sid);
             txn.data = st.data;
             txn.out = st.out;
-            if (!sched_->trySubmit(s.sid, s.clock, txn).has_value())
+            if (!stack_->scheduler().trySubmit(s.sid, s.clock, txn).has_value())
                 return false; // lane at backpressure bound; retry later
             s.awaiting = true;
             return true;
@@ -299,10 +268,10 @@ KvServingRun::run()
         for (Session &s : sessions_)
             if (!s.ended && !s.awaiting)
                 advanceSession(s);
-        sched_->runUntilIdle();
+        stack_->scheduler().runUntilIdle();
         SessionRing::Completion c;
         for (std::size_t l = 0; l < cfg_.lanes; ++l)
-            while (sched_->lane(l).popCompletion(c))
+            while (stack_->scheduler().lane(l).popCompletion(c))
                 handleCompletion(c);
         bool done = true;
         for (const Session &s : sessions_)
@@ -326,7 +295,7 @@ KvServingRun::runMultiProducer()
         // This thread owns lane l's ring endpoints and every session
         // on the lane; the rings' acquire/release pairs are the only
         // synchronization with the scheduler.
-        SessionRing &ring = sched_->lane(l);
+        SessionRing &ring = stack_->scheduler().lane(l);
         const std::vector<std::uint32_t> &mine = laneSessions_[l];
         for (;;) {
             bool progress = false;
@@ -358,12 +327,12 @@ KvServingRun::runMultiProducer()
     for (std::size_t l = 0; l < cfg_.lanes; ++l)
         clients.emplace_back(client, l);
     while (live.load(std::memory_order_acquire) > 0) {
-        sched_->runUntilIdle();
+        stack_->scheduler().runUntilIdle();
         std::this_thread::yield();
     }
     for (std::thread &t : clients)
         t.join();
-    sched_->runUntilIdle();
+    stack_->scheduler().runUntilIdle();
     drainTail();
 }
 
@@ -373,7 +342,7 @@ KvServingRun::drainTail()
     Cycles last = 0;
     for (const Session &s : sessions_)
         last = std::max(last, s.lastDone);
-    sched_->drainUntil(last + cfg_.drainSlackPeriods * period());
+    stack_->drainAfter(last, cfg_.drainSlackPeriods);
 }
 
 KVStats
@@ -401,67 +370,6 @@ KvServingRun::opsCompleted() const
     for (const Session &s : sessions_)
         n += s.opsDone;
     return n;
-}
-
-bool
-KvServingRun::allTokensRetired() const
-{
-    for (std::size_t l = 0; l < cfg_.lanes; ++l) {
-        const SessionRing &ring = sched_->lane(l);
-        if (ring.drained() != ring.submitted() ||
-            ring.retiredFence() != ring.submitted())
-            return false;
-    }
-    return true;
-}
-
-Cycles
-KvServingRun::period() const
-{
-    Cycles p = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        p = std::max(p, shardPeriod(i));
-    return p;
-}
-
-Cycles
-KvServingRun::shardPeriod(std::uint32_t i) const
-{
-    return cfg_.rate + device_->shard(i).accessLatency();
-}
-
-std::vector<KvServingRun::Event>
-KvServingRun::shardStream(std::uint32_t i) const
-{
-    const timing::RecordingOramDevice *rec = device_->recorder(i);
-    tcoram_assert(rec != nullptr, "kv serving always records");
-    std::vector<Event> out;
-    out.reserve(rec->records().size());
-    for (const auto &r : rec->records())
-        out.push_back({r.completion.start,
-                       r.kind == timing::OramTransaction::Kind::Real});
-    return out;
-}
-
-std::vector<Cycles>
-KvServingRun::shardStarts(std::uint32_t i) const
-{
-    std::vector<Cycles> out;
-    for (const Event &e : shardStream(i))
-        out.push_back(e.start);
-    return out;
-}
-
-std::string
-KvServingRun::streamCsv() const
-{
-    std::ostringstream os;
-    os << "shard,start,kind\n";
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        for (const Event &e : shardStream(i))
-            os << i << ',' << e.start << ',' << (e.real ? 'r' : 'd')
-               << '\n';
-    return os.str();
 }
 
 Cycles

@@ -39,14 +39,8 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
-#include "dram/dram_model.hh"
-#include "oram/sharded_device.hh"
 #include "sim/kv_backend.hh"
-#include "sim/shard_worker.hh"
-#include "timing/epoch_schedule.hh"
-#include "timing/rate_learner.hh"
-#include "timing/rate_set.hh"
+#include "sim/serving_stack.hh"
 #include "workload/workload_source.hh"
 
 namespace tcoram::sim {
@@ -83,11 +77,7 @@ class KvServingRun
 {
   public:
     /** One observable stream event (adversary's view of a shard). */
-    struct Event
-    {
-        Cycles start = 0;
-        bool real = false;
-    };
+    using Event = ServingStack::Event;
 
     explicit KvServingRun(const KvServingConfig &cfg);
     ~KvServingRun();
@@ -106,26 +96,35 @@ class KvServingRun
     {
         return static_cast<std::uint32_t>(sessions_.size());
     }
-    bool allTokensRetired() const;
+    bool allTokensRetired() const { return stack_->allTokensRetired(); }
 
     /** Enforced slot period: rate + calibrated access latency. Each
      *  shard calibrates independently — use shardPeriod(i) for the
      *  exact-grid checks; period() (the max over shards) sizes the
      *  drain horizon. */
-    Cycles period() const;
-    Cycles shardPeriod(std::uint32_t i) const;
-    std::vector<Event> shardStream(std::uint32_t i) const;
-    std::vector<Cycles> shardStarts(std::uint32_t i) const;
+    Cycles period() const { return stack_->period(); }
+    Cycles shardPeriod(std::uint32_t i) const
+    {
+        return stack_->shardPeriod(i);
+    }
+    std::vector<Event> shardStream(std::uint32_t i) const
+    {
+        return stack_->shardStream(i);
+    }
+    std::vector<Cycles> shardStarts(std::uint32_t i) const
+    {
+        return stack_->shardStarts(i);
+    }
     /** Every shard's full stream (start + kind rows) — the worker-
      *  count bit-identity digest. */
-    std::string streamCsv() const;
+    std::string streamCsv() const { return stack_->streamCsv(); }
 
     /** Nearest-rank whole-op latency quantiles (completion - first
      *  arrival, think time excluded). */
     Cycles getLatencyPercentile(double q) const;
     Cycles putLatencyPercentile(double q) const;
 
-    const RingScheduler &scheduler() const { return *sched_; }
+    const RingScheduler &scheduler() const { return stack_->scheduler(); }
     const KvServingConfig &config() const { return cfg_; }
 
     /** Self-verifying payload codec (exposed for tests). */
@@ -193,14 +192,8 @@ class KvServingRun
     void releaseSlot(Session &s);
 
     KvServingConfig cfg_;
-    dram::DramModel mem_;
-    Rng rng_;
-    timing::RateSet rates_;
-    timing::EpochSchedule schedule_;
-    timing::RateLearner learner_;
-    std::unique_ptr<oram::ShardedOramDevice> device_;
-    std::unique_ptr<RingScheduler> sched_;
     KVBackend backend_;
+    std::unique_ptr<ServingStack> stack_;
     std::unique_ptr<workload::WorkloadSource> source_;
     std::vector<Session> sessions_;
     /** sessions of each lane, in session-id order. */

@@ -33,7 +33,6 @@ innerSpec(const RecoveryRunConfig &cfg)
 {
     oram::OramDeviceSpec spec;
     spec.kind = cfg.deviceKind;
-    spec.keySeed = mixSeed(cfg.seed, 0x0de71ce5ull);
     spec.functionalBlockCap = cfg.functionalBlockCap;
     spec.fault = cfg.fault;
     spec.retryBudget = cfg.retryBudget;
@@ -43,41 +42,28 @@ innerSpec(const RecoveryRunConfig &cfg)
     return spec;
 }
 
-protocol::LeakageParams
-runParams(const RecoveryRunConfig &cfg)
-{
-    protocol::LeakageParams p;
-    // Single-candidate rate set: each decision reveals lg(1) = 0 bits,
-    // so every finite budget admits and the monitor ledger still runs
-    // (its state is part of what the checkpoint must round-trip).
-    p.rateCount = 1;
-    p.epoch0 = cfg.epoch0;
-    return p;
-}
-
 } // namespace
 
-RecoveryRun::RecoveryRun(const RecoveryRunConfig &cfg)
-    : cfg_(cfg), mem_(dram::DramConfig{}), rng_(cfg.seed),
-      rates_(std::vector<Cycles>{cfg.rate}),
-      schedule_(cfg.epoch0, 2, Cycles{1} << 40), learner_(rates_)
+RecoveryRun::RecoveryRun(const RecoveryRunConfig &cfg) : cfg_(cfg)
 {
     tcoram_assert(cfg_.shards >= 1, "recovery run needs a shard");
     if (workloadDriven())
         materializeWorkload(); // overrides cfg_.sessions to the ranks
     tcoram_assert(cfg_.sessions >= 1, "recovery run needs a session");
-    device_ = std::make_unique<oram::ShardedOramDevice>(
-        innerSpec(cfg_), oram::OramConfig::benchConfig(), cfg_.shards,
-        mixSeed(cfg_.seed, 0x0072a7e5ull), mem_, rng_, /*record=*/true);
-    sched_ = std::make_unique<OramScheduler>(*device_, rates_, schedule_,
-                                             learner_, cfg_.rate,
-                                             runParams(cfg_));
+    // One lane, sized to hold the whole backlog: start() queues all of
+    // it before anything is served.
+    RingScheduler::Options opts;
+    opts.ringCapacity = std::max<std::uint64_t>(backlogTotal(), 2);
+    stack_ = std::make_unique<ServingStack>(innerSpec(cfg_), cfg_.shards,
+                                            cfg_.rate, cfg_.epoch0,
+                                            cfg_.seed, opts);
     // Session 0 carries a finite budget so the shared LeakageMonitor
     // exists and its ledger is exercised (and checkpointed); with a
-    // single-rate set the budget can never be exceeded.
+    // single-rate set each decision reveals lg 1 = 0 bits, so the
+    // budget admits and can never be exceeded.
     for (std::uint32_t s = 0; s < cfg_.sessions; ++s)
-        sched_->openSession(mixSeed(cfg_.seed, 0x5e55ull + s),
-                            s == 0 ? 64.0 : -1.0);
+        stack_->scheduler().openSession(mixSeed(cfg_.seed, 0x5e55ull + s),
+                                        s == 0 ? 64.0 : -1.0);
     probeArrival_.assign(cfg_.sessions, cfg_.txnsPerSession);
     // Probe arrivals must stay past every planned arrival (per-session
     // arrival order is asserted at enqueue).
@@ -130,15 +116,32 @@ RecoveryRun::materializeWorkload()
 RecoveryRun::~RecoveryRun() = default;
 
 void
+RecoveryRun::submit(std::uint32_t session, Cycles arrival,
+                    const timing::OramTransaction &txn)
+{
+    const bool ok =
+        stack_->scheduler().trySubmit(session, arrival, txn).has_value();
+    tcoram_assert(ok, "recovery backlog overflows its lane");
+}
+
+void
+RecoveryRun::collect()
+{
+    SessionRing::Completion c;
+    while (stack_->scheduler().lane(0).popCompletion(c))
+        lastReal_ = std::max(lastReal_, c.completion.done);
+}
+
+void
 RecoveryRun::start()
 {
     tcoram_assert(!started_, "run already started or restored");
     started_ = true;
     if (workloadDriven()) {
         for (const PlannedOp &op : plan_)
-            sched_->submit(op.session, op.arrival,
-                           timing::OramTransaction::real(
-                               op.blockId, op.isWrite, op.session));
+            submit(op.session, op.arrival,
+                   timing::OramTransaction::real(op.blockId, op.isWrite,
+                                                 op.session));
         return;
     }
     // Open-loop: the whole backlog arrives up front (session s's k-th
@@ -146,36 +149,31 @@ RecoveryRun::start()
     // serves back-to-back and the slot grid never breaks.
     for (std::uint64_t k = 0; k < cfg_.txnsPerSession; ++k)
         for (std::uint32_t s = 0; s < cfg_.sessions; ++s)
-            sched_->submit(s, k,
-                           timing::OramTransaction::real(
-                               blockId(s, k), k % 3 == 0, s));
+            submit(s, k,
+                   timing::OramTransaction::real(blockId(s, k), k % 3 == 0,
+                                                 s));
 }
 
 bool
 RecoveryRun::serveOne()
 {
     tcoram_assert(started_, "start() or restoreFrom() first");
-    const auto served = sched_->serveNext();
-    if (!served)
+    const std::uint64_t served = servedTotal();
+    if (stack_->scheduler().runUntilServed(served + 1) == served)
         return false;
-    ++served_;
-    lastReal_ = std::max(lastReal_, served->completion.done);
+    collect();
     return true;
 }
 
 Cycles
 RecoveryRun::finish()
 {
-    while (serveOne()) {
-    }
+    stack_->scheduler().runUntilIdle();
+    collect();
     // The drain horizon is derived from lastReal_, which restoreFrom()
     // reloads — an interrupted-and-restored run and the uninterrupted
     // one compute the identical horizon and hence identical streams.
-    const Cycles horizon =
-        lastReal_ +
-        cfg_.drainSlackPeriods * (cfg_.rate + device_->accessLatency());
-    sched_->drainUntil(horizon);
-    return horizon;
+    return stack_->drainAfter(lastReal_, cfg_.drainSlackPeriods);
 }
 
 std::string
@@ -183,13 +181,12 @@ RecoveryRun::saveTo(const std::string &path) const
 {
     ByteWriter w;
     w.b(started_);
-    w.u64(served_);
     w.u64(lastReal_);
     w.u64(probeArrival_.size());
     for (const Cycles a : probeArrival_)
         w.u64(a);
-    device_->saveState(w);
-    sched_->saveState(w);
+    stack_->device().saveState(w);
+    stack_->scheduler().saveState(w);
     return saveCheckpoint(path, w.data());
 }
 
@@ -203,15 +200,14 @@ RecoveryRun::restoreFrom(const std::string &path)
         return err;
     ByteReader r(payload);
     started_ = r.b();
-    served_ = r.u64();
     lastReal_ = r.u64();
     const std::uint64_t probes = r.u64();
     tcoram_assert(probes == probeArrival_.size(),
                   "snapshot session count mismatch");
     for (Cycles &a : probeArrival_)
         a = r.u64();
-    device_->restoreState(r);
-    sched_->restoreState(r);
+    stack_->device().restoreState(r);
+    stack_->scheduler().restoreState(r);
     if (!r.atEnd())
         return std::string("checkpoint: payload does not match this "
                            "configuration (decode ") +
@@ -219,77 +215,33 @@ RecoveryRun::restoreFrom(const std::string &path)
     return {};
 }
 
-std::vector<RecoveryRun::Event>
-RecoveryRun::shardStream(std::uint32_t i) const
-{
-    const timing::RecordingOramDevice *rec = device_->recorder(i);
-    tcoram_assert(rec != nullptr, "recovery runs always record");
-    std::vector<Event> out;
-    out.reserve(rec->records().size());
-    for (const auto &r : rec->records())
-        out.push_back(
-            {r.completion.start,
-             r.kind == timing::OramTransaction::Kind::Real});
-    return out;
-}
-
 std::uint64_t
-RecoveryRun::faultsInjected() const
+RecoveryRun::sumFunctional(
+    std::uint64_t (oram::FunctionalOramDevice::*counter)() const) const
 {
     std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
+    const oram::ShardedOramDevice &array = stack_->device();
+    for (std::uint32_t i = 0; i < array.shardCount(); ++i)
         if (const auto *dev = dynamic_cast<const oram::FunctionalOramDevice *>(
-                &device_->innerDevice(i)))
-            n += dev->faultsInjected();
-    return n;
-}
-
-std::uint64_t
-RecoveryRun::faultsDetected() const
-{
-    std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        if (const auto *dev = dynamic_cast<const oram::FunctionalOramDevice *>(
-                &device_->innerDevice(i)))
-            n += dev->faultsDetected();
-    return n;
-}
-
-std::uint64_t
-RecoveryRun::faultsRecovered() const
-{
-    std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        if (const auto *dev = dynamic_cast<const oram::FunctionalOramDevice *>(
-                &device_->innerDevice(i)))
-            n += dev->faultsRecovered();
-    return n;
-}
-
-std::uint64_t
-RecoveryRun::retriesIssued() const
-{
-    std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i)
-        if (const auto *dev = dynamic_cast<const oram::FunctionalOramDevice *>(
-                &device_->innerDevice(i)))
-            n += dev->retriesIssued();
+                &array.innerDevice(i)))
+            n += (dev->*counter)();
     return n;
 }
 
 std::uint64_t
 RecoveryRun::recoverySlots() const
 {
+    const RingScheduler &sched = stack_->scheduler();
     std::uint64_t n = 0;
-    for (std::size_t i = 0; i < sched_->shardCount(); ++i)
-        n += sched_->shard(i).enforcer().counters().recoverySlots();
+    for (std::size_t i = 0; i < sched.shardCount(); ++i)
+        n += sched.shard(i).enforcer().counters().recoverySlots();
     return n;
 }
 
 std::uint64_t
 RecoveryRun::evictionsIssued() const
 {
-    return device_->evictionsIssued();
+    return stack_->device().evictionsIssued();
 }
 
 std::uint64_t
@@ -297,9 +249,9 @@ RecoveryRun::verifyPayloads(std::uint64_t probes)
 {
     if (cfg_.deviceKind != "functional")
         return 0; // timing backends move no payloads
-    tcoram_assert(started_ && sched_->idle(),
+    tcoram_assert(started_ && stack_->scheduler().idle(),
                   "probe after the backlog is drained");
-    const std::uint64_t bytes = device_->shardConfig().blockBytes;
+    const std::uint64_t bytes = stack_->device().shardConfig().blockBytes;
     std::vector<std::uint8_t> wrote(bytes);
     std::vector<std::uint8_t> read(bytes);
     std::uint64_t mismatches = 0;
@@ -316,13 +268,13 @@ RecoveryRun::verifyPayloads(std::uint64_t probes)
         timing::OramTransaction wt =
             timing::OramTransaction::real(id, /*is_write=*/true, s);
         wt.data = wrote;
-        sched_->submit(s, probeArrival_[s]++, wt);
+        submit(s, probeArrival_[s]++, wt);
         serveOne();
 
         timing::OramTransaction rt =
             timing::OramTransaction::real(id, /*is_write=*/false, s);
         rt.out = read;
-        sched_->submit(s, probeArrival_[s]++, rt);
+        submit(s, probeArrival_[s]++, rt);
         serveOne();
 
         if (read != wrote)
@@ -346,7 +298,7 @@ RecoveryRun::csvRow() const
     os << cfg_.deviceKind << ',' << cfg_.shards << ',' << cfg_.sessions
        << ',' << cfg_.txnsPerSession << ',' << cfg_.rate << ','
        << (cfg_.fault.enabled() ? cfg_.fault.toString() : "none") << ','
-       << served_ << ',' << lastReal_ << ',' << faultsInjected() << ','
+       << servedTotal() << ',' << lastReal_ << ',' << faultsInjected() << ','
        << faultsDetected() << ',' << faultsRecovered() << ','
        << retriesIssued() << ',' << recoverySlots();
     return os.str();

@@ -2,16 +2,16 @@
  * @file
  * RecoveryRun: the crash-consistent run harness behind the fault-
  * recovery bench, the checkpoint tests and cli_sim's checkpoint mode.
- * It owns the whole deterministic stack — DRAM model, sharded device
- * array (recorded), rate configuration, shard-aware scheduler — and
- * drives one open-loop multi-session workload through it, with three
- * additions over driving the scheduler directly:
+ * It owns one ServingStack (sim/serving_stack.hh: DRAM model,
+ * recorded sharded device array, single-rate configuration, ring
+ * scheduler) and drives one open-loop multi-session workload through
+ * it, with three additions over driving the scheduler directly:
  *
  *  - checkpoint: saveTo() serializes the complete run state (device
  *    array including functional tree images and fault-injector draws,
- *    scheduler including queued backlog, stats and the leakage
- *    monitor's ledger) through sim/checkpoint.hh's crash-consistent
- *    file format;
+ *    the ring scheduler's snapshot including queued backlog, stats and
+ *    the leakage monitor's ledger) through sim/checkpoint.hh's
+ *    crash-consistent file format;
  *  - restart: a freshly constructed RecoveryRun over the SAME config
  *    can restoreFrom() a snapshot instead of start()ing, after which
  *    serving continues bit-exactly where the saved run left off — the
@@ -19,6 +19,12 @@
  *    indistinguishable from an uninterrupted run (golden-pinned);
  *  - fault accounting: the per-shard fault/recovery counters and the
  *    enforcer-charged recovery slots are summed for reporting.
+ *
+ * The whole backlog rides one lane and is queued before anything is
+ * served; serveOne() is the scheduler's exact-count step
+ * (RingScheduler::runUntilServed), so the n-th served transaction —
+ * the kill points and served-count marks — is the n-th of the global
+ * shard round-robin order, whatever the scheduler's worker count.
  *
  * Determinism contract: everything is derived from the config (seeds
  * included), so two RecoveryRuns with equal configs produce identical
@@ -34,15 +40,9 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
-#include "dram/dram_model.hh"
 #include "dram/faulty_memory.hh"
 #include "oram/oram_device.hh"
-#include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
-#include "timing/epoch_schedule.hh"
-#include "timing/rate_learner.hh"
-#include "timing/rate_set.hh"
+#include "sim/serving_stack.hh"
 
 namespace tcoram::sim {
 
@@ -91,17 +91,7 @@ class RecoveryRun
 {
   public:
     /** One observable stream event (per-shard, adversary's view). */
-    struct Event
-    {
-        Cycles start = 0;
-        bool real = false;
-
-        bool
-        operator==(const Event &o) const
-        {
-            return start == o.start && real == o.real;
-        }
-    };
+    using Event = ServingStack::Event;
 
     /** Construct the stack and open the sessions (no work queued). */
     explicit RecoveryRun(const RecoveryRunConfig &cfg);
@@ -130,7 +120,10 @@ class RecoveryRun
      *  string on success, else the save diagnostic. */
     std::string saveTo(const std::string &path) const;
 
-    std::uint64_t servedTotal() const { return served_; }
+    std::uint64_t servedTotal() const
+    {
+        return stack_->scheduler().servedTotal();
+    }
     std::uint64_t backlogTotal() const
     {
         if (workloadDriven())
@@ -156,20 +149,38 @@ class RecoveryRun
     }
     Cycles lastRealCompletion() const { return lastReal_; }
 
-    std::uint32_t shardCount() const { return device_->shardCount(); }
+    std::uint32_t shardCount() const
+    {
+        return stack_->device().shardCount();
+    }
     /** Shard @p i's full recorded stream (reals and dummies). */
-    std::vector<Event> shardStream(std::uint32_t i) const;
+    std::vector<Event> shardStream(std::uint32_t i) const
+    {
+        return stack_->shardStream(i);
+    }
 
-    const OramScheduler &scheduler() const { return *sched_; }
-    oram::ShardedOramDevice &device() { return *device_; }
+    const RingScheduler &scheduler() const { return stack_->scheduler(); }
+    oram::ShardedOramDevice &device() { return stack_->device(); }
     const RecoveryRunConfig &config() const { return cfg_; }
 
     /** Fault/recovery counters summed over functional shards (all
      *  zero for timing backends and fault-free runs). */
-    std::uint64_t faultsInjected() const;
-    std::uint64_t faultsDetected() const;
-    std::uint64_t faultsRecovered() const;
-    std::uint64_t retriesIssued() const;
+    std::uint64_t faultsInjected() const
+    {
+        return sumFunctional(&oram::FunctionalOramDevice::faultsInjected);
+    }
+    std::uint64_t faultsDetected() const
+    {
+        return sumFunctional(&oram::FunctionalOramDevice::faultsDetected);
+    }
+    std::uint64_t faultsRecovered() const
+    {
+        return sumFunctional(&oram::FunctionalOramDevice::faultsRecovered);
+    }
+    std::uint64_t retriesIssued() const
+    {
+        return sumFunctional(&oram::FunctionalOramDevice::retriesIssued);
+    }
     /** Enforcer-charged recovery slots summed over shards. */
     std::uint64_t recoverySlots() const;
     /** Background evictions issued, summed over shards (0 with the
@@ -200,17 +211,16 @@ class RecoveryRun
     };
 
     void materializeWorkload();
+    std::uint64_t sumFunctional(
+        std::uint64_t (oram::FunctionalOramDevice::*counter)() const) const;
+    void submit(std::uint32_t session, Cycles arrival,
+                const timing::OramTransaction &txn);
+    /** Fold popped completions into lastReal_. */
+    void collect();
 
     RecoveryRunConfig cfg_;
-    dram::DramModel mem_;
-    Rng rng_;
-    timing::RateSet rates_;
-    timing::EpochSchedule schedule_;
-    timing::RateLearner learner_;
-    std::unique_ptr<oram::ShardedOramDevice> device_;
-    std::unique_ptr<OramScheduler> sched_;
+    std::unique_ptr<ServingStack> stack_;
     bool started_ = false;
-    std::uint64_t served_ = 0;
     Cycles lastReal_ = 0;
     /** Next probe arrival per session (after the backlog's arrivals). */
     std::vector<Cycles> probeArrival_;

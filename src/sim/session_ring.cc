@@ -67,4 +67,66 @@ SessionRing::pushCompletion(const Completion &c)
     tcoram_assert(ok, "completion ring full: in-flight bound violated");
 }
 
+void
+SessionRing::saveState(ByteWriter &w) const
+{
+    w.u64(capacity());
+    w.u64(nextToken_);
+    w.u64(drained_);
+    w.u64(fence_.load(std::memory_order_acquire));
+    w.bytes(window_);
+    w.u64(sq_.size());
+    for (std::size_t i = 0; i < sq_.size(); ++i) {
+        const Submission &sub = sq_.peek(i);
+        w.u64(sub.token);
+        w.u32(sub.sessionId);
+        w.u64(sub.arrival);
+        timing::saveTransaction(w, sub.txn);
+    }
+    w.u64(cq_.size());
+    for (std::size_t i = 0; i < cq_.size(); ++i) {
+        const Completion &c = cq_.peek(i);
+        w.u64(c.token);
+        w.u32(c.sessionId);
+        w.u64(c.arrival);
+        timing::saveCompletion(w, c.completion);
+    }
+}
+
+void
+SessionRing::restoreState(ByteReader &r)
+{
+    const std::uint64_t cap = r.u64();
+    tcoram_assert(cap == capacity(), "snapshot lane capacity mismatch (",
+                  cap, " vs ", capacity(), ")");
+    nextToken_ = r.u64();
+    drained_ = r.u64();
+    fence_.store(r.u64(), std::memory_order_release);
+    r.bytes(window_);
+    Submission sub;
+    while (sq_.tryPop(sub)) {
+    }
+    Completion c;
+    while (cq_.tryPop(c)) {
+    }
+    const std::uint64_t subs = r.u64();
+    tcoram_assert(subs <= cap, "snapshot lane backlog exceeds capacity");
+    for (std::uint64_t i = 0; i < subs && r.ok(); ++i) {
+        sub.token = r.u64();
+        sub.sessionId = r.u32();
+        sub.arrival = r.u64();
+        sub.txn = timing::loadTransaction(r);
+        sq_.tryPush(sub);
+    }
+    const std::uint64_t comps = r.u64();
+    tcoram_assert(comps <= cap, "snapshot lane completions exceed capacity");
+    for (std::uint64_t i = 0; i < comps && r.ok(); ++i) {
+        c.token = r.u64();
+        c.sessionId = r.u32();
+        c.arrival = r.u64();
+        c.completion = timing::loadCompletion(r);
+        cq_.tryPush(c);
+    }
+}
+
 } // namespace tcoram::sim

@@ -89,6 +89,13 @@ class SpscRing
         return true;
     }
 
+    /** @p i-th queued element from the head (quiescent ring only). */
+    const T &
+    peek(std::size_t i) const
+    {
+        return buf_[(head_.load(std::memory_order_acquire) + i) & mask_];
+    }
+
     /** Approximate (exact on the owning side). */
     std::size_t
     size() const
@@ -187,6 +194,16 @@ class SessionRing
     /** Push a completion; the backpressure bound (which caps in-flight
      *  transactions) means this cannot find the ring full (asserted). */
     void pushCompletion(const Completion &c);
+
+    // --- checkpoint (both sides quiescent) ---
+
+    /**
+     * Token counters, the retirement window and fence, and the queued
+     * submissions and completions in ring order. Restore requires a
+     * ring of the same capacity (asserted) and replaces its contents.
+     */
+    void saveState(ByteWriter &w) const;
+    void restoreState(ByteReader &r);
 
   private:
     SpscRing<Submission> sq_;

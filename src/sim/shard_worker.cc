@@ -13,9 +13,10 @@
 namespace tcoram::sim {
 
 namespace {
-/** Program hash stand-in bound into every session's leakage HMAC —
- *  the same run identity OramScheduler binds. */
+/** Program hash stand-in bound into every session's leakage HMAC. */
 const std::string kProgramHash = "tcoram-scheduler-run";
+/** Serve budget of a shard outside runUntilServed(). */
+constexpr std::uint64_t kUnbounded = std::numeric_limits<std::uint64_t>::max();
 } // namespace
 
 RingScheduler::RingScheduler(oram::ShardedOramDevice &device,
@@ -29,15 +30,15 @@ RingScheduler::RingScheduler(oram::ShardedOramDevice &device,
 {
     tcoram_assert(opts_.lanes >= 1, "ring scheduler needs at least one lane");
     tcoram_assert(opts_.ringCapacity >= 2, "ring capacity too small");
+    // Admission must clear the composed bound: M parallel streams
+    // leak additively (§10).
     params_.shards = device.shardCount();
 
     const std::uint32_t shards = device.shardCount();
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        auto slot = std::make_unique<timing::ShardSlot>(
-            i, device.shard(i), rates, schedule, learner, initial_rate);
-        slot->setDispatchPolicy(timing::makeDispatchPolicy(opts_.policy));
-        slots_.push_back(std::move(slot));
-    }
+    for (std::uint32_t i = 0; i < shards; ++i)
+        slots_.push_back(std::make_unique<timing::ShardSlot>(
+            i, device.shard(i), rates, schedule, learner, initial_rate,
+            opts_.policy));
     for (std::size_t l = 0; l < opts_.lanes; ++l)
         lanes_.push_back(std::make_unique<SessionRing>(opts_.ringCapacity));
 
@@ -48,6 +49,8 @@ RingScheduler::RingScheduler(oram::ShardedOramDevice &device,
                         opts_.lanes));
     blocked_.assign(shards, 0);
     servedPerShard_.assign(shards, 0);
+    quota_.assign(shards, kUnbounded);
+    dealt_.assign(shards, 0);
 
     const unsigned cap = static_cast<unsigned>(
         std::max<std::size_t>(opts_.lanes, shards));
@@ -76,9 +79,9 @@ RingScheduler::openSession(std::uint64_t user_seed, double leakage_limit_bits,
                            std::uint16_t lane, std::uint16_t weight,
                            Cycles deadline_offset)
 {
-    // Same rule as OramScheduler: the shared monitor is rebuilt from
-    // the tightest finite budget at open, so admission belongs
-    // strictly before service.
+    // The shared monitor is rebuilt from the tightest finite budget at
+    // open; a rebuild after decisions were recorded would forget bits
+    // already spent, so admission belongs strictly before service.
     tcoram_assert(!anyServed_,
                   "open every session before any transaction is served");
     tcoram_assert(lane < lanes_.size(), "unknown lane ", lane);
@@ -140,6 +143,13 @@ RingScheduler::lane(std::size_t l)
     return *lanes_[l];
 }
 
+const SessionRing &
+RingScheduler::lane(std::size_t l) const
+{
+    tcoram_assert(l < lanes_.size(), "unknown lane ", l);
+    return *lanes_[l];
+}
+
 void
 RingScheduler::laneStep(unsigned worker)
 {
@@ -191,7 +201,7 @@ RingScheduler::shardStep(unsigned worker)
     for (std::size_t s = worker; s < slots_.size(); s += workers_) {
         timing::ShardSlot &slot = *slots_[s];
         if (draining_) {
-            if (!slot.drainScaled(drainT_))
+            if (!slot.drain(drainT_))
                 blocked_[s] = 1;
             continue;
         }
@@ -202,27 +212,29 @@ RingScheduler::shardStep(unsigned worker)
             for (auto &st : staged) {
                 device_->localize(static_cast<std::uint32_t>(s), st.txn);
                 const SessionDescriptor &d = descriptors_[st.sessionId];
-                slot.enqueueScaled(st.sessionId, st.arrival, st.txn,
-                                   d.weight, d.deadlineOffset);
+                slot.enqueue(st.sessionId, st.arrival, st.txn, d.weight,
+                             d.deadlineOffset);
             }
             staged.clear();
         }
         // Serve bounded: stop at this shard's next epoch boundary and
-        // hand the transition to the serial step.
+        // hand the transition to the serial step — or when the dealt
+        // quota runs out (kUnbounded never does).
         const std::uint64_t before = servedPerShard_[s];
+        std::uint64_t &quota = quota_[s];
         timing::ShardSlot::Served out;
-        for (;;) {
-            const auto status = slot.serveScaled(out);
-            if (status == timing::ShardSlot::ServeStatus::Done) {
-                const SessionDescriptor &d = descriptors_[out.sessionId];
-                buckets_[s][d.lane].push_back(SessionRing::Completion{
-                    out.tag, out.sessionId, out.arrival, out.completion});
-                ++servedPerShard_[s];
-                continue;
+        while (quota != 0) {
+            const auto status = slot.serve(out);
+            if (status != timing::ShardSlot::ServeStatus::Done) {
+                if (status == timing::ShardSlot::ServeStatus::Blocked)
+                    blocked_[s] = 1;
+                break;
             }
-            if (status == timing::ShardSlot::ServeStatus::Blocked)
-                blocked_[s] = 1;
-            break;
+            const SessionDescriptor &d = descriptors_[out.sessionId];
+            buckets_[s][d.lane].push_back(SessionRing::Completion{
+                out.tag, out.sessionId, out.arrival, out.completion});
+            ++servedPerShard_[s];
+            --quota;
         }
         // Telemetry: raw typed values into this worker's own chunk —
         // the shard's owner is fixed for the whole run, and the
@@ -262,37 +274,69 @@ RingScheduler::serialStep()
         stop_ = !transitioned;
         return;
     }
-    bool quiescent = !transitioned;
-    if (quiescent)
-        for (const auto &slot : slots_)
-            if (!slot->idle()) {
-                quiescent = false;
-                break;
-            }
-    if (quiescent)
-        for (const auto &ring : lanes_)
-            if (ring->submissionBacklog() != 0) {
-                quiescent = false;
-                break;
-            }
-    if (quiescent)
-        for (const auto &per_shard : buckets_)
-            for (const auto &bucket : per_shard)
-                if (!bucket.empty()) {
-                    quiescent = false;
-                    break;
-                }
+    bool folded = true;
+    for (const auto &per_shard : buckets_)
+        for (const auto &bucket : per_shard)
+            folded = folded && bucket.empty();
+    const bool quiescent = !transitioned && folded && idle();
     for (const auto &per_shard : servedPerShard_)
         anyServed_ = anyServed_ || per_shard != 0;
-    stop_ = quiescent;
+    if (target_ == kUnbounded) {
+        stop_ = quiescent;
+        return;
+    }
+    // Exact-count step: the round-robin anchor moves to the last shard
+    // (in deal order) that spent its quota; a shard that blocked keeps
+    // its turn for the next deal.
+    const std::size_t m = slots_.size();
+    const std::size_t from = dealCursor_;
+    for (std::size_t k = 1; k <= m; ++k) {
+        const std::size_t s = (from + k) % m;
+        if (dealt_[s] && quota_[s] == 0)
+            dealCursor_ = s;
+    }
+    stop_ = quiescent || (servedTotal() >= target_ && folded);
+    if (!stop_)
+        deal();
 }
 
 void
-RingScheduler::pump(bool draining, Cycles drain_t)
+RingScheduler::deal()
+{
+    const std::uint64_t served = servedTotal();
+    std::uint64_t budget = target_ > served ? target_ - served : 0;
+    const std::size_t m = slots_.size();
+    for (std::size_t k = 1; k <= m; ++k) {
+        const std::size_t s = (dealCursor_ + k) % m;
+        const bool give = budget != 0 && !slots_[s]->idle();
+        quota_[s] = give ? 1 : 0;
+        dealt_[s] = give ? 1 : 0;
+        budget -= give ? 1 : 0;
+    }
+}
+
+void
+RingScheduler::pump(bool draining, Cycles drain_t, std::uint64_t target)
 {
     draining_ = draining;
     drainT_ = drain_t;
+    target_ = target;
     stop_ = false;
+    if (target_ == kUnbounded) {
+        std::fill(quota_.begin(), quota_.end(), kUnbounded);
+    } else {
+        // Ringed submissions are not on any shard yet: the first round
+        // only stages and merges them, and the serial step deals.
+        bool ringed = false;
+        for (const auto &ring : lanes_)
+            ringed = ringed || ring->submissionBacklog() != 0;
+        if (ringed) {
+            std::fill(quota_.begin(), quota_.end(), 0);
+            std::fill(dealt_.begin(), dealt_.end(), 0);
+        } else {
+            deal();
+        }
+    }
 
     if (workers_ == 1) {
         // Same phase functions, same order, no threads: the
@@ -333,8 +377,15 @@ RingScheduler::pump(bool draining, Cycles drain_t)
 Cycles
 RingScheduler::runUntilIdle()
 {
-    pump(false, 0);
+    pump(false, 0, kUnbounded);
     return lastCompletion();
+}
+
+std::uint64_t
+RingScheduler::runUntilServed(std::uint64_t n)
+{
+    pump(false, 0, n);
+    return servedTotal();
 }
 
 void
@@ -346,7 +397,7 @@ RingScheduler::drainUntil(Cycles t)
     for (const auto &ring : lanes_)
         tcoram_assert(ring->submissionBacklog() == 0,
                       "drain with submissions still ringed");
-    pump(true, t);
+    pump(true, t, kUnbounded);
 }
 
 const SessionStats &
@@ -367,6 +418,18 @@ RingScheduler::shard(std::size_t i) const
 {
     tcoram_assert(i < slots_.size(), "shard index out of range");
     return *slots_[i];
+}
+
+bool
+RingScheduler::idle() const
+{
+    for (const auto &ring : lanes_)
+        if (ring->submissionBacklog() != 0)
+            return false;
+    for (const auto &slot : slots_)
+        if (!slot->idle())
+            return false;
+    return true;
 }
 
 std::uint64_t
@@ -415,9 +478,10 @@ RingScheduler::latencyPercentile(std::uint32_t sid, double q) const
     const auto &lat = descriptors_[sid].latencies;
     if (lat.empty())
         return 0;
-    // Same nearest-rank discipline as OramScheduler: nth_element over
-    // a REUSED scratch keeps repeated quantile queries linear and
-    // allocation-free once the scratch has grown.
+    // Nearest-rank: smallest value with at least q of the mass below.
+    // nth_element over a REUSED scratch keeps repeated quantile
+    // queries linear and allocation-free once the scratch has grown —
+    // the samples themselves stay untouched (and in arrival order).
     latencyScratch_.assign(lat.begin(), lat.end());
     const auto rank = static_cast<std::size_t>(
         std::ceil(q * static_cast<double>(lat.size())));
@@ -479,6 +543,97 @@ RingScheduler::telemetryCsv() const
     tcoram_assert(telemetry_ != nullptr,
                   "telemetryCsv requires Options::recordShardTelemetry");
     return telemetry_->csv();
+}
+
+void
+RingScheduler::saveState(ByteWriter &w) const
+{
+    // A pump only stops on a serial step that found every completion
+    // bucket folded; phase S always empties staging and the serial
+    // step clears the pending transitions. Between calls all three are
+    // empty by construction.
+    tcoram_assert(telemetry_ == nullptr,
+                  "shard telemetry is not checkpointable");
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        tcoram_assert(blocked_[s] == 0, "snapshot inside a round");
+        for (std::size_t l = 0; l < lanes_.size(); ++l)
+            tcoram_assert(staging_[l][s].empty() && buckets_[s][l].empty(),
+                          "snapshot inside a round");
+    }
+    w.u64(slots_.size());
+    w.u64(lanes_.size());
+    w.u64(descriptors_.size());
+    w.b(anyServed_);
+    w.u64(round_);
+    w.u64(dealCursor_);
+    w.b(monitor_ != nullptr);
+    if (monitor_)
+        monitor_->saveState(w);
+    for (const SessionDescriptor &d : descriptors_) {
+        const SessionStats &st = d.stats;
+        w.u64(st.submitted);
+        w.u64(st.completed);
+        w.u64(st.firstArrival);
+        w.u64(st.lastCompletion);
+        w.u64(st.totalLatency);
+        w.u64(st.totalSlotWait);
+        w.u64(st.maxLatency);
+        w.u64(d.latencies.size());
+        for (const Cycles c : d.latencies)
+            w.u64(c);
+    }
+    for (const std::uint64_t n : servedPerShard_)
+        w.u64(n);
+    for (const auto &ring : lanes_)
+        ring->saveState(w);
+    for (const auto &slot : slots_)
+        slot->saveState(w);
+}
+
+void
+RingScheduler::restoreState(ByteReader &r)
+{
+    const std::uint64_t shards = r.u64();
+    tcoram_assert(shards == slots_.size(), "snapshot shard count mismatch (",
+                  shards, " vs ", slots_.size(), ")");
+    const std::uint64_t lanes = r.u64();
+    tcoram_assert(lanes == lanes_.size(), "snapshot lane count mismatch (",
+                  lanes, " vs ", lanes_.size(), ")");
+    const std::uint64_t sessions = r.u64();
+    tcoram_assert(sessions == descriptors_.size(),
+                  "snapshot session count mismatch (", sessions, " vs ",
+                  descriptors_.size(), ")");
+    anyServed_ = r.b();
+    round_ = r.u64();
+    dealCursor_ = static_cast<std::size_t>(r.u64());
+    tcoram_assert(dealCursor_ < slots_.size(), "snapshot deal cursor out "
+                                               "of range");
+    const bool had_monitor = r.b();
+    tcoram_assert(had_monitor == (monitor_ != nullptr),
+                  "snapshot and scheduler disagree on the leakage "
+                  "monitor (open the same sessions before restoring)");
+    if (monitor_)
+        monitor_->restoreState(r);
+    for (SessionDescriptor &d : descriptors_) {
+        SessionStats &st = d.stats;
+        st.submitted = r.u64();
+        st.completed = r.u64();
+        st.firstArrival = r.u64();
+        st.lastCompletion = r.u64();
+        st.totalLatency = r.u64();
+        st.totalSlotWait = r.u64();
+        st.maxLatency = r.u64();
+        d.latencies.clear();
+        const std::uint64_t m = r.u64();
+        for (std::uint64_t i = 0; i < m && r.ok(); ++i)
+            d.latencies.push_back(r.u64());
+    }
+    for (std::uint64_t &n : servedPerShard_)
+        n = r.u64();
+    for (auto &ring : lanes_)
+        ring->restoreState(r);
+    for (auto &slot : slots_)
+        slot->restoreState(r);
 }
 
 } // namespace tcoram::sim

@@ -1,7 +1,9 @@
 /**
  * @file
- * RingScheduler: the million-session, M-threaded front of the sharded
- * ORAM device array. Clients talk to the scheduler exclusively through
+ * RingScheduler: the scheduler in front of the sharded ORAM device
+ * array — one session or a million, one worker thread or M, served
+ * step by step or to idle, checkpointable between calls. Clients talk
+ * to the scheduler exclusively through
  * per-lane lock-free SPSC rings (sim/session_ring.hh); sessions are
  * lightweight descriptors (HMAC-admitted budget + lane + QoS
  * attributes, ~130 bytes), so a million open sessions fit in a couple
@@ -20,10 +22,10 @@
  *   == barrier ==
  *   phase S (partitioned by SHARD): merge the staged transactions in
  *     lane order into the slot's session queues, then serve BOUNDED:
- *     a slot stops at its own next epoch boundary (ShardSlot::
- *     serveScaled) instead of processing the transition, because the
- *     transition is the one operation that touches cross-shard state
- *     (the shared LeakageMonitor).
+ *     a slot stops at its own next epoch boundary (ShardSlot::serve)
+ *     instead of processing the transition, because the transition is
+ *     the one operation that touches cross-shard state (the shared
+ *     LeakageMonitor).
  *   == barrier, completion step (one thread) ==
  *     apply the pending epoch transitions in SHARD-ID ORDER, then
  *     decide whether the round loop is quiescent.
@@ -39,7 +41,32 @@
  * tests/test_scheduler_scale.cc). And since the bounded serve replays
  * exactly the unbounded enforcer sequence (timing/rate_enforcer.hh),
  * each shard's stream remains the same periodic, session-count-blind
- * sequence PR 3/4 pinned.
+ * sequence.
+ *
+ * ## Exact-count steps
+ *
+ * runUntilServed(n) stops once n transactions have been served. Before
+ * each phase S the serial step deals the remaining budget one
+ * transaction per non-idle shard, in shard round-robin order after the
+ * last-served shard, so stepping runUntilServed(servedTotal() + 1)
+ * serves transactions one at a time in global shard round-robin order
+ * (the order checkpoint kill points and served-count marks are defined
+ * in). The deal is computed serially, hence worker-count independent.
+ * runUntilIdle() is the unbounded case: every shard's quota is
+ * unlimited and the serve loop pays one compare for it.
+ *
+ * ## Checkpoints
+ *
+ * saveState()/restoreState() capture the whole scheduler between
+ * calls (the quiescent points): lane rings with their fence windows,
+ * every slot's enforcer, activation list, queued transactions, held
+ * pick and dispatch-policy state, the session descriptors with stats
+ * and latency samples, the shared LeakageMonitor ledger, the per-shard
+ * served counts and the deal cursor. Staging buffers and completion
+ * buckets are always empty at those points (asserted, not saved). A
+ * snapshot restores under any worker count — the state is
+ * worker-count independent — into a scheduler built with the same
+ * shards, lanes, policy and opened sessions.
  */
 
 #ifndef TCORAM_SIM_SHARD_WORKER_HH
@@ -54,12 +81,49 @@
 #include "oram/sharded_device.hh"
 #include "protocol/session.hh"
 #include "sim/column_batch.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/session_ring.hh"
 #include "timing/dispatch_policy.hh"
 #include "timing/shard_slot.hh"
 
 namespace tcoram::sim {
+
+/** Per-session end-of-run statistics. */
+struct SessionStats
+{
+    std::uint32_t sessionId = 0;
+    /** The session's leakage budget L (negative = unlimited). */
+    double leakageLimitBits = -1.0;
+    /** Admission result of the §5 handshake. */
+    bool admitted = false;
+
+    std::uint64_t submitted = 0;
+    std::uint64_t completed = 0;
+    Cycles firstArrival = 0;
+    /** Latest completion cycle over the session's transactions. */
+    Cycles lastCompletion = 0;
+    /** Sum over completions of (done - arrival). */
+    Cycles totalLatency = 0;
+    /** Sum over completions of (start - arrival): rate-induced wait. */
+    Cycles totalSlotWait = 0;
+    Cycles maxLatency = 0;
+
+    double
+    avgLatency() const
+    {
+        return completed ? static_cast<double>(totalLatency) /
+                               static_cast<double>(completed)
+                         : 0.0;
+    }
+
+    /** Completions per million cycles over @p span_cycles. */
+    double
+    throughputPerMcycle(Cycles span_cycles) const
+    {
+        return span_cycles ? 1e6 * static_cast<double>(completed) /
+                                 static_cast<double>(span_cycles)
+                           : 0.0;
+    }
+};
 
 class RingScheduler
 {
@@ -90,8 +154,13 @@ class RingScheduler
         bool recordShardTelemetry = false;
     };
 
-    /** Same contract as OramScheduler's sharded constructor; @p rates,
-     *  @p schedule and @p learner must outlive the scheduler. */
+    /**
+     * One ShardSlot (owned enforcer) per shard of @p device, all
+     * sharing @p rates / @p schedule / @p learner (public knobs) but
+     * each timing its own stream. Admission uses @p params with its
+     * shard count overridden to the device's (composed bound).
+     * @p rates, @p schedule and @p learner must outlive the scheduler.
+     */
     RingScheduler(oram::ShardedOramDevice &device,
                   const timing::RateSet &rates,
                   const timing::EpochSchedule &schedule,
@@ -114,9 +183,12 @@ class RingScheduler
      * Finite budgets run the §5 HMAC handshake (transient protocol
      * objects — nothing per-session survives but the descriptor);
      * unlimited budgets are admitted outright, which is what keeps a
-     * million opens cheap. The tightest finite admitted budget becomes
-     * the run's shared LeakageMonitor, as in OramScheduler. Must
-     * happen before the first transaction is served (asserted).
+     * million opens cheap. Admission clears the COMPOSED bound
+     * M * |E| * lg|R| (protocol::LeakageParams::shards). The tightest
+     * finite admitted budget becomes the run's LeakageMonitor, shared
+     * by every shard's enforcer, so free rate decisions on any shard
+     * draw from the one budget. Must happen before the first
+     * transaction is served (asserted).
      */
     std::uint32_t openSession(std::uint64_t user_seed,
                               double leakage_limit_bits = -1.0,
@@ -139,6 +211,8 @@ class RingScheduler
 
     /** Lane @p l's ring pair (completion popping, fence polling). */
     SessionRing &lane(std::size_t l);
+    const SessionRing &lane(std::size_t l) const;
+    std::size_t laneCount() const { return lanes_.size(); }
 
     /**
      * Run phased rounds until every ring, staging buffer and shard
@@ -147,6 +221,16 @@ class RingScheduler
      * cycle across shards.
      */
     Cycles runUntilIdle();
+
+    /**
+     * Run phased rounds until servedTotal() reaches @p n (or the
+     * scheduler goes idle first), then fold the served completions
+     * into the lane completion rings. Budget is dealt one transaction
+     * per non-idle shard per round in shard round-robin order after
+     * the last-served shard (see the file comment).
+     * @return servedTotal().
+     */
+    std::uint64_t runUntilServed(std::uint64_t n);
 
     /** Fire the trailing dummies every shard owes up to @p t (same
      *  barrier discipline for the epoch transitions on the way). */
@@ -159,6 +243,9 @@ class RingScheduler
     std::size_t shardCount() const { return slots_.size(); }
     const timing::ShardSlot &shard(std::size_t i) const;
     const timing::LeakageMonitor *monitor() const { return monitor_.get(); }
+
+    /** True when no transaction is ringed or queued anywhere. */
+    bool idle() const;
 
     /** Total transactions served (quiesced value). */
     std::uint64_t servedTotal() const;
@@ -183,6 +270,16 @@ class RingScheduler
      *  option is off). */
     std::string telemetryCsv() const;
 
+    /**
+     * Checkpoint support (see the file comment). The device array is
+     * checkpointed separately by its owner. Queued transactions must
+     * carry no data/out spans, and telemetry recording must be off —
+     * both asserted. Restore fails loudly on a shard, lane, policy or
+     * session-count mismatch.
+     */
+    void saveState(ByteWriter &w) const;
+    void restoreState(ByteReader &r);
+
   private:
     struct SessionDescriptor
     {
@@ -203,7 +300,8 @@ class RingScheduler
     void laneStep(unsigned worker);
     void shardStep(unsigned worker);
     void serialStep();
-    void pump(bool draining, Cycles drain_t);
+    void deal();
+    void pump(bool draining, Cycles drain_t, std::uint64_t target);
     void attachMonitor();
 
     oram::ShardedOramDevice *device_;
@@ -225,6 +323,13 @@ class RingScheduler
     std::vector<std::vector<std::vector<SessionRing::Completion>>> buckets_;
     std::vector<std::uint8_t> blocked_; ///< per shard, cleared serially
     std::vector<std::uint64_t> servedPerShard_;
+    /** Per-shard serve budget for the next phase S (kUnbounded outside
+     *  runUntilServed); counted down by the shard's owner. */
+    std::vector<std::uint64_t> quota_;
+    /** Shards dealt a budget for the current phase S. */
+    std::vector<std::uint8_t> dealt_;
+    /** Shard that served last in deal order (round-robin anchor). */
+    std::size_t dealCursor_ = 0;
     /** Columnar shard telemetry: one chunk per worker, appended only
      *  by the shard's owner in phase S (lock-free by ownership). */
     std::unique_ptr<ColumnBatch> telemetry_;
@@ -240,6 +345,7 @@ class RingScheduler
     bool stop_ = false;
     bool draining_ = false;
     Cycles drainT_ = 0;
+    std::uint64_t target_ = 0; ///< served-count goal of the pump
 };
 
 } // namespace tcoram::sim

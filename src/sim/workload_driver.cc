@@ -1,49 +1,27 @@
 #include "sim/workload_driver.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/log.hh"
 #include "oram/oram_config.hh"
 
 namespace tcoram::sim {
 
-namespace {
-
-protocol::LeakageParams
-runParams(const WorkloadReplayConfig &cfg)
-{
-    protocol::LeakageParams p;
-    p.rateCount = 1;
-    p.epoch0 = cfg.epoch0;
-    return p;
-}
-
-} // namespace
-
 WorkloadReplayRun::WorkloadReplayRun(const WorkloadReplayConfig &cfg)
-    : cfg_(cfg), mem_(dram::DramConfig{}), rng_(cfg.seed),
-      rates_(std::vector<Cycles>{cfg.rate}),
-      schedule_(cfg.epoch0, 2, Cycles{1} << 40), learner_(rates_)
+    : cfg_(cfg)
 {
     tcoram_assert(cfg_.shards >= 1, "workload replay needs a shard");
     tcoram_assert(cfg_.lanes >= 1, "workload replay needs a lane");
-    const oram::OramConfig ocfg = oram::OramConfig::benchConfig();
-    numBlocks_ = ocfg.numBlocks;
+    numBlocks_ = oram::OramConfig::benchConfig().numBlocks;
     oram::OramDeviceSpec spec;
     spec.kind = cfg_.deviceKind;
-    spec.keySeed = mixSeed(cfg_.seed, 0x0de71ce5ull);
-    device_ = std::make_unique<oram::ShardedOramDevice>(
-        spec, ocfg, cfg_.shards, mixSeed(cfg_.seed, 0x0072a7e5ull), mem_,
-        rng_, /*record=*/true);
     RingScheduler::Options opts;
     opts.lanes = cfg_.lanes;
     opts.ringCapacity = cfg_.ringCapacity;
     opts.threads = cfg_.threads;
     opts.recordLatencies = false;
-    sched_ = std::make_unique<RingScheduler>(*device_, rates_, schedule_,
-                                             learner_, cfg_.rate,
-                                             runParams(cfg_), opts);
+    stack_ = std::make_unique<ServingStack>(spec, cfg_.shards, cfg_.rate,
+                                            cfg_.epoch0, cfg_.seed, opts);
     source_ = workload::loadWorkload(cfg_.workload);
     const std::uint32_t ranks = source_->ranks();
     tcoram_assert(ranks >= 1, "workload replay: workload has no ranks");
@@ -51,7 +29,7 @@ WorkloadReplayRun::WorkloadReplayRun(const WorkloadReplayConfig &cfg)
     for (std::uint32_t rank = 0; rank < ranks; ++rank) {
         const auto lane = static_cast<std::uint16_t>(rank % cfg_.lanes);
         Session s;
-        s.sid = sched_->openSession(
+        s.sid = stack_->scheduler().openSession(
             mixSeed(cfg_.seed, 0x5e55'0000ull + rank), -1.0, lane);
         s.rank = rank;
         sessions_.push_back(s);
@@ -66,7 +44,7 @@ WorkloadReplayRun::submitAccess(Session &s, std::uint64_t key,
 {
     const timing::OramTransaction txn = timing::OramTransaction::real(
         key % numBlocks_, is_write, s.sid);
-    if (!sched_->trySubmit(s.sid, s.clock, txn).has_value())
+    if (!stack_->scheduler().trySubmit(s.sid, s.clock, txn).has_value())
         return false;
     s.awaiting = true;
     return true;
@@ -108,14 +86,15 @@ WorkloadReplayRun::run()
 {
     tcoram_assert(!ran_, "workload replay already driven");
     ran_ = true;
+    RingScheduler &sched = stack_->scheduler();
     for (;;) {
         for (Session &s : sessions_)
             if (!s.ended && !s.awaiting)
                 advanceSession(s);
-        sched_->runUntilIdle();
+        sched.runUntilIdle();
         SessionRing::Completion c;
         for (std::size_t l = 0; l < cfg_.lanes; ++l)
-            while (sched_->lane(l).popCompletion(c)) {
+            while (sched.lane(l).popCompletion(c)) {
                 Session &s = sessions_[c.sessionId];
                 tcoram_assert(s.awaiting, "stray completion");
                 s.awaiting = false;
@@ -135,7 +114,7 @@ WorkloadReplayRun::run()
     Cycles last = 0;
     for (const Session &s : sessions_)
         last = std::max(last, s.lastDone);
-    sched_->drainUntil(last + cfg_.drainSlackPeriods * period());
+    stack_->drainAfter(last, cfg_.drainSlackPeriods);
 }
 
 std::uint64_t
@@ -145,53 +124,6 @@ WorkloadReplayRun::opsCompleted() const
     for (const Session &s : sessions_)
         n += s.opsDone;
     return n;
-}
-
-bool
-WorkloadReplayRun::allTokensRetired() const
-{
-    for (std::size_t l = 0; l < cfg_.lanes; ++l) {
-        const SessionRing &ring = sched_->lane(l);
-        if (ring.drained() != ring.submitted() ||
-            ring.retiredFence() != ring.submitted())
-            return false;
-    }
-    return true;
-}
-
-Cycles
-WorkloadReplayRun::period() const
-{
-    return cfg_.rate + device_->accessLatency();
-}
-
-std::vector<Cycles>
-WorkloadReplayRun::shardStarts(std::uint32_t i) const
-{
-    const timing::RecordingOramDevice *rec = device_->recorder(i);
-    tcoram_assert(rec != nullptr, "workload replay always records");
-    std::vector<Cycles> out;
-    out.reserve(rec->records().size());
-    for (const auto &r : rec->records())
-        out.push_back(r.completion.start);
-    return out;
-}
-
-std::string
-WorkloadReplayRun::streamCsv() const
-{
-    std::ostringstream os;
-    os << "shard,start,kind\n";
-    for (std::uint32_t i = 0; i < device_->shardCount(); ++i) {
-        const timing::RecordingOramDevice *rec = device_->recorder(i);
-        tcoram_assert(rec != nullptr, "workload replay always records");
-        for (const auto &r : rec->records())
-            os << i << ',' << r.completion.start << ','
-               << (r.kind == timing::OramTransaction::Kind::Real ? 'r'
-                                                                 : 'd')
-               << '\n';
-    }
-    return os.str();
 }
 
 } // namespace tcoram::sim

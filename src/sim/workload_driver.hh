@@ -29,13 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
-#include "dram/dram_model.hh"
-#include "oram/sharded_device.hh"
-#include "sim/shard_worker.hh"
-#include "timing/epoch_schedule.hh"
-#include "timing/rate_learner.hh"
-#include "timing/rate_set.hh"
+#include "sim/serving_stack.hh"
 #include "workload/workload_source.hh"
 
 namespace tcoram::sim {
@@ -72,15 +66,18 @@ class WorkloadReplayRun
     {
         return static_cast<std::uint32_t>(sessions_.size());
     }
-    bool allTokensRetired() const;
+    bool allTokensRetired() const { return stack_->allTokensRetired(); }
 
-    Cycles period() const;
-    std::vector<Cycles> shardStarts(std::uint32_t i) const;
+    Cycles period() const { return stack_->period(); }
+    std::vector<Cycles> shardStarts(std::uint32_t i) const
+    {
+        return stack_->shardStarts(i);
+    }
     /** Every shard's observable stream (start + kind rows) — the
      *  replay bit-identity digest. */
-    std::string streamCsv() const;
+    std::string streamCsv() const { return stack_->streamCsv(); }
 
-    const RingScheduler &scheduler() const { return *sched_; }
+    const RingScheduler &scheduler() const { return stack_->scheduler(); }
     const WorkloadReplayConfig &config() const { return cfg_; }
 
   private:
@@ -101,14 +98,8 @@ class WorkloadReplayRun
     bool submitAccess(Session &s, std::uint64_t key, bool is_write);
 
     WorkloadReplayConfig cfg_;
-    dram::DramModel mem_;
-    Rng rng_;
-    timing::RateSet rates_;
-    timing::EpochSchedule schedule_;
-    timing::RateLearner learner_;
     std::uint64_t numBlocks_ = 0;
-    std::unique_ptr<oram::ShardedOramDevice> device_;
-    std::unique_ptr<RingScheduler> sched_;
+    std::unique_ptr<ServingStack> stack_;
     std::unique_ptr<workload::WorkloadSource> source_;
     std::vector<Session> sessions_;
     bool ran_ = false;

@@ -18,6 +18,57 @@ OramDeviceIf::restoreState(ByteReader &)
                  "\" is not checkpointable (no restoreState override)");
 }
 
+void
+saveTransaction(ByteWriter &w, const OramTransaction &txn)
+{
+    tcoram_assert(txn.data.empty() && txn.out.empty(),
+                  "span-carrying queued transactions are not "
+                  "checkpointable");
+    w.u8(static_cast<std::uint8_t>(txn.kind));
+    w.u32(txn.sessionId);
+    w.u64(txn.blockId);
+    w.b(txn.isWrite);
+    w.u64(txn.tag);
+}
+
+OramTransaction
+loadTransaction(ByteReader &r)
+{
+    OramTransaction txn;
+    txn.kind = static_cast<OramTransaction::Kind>(r.u8());
+    txn.sessionId = r.u32();
+    txn.blockId = r.u64();
+    txn.isWrite = r.b();
+    txn.tag = r.u64();
+    return txn;
+}
+
+void
+saveCompletion(ByteWriter &w, const OramCompletion &c)
+{
+    w.u64(c.start);
+    w.u64(c.done);
+    w.u64(c.bytesMoved);
+    w.u64(c.cryptoBytes);
+    w.u64(c.cryptoCalls);
+    w.u32(c.faultsDetected);
+    w.u32(c.retries);
+}
+
+OramCompletion
+loadCompletion(ByteReader &r)
+{
+    OramCompletion c;
+    c.start = r.u64();
+    c.done = r.u64();
+    c.bytesMoved = r.u64();
+    c.cryptoBytes = r.u64();
+    c.cryptoCalls = r.u64();
+    c.faultsDetected = r.u32();
+    c.retries = r.u32();
+    return c;
+}
+
 OramCompletion
 RecordingOramDevice::submit(Cycles now, const OramTransaction &txn)
 {

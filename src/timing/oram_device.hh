@@ -118,6 +118,18 @@ struct OramCompletion
 };
 
 /**
+ * Checkpoint a queued transaction: kind, session, block, direction and
+ * tag. Its data/out spans are views into caller buffers and cannot be
+ * serialized — a span-carrying transaction is fatal to save.
+ */
+void saveTransaction(ByteWriter &w, const OramTransaction &txn);
+OramTransaction loadTransaction(ByteReader &r);
+
+/** Checkpoint a completion record (every field). */
+void saveCompletion(ByteWriter &w, const OramCompletion &c);
+OramCompletion loadCompletion(ByteReader &r);
+
+/**
  * Cost attribution for background evictions issued inside one
  * enforced-gap idle window (oram/eviction_engine.hh). Evictions are
  * wire-indistinguishable from dummy accesses but never appear as

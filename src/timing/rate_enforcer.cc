@@ -149,8 +149,11 @@ RateEnforcer::serve(Cycles arrival, const OramTransaction &txn)
         lastCompletion_ = c.done;
         lastRealCompletion_ = c.done;
         evictInGap();
-        if (c.retries > 0)
+        if (c.retries > 0) {
             chargeRecovery(c);
+            while (!settle())
+                transitionAt(schedule_.epochStart(epoch_ + 1));
+        }
         return c;
     }
 }
@@ -164,17 +167,24 @@ RateEnforcer::chargeRecovery(const OramCompletion &c)
     // order). Each slot fires at the enforced position the next idle
     // dummy would have used, with due epoch transitions applied first,
     // exactly as advanceTo() interleaves them.
-    const std::uint64_t slots = (std::uint64_t{1} << c.retries) - 1;
-    for (std::uint64_t i = 0; i < slots; ++i) {
-        while (schedule_.epochStart(epoch_ + 1) <= nextSlot())
-            transitionAt(schedule_.epochStart(epoch_ + 1));
+    recoveryOwed_ = (std::uint64_t{1} << c.retries) - 1;
+    counters_.noteFaultRecovery(c.faultsDetected, c.retries, recoveryOwed_);
+}
+
+bool
+RateEnforcer::settle()
+{
+    while (recoveryOwed_ > 0) {
+        if (schedule_.epochStart(epoch_ + 1) <= nextSlot())
+            return false;
         const OramCompletion d =
             device_.submit(nextSlot(), OramTransaction::dummy());
         lastCompletion_ = d.done;
         counters_.noteCrypto(d.cryptoBytes, d.cryptoCalls);
         evictInGap();
+        --recoveryOwed_;
     }
-    counters_.noteFaultRecovery(c.faultsDetected, c.retries, slots);
+    return true;
 }
 
 void
@@ -218,6 +228,8 @@ RateEnforcer::serveBounded(Cycles arrival, const OramTransaction &txn)
     // both: serve()'s post-arrival loop never fires dummies, even when
     // a transition drops the rate so far that nextSlot() lands before
     // the arrival again, and re-entering the advance here would.
+    if (!settle())
+        return std::nullopt;
     if (!serveWasteCharged_) {
         if (!advanceBounded(arrival))
             return std::nullopt;
@@ -236,27 +248,25 @@ RateEnforcer::serveBounded(Cycles arrival, const OramTransaction &txn)
         counters_.noteWaste(start - arrival);
 
     const OramCompletion c = device_.submit(start, txn);
-    // Recovery charging fires extra slots that may cross epoch
-    // boundaries — incompatible with the bounded protocol's barrier
-    // discipline. The ring scheduler runs timing-only devices, which
-    // never retry; a fault-modeled datapath belongs on the unbounded
-    // path (sim/oram_scheduler.hh + serve()).
-    tcoram_assert(c.retries == 0,
-                  "ring scheduler is outside the fault domain (device "
-                  "reported ", c.retries, " retries on a bounded serve)");
     counters_.noteRealAccess(c.done - start);
     counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
     lastCompletion_ = c.done;
     lastRealCompletion_ = c.done;
     evictInGap();
     serveWasteCharged_ = false;
+    // Recovery slots may cross an epoch boundary: fire what fits now,
+    // owe the rest until the barrier has applied the transition.
+    if (c.retries > 0) {
+        chargeRecovery(c);
+        settle();
+    }
     return c;
 }
 
 bool
 RateEnforcer::drainBounded(Cycles t)
 {
-    return advanceBounded(t);
+    return settle() && advanceBounded(t);
 }
 
 void
@@ -268,6 +278,7 @@ RateEnforcer::saveState(ByteWriter &w) const
     w.u64(lastRealCompletion_);
     w.u32(pinnedDecisions_);
     w.b(serveWasteCharged_);
+    w.u64(recoveryOwed_);
     counters_.saveState(w);
     w.u64(decisions_.size());
     for (const RateDecision &d : decisions_) {
@@ -286,6 +297,7 @@ RateEnforcer::restoreState(ByteReader &r)
     lastRealCompletion_ = r.u64();
     pinnedDecisions_ = r.u32();
     serveWasteCharged_ = r.b();
+    recoveryOwed_ = r.u64();
     counters_.restoreState(r);
     decisions_.clear();
     const std::uint64_t n = r.u64();

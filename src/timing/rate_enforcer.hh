@@ -108,7 +108,9 @@ class RateEnforcer
      * served before this enforcer's next epoch boundary. The caller
      * must applyTransition() (after the barrier) and retry with the
      * SAME transaction — the enforcer tracks the per-transaction
-     * Req 3 waste charge across retries.
+     * Req 3 waste charge across retries. A recovered transaction's
+     * backoff slots fire right after it, up to the next boundary; the
+     * rest stay owed (see settle()).
      */
     std::optional<OramCompletion> serveBounded(Cycles arrival,
                                                const OramTransaction &txn);
@@ -120,6 +122,16 @@ class RateEnforcer
      * nextBoundary() must be applied first.
      */
     bool drainBounded(Cycles t);
+
+    /**
+     * Fire the recovery backoff slots a bounded serve still owes —
+     * exactly where serve() would have fired them, before anything
+     * else touches this enforcer. @return false when a transition at
+     * nextBoundary() must be applied first (serveBounded() and
+     * drainBounded() settle on entry; callers that inspect
+     * lastCompletion() before serving settle first).
+     */
+    bool settle();
 
     /** The epoch boundary the bounded calls refuse to cross. */
     Cycles nextBoundary() const { return schedule_.epochStart(epoch_ + 1); }
@@ -145,8 +157,8 @@ class RateEnforcer
 
     /**
      * Checkpoint support: rate/epoch position, completion horizons,
-     * counters and the decision log. The attached monitor is shared
-     * across enforcers and checkpointed by its owner.
+     * owed recovery slots, counters and the decision log. The attached
+     * monitor is shared across enforcers and checkpointed by its owner.
      */
     void saveState(ByteWriter &w) const;
     void restoreState(ByteReader &r);
@@ -154,11 +166,11 @@ class RateEnforcer
   private:
     /**
      * Charge a recovered transaction's retry cost into the observable
-     * stream: fire its exponential-backoff slots as dummy-equivalent
-     * accesses at the enforced slot positions. The slots land exactly
-     * where idle dummies would, so the stream stays periodic — an
-     * observer cannot tell recovery from idleness, which is the
-     * leak-free property the fault model requires.
+     * stream: owe its exponential-backoff slots, which settle() fires
+     * as dummy-equivalent accesses at the enforced slot positions. The
+     * slots land exactly where idle dummies would, so the stream stays
+     * periodic — an observer cannot tell recovery from idleness, which
+     * is the leak-free property the fault model requires.
      */
     void chargeRecovery(const OramCompletion &c);
     /**
@@ -208,6 +220,8 @@ class RateEnforcer
      * loop neither fires dummies nor re-charges).
      */
     bool serveWasteCharged_ = false;
+    /** Recovery backoff slots owed (fired by settle()). */
+    std::uint64_t recoveryOwed_ = 0;
 };
 
 } // namespace tcoram::timing

@@ -1,109 +1,19 @@
 #include "timing/shard_slot.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/log.hh"
 
 namespace tcoram::timing {
 
-ShardSlot::ShardSlot(std::uint32_t shard_id, RateEnforcer &enforcer)
-    : shardId_(shard_id), enf_(enforcer)
-{
-}
-
 ShardSlot::ShardSlot(std::uint32_t shard_id, OramDeviceIf &device,
                      const RateSet &rates, const EpochSchedule &schedule,
-                     const LearnerIf &learner, Cycles initial_rate)
+                     const LearnerIf &learner, Cycles initial_rate,
+                     DispatchPolicyKind policy)
     : shardId_(shard_id),
-      owned_(std::make_unique<RateEnforcer>(device, rates, schedule,
-                                            learner, initial_rate)),
-      enf_(*owned_)
+      enf_(device, rates, schedule, learner, initial_rate),
+      policy_(makeDispatchPolicy(policy))
 {
-}
-
-void
-ShardSlot::ensureSessions(std::size_t n)
-{
-    if (queues_.size() < n)
-        queues_.resize(n);
-    // The cursor names the last-served session; starting the scan
-    // after the final session keeps it beginning at session 0.
-    cursor_ = queues_.size() - 1;
-}
-
-void
-ShardSlot::enqueue(std::uint32_t sid, Cycles arrival,
-                   const OramTransaction &txn)
-{
-    tcoram_dassert(pendingScaled_ == 0,
-                   "legacy and scaled cores must not mix");
-    tcoram_assert(sid < queues_.size(), "unknown session ", sid,
-                  " on shard ", shardId_);
-    auto &q = queues_[sid];
-    tcoram_assert(q.empty() || q.back().arrival <= arrival,
-                  "per-session arrivals must be non-decreasing");
-    q.push_back({arrival, txn});
-    ++pending_;
-}
-
-std::optional<ShardSlot::Served>
-ShardSlot::serveNext()
-{
-    if (pending_ == 0)
-        return std::nullopt;
-    const std::size_t n = queues_.size();
-
-    // Earliest queued arrival: the latest the next service can begin.
-    Cycles earliest = std::numeric_limits<Cycles>::max();
-    for (const auto &q : queues_)
-        if (!q.empty())
-            earliest = std::min(earliest, q.front().arrival);
-
-    // Every transaction that has arrived by this shard's next enforced
-    // slot would start at that same slot — the choice among them is
-    // pure policy (round-robin from the last served session) and
-    // cannot shift the shard's observable stream. lastCompletion() is
-    // a safe LOWER bound on the next slot whatever the rate does at
-    // upcoming epoch boundaries; heads arriving between it and the
-    // actual slot just wait one round, which never costs a slot
-    // (earliest is eligible).
-    const Cycles horizon = std::max(earliest, enf_.lastCompletion());
-
-    std::size_t pick = n;
-    for (std::size_t k = 1; k <= n; ++k) {
-        const std::size_t s = (cursor_ + k) % n;
-        if (!queues_[s].empty() && queues_[s].front().arrival <= horizon) {
-            pick = s;
-            break;
-        }
-    }
-    tcoram_assert(pick < n, "pending transaction with no eligible session");
-    cursor_ = pick;
-
-    const Pending p = queues_[pick].front();
-    queues_[pick].pop_front();
-    --pending_;
-
-    const OramCompletion c = enf_.serve(p.arrival, p.txn);
-    return Served{static_cast<std::uint32_t>(pick), p.arrival, c, p.txn.tag};
-}
-
-void
-ShardSlot::drainUntil(Cycles t)
-{
-    tcoram_assert(pending() == 0,
-                  "drain with transactions still queued on shard ",
-                  shardId_);
-    enf_.drainUntil(t);
-}
-
-// --- scaled core ---
-
-void
-ShardSlot::setDispatchPolicy(std::unique_ptr<DispatchPolicy> policy)
-{
-    policy_ = std::move(policy);
 }
 
 DispatchView::Entry
@@ -153,61 +63,80 @@ ShardSlot::freeNode(std::uint32_t idx)
     nodeFree_ = idx;
 }
 
-void
-ShardSlot::enqueueScaled(std::uint32_t sid, Cycles arrival,
-                         const OramTransaction &txn, std::uint16_t weight,
-                         Cycles deadline_offset)
+std::uint32_t
+ShardSlot::activate(std::uint32_t sid, std::uint16_t weight,
+                    Cycles deadline_offset)
 {
-    tcoram_dassert(pending_ == 0, "legacy and scaled cores must not mix");
+    // (Re)activate at the back of the round: new sessions join the
+    // scan just before the cursor, so everyone already waiting is
+    // served first. When the last-served session has just left the
+    // list, its place (the end of the scan) is vacant and the joiner
+    // takes it — a session that leaves and rejoins between picks keeps
+    // its round-robin turn instead of queueing behind the cursor's
+    // stand-in forever. Activation order is a pure function of the
+    // enqueue sequence — worker-count independent.
+    std::uint32_t q_idx;
+    if (queueFree_ != kNil) {
+        q_idx = queueFree_;
+        queueFree_ = queuePool_[q_idx].next;
+    } else {
+        q_idx = static_cast<std::uint32_t>(queuePool_.size());
+        queuePool_.emplace_back();
+    }
+    ActiveQueue &q = queuePool_[q_idx];
+    q.sid = sid;
+    q.head = q.tail = kNil;
+    q.weight = std::max<std::uint16_t>(weight, 1);
+    q.deadlineOffset = deadline_offset;
+    if (activeCount_ == 0) {
+        q.prev = q.next = q_idx;
+        listCursor_ = q_idx;
+    } else if (cursorVacated_) {
+        const std::uint32_t cur = listCursor_;
+        const std::uint32_t next = queuePool_[cur].next;
+        q.prev = cur;
+        q.next = next;
+        queuePool_[next].prev = q_idx;
+        queuePool_[cur].next = q_idx;
+        listCursor_ = q_idx;
+    } else {
+        const std::uint32_t cur = listCursor_;
+        const std::uint32_t prev = queuePool_[cur].prev;
+        q.prev = prev;
+        q.next = cur;
+        queuePool_[prev].next = q_idx;
+        queuePool_[cur].prev = q_idx;
+    }
+    cursorVacated_ = false;
+    ++activeCount_;
+    sessionQueue_[sid] = q_idx;
+    return q_idx;
+}
+
+void
+ShardSlot::enqueue(std::uint32_t sid, Cycles arrival,
+                   const OramTransaction &txn, std::uint16_t weight,
+                   Cycles deadline_offset)
+{
     if (sessionQueue_.size() <= sid)
         sessionQueue_.resize(static_cast<std::size_t>(sid) + 1, kNil);
     const std::uint32_t node = allocNode(arrival, txn);
     std::uint32_t q_idx = sessionQueue_[sid];
     if (q_idx == kNil) {
-        // (Re)activate at the back of the round: new sessions join the
-        // scan just before the cursor, so everyone already waiting is
-        // served first. Activation order is a pure function of the
-        // enqueue sequence — worker-count independent.
-        if (queueFree_ != kNil) {
-            q_idx = queueFree_;
-            queueFree_ = queuePool_[q_idx].next;
-        } else {
-            q_idx = static_cast<std::uint32_t>(queuePool_.size());
-            queuePool_.emplace_back();
-        }
-        ActiveQueue &q = queuePool_[q_idx];
-        q.sid = sid;
-        q.head = q.tail = node;
-        q.weight = std::max<std::uint16_t>(weight, 1);
-        q.deadlineOffset = deadline_offset;
-        if (activeCount_ == 0) {
-            q.prev = q.next = q_idx;
-            listCursor_ = q_idx;
-        } else {
-            const std::uint32_t cur = listCursor_;
-            const std::uint32_t prev = queuePool_[cur].prev;
-            q.prev = prev;
-            q.next = cur;
-            queuePool_[prev].next = q_idx;
-            queuePool_[cur].prev = q_idx;
-        }
-        ++activeCount_;
-        sessionQueue_[sid] = q_idx;
+        q_idx = activate(sid, weight, deadline_offset);
+        queuePool_[q_idx].head = node;
     } else {
-        ActiveQueue &q = queuePool_[q_idx];
-        tcoram_assert(nodePool_[q.tail].arrival <= arrival,
+        tcoram_assert(nodePool_[queuePool_[q_idx].tail].arrival <= arrival,
                       "per-session arrivals must be non-decreasing");
-        nodePool_[q.tail].next = node;
-        q.tail = node;
+        nodePool_[queuePool_[q_idx].tail].next = node;
     }
-    ++pendingScaled_;
+    queuePool_[q_idx].tail = node;
+    ++pending_;
 }
 
 std::uint32_t
-ShardSlot::pickScaled()
+ShardSlot::pick()
 {
-    if (!policy_)
-        policy_ = makeDispatchPolicy(DispatchPolicyKind::RoundRobin);
     View v(*this);
     const std::size_t k = policy_->pick(v);
     tcoram_assert(k < activeCount_, "dispatch policy picked position ", k,
@@ -218,7 +147,8 @@ ShardSlot::pickScaled()
         for (std::size_t i = 0; i < k; ++i)
             idx = queuePool_[idx].next;
     }
-    listCursor_ = idx; // cursor moves at pick time, as the legacy core
+    listCursor_ = idx; // the cursor moves at pick time
+    cursorVacated_ = false;
     return idx;
 }
 
@@ -231,7 +161,7 @@ ShardSlot::popServed(std::uint32_t q_idx)
     if (q.head == kNil)
         q.tail = kNil;
     freeNode(node);
-    --pendingScaled_;
+    --pending_;
     if (q.head == kNil) {
         // Deactivate: unlink; the cursor falls back to the previous
         // entry so the next scan continues from the same place.
@@ -241,8 +171,10 @@ ShardSlot::popServed(std::uint32_t q_idx)
         } else {
             queuePool_[q.prev].next = q.next;
             queuePool_[q.next].prev = q.prev;
-            if (listCursor_ == q_idx)
+            if (listCursor_ == q_idx) {
                 listCursor_ = q.prev;
+                cursorVacated_ = true;
+            }
         }
         --activeCount_;
         q.next = queueFree_; // reuse the link as the freelist chain
@@ -251,13 +183,16 @@ ShardSlot::popServed(std::uint32_t q_idx)
 }
 
 ShardSlot::ServeStatus
-ShardSlot::serveScaled(Served &out)
+ShardSlot::serve(Served &out)
 {
-    tcoram_dassert(pending_ == 0, "legacy and scaled cores must not mix");
     if (heldQueue_ == kNil) {
-        if (pendingScaled_ == 0)
+        if (pending_ == 0)
             return ServeStatus::Idle;
-        heldQueue_ = pickScaled();
+        // Owed recovery slots fire before the pick, so the policy sees
+        // the same lastCompletion() an unbounded serve would leave.
+        if (!enf_.settle())
+            return ServeStatus::Blocked;
+        heldQueue_ = pick();
     }
     const ActiveQueue &q = queuePool_[heldQueue_];
     const Node &head = nodePool_[q.head];
@@ -271,9 +206,9 @@ ShardSlot::serveScaled(Served &out)
 }
 
 bool
-ShardSlot::drainScaled(Cycles t)
+ShardSlot::drain(Cycles t)
 {
-    tcoram_assert(pendingScaled_ == 0 && heldQueue_ == kNil,
+    tcoram_assert(pending_ == 0,
                   "drain with transactions still queued on shard ",
                   shardId_);
     return enf_.drainBounded(t);
@@ -282,58 +217,79 @@ ShardSlot::drainScaled(Cycles t)
 void
 ShardSlot::saveState(ByteWriter &w) const
 {
-    tcoram_assert(pendingScaled_ == 0 && heldQueue_ == kNil,
-                  "scaled-core backlog is not checkpointable on shard ",
-                  shardId_);
     enf_.saveState(w);
-    w.u64(pending_);
-    w.u64(cursor_);
-    w.u64(queues_.size());
-    for (const auto &q : queues_) {
-        w.u64(q.size());
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            const Pending &p = q.at(i);
-            tcoram_assert(p.txn.data.empty() && p.txn.out.empty(),
-                          "span-carrying queued transactions are not "
-                          "checkpointable on shard ", shardId_);
-            w.u64(p.arrival);
-            w.u8(static_cast<std::uint8_t>(p.txn.kind));
-            w.u32(p.txn.sessionId);
-            w.u64(p.txn.blockId);
-            w.b(p.txn.isWrite);
-            w.u64(p.txn.tag);
+    w.u8(static_cast<std::uint8_t>(policy_->kind()));
+    policy_->saveState(w);
+    // The activation list in scan order from the cursor (last served
+    // first): replaying these enqueues into empty pools rebuilds the
+    // identical list.
+    w.u64(activeCount_);
+    std::uint32_t idx = listCursor_;
+    for (std::size_t k = 0; k < activeCount_; ++k) {
+        const ActiveQueue &q = queuePool_[idx];
+        w.u32(q.sid);
+        w.u32(q.weight);
+        w.u64(q.deadlineOffset);
+        std::uint64_t len = 0;
+        for (std::uint32_t n = q.head; n != kNil; n = nodePool_[n].next)
+            ++len;
+        w.u64(len);
+        for (std::uint32_t n = q.head; n != kNil; n = nodePool_[n].next) {
+            w.u64(nodePool_[n].arrival);
+            saveTransaction(w, nodePool_[n].txn);
         }
+        idx = q.next;
     }
+    w.b(heldQueue_ != kNil);
+    if (heldQueue_ != kNil)
+        w.u32(queuePool_[heldQueue_].sid);
+    w.b(cursorVacated_);
 }
 
 void
 ShardSlot::restoreState(ByteReader &r)
 {
     enf_.restoreState(r);
-    pending_ = r.u64();
-    cursor_ = static_cast<std::size_t>(r.u64());
-    const std::uint64_t sessions = r.u64();
-    tcoram_assert(sessions == queues_.size(),
-                  "snapshot session count mismatch on shard ", shardId_,
-                  " (", sessions, " vs ", queues_.size(), ")");
-    std::uint64_t total = 0;
-    for (auto &q : queues_) {
-        q = RingFifo<Pending>();
-        const std::uint64_t m = r.u64();
-        for (std::uint64_t i = 0; i < m; ++i) {
-            Pending p;
-            p.arrival = r.u64();
-            p.txn.kind = static_cast<OramTransaction::Kind>(r.u8());
-            p.txn.sessionId = r.u32();
-            p.txn.blockId = r.u64();
-            p.txn.isWrite = r.b();
-            p.txn.tag = r.u64();
-            q.push_back(p);
+    const auto kind = static_cast<DispatchPolicyKind>(r.u8());
+    tcoram_assert(kind == policy_->kind(),
+                  "snapshot dispatch policy mismatch on shard ", shardId_,
+                  " (", dispatchPolicyName(kind), " vs ",
+                  dispatchPolicyName(policy_->kind()), ")");
+    policy_->restoreState(r);
+
+    nodePool_.clear();
+    nodeFree_ = kNil;
+    queuePool_.clear();
+    queueFree_ = kNil;
+    std::fill(sessionQueue_.begin(), sessionQueue_.end(), kNil);
+    listCursor_ = kNil;
+    cursorVacated_ = false;
+    activeCount_ = 0;
+    pending_ = 0;
+    heldQueue_ = kNil;
+
+    const std::uint64_t active = r.u64();
+    for (std::uint64_t k = 0; k < active && r.ok(); ++k) {
+        const std::uint32_t sid = r.u32();
+        const auto weight = static_cast<std::uint16_t>(r.u32());
+        const Cycles offset = r.u64();
+        const std::uint64_t len = r.u64();
+        tcoram_assert(len > 0, "snapshot holds an empty active queue on "
+                               "shard ", shardId_);
+        for (std::uint64_t i = 0; i < len && r.ok(); ++i) {
+            const Cycles arrival = r.u64();
+            enqueue(sid, arrival, loadTransaction(r), weight, offset);
         }
-        total += m;
     }
-    tcoram_assert(total == pending_,
-                  "snapshot backlog mismatch on shard ", shardId_);
+    if (r.b()) {
+        const std::uint32_t sid = r.u32();
+        tcoram_assert(sid < sessionQueue_.size() &&
+                          sessionQueue_[sid] != kNil,
+                      "snapshot holds a pick of an idle session on shard ",
+                      shardId_);
+        heldQueue_ = sessionQueue_[sid];
+    }
+    cursorVacated_ = r.b() && activeCount_ != 0;
 }
 
 } // namespace tcoram::timing

@@ -1,38 +1,23 @@
 /**
  * @file
  * ShardSlot: the per-shard unit of rate enforcement and dispatch.
- * PR 3's scheduler owned ONE global RateEnforcer and one set of
- * per-session FIFOs; sharding the ORAM tree across M devices moves
- * both into this abstraction — each shard carries its own enforcer
- * (its own periodic observable stream, its own epoch clock and
- * counters) plus the per-session FIFOs of the transactions routed to
- * it. The scheduler (sim/oram_scheduler.hh) drains M slots round-robin;
- * WHEN a slot's accesses happen remains decided entirely by that
+ * Sharding the ORAM tree across M devices gives each shard its own
+ * slot: one owned enforcer (its own periodic observable stream, its
+ * own epoch clock and counters) plus the queues of the transactions
+ * routed to it. The ring scheduler (sim/shard_worker.hh) drives M
+ * slots; WHEN a slot's accesses happen is decided entirely by that
  * slot's enforcer, so the observable channel is M independent periodic
  * streams whatever the dispatch policy does.
  *
- * A slot either owns its enforcer (sharded construction) or adopts an
- * externally-owned one (the single-shard path, which keeps the PR 3
- * scheduler API — and its pinned observable traces — bit-identical).
- *
- * Two dispatch cores share the enforcer:
- *
- *  - The LEGACY core (ensureSessions/enqueue/serveNext/drainUntil)
- *    keeps PR 3/4 semantics exactly: a dense FIFO per session, scanned
- *    round-robin by session index. O(sessions) per serve — fine for
- *    tens of sessions, the wall at a million.
- *  - The SCALED core (enqueueScaled/serveScaled/drainScaled) backs the
- *    ring scheduler (sim/shard_worker.hh): sessions with queued work
- *    live on a circular activation list over pooled intrusive queues,
- *    so dispatch is O(active) worst case and O(1) under backlog, and
- *    steady-state allocation-free. Serving is BOUNDED — it stops at
- *    the shard's next epoch boundary instead of touching the shared
- *    LeakageMonitor, so M worker threads stay race-free and
- *    bit-identical to one thread (transitions are applied in shard-id
- *    order at a barrier via applyTransition()). WHICH session rides a
- *    slot is chosen by a pluggable DispatchPolicy (rr/wrr/edf).
- *
- * A slot must use one core or the other, never both (asserted).
+ * Sessions with queued work live on a circular activation list over
+ * pooled intrusive queues, so dispatch is O(active) worst case and
+ * O(1) under backlog, and steady-state allocation-free (test-pinned in
+ * tests/test_pipeline.cc). Serving is BOUNDED — it stops at the
+ * shard's next epoch boundary instead of touching the shared
+ * LeakageMonitor, so M worker threads stay race-free and bit-identical
+ * to one thread (transitions are applied in shard-id order at a
+ * barrier via applyTransition()). WHICH session rides a slot is chosen
+ * by a pluggable DispatchPolicy (rr/wrr/edf).
  */
 
 #ifndef TCORAM_TIMING_SHARD_SLOT_HH
@@ -40,10 +25,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "common/ring_fifo.hh"
 #include "timing/dispatch_policy.hh"
 #include "timing/oram_device.hh"
 #include "timing/rate_enforcer.hh"
@@ -62,68 +45,28 @@ class ShardSlot
         std::uint64_t tag = 0; ///< the served txn's attribution tag
     };
 
-    /** Adopt an externally-owned enforcer (single-shard legacy path). */
-    ShardSlot(std::uint32_t shard_id, RateEnforcer &enforcer);
-
-    /** Own a fresh enforcer over @p device (sharded construction). */
+    /** Own a fresh enforcer over @p device, dispatching by @p policy. */
     ShardSlot(std::uint32_t shard_id, OramDeviceIf &device,
               const RateSet &rates, const EpochSchedule &schedule,
-              const LearnerIf &learner, Cycles initial_rate);
+              const LearnerIf &learner, Cycles initial_rate,
+              DispatchPolicyKind policy);
 
     std::uint32_t shardId() const { return shardId_; }
     RateEnforcer &enforcer() { return enf_; }
     const RateEnforcer &enforcer() const { return enf_; }
 
-    // --- legacy core (PR 3/4 scheduler path) ---
-
-    /** Grow the per-session FIFO array to @p n sessions. Resets the
-     *  round-robin cursor so the scan restarts at session 0, matching
-     *  the pre-shard scheduler's open-time behaviour. */
-    void ensureSessions(std::size_t n);
-
     /**
      * Queue a transaction from session @p sid arriving at @p arrival.
-     * Per-(session, shard) arrivals must be non-decreasing (FIFO).
-     * The txn's data/out spans are views; their buffers must outlive
-     * service.
+     * @p weight (wrr) and @p deadline_offset (edf) are per-session QoS
+     * attributes, latched when the session joins the activation list.
+     * Per-(session, shard) arrivals must be non-decreasing. The txn's
+     * data/out spans are views; their buffers must outlive service.
      */
-    void enqueue(std::uint32_t sid, Cycles arrival,
-                 const OramTransaction &txn);
+    void enqueue(std::uint32_t sid, Cycles arrival, const OramTransaction &txn,
+                 std::uint16_t weight = 1, Cycles deadline_offset = 0);
 
-    std::uint64_t pending() const { return pending_ + pendingScaled_; }
-    bool idle() const { return pending() == 0 && heldQueue_ == kNil; }
-
-    /**
-     * Serve one queued transaction through this shard's enforcer:
-     * among sessions whose head has arrived by the next enforced
-     * service opportunity, pick round-robin. The choice is pure
-     * fairness policy — the enforcer alone times the shard's stream.
-     * nullopt when idle.
-     */
-    std::optional<Served> serveNext();
-
-    /** Fire the trailing dummies this shard's schedule owes up to @p t. */
-    void drainUntil(Cycles t);
-
-    // --- scaled core (million-session ring scheduler path) ---
-
-    /** Install the QoS policy (default: round-robin). */
-    void setDispatchPolicy(std::unique_ptr<DispatchPolicy> policy);
-    DispatchPolicyKind
-    dispatchPolicyKind() const
-    {
-        return policy_ ? policy_->kind() : DispatchPolicyKind::RoundRobin;
-    }
-
-    /**
-     * Queue a transaction on the scaled core. @p weight (wrr) and
-     * @p deadline_offset (edf) are per-session QoS attributes; they
-     * are latched when the session joins the activation list.
-     * Per-(session, shard) arrivals must be non-decreasing.
-     */
-    void enqueueScaled(std::uint32_t sid, Cycles arrival,
-                       const OramTransaction &txn, std::uint16_t weight = 1,
-                       Cycles deadline_offset = 0);
+    std::uint64_t pending() const { return pending_; }
+    bool idle() const { return pending_ == 0; }
 
     enum class ServeStatus
     {
@@ -138,40 +81,34 @@ class ShardSlot
      * is made once and held across Blocked retries — exactly the
      * unbounded order of operations.
      */
-    ServeStatus serveScaled(Served &out);
+    ServeStatus serve(Served &out);
 
     /**
-     * Bounded drain to @p t; false when an epoch transition at
-     * nextBoundary() must be applied (at the barrier) first.
+     * Bounded drain to @p t; false when the epoch transition at the
+     * next boundary must be applied (at the barrier) first.
      */
-    bool drainScaled(Cycles t);
+    bool drain(Cycles t);
 
-    /** Next epoch boundary of this shard's enforcer. */
-    Cycles nextBoundary() const { return enf_.nextBoundary(); }
-
-    /** Serial barrier step: apply the transition at nextBoundary(). */
+    /** Serial barrier step: apply the enforcer's due transition. */
     void applyTransition() { enf_.applyTransition(); }
 
     /**
-     * Checkpoint support (legacy core + enforcer). Queued transactions
-     * must carry no data/out spans (views cannot be serialized) and
-     * the scaled core must be quiescent — both asserted. The owner
-     * must have called ensureSessions() to the saved session count
-     * before restoring.
+     * Checkpoint support: the enforcer, the dispatch policy's state,
+     * the activation list in scan order (each session's queued
+     * transactions), the held pick and the vacated-cursor mark.
+     * Queued transactions must carry no data/out spans (views cannot
+     * be serialized; asserted). The slot restored into must run the
+     * same policy (asserted). Pool indices are not part of the state:
+     * restore rebuilds the pools compactly in scan order, which
+     * dispatches identically.
      */
     void saveState(ByteWriter &w) const;
     void restoreState(ByteReader &r);
 
   private:
-    struct Pending
-    {
-        Cycles arrival;
-        OramTransaction txn;
-    };
-
     static constexpr std::uint32_t kNil = 0xffffffffu;
 
-    /** Pooled FIFO node (scaled core). */
+    /** Pooled FIFO node. */
     struct Node
     {
         Cycles arrival;
@@ -211,19 +148,15 @@ class ShardSlot
 
     std::uint32_t allocNode(Cycles arrival, const OramTransaction &txn);
     void freeNode(std::uint32_t idx);
-    std::uint32_t pickScaled();
+    std::uint32_t activate(std::uint32_t sid, std::uint16_t weight,
+                           Cycles deadline_offset);
+    std::uint32_t pick();
     void popServed(std::uint32_t q_idx);
 
     std::uint32_t shardId_;
-    std::unique_ptr<RateEnforcer> owned_; ///< null when adopting
-    RateEnforcer &enf_;
+    RateEnforcer enf_;
+    std::unique_ptr<DispatchPolicy> policy_;
 
-    // legacy core
-    std::vector<RingFifo<Pending>> queues_; ///< one FIFO per session
-    std::uint64_t pending_ = 0;
-    std::size_t cursor_ = 0; ///< round-robin position (last served)
-
-    // scaled core
     std::vector<Node> nodePool_;
     std::uint32_t nodeFree_ = kNil;
     std::vector<ActiveQueue> queuePool_;
@@ -232,10 +165,12 @@ class ShardSlot
      *  so steady-state reactivation is allocation-free. */
     std::vector<std::uint32_t> sessionQueue_;
     std::uint32_t listCursor_ = kNil; ///< last-served ActiveQueue
+    /** The last-served session left the list; the cursor stands in
+     *  for it (its predecessor) until the next pick or activation. */
+    bool cursorVacated_ = false;
     std::size_t activeCount_ = 0;
-    std::uint64_t pendingScaled_ = 0;
+    std::uint64_t pending_ = 0;
     std::uint32_t heldQueue_ = kNil; ///< pick held across Blocked
-    std::unique_ptr<DispatchPolicy> policy_;
 };
 
 } // namespace tcoram::timing

@@ -24,7 +24,6 @@
 #include "oram/path_oram.hh"
 #include "oram/sharded_device.hh"
 #include "sim/experiment_engine.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/shard_worker.hh"
 #include "sim/report.hh"
 #include "sim/secure_processor.hh"
@@ -217,63 +216,48 @@ TEST(AllocationFree, RecursiveSteadyStateAccess)
         << "recursive access (incl. position-map stages) allocated";
 }
 
-/** Fixed-latency device with no recording — the allocation probe must
- *  see only the scheduler's own dispatch machinery. */
-class NullTimingDevice final : public timing::OramDeviceIf
-{
-  public:
-    timing::OramCompletion
-    submit(Cycles now, const timing::OramTransaction &) override
-    {
-        return {now, now + 100, 0, 0, 0};
-    }
-    Cycles accessLatency() const override { return 100; }
-};
-
 TEST(AllocationFree, SchedulerDispatchAndDrainSteadyState)
 {
-    // The per-session FIFOs are power-of-two rings (common/ring_fifo.hh)
-    // precisely so a backlogged submit/serve/drain cycle allocates
-    // NOTHING once the rings (and the latency sample vectors) have
-    // grown to peak — a deque chunks its storage and would churn the
-    // heap on every few pops.
-    NullTimingDevice dev;
+    // The shard queues are pooled intrusive lists on a free-list, and
+    // staging buffers, completion buckets and latency vectors keep
+    // their capacity, so a backlogged submit/serve/drain cycle
+    // allocates NOTHING once every pool has grown to peak.
+    dram::DramModel mem{dram::DramConfig{}};
+    Rng rng(7);
+    oram::OramDeviceSpec inner; // timing, no recorder
+    oram::ShardedOramDevice dev(inner, tinyConfig(), /*shards=*/2,
+                                /*route_seed=*/5, mem, rng);
     const timing::RateSet rates{std::vector<Cycles>{500}};
     const timing::EpochSchedule sched{Cycles{1} << 30, 2, Cycles{1} << 40};
     const timing::RateLearner learner{rates};
-    timing::RateEnforcer enf(dev, rates, sched, learner, 500);
     protocol::LeakageParams params;
     params.rateCount = 1;
-    sim::OramScheduler s(enf, params);
-    s.openSession(7);
-    s.openSession(8);
+    sim::RingScheduler rs(dev, rates, sched, learner, 500, params);
+    rs.openSession(7);
+    rs.openSession(8);
+    auto cycle = [&](int n, Cycles &t, Cycles drain_to) {
+        for (int i = 0; i < n; ++i, t += 40)
+            ASSERT_TRUE(rs.trySubmit(i % 2, t,
+                                     timing::OramTransaction::real(i % 64))
+                            .has_value());
+        rs.runUntilIdle();
+        sim::SessionRing::Completion c;
+        while (rs.lane(0).popCompletion(c)) {
+        }
+        rs.drainUntil(drain_to);
+    };
 
-    // Warm up well past the measured region's peak backlog: ring
-    // capacity doubles to 1024 >= 700, and the per-session latency
-    // vectors reach a capacity (1024) that covers warmup + measured
-    // completions without regrowing.
+    // Warm up well past the measured region's peak backlog: the node
+    // pool and staging buffers grow to >= 700 entries, and the
+    // per-session latency vectors reach a capacity (512) that covers
+    // warmup + measured completions without regrowing.
     Cycles t = 0;
-    for (int i = 0; i < 700; ++i, t += 40)
-        s.submit(i % 2, t, timing::OramTransaction::real(i % 64));
-    s.run();
-    s.drainUntil(Cycles{1'000'000});
+    cycle(700, t, Cycles{1'000'000});
 
     const std::uint64_t before = allocationCount();
-    for (int i = 0; i < 200; ++i, t += 40)
-        s.submit(i % 2, t, timing::OramTransaction::real(i % 64));
-    s.run();
-    s.drainUntil(Cycles{1'300'000}); // fires real trailing dummies
+    cycle(200, t, Cycles{1'300'000}); // fires real trailing dummies
     EXPECT_EQ(allocationCount() - before, 0u)
         << "scheduler dispatch/drain allocated in steady state";
-
-    // Percentile queries reuse one scratch: after a first call has
-    // grown it to the full sample count, repeats are allocation-free.
-    (void)s.latencyPercentile(0, 0.99);
-    const std::uint64_t before_pct = allocationCount();
-    (void)s.latencyPercentile(0, 0.99);
-    (void)s.latencyPercentile(0, 0.5);
-    EXPECT_EQ(allocationCount() - before_pct, 0u)
-        << "latencyPercentile copied the samples afresh";
 }
 
 TEST(AllocationFree, RingSchedulerLatencyPercentileReuse)

@@ -1,15 +1,22 @@
 /**
  * @file
- * Multi-session scheduler: the trace-level security invariant (the
- * enforced device stream is ONE periodic access sequence whose gaps
- * depend only on the rate — never on session count, arrival pattern
- * or payload), FIFO/fairness behaviour, the §5 per-session admission
- * handshake, and the shared tightest-budget leakage monitor.
+ * Multi-session scheduling on one enforced shard: the trace-level
+ * security invariant (the enforced device stream is ONE periodic
+ * access sequence whose gaps depend only on the rate — never on
+ * session count, arrival pattern or payload), FIFO/fairness behaviour,
+ * the §5 per-session admission handshake, and the shared
+ * tightest-budget leakage monitor. The ring scheduler runs over a
+ * recorded 1-shard timing array (bit-identical to the bare device).
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/oram_scheduler.hh"
+#include <vector>
+
+#include "dram/dram_model.hh"
+#include "oram/oram_device.hh"
+#include "oram/sharded_device.hh"
+#include "sim/shard_worker.hh"
 #include "timing/epoch_schedule.hh"
 #include "timing/rate_learner.hh"
 #include "timing/rate_set.hh"
@@ -18,62 +25,84 @@ using namespace tcoram;
 
 namespace {
 
-/** Fixed-latency device recording the observable stream. */
-class StreamDevice : public timing::OramDeviceIf
-{
-  public:
-    explicit StreamDevice(Cycles lat) : lat_(lat) {}
-    timing::OramCompletion
-    submit(Cycles now, const timing::OramTransaction &txn) override
-    {
-        starts_.push_back(now);
-        sessions_.push_back(txn.sessionId);
-        kinds_.push_back(txn.kind);
-        return {now, now + lat_, 0, 0, 0};
-    }
-    Cycles accessLatency() const override { return lat_; }
-    std::vector<Cycles> starts_;
-    std::vector<std::uint32_t> sessions_;
-    std::vector<timing::OramTransaction::Kind> kinds_;
-
-  private:
-    Cycles lat_;
-};
-
 constexpr Cycles kRate = 500;
-constexpr Cycles kLat = 100;
 
-/** A static-rate enforcer + scheduler harness. */
+oram::OramConfig
+tinyConfig()
+{
+    oram::OramConfig c;
+    c.numBlocks = 1 << 10;
+    c.recursionLevels = 2;
+    c.stashCapacity = 400;
+    return c;
+}
+
+protocol::LeakageParams
+staticParams()
+{
+    protocol::LeakageParams p;
+    p.rateCount = 1; // static rate: 0 ORAM-timing bits
+    return p;
+}
+
+/** A ring scheduler over one recorded timing shard. */
 struct Harness
 {
-    StreamDevice dev{kLat};
-    timing::RateSet rates{std::vector<Cycles>{kRate}};
-    timing::EpochSchedule sched{Cycles{1} << 30, 2, Cycles{1} << 40};
+    dram::DramModel mem{dram::DramConfig{}};
+    Rng rng{42};
+    oram::ShardedOramDevice dev{oram::OramDeviceSpec{}, tinyConfig(), 1,
+                                /*route_seed=*/17, mem, rng,
+                                /*record=*/true};
+    timing::RateSet rates;
+    timing::EpochSchedule sched;
     timing::RateLearner learner{rates};
-    timing::RateEnforcer enf{dev, rates, sched, learner, kRate};
-    sim::OramScheduler scheduler;
+    sim::RingScheduler scheduler;
 
-    Harness() : scheduler(enf, leakParams())
+    Harness(timing::RateSet r, timing::EpochSchedule s, Cycles initial,
+            const protocol::LeakageParams &params)
+        : rates(std::move(r)), sched(s),
+          scheduler(dev, rates, sched, learner, initial, params,
+                    options())
     {
     }
 
-    static protocol::LeakageParams
-    leakParams()
+    Harness()
+        : Harness(timing::RateSet{std::vector<Cycles>{kRate}},
+                  timing::EpochSchedule{Cycles{1} << 30, 2,
+                                        Cycles{1} << 40},
+                  kRate, staticParams())
     {
-        protocol::LeakageParams p;
-        p.rateCount = 1; // static rate: 0 ORAM-timing bits
-        return p;
     }
+
+    static sim::RingScheduler::Options
+    options()
+    {
+        sim::RingScheduler::Options o;
+        o.ringCapacity = 4096; // every backlog here is queued up front
+        return o;
+    }
+
+    void
+    submit(std::uint32_t sid, Cycles arrival, std::uint64_t block)
+    {
+        ASSERT_TRUE(scheduler
+                        .trySubmit(sid, arrival,
+                                   timing::OramTransaction::real(block))
+                        .has_value());
+    }
+
+    Cycles period() const { return kRate + dev.accessLatency(); }
 };
 
 /**
- * Drive @p n_sessions with session-dependent arrival patterns, then
- * drain well past the heaviest possible backlog so every configuration
- * observes the same number of enforced slots. Returns the observable
- * start-cycle stream.
+ * Drive @p n_sessions with session-dependent arrival patterns over
+ * the first 100 K cycles, then drain to @p horizon — well past the
+ * heaviest possible backlog — so every configuration observes the same
+ * number of enforced slots. Returns the observable start-cycle stream
+ * and the slot period.
  */
 std::vector<Cycles>
-observableStream(std::size_t n_sessions, Cycles horizon)
+observableStream(std::size_t n_sessions, Cycles horizon, Cycles &period)
 {
     Harness h;
     for (std::size_t s = 0; s < n_sessions; ++s)
@@ -82,32 +111,33 @@ observableStream(std::size_t n_sessions, Cycles horizon)
     // sparse, phase-shifted — the observable stream must not care.
     for (std::size_t s = 0; s < n_sessions; ++s) {
         const Cycles stride = 700 + 400 * s;
-        for (Cycles t = 50 * s; t < horizon / 4; t += stride)
-            h.scheduler.submit(static_cast<std::uint32_t>(s), t,
-                               timing::OramTransaction::real(s * 1000));
+        for (Cycles t = 50 * s; t < 100'000; t += stride)
+            h.submit(static_cast<std::uint32_t>(s), t, s * 1000);
     }
-    h.scheduler.run();
+    h.scheduler.runUntilIdle();
     h.scheduler.drainUntil(horizon);
-    return h.dev.starts_;
+    period = h.period();
+    return h.dev.recorder(0)->startCycles();
 }
 
 } // namespace
 
-TEST(OramScheduler, EnforcedStreamIsPeriodicWhateverTheSessionCount)
+TEST(RingScheduler, EnforcedStreamIsPeriodicWhateverTheSessionCount)
 {
     // Horizon far beyond the heaviest backlog's last real completion
-    // (~200 transactions x 600-cycle slots < 150 K), so every session
+    // (~500 transactions x ~850-cycle slots < 450 K), so every session
     // count drains to the same slot count.
-    const Cycles horizon = 400'000;
-    const auto one = observableStream(1, horizon);
-    const auto three = observableStream(3, horizon);
-    const auto eight = observableStream(8, horizon);
+    const Cycles horizon = 600'000;
+    Cycles period = 0;
+    const auto one = observableStream(1, horizon, period);
+    const auto three = observableStream(3, horizon, period);
+    const auto eight = observableStream(8, horizon, period);
 
     // Gaps depend only on the rate: every access starts exactly
     // (rate + OLAT) after the previous start.
     ASSERT_GE(one.size(), 10u);
     for (std::size_t i = 1; i < one.size(); ++i)
-        EXPECT_EQ(one[i] - one[i - 1], kRate + kLat) << "gap " << i;
+        EXPECT_EQ(one[i] - one[i - 1], period) << "gap " << i;
 
     // And the stream is identical across session counts: an adversary
     // watching the device cannot tell 1 client from 8.
@@ -115,65 +145,92 @@ TEST(OramScheduler, EnforcedStreamIsPeriodicWhateverTheSessionCount)
     EXPECT_EQ(one, eight);
 }
 
-TEST(OramScheduler, PerSessionFifoAndStatsAreKept)
+TEST(RingScheduler, PerSessionFifoAndStatsAreKept)
 {
     Harness h;
     h.scheduler.openSession(1);
     h.scheduler.openSession(2);
-    h.scheduler.submit(0, 0, timing::OramTransaction::real(10));
-    h.scheduler.submit(0, 10, timing::OramTransaction::real(11));
-    h.scheduler.submit(1, 5, timing::OramTransaction::real(20));
+    h.submit(0, 0, 10);
+    h.submit(0, 10, 11);
+    h.submit(1, 5, 20);
 
     std::vector<std::uint32_t> order;
     std::vector<Cycles> dones;
-    while (auto served = h.scheduler.serveNext()) {
-        order.push_back(served->sessionId);
-        dones.push_back(served->completion.done);
+    sim::SessionRing::Completion c;
+    for (std::uint64_t n = 1; h.scheduler.runUntilServed(n) == n; ++n) {
+        ASSERT_TRUE(h.scheduler.lane(0).popCompletion(c));
+        order.push_back(c.sessionId);
+        dones.push_back(c.completion.done);
     }
     // Round-robin from the cursor: s0 (arrival 0), then s1, then s0.
     EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 0}));
     // Completions ride consecutive enforced slots.
     ASSERT_EQ(dones.size(), 3u);
-    EXPECT_EQ(dones[1] - dones[0], kRate + kLat);
-    EXPECT_EQ(dones[2] - dones[1], kRate + kLat);
+    EXPECT_EQ(dones[1] - dones[0], h.period());
+    EXPECT_EQ(dones[2] - dones[1], h.period());
 
     const auto &s0 = h.scheduler.stats(0);
     const auto &s1 = h.scheduler.stats(1);
     EXPECT_EQ(s0.submitted, 2u);
     EXPECT_EQ(s0.completed, 2u);
+    EXPECT_EQ(s0.lastCompletion, dones[2]);
     EXPECT_EQ(s1.completed, 1u);
     EXPECT_GT(s0.totalLatency, 0u);
     EXPECT_GE(s0.maxLatency, s0.totalLatency / 2);
     EXPECT_EQ(h.scheduler.fairnessRatio(), 2.0);
 }
 
-TEST(OramScheduler, BackloggedSessionsShareTheDeviceFairly)
+TEST(RingScheduler, BackloggedSessionsShareTheDeviceFairly)
 {
     Harness h;
     const std::size_t n = 6;
     for (std::size_t s = 0; s < n; ++s)
         h.scheduler.openSession(s);
     // Everybody arrives at cycle 0 with the same backlog: round-robin
-    // must serve them in lockstep.
+    // must serve them in lockstep — after any prefix of the run, no
+    // session is more than one completion ahead of another.
     for (int k = 0; k < 20; ++k)
         for (std::size_t s = 0; s < n; ++s)
-            h.scheduler.submit(static_cast<std::uint32_t>(s), 0,
-                               timing::OramTransaction::real(k));
-    h.scheduler.run();
-    EXPECT_EQ(h.scheduler.fairnessRatio(), 1.0);
+            h.submit(static_cast<std::uint32_t>(s), 0, k);
+    for (std::uint64_t served = 6; served <= 120; served += 6) {
+        ASSERT_EQ(h.scheduler.runUntilServed(served), served);
+        EXPECT_EQ(h.scheduler.fairnessRatio(), 1.0) << served;
+    }
     for (std::size_t s = 0; s < n; ++s)
         EXPECT_EQ(h.scheduler.stats(static_cast<std::uint32_t>(s)).completed,
                   20u);
 }
 
-TEST(OramScheduler, AdmissionRejectsBudgetsBelowTheConfiguration)
+TEST(RingScheduler, SteppedClosedLoopKeepsEverySessionsTurn)
 {
-    StreamDevice dev(kLat);
-    timing::RateSet rates(4);
-    timing::EpochSchedule sched(Cycles{1} << 20, 2, Cycles{1} << 40);
-    timing::RateLearner learner(rates);
-    timing::RateEnforcer enf(dev, rates, sched, learner, 1000);
+    // One request in flight per session, resubmitted already due the
+    // moment it completes: every head is eligible at every pick, and
+    // the served session leaves the activation list and rejoins it
+    // between picks. Round-robin must still cycle through all sessions
+    // — the rejoiner takes its old place at the end of the scan rather
+    // than queueing ahead of the cursor's stand-in, which would starve.
+    Harness h;
+    const std::uint32_t n = 4;
+    for (std::uint32_t s = 0; s < n; ++s) {
+        h.scheduler.openSession(s);
+        h.submit(s, 0, s);
+    }
+    std::vector<std::uint32_t> order;
+    sim::SessionRing::Completion c;
+    for (std::uint64_t k = 1; k <= 10 * n; ++k) {
+        ASSERT_EQ(h.scheduler.runUntilServed(k), k);
+        ASSERT_TRUE(h.scheduler.lane(0).popCompletion(c));
+        order.push_back(c.sessionId);
+        h.submit(c.sessionId, c.completion.done, k);
+    }
+    for (std::size_t i = n; i < order.size(); ++i)
+        EXPECT_EQ(order[i], order[i - n]) << "pick " << i;
+    for (std::uint32_t s = 0; s < n; ++s)
+        EXPECT_EQ(h.scheduler.stats(s).completed, 10u) << "session " << s;
+}
 
+TEST(RingScheduler, AdmissionRejectsBudgetsBelowTheConfiguration)
+{
     protocol::LeakageParams params;
     params.rateCount = 4;
     params.epochGrowth = 2;
@@ -182,7 +239,10 @@ TEST(OramScheduler, AdmissionRejectsBudgetsBelowTheConfiguration)
     const double bits = params.oramTimingBits();
     ASSERT_GT(bits, 0.0);
 
-    sim::OramScheduler scheduler(enf, params);
+    Harness h(timing::RateSet(4),
+              timing::EpochSchedule(Cycles{1} << 20, 2, Cycles{1} << 40),
+              1000, params);
+    sim::RingScheduler &scheduler = h.scheduler;
     const auto tight = scheduler.openSession(1, bits / 2.0);
     const auto roomy = scheduler.openSession(2, bits + 8.0);
     const auto open = scheduler.openSession(3); // unlimited
@@ -194,26 +254,23 @@ TEST(OramScheduler, AdmissionRejectsBudgetsBelowTheConfiguration)
     ASSERT_NE(scheduler.monitor(), nullptr);
     EXPECT_DOUBLE_EQ(scheduler.monitor()->limit(), bits + 8.0);
 
-    EXPECT_EXIT(scheduler.submit(tight, 0, timing::OramTransaction::real(1)),
-                ::testing::ExitedWithCode(1), "not admitted");
+    EXPECT_EXIT(
+        (void)scheduler.trySubmit(tight, 0, timing::OramTransaction::real(1)),
+        ::testing::ExitedWithCode(1), "not admitted");
 }
 
-TEST(OramScheduler, SharedMonitorPinsTheRateAtTheTightestBudget)
+TEST(RingScheduler, SharedMonitorPinsTheRateAtTheTightestBudget)
 {
     // Admission happens at the paper-constant schedule (32 bits for
     // R4/E4); the run itself uses a scaled epoch schedule, so the
     // admitted 33-bit session's monitor must pin the shared device
     // once the realized decisions approach its budget (§2.1).
-    StreamDevice dev(kLat);
-    timing::RateSet rates(4); // 2 bits per free decision
-    timing::EpochSchedule sched(64, 2, Cycles{1} << 40);
-    timing::RateLearner learner(rates);
-    timing::RateEnforcer enf(dev, rates, sched, learner, 256);
-
     const protocol::LeakageParams params; // paper defaults: 32 bits
     ASSERT_DOUBLE_EQ(params.oramTimingBits(), 32.0);
 
-    sim::OramScheduler scheduler(enf, params);
+    Harness h(timing::RateSet(4), // 2 bits per free decision
+              timing::EpochSchedule(64, 2, Cycles{1} << 40), 256, params);
+    sim::RingScheduler &scheduler = h.scheduler;
     scheduler.openSession(1);        // unlimited
     scheduler.openSession(2, 1e6);   // huge
     scheduler.openSession(3, 33.0);  // 16 free decisions — the binding one
@@ -223,10 +280,11 @@ TEST(OramScheduler, SharedMonitorPinsTheRateAtTheTightestBudget)
     // scaled schedule crosses 17+ epoch boundaries.
     for (int k = 0; k < 200; ++k)
         for (std::uint32_t s = 0; s < 3; ++s)
-            scheduler.submit(s, k * 700, timing::OramTransaction::real(k));
-    scheduler.run();
+            h.submit(s, k * 700, k);
+    scheduler.runUntilIdle();
     scheduler.drainUntil(Cycles{12'000'000});
 
+    const timing::RateEnforcer &enf = scheduler.shard(0).enforcer();
     ASSERT_GT(enf.currentEpoch(), 16u);
     EXPECT_GT(enf.pinnedDecisions(), 0u)
         << "the 33-bit session must pin the shared device's rate";

@@ -4,7 +4,8 @@
  * backpressure, lane-monotonic token/fence retirement, the
  * N-thread == 1-thread bit-identity contract of the phased-round
  * RingScheduler (per-shard observable streams, session stats, CSV
- * rows), stream equality against the legacy OramScheduler, QoS
+ * rows), digests pinned from the removed O(sessions) scheduler,
+ * exact-count steps, checkpoint/restore across worker counts, QoS
  * dispatch-policy semantics and their stream-invariance, and the
  * nearest-rank latency percentile against a fully-sorted reference.
  */
@@ -13,14 +14,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/serial.hh"
+#include "crypto/sha256.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/session_ring.hh"
 #include "sim/shard_worker.hh"
 #include "timing/epoch_schedule.hh"
@@ -107,6 +110,9 @@ struct RingSetup
     oram::PathMode pathMode = oram::PathMode::Sync;
     oram::EvictionPolicy evictionPolicy = oram::EvictionPolicy::Off;
     std::uint32_t evictionBudget = 0;
+    /** Serve with runUntilServed(k), k = 1, 2, ... instead of
+     *  runUntilIdle(). */
+    bool stepped = false;
 };
 
 struct RingResult
@@ -181,7 +187,13 @@ runRing(const RingSetup &setup)
                                timing::OramTransaction::real(a.block));
         }
     }
-    rs.runUntilIdle();
+    if (setup.stepped) {
+        for (std::uint64_t k = rs.servedTotal() + 1;
+             rs.runUntilServed(k) == k; ++k) {
+        }
+    } else {
+        rs.runUntilIdle();
+    }
     rs.drainUntil(kDrainHorizon);
     drain();
 
@@ -222,57 +234,44 @@ expectSameRun(const RingResult &a, const RingResult &b, const char *what)
     }
 }
 
-/** The legacy scheduler run over the same workload and device setup. */
-struct LegacyResult
+/** Per-session completion latencies (done - arrival), sorted. */
+std::vector<std::vector<Cycles>>
+sortedLatencies(const RingResult &r, std::size_t sessions)
 {
-    std::vector<std::vector<Cycles>> streams;
-    std::vector<StatsTuple> stats;
-    std::vector<Cycles> lastPerShard;
-    std::vector<std::uint32_t> epochs;
-    std::uint64_t real = 0;
-    std::uint64_t dummy = 0;
-    std::vector<std::vector<Cycles>> latencies; ///< per sid, serve order
-};
+    std::vector<std::vector<Cycles>> out(sessions);
+    for (const auto &c : r.completions)
+        out[c.sessionId].push_back(c.completion.done - c.arrival);
+    for (auto &v : out)
+        std::sort(v.begin(), v.end());
+    return out;
+}
 
-LegacyResult
-runLegacy(std::uint32_t shards, bool dynamic, std::size_t sessions,
-          std::uint64_t seed)
+std::string
+digest(const ByteWriter &w)
 {
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(11);
-    oram::OramDeviceSpec inner; // timing
-    oram::ShardedOramDevice dev(inner, tinyConfig(), shards,
-                                /*route_seed=*/5, mem, rng,
-                                /*record=*/true);
-    const timing::RateSet rates{ringRates(dynamic)};
-    const timing::EpochSchedule sched{dynamic ? Cycles{1} << 14
-                                              : Cycles{1} << 30,
-                                      2, Cycles{1} << 40};
-    const timing::RateLearner learner{rates};
-    sim::OramScheduler s(dev, rates, sched, learner, dynamic ? 3200 : 500,
-                         leakParams(rates.size()));
+    return crypto::toHex(crypto::Sha256::hash(w.data()));
+}
 
-    LegacyResult r;
-    r.latencies.resize(sessions);
-    for (std::uint32_t sid = 0; sid < sessions; ++sid)
-        s.openSession(100 + sid);
-    for (const auto &a : makeWorkload(sessions, seed))
-        s.submit(a.sid, a.at, timing::OramTransaction::real(a.block));
-    while (auto served = s.serveNext())
-        r.latencies[served->sessionId].push_back(served->completion.done -
-                                                 served->arrival);
-    s.drainUntil(kDrainHorizon);
-
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        r.streams.push_back(dev.recorder(i)->startCycles());
-        r.lastPerShard.push_back(s.shard(i).enforcer().lastCompletion());
-        r.epochs.push_back(s.shard(i).enforcer().currentEpoch());
+/** SHA-256 over length-prefixed u64 lists (streams, latencies). */
+std::string
+digestLists(const std::vector<std::vector<Cycles>> &lists)
+{
+    ByteWriter w;
+    for (const auto &list : lists) {
+        w.u64(list.size());
+        for (const Cycles c : list)
+            w.u64(c);
     }
-    for (std::uint32_t sid = 0; sid < sessions; ++sid)
-        r.stats.push_back(statsOf(s.stats(sid), shards == 1));
-    r.real = dev.realAccesses();
-    r.dummy = dev.dummyAccesses();
-    return r;
+    return digest(w);
+}
+
+std::string
+digestStats(const std::vector<StatsTuple> &stats)
+{
+    ByteWriter w;
+    for (const auto &t : stats)
+        std::apply([&](auto... v) { (w.u64(v), ...); }, t);
+    return digest(w);
 }
 
 /** Nearest-rank quantile over a fully sorted copy — the reference the
@@ -649,67 +648,285 @@ TEST(RingScheduler, PopOneResubmitBackpressureStaysInWindow)
     }
 }
 
-// --- equality with the legacy scheduler ---
+// --- pinned reference streams ---
+//
+// The digests below were recorded from the removed O(sessions) dense
+// scheduler (global shard round-robin, per-session FIFOs scanned by
+// session id) over this exact workload and device setup. Streams are
+// SHA-256 over each shard's u64 start cycles, stats over the per-
+// session StatsTuples (lastCompletion = the session's max completion),
+// latencies over each session's sorted (done - arrival) samples.
 
-TEST(RingScheduler, MatchesLegacySchedulerStreamUnderStaticRate)
+TEST(RingScheduler, ReproducesPinnedLegacyRuns)
 {
-    // |R| = 1 closes the decision channel, so the per-shard observable
-    // streams of the two engines must be identical whatever their
-    // internal dispatch order. (Session ATTRIBUTION may differ: the
-    // legacy core scans session ids, the scaled core scans the
-    // activation ring — both round-robin, different tie-breaks.)
-    for (const std::uint32_t shards : {1u, 4u}) {
-        const LegacyResult legacy = runLegacy(shards, false, 5, 3);
+    // Static rate, 5 sessions: |R| = 1 closes the decision channel, so
+    // the per-shard streams must equal the reference whatever the
+    // dispatch order. Session ATTRIBUTION may differ on several shards
+    // (the activation ring and the dense scan break ties differently),
+    // so its stats and latencies are pinned only at M = 1.
+    // Dynamic rate, 1 session: dispatch is FIFO, so the bounded serve
+    // must replay the reference enforcer sequence exactly — streams
+    // (hence epoch transitions), stats and the latency samples.
+    struct Pin
+    {
+        std::uint32_t shards;
+        bool dynamic;
+        std::size_t sessions;
+        std::uint64_t seed;
+        std::uint64_t served;
+        const char *streams;
+        const char *stats; ///< nullptr: attribution-dependent
+        const char *latencies;
+    };
+    const Pin pins[] = {
+        {1, false, 5, 3, 166,
+         "f218344ffb8e37ad84da10cc0bcc570aa4e8ea44108c469242d7c786419d711d",
+         "0135e6f9bdd515a83dde961572c20fb3226eda412e9076394ae16dd63c70f349",
+         "ec77188a6d9b938f9f4cb601e081f0d3c1a607e119ae19f64ddb4f7ed0e1ad1b"},
+        {4, false, 5, 3, 166,
+         "42f13e34958ef0456acc7aa0abd6273e0bf4a1b5feb732b4b4345296285aa3a4",
+         nullptr, nullptr},
+        {1, true, 1, 9, 18,
+         "e81d835464966b6149352d8643221184efe4861e7de660601d42e40cbdbf6a83",
+         "203c29e0743523772a44e1c35469e9e038199f681ffaeb47436c30ac7abd3486",
+         "30650aebeec382adc9d55be764a807a43b291bd57d8e265e7f217392f0d87856"},
+        {4, true, 1, 9, 18,
+         "2718791b72c65f3ac89a5c0b7f822cd986c542edeb380511dbad440b4c8ca02c",
+         "ac7a8a667fc48e62354e6ed025c36b31864493082745a31411feff4972f32f58",
+         "8a0e7a38c28242f75a57a0e7a049e3f594b61c43d756e1b1e0f301f9c0031e67"},
+    };
+    for (const Pin &pin : pins) {
         RingSetup s;
-        s.shards = shards;
-        s.sessions = 5;
-        s.seed = 3;
+        s.shards = pin.shards;
+        s.dynamic = pin.dynamic;
+        s.sessions = pin.sessions;
+        s.seed = pin.seed;
         const RingResult ring = runRing(s);
-
-        EXPECT_EQ(ring.streams, legacy.streams) << "shards=" << shards;
-        std::uint64_t legacy_total = 0, ring_total = 0;
-        for (const auto &st : legacy.stats)
-            legacy_total += std::get<1>(st);
-        for (const auto &st : ring.stats)
-            ring_total += std::get<1>(st);
-        EXPECT_EQ(ring_total, legacy_total) << "shards=" << shards;
-        for (std::uint32_t i = 0; i < shards; ++i)
-            EXPECT_EQ(ring.streams[i].size(), legacy.streams[i].size());
+        const std::string what = "shards=" + std::to_string(pin.shards) +
+                                 " dynamic=" + std::to_string(pin.dynamic);
+        EXPECT_EQ(ring.served, pin.served) << what;
+        EXPECT_EQ(digestLists(ring.streams), pin.streams) << what;
+        if (pin.stats == nullptr)
+            continue;
+        EXPECT_EQ(digestStats(ring.stats), pin.stats) << what;
+        EXPECT_EQ(digestLists(sortedLatencies(ring, s.sessions)),
+                  pin.latencies)
+            << what;
     }
 }
 
-TEST(RingScheduler, MatchesLegacySchedulerExactlyForOneSessionDynamic)
+// --- exact-count steps ---
+
+TEST(RingScheduler, SteppedRunMatchesUnboundedRunAtStaticRate)
 {
-    // With one session, dispatch is FIFO in both engines: the bounded
-    // serve must replay the legacy enforcer sequence exactly — streams,
-    // epoch counts, stats, and the latency samples themselves.
-    for (const std::uint32_t shards : {1u, 4u}) {
-        const LegacyResult legacy = runLegacy(shards, true, 1, 9);
-        RingSetup s;
-        s.shards = shards;
-        s.dynamic = true;
-        s.sessions = 1;
-        s.seed = 9;
-        const RingResult ring = runRing(s);
+    // runUntilServed(k) for k = 1..N serves in global shard round-robin
+    // order, one transaction per round; runUntilIdle() lets every shard
+    // run ahead. Each shard's pick sequence is the same either way, so
+    // at |R| = 1 everything but the completion fold order matches.
+    RingSetup s;
+    s.shards = 4;
+    s.lanes = 2;
+    s.sessions = 5;
+    s.seed = 8;
+    const RingResult unbounded = runRing(s);
+    s.stepped = true;
+    const RingResult stepped = runRing(s);
+    EXPECT_GT(stepped.served, 100u);
+    EXPECT_EQ(stepped.streams, unbounded.streams);
+    EXPECT_EQ(stepped.stats, unbounded.stats);
+    EXPECT_EQ(stepped.csv, unbounded.csv);
+    EXPECT_EQ(stepped.last, unbounded.last);
+    EXPECT_EQ(stepped.served, unbounded.served);
+    EXPECT_EQ(stepped.fences, unbounded.fences);
+    EXPECT_EQ(sortedLatencies(stepped, s.sessions),
+              sortedLatencies(unbounded, s.sessions));
 
-        EXPECT_EQ(ring.streams, legacy.streams) << "shards=" << shards;
-        // lastCompletion is excluded for M > 1: the legacy scheduler
-        // keeps the LAST-SERVED completion cycle (global dispatch
-        // order), the ring scheduler the max — only equal at M = 1.
-        ASSERT_EQ(ring.stats.size(), 1u);
-        auto got = ring.stats[0];
-        if (shards > 1)
-            std::get<3>(got) = 0;
-        EXPECT_EQ(got, legacy.stats[0]) << "shards=" << shards;
+    // The deal is serial, so stepping is worker-count blind too —
+    // completion order included.
+    s.threads = 4;
+    expectSameRun(stepped, runRing(s), "stepped threads=4");
+}
 
-        std::vector<Cycles> ring_samples;
-        for (const auto &c : ring.completions)
-            ring_samples.push_back(c.completion.done - c.arrival);
-        std::vector<Cycles> legacy_samples = legacy.latencies[0];
-        std::sort(ring_samples.begin(), ring_samples.end());
-        std::sort(legacy_samples.begin(), legacy_samples.end());
-        EXPECT_EQ(ring_samples, legacy_samples) << "shards=" << shards;
+// --- checkpoints ---
+
+namespace {
+
+/** A recorded 4-lane-capable stack for the checkpoint tests: dynamic
+ *  rates and short epochs (transitions and rate decisions on every
+ *  shard), session 0 with a finite budget so the shared monitor's
+ *  ledger runs. */
+struct SnapStack
+{
+    dram::DramModel mem{dram::DramConfig{}};
+    Rng rng{11};
+    oram::ShardedOramDevice dev;
+    timing::RateSet rates{ringRates(true)};
+    timing::EpochSchedule sched{Cycles{1} << 14, 2, Cycles{1} << 40};
+    timing::RateLearner learner{rates};
+    sim::RingScheduler rs;
+
+    SnapStack(std::uint32_t shards, std::size_t lanes, unsigned threads,
+              timing::DispatchPolicyKind policy, std::size_t sessions)
+        : dev(oram::OramDeviceSpec{}, tinyConfig(), shards,
+              /*route_seed=*/5, mem, rng, /*record=*/true),
+          rs(dev, rates, sched, learner, 3200, leakParams(rates.size()),
+             options(lanes, threads, policy))
+    {
+        for (std::uint32_t sid = 0; sid < sessions; ++sid)
+            rs.openSession(100 + sid, sid == 0 ? 1e6 : -1.0,
+                           static_cast<std::uint16_t>(sid % lanes),
+                           static_cast<std::uint16_t>(1 + sid % 3),
+                           Cycles{100} * sid);
     }
+
+    static sim::RingScheduler::Options
+    options(std::size_t lanes, unsigned threads,
+            timing::DispatchPolicyKind policy)
+    {
+        sim::RingScheduler::Options o;
+        o.lanes = lanes;
+        o.threads = threads;
+        o.policy = policy;
+        return o;
+    }
+
+    void
+    submit(const Arrival &a)
+    {
+        ASSERT_TRUE(rs.trySubmit(a.sid, a.at,
+                                 timing::OramTransaction::real(a.block))
+                        .has_value());
+    }
+};
+
+struct SnapRun
+{
+    RingResult run;
+    std::vector<Cycles> quantiles; ///< per (session, kQuantiles)
+    std::vector<std::uint8_t> snapshot;
+};
+
+/**
+ * 4 shards, 2 lanes, wrr, 6 sessions. Half the workload is served
+ * halfway, lane 0's completions are popped (lane 1's stay ringed), and
+ * the other half is submitted but not yet ingested. With @p interrupt
+ * the stack is snapshotted there and the run finishes in a fresh stack
+ * restored from it at @p threads_after workers.
+ */
+SnapRun
+runSnapshotted(unsigned threads_before, unsigned threads_after,
+               bool interrupt)
+{
+    constexpr std::size_t kSessions = 6;
+    const auto policy = timing::DispatchPolicyKind::WeightedRoundRobin;
+    const auto work = makeWorkload(kSessions, 7);
+    const std::size_t half = work.size() / 2;
+
+    SnapRun out;
+    auto popLane = [&](sim::RingScheduler &rs, std::size_t l) {
+        sim::SessionRing::Completion c;
+        while (rs.lane(l).popCompletion(c))
+            out.run.completions.push_back(c);
+    };
+    auto st = std::make_unique<SnapStack>(4, 2, threads_before, policy,
+                                          kSessions);
+    for (std::size_t i = 0; i < half; ++i)
+        st->submit(work[i]);
+    EXPECT_EQ(st->rs.runUntilServed(half / 2), half / 2);
+    popLane(st->rs, 0);
+    for (std::size_t i = half; i < work.size(); ++i)
+        st->submit(work[i]);
+    EXPECT_FALSE(st->rs.idle()) << "the snapshot must be mid-backlog";
+    EXPECT_GT(st->rs.lane(1).completionBacklog(), 0u);
+
+    ByteWriter w;
+    st->dev.saveState(w);
+    st->rs.saveState(w);
+    out.snapshot = w.data();
+    if (interrupt) {
+        st = std::make_unique<SnapStack>(4, 2, threads_after, policy,
+                                         kSessions);
+        ByteReader r(out.snapshot);
+        st->dev.restoreState(r);
+        st->rs.restoreState(r);
+        EXPECT_TRUE(r.atEnd());
+    }
+    st->rs.runUntilIdle();
+    st->rs.drainUntil(kDrainHorizon);
+    popLane(st->rs, 0);
+    popLane(st->rs, 1);
+
+    for (std::uint32_t s = 0; s < 4; ++s)
+        out.run.streams.push_back(st->dev.recorder(s)->startCycles());
+    for (std::uint32_t sid = 0; sid < kSessions; ++sid) {
+        out.run.stats.push_back(statsOf(st->rs.stats(sid), true));
+        for (const double q : kQuantiles)
+            out.quantiles.push_back(st->rs.latencyPercentile(sid, q));
+    }
+    out.run.csv = st->rs.csv();
+    out.run.last = st->rs.lastCompletion();
+    out.run.served = st->rs.servedTotal();
+    for (std::size_t l = 0; l < 2; ++l)
+        out.run.fences.push_back(st->rs.lane(l).retiredFence());
+    EXPECT_EQ(out.run.served, work.size());
+    return out;
+}
+
+} // namespace
+
+TEST(RingScheduler, SnapshotRestoresAcrossWorkerCounts)
+{
+    // A mid-backlog snapshot (queued shard work, ringed submissions,
+    // unpopped completions, wrr burst state, a live monitor ledger)
+    // saved at 4 workers and restored at 1 — and the reverse — must
+    // finish bit-identical to the uninterrupted run.
+    const SnapRun ref = runSnapshotted(1, 1, false);
+    const SnapRun four_to_one = runSnapshotted(4, 1, true);
+    const SnapRun one_to_four = runSnapshotted(1, 4, true);
+
+    EXPECT_EQ(four_to_one.snapshot, ref.snapshot)
+        << "snapshot bytes must not depend on the worker count";
+    EXPECT_EQ(one_to_four.snapshot, ref.snapshot);
+    expectSameRun(ref.run, four_to_one.run, "saved at 4, restored at 1");
+    expectSameRun(ref.run, one_to_four.run, "saved at 1, restored at 4");
+    EXPECT_EQ(four_to_one.quantiles, ref.quantiles);
+    EXPECT_EQ(one_to_four.quantiles, ref.quantiles);
+}
+
+TEST(RingScheduler, RestoreRejectsMismatchedConfiguration)
+{
+    const auto wrr = timing::DispatchPolicyKind::WeightedRoundRobin;
+    std::vector<std::uint8_t> bytes;
+    {
+        SnapStack st(2, 2, 1, wrr, 3);
+        for (const auto &a : makeWorkload(3, 2))
+            st.submit(a);
+        st.rs.runUntilServed(10);
+        ByteWriter w;
+        st.rs.saveState(w);
+        bytes = w.data();
+    }
+    // The pristine snapshot restores into an identical scheduler.
+    {
+        SnapStack twin(2, 2, 1, wrr, 3);
+        ByteReader r(bytes);
+        twin.rs.restoreState(r);
+        EXPECT_TRUE(r.atEnd());
+        EXPECT_EQ(twin.rs.servedTotal(), 10u);
+    }
+    auto restoreInto = [&](std::uint32_t shards, std::size_t lanes,
+                           timing::DispatchPolicyKind policy,
+                           std::size_t sessions) {
+        SnapStack other(shards, lanes, 1, policy, sessions);
+        ByteReader r(bytes);
+        other.rs.restoreState(r);
+    };
+    EXPECT_DEATH(restoreInto(2, 1, wrr, 3), "lane count");
+    EXPECT_DEATH(restoreInto(4, 2, wrr, 3), "shard count");
+    EXPECT_DEATH(
+        restoreInto(2, 2, timing::DispatchPolicyKind::RoundRobin, 3),
+        "dispatch policy");
+    EXPECT_DEATH(restoreInto(2, 2, wrr, 4), "session count");
 }
 
 // --- QoS dispatch ---
@@ -805,46 +1022,6 @@ TEST(RingScheduler, EarliestDeadlineServesTightestOffsetFirst)
 
 // --- latency percentiles ---
 
-TEST(LatencyPercentile, MatchesSortedNearestRankReference)
-{
-    // Legacy scheduler: recompute every session's samples from the
-    // serve loop and check nth_element against the fully-sorted
-    // reference at every quantile — twice, because the reused scratch
-    // must not disturb the samples.
-    const std::uint32_t shards = 4;
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(11);
-    oram::OramDeviceSpec inner;
-    oram::ShardedOramDevice dev(inner, tinyConfig(), shards, 5, mem, rng);
-    const timing::RateSet rates{ringRates(true)};
-    const timing::EpochSchedule sched{Cycles{1} << 14, 2, Cycles{1} << 40};
-    const timing::RateLearner learner{rates};
-    sim::OramScheduler s(dev, rates, sched, learner, 3200, leakParams(4));
-
-    const std::size_t sessions = 3;
-    std::vector<std::vector<Cycles>> samples(sessions);
-    for (std::uint32_t sid = 0; sid < sessions; ++sid)
-        s.openSession(100 + sid);
-    for (const auto &a : makeWorkload(sessions, 6))
-        s.submit(a.sid, a.at, timing::OramTransaction::real(a.block));
-    while (auto served = s.serveNext())
-        samples[served->sessionId].push_back(served->completion.done -
-                                             served->arrival);
-
-    for (std::uint32_t sid = 0; sid < sessions; ++sid) {
-        ASSERT_GT(samples[sid].size(), 10u);
-        for (const double q : kQuantiles) {
-            const Cycles want = sortedReference(samples[sid], q);
-            EXPECT_EQ(s.latencyPercentile(sid, q), want)
-                << "sid " << sid << " q " << q;
-            EXPECT_EQ(s.latencyPercentile(sid, q), want)
-                << "repeat must not disturb the samples, sid " << sid;
-        }
-    }
-    EXPECT_EQ(s.latencyPercentile(0, 0.5),
-              sortedReference(samples[0], 0.5));
-}
-
 TEST(LatencyPercentile, RingSchedulerAgreesWithItsOwnCompletions)
 {
     RingSetup setup;
@@ -875,11 +1052,16 @@ TEST(LatencyPercentile, RingSchedulerAgreesWithItsOwnCompletions)
     while (rs.lane(0).popCompletion(c))
         samples[c.sessionId].push_back(c.completion.done - c.arrival);
 
+    // Every quantile against the fully-sorted reference — twice,
+    // because the reused scratch must not disturb the samples.
     for (std::uint32_t sid = 0; sid < setup.sessions; ++sid) {
         ASSERT_GT(samples[sid].size(), 10u);
-        for (const double q : kQuantiles)
-            EXPECT_EQ(rs.latencyPercentile(sid, q),
-                      sortedReference(samples[sid], q))
+        for (const double q : kQuantiles) {
+            const Cycles want = sortedReference(samples[sid], q);
+            EXPECT_EQ(rs.latencyPercentile(sid, q), want)
                 << "sid " << sid << " q " << q;
+            EXPECT_EQ(rs.latencyPercentile(sid, q), want)
+                << "repeat must not disturb the samples, sid " << sid;
+        }
     }
 }

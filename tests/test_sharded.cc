@@ -17,9 +17,9 @@
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
 #include "sim/experiment.hh"
-#include "sim/oram_scheduler.hh"
 #include "sim/report.hh"
 #include "sim/secure_processor.hh"
+#include "sim/shard_worker.hh"
 #include "timing/leakage.hh"
 #include "workload/spec_suite.hh"
 
@@ -191,7 +191,7 @@ struct ShardedHarness
     timing::EpochSchedule sched{Cycles{1} << 30, 2, Cycles{1} << 40};
     timing::RateLearner learner{rates};
     protocol::LeakageParams params;
-    sim::OramScheduler scheduler;
+    sim::RingScheduler scheduler;
 
     explicit ShardedHarness(std::uint32_t shards,
                             oram::PathMode mode = oram::PathMode::Sync,
@@ -202,8 +202,27 @@ struct ShardedHarness
                  /*record=*/true),
           rates(std::vector<Cycles>{rate}),
           params(singleRateParams()),
-          scheduler(device, rates, sched, learner, rate, params)
+          scheduler(device, rates, sched, learner, rate, params,
+                    backlogOptions())
     {
+    }
+
+    /** Every backlog here is queued up front: one lane holds it all. */
+    static sim::RingScheduler::Options
+    backlogOptions()
+    {
+        sim::RingScheduler::Options o;
+        o.ringCapacity = 4096;
+        return o;
+    }
+
+    void
+    submit(std::uint32_t sid, Cycles arrival, std::uint64_t block)
+    {
+        ASSERT_TRUE(scheduler
+                        .trySubmit(sid, arrival,
+                                   timing::OramTransaction::real(block))
+                        .has_value());
     }
 
     static oram::OramDeviceSpec
@@ -239,11 +258,9 @@ shardStreams(std::uint32_t shards, std::size_t n_sessions, Cycles horizon,
         const Cycles stride = 700 + 400 * s;
         std::uint64_t k = 0;
         for (Cycles t = 50 * s; t < horizon / 4; t += stride)
-            h.scheduler.submit(static_cast<std::uint32_t>(s), t,
-                               timing::OramTransaction::real(
-                                   s * 1000 + 31 * k++));
+            h.submit(static_cast<std::uint32_t>(s), t, s * 1000 + 31 * k++);
     }
-    h.scheduler.run();
+    h.scheduler.runUntilIdle();
     h.scheduler.drainUntil(horizon);
     std::vector<std::vector<Cycles>> streams;
     for (std::uint32_t i = 0; i < shards; ++i)
@@ -332,11 +349,10 @@ TEST(ShardedScheduler, EvictionKeepsShardStreamsPeriodicAndSessionBlind)
             const Cycles stride = 700 + 400 * s;
             std::uint64_t k = 0;
             for (Cycles t = 50 * s; t < horizon / 4; t += stride)
-                h.scheduler.submit(static_cast<std::uint32_t>(s), t,
-                                   timing::OramTransaction::real(
-                                       s * 1000 + 31 * k++));
+                h.submit(static_cast<std::uint32_t>(s), t,
+                         s * 1000 + 31 * k++);
         }
-        h.scheduler.run();
+        h.scheduler.runUntilIdle();
         h.scheduler.drainUntil(horizon);
         Run out;
         for (std::uint32_t i = 0; i < shards; ++i)
@@ -365,8 +381,8 @@ TEST(ShardedScheduler, BacklogDrainsFasterWithMoreShards)
         ShardedHarness h(shards);
         h.scheduler.openSession(7);
         for (std::uint64_t k = 0; k < 256; ++k)
-            h.scheduler.submit(0, k, timing::OramTransaction::real(k * 13));
-        return h.scheduler.run();
+            h.submit(0, k, k * 13);
+        return h.scheduler.runUntilIdle();
     };
     const Cycles one = span_of(1);
     const Cycles four = span_of(4);
@@ -386,7 +402,7 @@ TEST(ShardedScheduler, AdmissionUsesTheComposedLeakageBound)
     params.shards = 4;
     ASSERT_DOUBLE_EQ(params.oramTimingBits(), 128.0);
 
-    sim::OramScheduler sched(h.device, h.rates, h.sched, h.learner,
+    sim::RingScheduler sched(h.device, h.rates, h.sched, h.learner,
                              kShardRate, params);
     const auto single_ok = sched.openSession(1, 33.0);  // < composed
     const auto composed_ok = sched.openSession(2, 129.0);
@@ -419,11 +435,16 @@ TEST(ShardedScheduler, SharedMonitorBoundsTheSumAcrossShards)
     params.tmax = Cycles{1} << 30;
     const double budget = params.oramTimingBits() * 4 + 1.0; // composed + 1
 
-    sim::OramScheduler sched(device, rates, schedule, learner, 256, params);
+    sim::RingScheduler::Options opts;
+    opts.ringCapacity = 512;
+    sim::RingScheduler sched(device, rates, schedule, learner, 256, params,
+                             opts);
     sched.openSession(1, budget);
     for (int k = 0; k < 400; ++k)
-        sched.submit(0, k * 300, timing::OramTransaction::real(k * 7));
-    sched.run();
+        ASSERT_TRUE(sched.trySubmit(0, k * 300,
+                                    timing::OramTransaction::real(k * 7))
+                        .has_value());
+    sched.runUntilIdle();
     sched.drainUntil(Cycles{40'000'000});
 
     ASSERT_NE(sched.monitor(), nullptr);
