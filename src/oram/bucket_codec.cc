@@ -1,7 +1,5 @@
 #include "oram/bucket_codec.hh"
 
-#include <cstring>
-
 #include "common/log.hh"
 #include "oram/bucket.hh"
 
@@ -14,21 +12,28 @@ BucketCodec::BucketCodec(unsigned z, std::uint64_t block_bytes)
 }
 
 void
+BucketCodec::writeDummies(std::span<std::uint8_t> bucket,
+                          unsigned from) const
+{
+    for (unsigned i = from; i < z_; ++i) {
+        std::uint8_t *p = bucket.data() + i * slotBytes();
+        store64le(p, kInvalidId);
+        store64le(p + 8, 0);
+        std::memset(p + kHeaderBytes, 0, blockBytes_);
+    }
+}
+
+void
 BucketCodec::encode(const Bucket &bucket, std::span<std::uint8_t> out) const
 {
     tcoram_assert(bucket.slots().size() == z_, "bucket Z mismatch");
     tcoram_assert(out.size() == serializedBytes(),
                   "encode buffer size mismatch");
-    std::size_t off = 0;
-    for (const auto &s : bucket.slots()) {
+    for (unsigned i = 0; i < z_; ++i) {
+        const BlockSlot &s = bucket.slots()[i];
         tcoram_assert(s.payload.size() == blockBytes_,
                       "slot payload size mismatch");
-        for (int i = 0; i < 8; ++i)
-            out[off++] = static_cast<std::uint8_t>(s.id >> (8 * i));
-        for (int i = 0; i < 8; ++i)
-            out[off++] = static_cast<std::uint8_t>(s.leaf >> (8 * i));
-        std::memcpy(out.data() + off, s.payload.data(), blockBytes_);
-        off += blockBytes_;
+        writeSlot(out, i, s.id, s.leaf, s.payload);
     }
 }
 
@@ -38,42 +43,13 @@ BucketCodec::decode(std::span<const std::uint8_t> in, Bucket &bucket) const
     tcoram_assert(bucket.slots().size() == z_, "bucket Z mismatch");
     tcoram_assert(in.size() == serializedBytes(),
                   "decode buffer size mismatch");
-    std::size_t off = 0;
-    for (auto &s : bucket.slots()) {
-        s.id = 0;
-        s.leaf = 0;
-        for (int i = 0; i < 8; ++i)
-            s.id |= static_cast<std::uint64_t>(in[off++]) << (8 * i);
-        for (int i = 0; i < 8; ++i)
-            s.leaf |= static_cast<std::uint64_t>(in[off++]) << (8 * i);
-        s.payload.resize(blockBytes_);
-        std::memcpy(s.payload.data(), in.data() + off, blockBytes_);
-        off += blockBytes_;
+    for (unsigned i = 0; i < z_; ++i) {
+        const SlotView v = readSlot(in, i);
+        BlockSlot &s = bucket.slots()[i];
+        s.id = v.id;
+        s.leaf = v.leaf;
+        s.payload.assign(v.payload.begin(), v.payload.end());
     }
-}
-
-void
-BucketCodec::encodePath(std::span<const Bucket> buckets,
-                        std::span<std::uint8_t> out) const
-{
-    tcoram_assert(out.size() == pathBytes(
-                                    static_cast<unsigned>(buckets.size())),
-                  "encodePath buffer size mismatch");
-    const std::uint64_t sb = serializedBytes();
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        encode(buckets[i], out.subspan(i * sb, sb));
-}
-
-void
-BucketCodec::decodePath(std::span<const std::uint8_t> in,
-                        std::span<Bucket> buckets) const
-{
-    tcoram_assert(in.size() == pathBytes(
-                                   static_cast<unsigned>(buckets.size())),
-                  "decodePath buffer size mismatch");
-    const std::uint64_t sb = serializedBytes();
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        decode(in.subspan(i * sb, sb), buckets[i]);
 }
 
 } // namespace tcoram::oram

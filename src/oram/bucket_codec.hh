@@ -5,14 +5,22 @@
  * can run over caller-owned buffers. The layout is fixed-size: Z
  * repetitions of [8 B id | 8 B leaf | blockBytes payload], dummies
  * included, so every sealed bucket is indistinguishable by length.
+ *
+ * The ORAM datapath works slot by slot straight on the serialized
+ * path arena (readSlot()/writeSlot()/writeDummies()), so a block moves
+ * between the arena and the stash with one payload copy. The whole-
+ * Bucket encode()/decode() pair is the reference form the allocating
+ * Bucket helpers and the tests use.
  */
 
 #ifndef TCORAM_ORAM_BUCKET_CODEC_HH
 #define TCORAM_ORAM_BUCKET_CODEC_HH
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 
+#include "common/bitutils.hh"
 #include "common/types.hh"
 
 namespace tcoram::oram {
@@ -25,16 +33,60 @@ class BucketCodec
     /** Per-slot header: 8-byte id + 8-byte leaf, little-endian. */
     static constexpr std::uint64_t kHeaderBytes = 16;
 
+    /** One serialized slot, its payload viewed in place. */
+    struct SlotView
+    {
+        BlockId id;
+        Leaf leaf;
+        std::span<const std::uint8_t> payload;
+
+        bool isDummy() const { return id == kInvalidId; }
+    };
+
     BucketCodec(unsigned z, std::uint64_t block_bytes);
 
     unsigned z() const { return z_; }
     std::uint64_t blockBytes() const { return blockBytes_; }
 
+    /** Serialized size of one slot (header + payload). */
+    std::uint64_t slotBytes() const { return kHeaderBytes + blockBytes_; }
+
     /** Fixed serialized size of one bucket. */
-    std::uint64_t serializedBytes() const
+    std::uint64_t serializedBytes() const { return z_ * slotBytes(); }
+
+    /** Serialized size of a whole path of @p levels buckets, level i
+     *  at byte offset i * serializedBytes(). */
+    std::uint64_t
+    pathBytes(unsigned levels) const
     {
-        return z_ * (kHeaderBytes + blockBytes_);
+        return levels * serializedBytes();
     }
+
+    /** Decode slot @p i of the serialized bucket @p bucket without
+     *  copying its payload. */
+    SlotView
+    readSlot(std::span<const std::uint8_t> bucket, unsigned i) const
+    {
+        const std::uint8_t *p = bucket.data() + i * slotBytes();
+        return {load64le(p), load64le(p + 8),
+                {p + kHeaderBytes, blockBytes_}};
+    }
+
+    /** Serialize one block (exactly blockBytes of @p payload) into
+     *  slot @p i of the bucket @p bucket. */
+    void
+    writeSlot(std::span<std::uint8_t> bucket, unsigned i, BlockId id,
+              Leaf leaf, std::span<const std::uint8_t> payload) const
+    {
+        std::uint8_t *p = bucket.data() + i * slotBytes();
+        store64le(p, id);
+        store64le(p + 8, leaf);
+        std::memcpy(p + kHeaderBytes, payload.data(), blockBytes_);
+    }
+
+    /** Serialize slots [@p from, Z) of @p bucket as dummies: id
+     *  kInvalidId, leaf 0 and an all-zero payload. */
+    void writeDummies(std::span<std::uint8_t> bucket, unsigned from) const;
 
     /**
      * Serialize @p bucket into @p out (exactly serializedBytes()).
@@ -49,26 +101,6 @@ class BucketCodec
      * capacity.
      */
     void decode(std::span<const std::uint8_t> in, Bucket &bucket) const;
-
-    /** Serialized size of a whole path of @p levels buckets. */
-    std::uint64_t
-    pathBytes(unsigned levels) const
-    {
-        return levels * serializedBytes();
-    }
-
-    /**
-     * Serialize every bucket of a path into @p out, level i at byte
-     * offset i * serializedBytes(). Laying the plaintexts contiguously
-     * is what lets the ORAM encrypt a whole path with one batched CTR
-     * call. @p out must be exactly pathBytes(buckets.size()).
-     */
-    void encodePath(std::span<const Bucket> buckets,
-                    std::span<std::uint8_t> out) const;
-
-    /** Inverse of encodePath; rebuilds every level's bucket in place. */
-    void decodePath(std::span<const std::uint8_t> in,
-                    std::span<Bucket> buckets) const;
 
   private:
     unsigned z_;

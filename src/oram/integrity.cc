@@ -39,8 +39,10 @@ IntegrityVerifier::hashNode(std::uint64_t index) const
 std::vector<std::uint64_t>
 IntegrityVerifier::pathIndices(Leaf leaf) const
 {
+    const unsigned depth = oram_.depth();
     std::vector<std::uint64_t> path;
-    for (unsigned l = 0; l <= oram_.config().treeDepth(); ++l)
+    path.reserve(depth + 1);
+    for (unsigned l = 0; l <= depth; ++l)
         path.push_back(oram_.bucketIndexOnPath(leaf, l));
     return path;
 }

@@ -68,9 +68,11 @@ class IntegrityVerifier
     /** Digests recomputed since construction (cost accounting). */
     std::uint64_t hashesComputed() const { return hashes_; }
 
+    /** Bucket indices on the path to @p leaf, root first. */
+    std::vector<std::uint64_t> pathIndices(Leaf leaf) const;
+
   private:
     crypto::Digest256 hashNode(std::uint64_t index) const;
-    std::vector<std::uint64_t> pathIndices(Leaf leaf) const;
 
     const PathOram &oram_;
     std::vector<crypto::Digest256> nodeDigests_;

@@ -1,25 +1,30 @@
 /**
  * @file
  * Per-ORAM-instance scratch arena. Every buffer a path access needs —
- * the per-level plaintext buckets, the contiguous serialized-path
- * arena the batched CTR engine reads/writes, the CTR segment and
- * nonce scratch, the eviction sweep's level buckets, and the
- * physical-transaction trace — is allocated once here and reused, so
- * steady-state PathOram::access()/dummyAccess() perform zero heap
- * allocations. The stash's slot pool (oram/stash.hh) is the remaining
- * piece of the arena discipline.
+ * the contiguous serialized-path arena the batched CTR engine
+ * reads/writes, the CTR segment and nonce scratch, the eviction
+ * sweep's scratch, and the physical-transaction trace — is allocated
+ * once here and reused, so steady-state PathOram::access()/
+ * dummyAccess() perform zero heap allocations. The stash's slot pool
+ * (oram/stash.hh) is the remaining piece of the arena discipline.
+ *
+ * Blocks move between the arena and the stash with no intermediate
+ * Bucket objects: unpackInto() puts each real slot of the decrypted
+ * path into the stash, and evictFrom() writes each placed block
+ * straight into the arena — one payload copy per direction.
  */
 
 #ifndef TCORAM_ORAM_PATH_BUFFER_HH
 #define TCORAM_ORAM_PATH_BUFFER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/ctr.hh"
 #include "dram/memory_if.hh"
-#include "oram/bucket.hh"
 #include "oram/bucket_codec.hh"
+#include "oram/stash.hh"
 
 namespace tcoram::oram {
 
@@ -58,7 +63,10 @@ struct AccessTrace
     }
 };
 
-/** Reusable buffers for one PathOram instance. */
+/**
+ * Reusable buffers for one PathOram instance, and the two directions
+ * of the arena<->stash codec that run over them.
+ */
 struct PathBuffer
 {
     /**
@@ -69,29 +77,42 @@ struct PathBuffer
      *        sweep scratch
      */
     PathBuffer(unsigned z, std::uint64_t block_bytes, unsigned levels,
-               std::size_t stash_capacity)
-        : scratch(z, block_bytes),
-          plain(BucketCodec(z, block_bytes).serializedBytes()),
-          pathPlain(BucketCodec(z, block_bytes).pathBytes(levels))
+               std::size_t stash_capacity);
+
+    /** Tree levels the arena holds (depth + 1). */
+    unsigned levels() const
     {
-        levelBuckets.reserve(levels);
-        for (unsigned l = 0; l < levels; ++l)
-            levelBuckets.emplace_back(z, block_bytes);
-        segments.reserve(levels);
-        nonces.resize(levels);
-        levelCount.resize(levels);
-        levelCursor.resize(levels);
-        slotLevel.reserve(stash_capacity);
-        sortedSlots.reserve(stash_capacity);
-        pending.reserve(stash_capacity);
-        placed.reserve(stash_capacity);
-        trace.reserve(levels);
+        return static_cast<unsigned>(levelCount.size());
     }
 
-    Bucket scratch;                   ///< one-bucket scratch (init path)
-    std::vector<std::uint8_t> plain;  ///< serialized one-bucket scratch
+    /** Serialized bucket of level @p level inside pathPlain. */
+    std::span<std::uint8_t>
+    levelBytes(unsigned level)
+    {
+        const std::uint64_t sb = codec.serializedBytes();
+        return std::span<std::uint8_t>(pathPlain).subspan(level * sb, sb);
+    }
+
+    /**
+     * Arena -> stash: put every real slot of the decrypted path into
+     * @p stash straight from pathPlain, level by level and slot by
+     * slot. That order fixes the stash's visit order, and through the
+     * eviction sweep every later ciphertext.
+     */
+    void unpackInto(Stash &stash) const;
+
+    /**
+     * Stash -> arena: the eviction sweep for the path to @p leaf.
+     * Places each resident in the deepest bucket that is on both the
+     * path and its own path, writing the block straight into
+     * pathPlain (a full bucket carries the block up to shallower
+     * levels), serializes the free slots as dummies and releases the
+     * placed blocks from @p stash.
+     */
+    void evictFrom(Stash &stash, Leaf leaf);
+
+    BucketCodec codec;                   ///< slot wire format
     std::vector<std::uint8_t> pathPlain; ///< whole-path plaintext arena
-    std::vector<Bucket> levelBuckets; ///< plaintext bucket per level
 
     /** CTR segment list for the whole-path batched crypto call. */
     std::vector<crypto::CtrSegment> segments;

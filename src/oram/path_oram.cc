@@ -1,7 +1,6 @@
 #include "oram/path_oram.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/bitutils.hh"
 #include "common/log.hh"
@@ -23,6 +22,9 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
                    crypto::CryptoBackend backend,
                    std::optional<std::uint64_t> cipher_seed)
     : cfg_(cfg),
+      depth_(cfg.treeDepth()),
+      numLeaves_(std::uint64_t{1} << depth_),
+      bucketBytes_(cfg.bucketBytes()),
       posMap_(pos_map),
       cipher_(crypto::keyFromSeed(cipher_seed.value_or(key_seed)), backend),
       prf_(crypto::keyFromSeed(key_seed ^ 0x5eedf00dull), backend),
@@ -30,9 +32,8 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
       initLeafPrf_(crypto::keyFromSeed(key_seed ^ 0xf1657ace5ull), backend),
       touched_(cfg.numBlocks, false),
       stash_(cfg.stashCapacity, cfg.blockBytes),
-      codec_(cfg.z, cfg.blockBytes),
       baseAddr_(base_addr),
-      buf_(cfg.z, cfg.blockBytes, cfg.treeDepth() + 1, cfg.stashCapacity)
+      buf_(cfg.z, cfg.blockBytes, depth_ + 1, cfg.stashCapacity)
 {
     tcoram_assert(pos_map.size() >= cfg_.numBlocks,
                   "position map smaller than block count");
@@ -50,9 +51,10 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
     // in bulk and buckets encrypted kInitBatch at a time through the
     // batched CTR engine.
     const std::uint64_t buckets = cfg_.numBuckets();
-    const std::uint64_t sb = codec_.serializedBytes();
+    const std::uint64_t sb = buf_.codec.serializedBytes();
     dram_.resize(buckets);
-    codec_.encode(buf_.scratch, buf_.plain); // scratch starts all-dummy
+    std::vector<std::uint8_t> all_dummy(sb);
+    buf_.codec.writeDummies(all_dummy, 0);
 
     std::vector<std::uint64_t> nonces(
         std::min<std::uint64_t>(kInitBatch, buckets));
@@ -68,7 +70,7 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
             crypto::Ciphertext &ct = dram_[base + j];
             ct.nonce = nonces[j];
             ct.data.resize(sb);
-            segs.push_back({ct.nonce, buf_.plain, ct.data});
+            segs.push_back({ct.nonce, all_dummy, ct.data});
         }
         cipher_.xcryptSegments(segs);
         ++cryptoCalls_;
@@ -77,26 +79,10 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
 
 PathOram::~PathOram() = default;
 
-std::uint64_t
-PathOram::bucketIndexOnPath(Leaf leaf, unsigned level) const
-{
-    tcoram_assert(level <= cfg_.treeDepth(), "level beyond tree depth");
-    tcoram_assert(leaf < cfg_.numLeaves(), "leaf out of range");
-    // Heap numbering: root = 0; the path to `leaf` follows the leaf's
-    // bits from the most significant (below the root) downward.
-    std::uint64_t idx = 0;
-    for (unsigned l = 0; l < level; ++l) {
-        const std::uint64_t bit =
-            (leaf >> (cfg_.treeDepth() - 1 - l)) & 1;
-        idx = 2 * idx + 1 + bit;
-    }
-    return idx;
-}
-
 Addr
 PathOram::bucketAddr(std::uint64_t index) const
 {
-    return baseAddr_ + index * cfg_.bucketBytes();
+    return baseAddr_ + index * bucketBytes_;
 }
 
 const crypto::Ciphertext &
@@ -122,7 +108,7 @@ PathOram::nextLeaf()
     // Batched position-map remapping: leaves are drawn kLeafBatch at a
     // time through Prf::evalMany (one engine call), then consumed with
     // rejection sampling (a no-op for power-of-two leaf counts).
-    const std::uint64_t bound = cfg_.numLeaves();
+    const std::uint64_t bound = numLeaves_;
     const std::uint64_t threshold = -bound % bound;
     for (;;) {
         if (leafPos_ == leafCache_.size()) {
@@ -145,28 +131,17 @@ PathOram::readPath(Leaf leaf)
     }
     // Gather every bucket ciphertext on the path, decrypt them all
     // with ONE batched CTR call into the contiguous path arena, then
-    // decode level by level into the stash.
-    const unsigned levels = cfg_.treeDepth() + 1;
-    const std::uint64_t sb = codec_.serializedBytes();
+    // put the real slots straight from the arena into the stash.
     buf_.segments.clear();
-    for (unsigned level = 0; level < levels; ++level) {
+    for (unsigned level = 0; level <= depth_; ++level) {
         const std::uint64_t idx = bucketIndexOnPath(leaf, level);
-        buf_.trace.reads.push_back(
-            {bucketAddr(idx), cfg_.bucketBytes(), false});
+        buf_.trace.reads.push_back({bucketAddr(idx), bucketBytes_, false});
         const crypto::Ciphertext &ct = dram_[idx];
-        buf_.segments.push_back(
-            {ct.nonce, ct.data,
-             std::span<std::uint8_t>(buf_.pathPlain)
-                 .subspan(level * sb, sb)});
+        buf_.segments.push_back({ct.nonce, ct.data, buf_.levelBytes(level)});
     }
     cipher_.xcryptSegments(buf_.segments);
     ++cryptoCalls_;
-    codec_.decodePath(buf_.pathPlain, buf_.levelBuckets);
-
-    for (const Bucket &b : buf_.levelBuckets)
-        for (const auto &slot : b.slots())
-            if (!slot.isDummy())
-                stash_.put(slot);
+    buf_.unpackInto(stash_);
 }
 
 void
@@ -180,18 +155,16 @@ PathOram::verifiedReadPath(Leaf leaf)
     // decrypt. A mismatch discards the whole copy and re-reads; the
     // retry loop is bounded by the recovery budget, and each re-read
     // appears in the access trace (it moves real DRAM bytes).
-    const unsigned levels = cfg_.treeDepth() + 1;
-    const std::uint64_t sb = codec_.serializedBytes();
     const unsigned budget = recovery_->retryBudget();
     bool detected_any = false;
     for (unsigned attempt = 0;; ++attempt) {
         buf_.segments.clear();
         bool all_ok = true;
         std::uint64_t bad_idx = 0;
-        for (unsigned level = 0; level < levels; ++level) {
+        for (unsigned level = 0; level <= depth_; ++level) {
             const std::uint64_t idx = bucketIndexOnPath(leaf, level);
             buf_.trace.reads.push_back(
-                {bucketAddr(idx), cfg_.bucketBytes(), false});
+                {bucketAddr(idx), bucketBytes_, false});
             crypto::Ciphertext &copy = readScratch_[level];
             copy.nonce = dram_[idx].nonce;
             tcoram_assert(copy.data.size() == dram_[idx].data.size(),
@@ -208,9 +181,7 @@ PathOram::verifiedReadPath(Leaf leaf)
                 bad_idx = idx;
             }
             buf_.segments.push_back(
-                {copy.nonce, copy.data,
-                 std::span<std::uint8_t>(buf_.pathPlain)
-                     .subspan(level * sb, sb)});
+                {copy.nonce, copy.data, buf_.levelBytes(level)});
         }
         if (all_ok)
             break;
@@ -232,103 +203,16 @@ PathOram::verifiedReadPath(Leaf leaf)
 
     cipher_.xcryptSegments(buf_.segments);
     ++cryptoCalls_;
-    codec_.decodePath(buf_.pathPlain, buf_.levelBuckets);
-
-    for (const Bucket &b : buf_.levelBuckets)
-        for (const auto &slot : b.slots())
-            if (!slot.isDummy())
-                stash_.put(slot);
-}
-
-int
-PathOram::deepestLegalLevel(Leaf leaf, Leaf block_leaf) const
-{
-    // The deepest common level of path(leaf) and path(block_leaf) is
-    // the length of the common prefix of their leaf bits: depth minus
-    // the bit width of the XOR of the two labels.
-    const unsigned depth = cfg_.treeDepth();
-    const std::uint64_t x = leaf ^ block_leaf;
-    if (x == 0)
-        return static_cast<int>(depth);
-    return static_cast<int>(depth) - static_cast<int>(std::bit_width(x));
-}
-
-void
-PathOram::evictIntoLevelBuckets(Leaf leaf)
-{
-    // Greedy write-back, deepest level first (standard Path ORAM
-    // eviction): place each stash block in the deepest bucket on the
-    // accessed path that is also on the block's own path.
-    //
-    // Each resident's deepest legal level is computed once (XOR of
-    // leaf labels), then a stable counting sort buckets the sweep by
-    // level — O(stash + levels) instead of a full stash rescan with a
-    // per-slot bit walk at every level.
-    const unsigned depth = cfg_.treeDepth();
-    const unsigned levels = depth + 1;
-    const auto active = stash_.activeIndices();
-    const std::size_t n = active.size();
-
-    buf_.slotLevel.resize(n);
-    std::fill(buf_.levelCount.begin(), buf_.levelCount.end(), 0u);
-    for (std::size_t i = 0; i < n; ++i) {
-        const int dl =
-            deepestLegalLevel(leaf, stash_.poolSlot(active[i]).leaf);
-        tcoram_assert(dl >= 0 && dl <= static_cast<int>(depth),
-                      "deepest legal level out of range");
-        buf_.slotLevel[i] = static_cast<std::uint32_t>(dl);
-        ++buf_.levelCount[static_cast<std::uint32_t>(dl)];
-    }
-
-    // Counting-sort offsets, deepest level first; ties keep the
-    // stash's deterministic visit order (stable).
-    std::uint32_t acc = 0;
-    for (unsigned l = levels; l-- > 0;) {
-        buf_.levelCursor[l] = acc;
-        acc += buf_.levelCount[l];
-    }
-    buf_.sortedSlots.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        buf_.sortedSlots[buf_.levelCursor[buf_.slotLevel[i]]++] = active[i];
-
-    // Deepest-first fill with an overflow carry: a block whose level-L
-    // bucket is full stays eligible for every shallower level on the
-    // path (its legality constraint is dl >= level).
-    buf_.pending.clear();
-    buf_.placed.clear();
-    std::size_t next = 0; // cursor into sortedSlots
-    for (unsigned l = levels; l-- > 0;) {
-        Bucket &b = buf_.levelBuckets[l];
-        b.clear();
-        std::size_t keep = 0;
-        for (const std::uint32_t idx : buf_.pending) {
-            if (b.insert(stash_.poolSlot(idx)))
-                buf_.placed.push_back(idx);
-            else
-                buf_.pending[keep++] = idx;
-        }
-        buf_.pending.resize(keep);
-        const std::size_t end = next + buf_.levelCount[l];
-        for (; next < end; ++next) {
-            const std::uint32_t idx = buf_.sortedSlots[next];
-            if (b.insert(stash_.poolSlot(idx)))
-                buf_.placed.push_back(idx);
-            else
-                buf_.pending.push_back(idx);
-        }
-    }
-    stash_.releaseMany(buf_.placed);
+    buf_.unpackInto(stash_);
 }
 
 void
 PathOram::writePath(Leaf leaf)
 {
-    const unsigned depth = cfg_.treeDepth();
-    const unsigned levels = depth + 1;
-    const std::uint64_t sb = codec_.serializedBytes();
+    const unsigned levels = depth_ + 1;
+    const std::uint64_t sb = buf_.codec.serializedBytes();
 
-    evictIntoLevelBuckets(leaf);
-    codec_.encodePath(buf_.levelBuckets, buf_.pathPlain);
+    buf_.evictFrom(stash_, leaf);
 
     // Fresh nonces for the whole path in one batched PRF call (drawn
     // deepest level first, preserving the historical stream order),
@@ -339,16 +223,11 @@ PathOram::writePath(Leaf leaf)
     buf_.segments.clear();
     for (unsigned l = levels, k = 0; l-- > 0; ++k) {
         const std::uint64_t idx = bucketIndexOnPath(leaf, l);
-        buf_.trace.writes.push_back(
-            {bucketAddr(idx), cfg_.bucketBytes(), true});
+        buf_.trace.writes.push_back({bucketAddr(idx), bucketBytes_, true});
         crypto::Ciphertext &ct = dram_[idx];
         ct.nonce = buf_.nonces[k];
         tcoram_assert(ct.data.size() == sb, "bucket ciphertext size drift");
-        buf_.segments.push_back(
-            {ct.nonce,
-             std::span<const std::uint8_t>(buf_.pathPlain)
-                 .subspan(l * sb, sb),
-             ct.data});
+        buf_.segments.push_back({ct.nonce, buf_.levelBytes(l), ct.data});
     }
     cipher_.xcryptSegments(buf_.segments);
     ++cryptoCalls_;
@@ -386,8 +265,7 @@ PathOram::beginAccess(BlockId id)
     // the per-access quota.
     const bool first = !touched_[id];
     const Leaf subst =
-        first ? static_cast<Leaf>(initLeafPrf_.next64() &
-                                  (cfg_.numLeaves() - 1))
+        first ? static_cast<Leaf>(initLeafPrf_.next64() & (numLeaves_ - 1))
               : 0;
     if (first)
         ++initDraws_;
@@ -474,7 +352,7 @@ PathOram::evictPath(Leaf leaf)
     // run with background evictions consumes exactly the same seeded
     // leaf stream as one without, and the wire traffic per eviction is
     // identical to a dummy access on this leaf.
-    tcoram_assert(leaf < cfg_.numLeaves(), "eviction leaf out of range");
+    tcoram_assert(leaf < numLeaves_, "eviction leaf out of range");
     buf_.trace.clear();
     lastRetries_ = 0;
     lastDetected_ = 0;
@@ -496,8 +374,7 @@ PathOram::checkInvariant(const std::vector<BlockId> &ids)
             continue;
         const Leaf leaf = posMap_.get(id);
         bool found = false;
-        for (unsigned level = 0; level <= cfg_.treeDepth() && !found;
-             ++level) {
+        for (unsigned level = 0; level <= depth_ && !found; ++level) {
             const std::uint64_t idx = bucketIndexOnPath(leaf, level);
             Bucket b = Bucket::unseal(dram_[idx], cipher_, cfg_.z,
                                       cfg_.blockBytes);
@@ -518,8 +395,8 @@ PathOram::enableIntegrity(std::uint64_t mac_seed, unsigned retry_budget)
     recovery_ = std::make_unique<RecoveryEngine>(retry_budget);
     for (std::uint64_t i = 0; i < dram_.size(); ++i)
         auth_->commit(i, dram_[i]);
-    const std::uint64_t sb = codec_.serializedBytes();
-    readScratch_.resize(cfg_.treeDepth() + 1);
+    const std::uint64_t sb = buf_.codec.serializedBytes();
+    readScratch_.resize(depth_ + 1);
     for (crypto::Ciphertext &ct : readScratch_)
         ct.data.resize(sb);
 }
@@ -571,7 +448,7 @@ PathOram::saveState(ByteWriter &w) const
         w.u64(v);
     w.u64(leafPos_);
 
-    const std::uint64_t sb = codec_.serializedBytes();
+    const std::uint64_t sb = buf_.codec.serializedBytes();
     w.u64(dram_.size());
     w.u64(sb);
     for (const crypto::Ciphertext &ct : dram_) {
@@ -608,7 +485,7 @@ PathOram::restoreState(ByteReader &r)
 
     tcoram_assert(r.u64() == dram_.size(), "snapshot tree size mismatch");
     const std::uint64_t sb = r.u64();
-    tcoram_assert(sb == codec_.serializedBytes(),
+    tcoram_assert(sb == buf_.codec.serializedBytes(),
                   "snapshot bucket size mismatch");
     for (crypto::Ciphertext &ct : dram_) {
         ct.nonce = r.u64();
@@ -756,7 +633,7 @@ RecursivePathOram::finishLogicalAccess([[maybe_unused]] bool remapping)
     for (std::size_t i = 0; i < treeCount(); ++i) {
         const PathOram &t = tree(i);
         const PathOram::DrawStats d = t.drawStats();
-        const std::uint64_t levels = t.config().treeDepth() + 1;
+        const std::uint64_t levels = t.depth() + 1;
         tcoram_dassert(d.nonces - drawSnap_[i].nonces == levels,
                        "tree ", i, " nonce draw quota violated");
         tcoram_dassert(d.leaves - drawSnap_[i].leaves == 1,
@@ -809,13 +686,12 @@ RecursivePathOram::backgroundEvict(std::uint64_t g)
     // One eviction pass touches every tree, like a dummy access, on
     // each tree's reverse-lexicographic schedule leaf for counter g.
     for (auto &stage : recursion_) {
-        const OramConfig &c = stage->oram.config();
-        stage->oram.evictPath(EvictionEngine::scheduleLeaf(
-            g, c.treeDepth(), c.numLeaves()));
+        PathOram &t = stage->oram;
+        t.evictPath(
+            EvictionEngine::scheduleLeaf(g, t.depth(), t.numLeaves()));
     }
-    const OramConfig &c = data_->config();
-    data_->evictPath(
-        EvictionEngine::scheduleLeaf(g, c.treeDepth(), c.numLeaves()));
+    data_->evictPath(EvictionEngine::scheduleLeaf(g, data_->depth(),
+                                                  data_->numLeaves()));
 }
 
 std::uint64_t

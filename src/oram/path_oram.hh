@@ -15,8 +15,11 @@
  * The access datapath is allocation-free in steady state: bucket
  * (de)serialization, encryption, the stash, and the transaction trace
  * all run over the per-instance PathBuffer arena and the stash's slot
- * pool. accessInto() is the zero-copy entry point; the vector-returning
- * access() is a convenience wrapper for tests and examples.
+ * pool. Blocks move between the decrypted path arena and the stash
+ * slot by slot, with one payload copy per direction and no
+ * intermediate Bucket objects. accessInto() is the zero-copy entry
+ * point; the vector-returning access() is a convenience wrapper for
+ * tests and examples.
  *
  * Crypto is batched at path granularity: a path read decrypts every
  * bucket on the path with ONE CtrCipher::xcryptSegments call (each
@@ -26,7 +29,9 @@
  * leaves are likewise drawn through the PRF's batched entry points.
  * Stash eviction precomputes each resident's deepest legal level once
  * per access (XOR of leaf labels) and buckets the sweep by level
- * instead of rescanning the stash per tree level.
+ * instead of rescanning the stash per tree level. The tree geometry
+ * (depth, leaf count, bucket bytes) is derived once at construction,
+ * so a path's bucket indices are O(1) each.
  *
  * The access itself is phase-split: beginAccess() performs the fused
  * position-map update (PositionMapIf::update — ONE recursive access
@@ -46,12 +51,12 @@
 #include <span>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/serial.hh"
 #include "crypto/ctr.hh"
 #include "crypto/prf.hh"
 #include "dram/memory_if.hh"
 #include "oram/bucket.hh"
-#include "oram/bucket_codec.hh"
 #include "oram/oram_config.hh"
 #include "oram/path_buffer.hh"
 #include "oram/position_map.hh"
@@ -188,6 +193,9 @@ class PathOram
     Leaf lastAccessedLeaf() const { return lastLeaf_; }
 
     const OramConfig &config() const { return cfg_; }
+    /** config().treeDepth() and config().numLeaves(), computed once. */
+    unsigned depth() const { return depth_; }
+    std::uint64_t numLeaves() const { return numLeaves_; }
     const Stash &stash() const { return stash_; }
     std::uint64_t accessCount() const { return accesses_; }
 
@@ -199,7 +207,27 @@ class PathOram
     bool checkInvariant(const std::vector<BlockId> &ids);
 
     /** Bucket index of level @p level on the path to @p leaf. */
-    std::uint64_t bucketIndexOnPath(Leaf leaf, unsigned level) const;
+    std::uint64_t
+    bucketIndexOnPath(Leaf leaf, unsigned level) const
+    {
+        tcoram_assert(level <= depth_, "level beyond tree depth");
+        tcoram_assert(leaf < numLeaves_, "leaf out of range");
+        return heapIndexOnPath(leaf, level, depth_);
+    }
+
+    /**
+     * Heap numbering (root = 0, level l starts at 2^l - 1) of the
+     * level-@p level bucket on the path to @p leaf in a tree of depth
+     * @p depth. The path follows the leaf's bits from the most
+     * significant (below the root) downward, so the bucket is the one
+     * the top @p level bits name: O(1), no bit walk. Unchecked; the
+     * caller keeps level <= depth < 64.
+     */
+    static constexpr std::uint64_t
+    heapIndexOnPath(Leaf leaf, unsigned level, unsigned depth)
+    {
+        return ((std::uint64_t{1} << level) - 1) + (leaf >> (depth - level));
+    }
 
     /**
      * Adversary action (threat model §4.3): flip one bit of a stored
@@ -255,17 +283,18 @@ class PathOram
     void readPath(Leaf leaf);
     /** readPath with per-bucket authentication and bounded retry. */
     void verifiedReadPath(Leaf leaf);
-    /** Batched write-back: evict, encode, one CTR call. */
+    /** Batched write-back: eviction sweep into the arena, one CTR
+     *  call. */
     void writePath(Leaf leaf);
-    /** Eviction sweep, bucketed by precomputed deepest legal level. */
-    void evictIntoLevelBuckets(Leaf leaf);
     /** Fresh uniform leaf from the batched remap cache. */
     Leaf nextLeaf();
-    /** Deepest level on path-to-@p leaf where a block mapped to
-     *  @p block_leaf may live (common-prefix length via XOR). */
-    int deepestLegalLevel(Leaf leaf, Leaf block_leaf) const;
 
     OramConfig cfg_;
+    // Geometry derived once from cfg_ (treeDepth() is a divide and a
+    // log2 per call): the path loops read these instead.
+    unsigned depth_;
+    std::uint64_t numLeaves_;
+    std::uint64_t bucketBytes_;
     PositionMapIf &posMap_;
     crypto::CtrCipher cipher_;
     crypto::Prf prf_;
@@ -276,7 +305,6 @@ class PathOram
     std::vector<std::uint64_t> leafCache_;
     std::size_t leafPos_ = 0;
     Stash stash_;
-    BucketCodec codec_;
     Addr baseAddr_;
     std::vector<crypto::Ciphertext> dram_;
     PathBuffer buf_;

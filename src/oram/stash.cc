@@ -46,17 +46,14 @@ Stash::allocSlot(BlockId id)
 }
 
 void
-Stash::put(const BlockSlot &slot)
+Stash::put(BlockId id, Leaf leaf, std::span<const std::uint8_t> payload)
 {
-    tcoram_assert(!slot.isDummy(), "stash holds only real blocks");
-    if (BlockSlot *existing = find(slot.id)) {
-        existing->leaf = slot.leaf;
-        existing->payload = slot.payload;
-        return;
-    }
-    BlockSlot &s = allocSlot(slot.id);
-    s.leaf = slot.leaf;
-    s.payload = slot.payload;
+    tcoram_assert(id != kInvalidId, "stash holds only real blocks");
+    BlockSlot *s = find(id);
+    if (s == nullptr)
+        s = &allocSlot(id);
+    s->leaf = leaf;
+    s->payload.assign(payload.begin(), payload.end());
 }
 
 BlockSlot *

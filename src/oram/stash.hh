@@ -37,8 +37,12 @@ class Stash
     explicit Stash(std::size_t capacity,
                    std::uint64_t block_bytes_hint = 0);
 
-    /** Add a block (replacing any prior copy with the same id). */
-    void put(const BlockSlot &slot);
+    /**
+     * Add block @p id with @p leaf and a copy of @p payload, replacing
+     * any prior copy with the same id. Allocation-free in steady state
+     * (pooled payload buffers keep their capacity).
+     */
+    void put(BlockId id, Leaf leaf, std::span<const std::uint8_t> payload);
 
     /**
      * Insert a zero-filled block for @p id (must be absent) and return

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <numeric>
 #include <thread>
 
 #include "common/log.hh"
@@ -101,7 +103,28 @@ KvServingRun::releaseSlot(Session &s)
         return;
     slotBusy_[static_cast<std::uint64_t>(s.heldSlot)].store(
         0, std::memory_order_release);
+    if (!waiters_.empty())
+        wakeFirstWaiter(s.heldSlot);
     s.heldSlot = -1;
+}
+
+void
+KvServingRun::wakeFirstWaiter(std::int64_t slot)
+{
+    std::vector<std::uint32_t> &w = waiters_[static_cast<std::uint64_t>(slot)];
+    if (w.empty())
+        return;
+    // Between passes passCursor_ is kNoSession, so nothing is ahead.
+    auto it = std::upper_bound(w.begin(), w.end(), passCursor_);
+    if (it != w.end()) {
+        readyNow_.push_back(*it);
+        std::push_heap(readyNow_.begin(), readyNow_.end(),
+                       std::greater<>());
+    } else {
+        it = w.begin();
+        readyNext_.push_back(*it);
+    }
+    w.erase(it);
 }
 
 KvServingRun::~KvServingRun() = default;
@@ -152,7 +175,7 @@ KvServingRun::checkValue(std::span<const std::uint8_t> value,
     return true;
 }
 
-bool
+KvServingRun::Advance
 KvServingRun::advanceSession(Session &s)
 {
     using workload::WorkloadOp;
@@ -160,16 +183,19 @@ KvServingRun::advanceSession(Session &s)
     for (;;) {
         if (!s.cursor.done()) {
             const KvOpCursor::Step st = s.cursor.nextStep();
-            if (!reserveSlot(s, slotOfBlock(st.blockId)))
-                return false; // slot held by another op; retry later
+            const std::int64_t slot = slotOfBlock(st.blockId);
+            if (!reserveSlot(s, slot)) {
+                s.stalledOn = slot; // held by another op
+                return Advance::SlotBusy;
+            }
             timing::OramTransaction txn = timing::OramTransaction::real(
                 st.blockId, st.isWrite, s.sid);
             txn.data = st.data;
             txn.out = st.out;
             if (!stack_->scheduler().trySubmit(s.sid, s.clock, txn).has_value())
-                return false; // lane at backpressure bound; retry later
+                return Advance::RingFull;
             s.awaiting = true;
-            return true;
+            return Advance::Progress;
         }
         if (s.opKind == WorkloadOpKind::Scan && s.scanLeft > 0) {
             s.opKey = s.scanKey++;
@@ -184,7 +210,7 @@ KvServingRun::advanceSession(Session &s)
             continue;
         case WorkloadOpKind::End:
             s.ended = true;
-            return true;
+            return Advance::Progress;
         case WorkloadOpKind::Get:
             s.opKind = WorkloadOpKind::Get;
             s.opKey = op.key;
@@ -261,26 +287,54 @@ KvServingRun::run()
 {
     tcoram_assert(!ran_, "kv serving run already driven");
     ran_ = true;
-    for (;;) {
-        // Submission pass in session-id order, then one pump, then a
-        // completion pass in lane order: every step deterministic, so
-        // the whole run is a pure function of the config.
-        for (Session &s : sessions_)
-            if (!s.ended && !s.awaiting)
-                advanceSession(s);
-        stack_->scheduler().runUntilIdle();
-        SessionRing::Completion c;
-        for (std::size_t l = 0; l < cfg_.lanes; ++l)
-            while (stack_->scheduler().lane(l).popCompletion(c))
-                handleCompletion(c);
-        bool done = true;
-        for (const Session &s : sessions_)
-            if (!s.ended || s.awaiting) {
-                done = false;
+    // Every session is ready at the start; afterwards a session is in
+    // exactly one place: a ready set, a slot's wait list, in flight
+    // (readied by its completion) or ended.
+    waiters_.resize(cfg_.kv.homeSlots);
+    readyNext_.resize(sessions_.size());
+    std::iota(readyNext_.begin(), readyNext_.end(), 0u);
+    std::size_t live = sessions_.size();
+    while (live > 0) {
+        // Submission pass over the ready sessions in id order, then one
+        // pump, then a completion pass in lane order: every step
+        // deterministic, so the whole run is a pure function of the
+        // config.
+        readyNow_.swap(readyNext_);
+        readyNext_.clear();
+        std::make_heap(readyNow_.begin(), readyNow_.end(),
+                       std::greater<>());
+        while (!readyNow_.empty()) {
+            std::pop_heap(readyNow_.begin(), readyNow_.end(),
+                          std::greater<>());
+            passCursor_ = readyNow_.back();
+            readyNow_.pop_back();
+            Session &s = sessions_[passCursor_];
+            switch (advanceSession(s)) {
+            case Advance::Progress:
+                if (s.ended)
+                    --live;
+                break;
+            case Advance::SlotBusy: {
+                std::vector<std::uint32_t> &w =
+                    waiters_[static_cast<std::uint64_t>(s.stalledOn)];
+                w.insert(std::upper_bound(w.begin(), w.end(), passCursor_),
+                         passCursor_);
                 break;
             }
-        if (done)
-            break;
+            case Advance::RingFull:
+                readyNext_.push_back(passCursor_);
+                break;
+            }
+        }
+        passCursor_ = kNoSession;
+        stack_->scheduler().runUntilIdle();
+        SessionRing::Completion c;
+        for (std::size_t l = 0; l < cfg_.lanes; ++l) {
+            while (stack_->scheduler().lane(l).popCompletion(c)) {
+                handleCompletion(c);
+                readyNext_.push_back(c.sessionId);
+            }
+        }
     }
     drainTail();
 }
@@ -312,7 +366,8 @@ KvServingRun::runMultiProducer()
                     continue;
                 }
                 lane_done = false;
-                if (!s.awaiting && advanceSession(s))
+                if (!s.awaiting &&
+                    advanceSession(s) == Advance::Progress)
                     progress = true;
             }
             if (lane_done)

@@ -12,11 +12,12 @@
  *
  * Two drive modes:
  *
- *  - run(): one producer, sessions advanced in id order between
+ *  - run(): one producer, ready sessions advanced in id order between
  *    scheduler pumps. Fully deterministic — the observable shard
  *    streams, stats and stream CSV are bit-identical across scheduler
- *    worker counts (the PR 6 phased-round contract carries through
- *    the KV layer).
+ *    worker counts (the phased-round contract carries through the KV
+ *    layer). A session stalled on a held home slot is not ready again
+ *    until that slot is released (wake-on-release, see run()).
  *  - runMultiProducer(): one client thread per lane, each owning its
  *    lane's sessions and SPSC ring endpoints while the main thread
  *    pumps the scheduler — the true multi-producer ingress path. All
@@ -163,12 +164,22 @@ class KvServingRun
         /** Home slot this session's in-flight op has reserved
          *  (slot-serialization below), -1 when none. */
         std::int64_t heldSlot = -1;
+        /** Slot whose reservation was last refused (Advance::SlotBusy). */
+        std::int64_t stalledOn = -1;
     };
 
-    /** Pull ops / submit the next cursor step for one session.
-     *  @return false when the lane ring is at its backpressure
-     *  bound (retry after a pump). */
-    bool advanceSession(Session &s);
+    /** Outcome of advanceSession(). */
+    enum class Advance : std::uint8_t
+    {
+        Progress, ///< step submitted, or the session ended
+        SlotBusy, ///< stalled on the home slot in Session::stalledOn
+        RingFull, ///< lane ring at its backpressure bound
+    };
+
+    /** Pull ops / submit the next cursor step for one session. A
+     *  refused step is retried by calling again: the cursor's step
+     *  is idempotent until its completion. */
+    Advance advanceSession(Session &s);
     void handleCompletion(const SessionRing::Completion &c);
     void finishOp(Session &s);
     void drainTail();
@@ -190,6 +201,33 @@ class KvServingRun
     std::int64_t slotOfBlock(std::uint64_t block_id) const;
     bool reserveSlot(Session &s, std::int64_t slot);
     void releaseSlot(Session &s);
+
+    // --- Wake-on-release (run() only) -----------------------------------
+    //
+    // run() keeps a session stalled on a held slot off the ready set
+    // until the slot is released: retrying earlier would fail, and a
+    // failed retry by a session that holds no slot (a stalled session
+    // released its old slot before asking for the new one) has no side
+    // effect. A release wakes the one waiter a full id-order scan
+    // would reach first — the lowest id ahead of the pass cursor,
+    // visited later in the same pass, else the lowest id, visited
+    // first in the next pass. The other waiters would find the slot
+    // held again: the woken one takes it unless an earlier visit
+    // already has, and a taker releases it no sooner than its next
+    // completion, which wakes the next waiter.
+    static constexpr std::uint32_t kNoSession = ~std::uint32_t{0};
+    void wakeFirstWaiter(std::int64_t slot);
+
+    /** Per home slot, the stalled sessions in ascending id order;
+     *  empty outside run(), so lane threads never touch it. */
+    std::vector<std::vector<std::uint32_t>> waiters_;
+    /** Min-heap of sessions still to visit in the current pass. */
+    std::vector<std::uint32_t> readyNow_;
+    /** Sessions to visit in the next pass. */
+    std::vector<std::uint32_t> readyNext_;
+    /** Session the current pass is advancing; kNoSession between
+     *  passes. */
+    std::uint32_t passCursor_ = kNoSession;
 
     KvServingConfig cfg_;
     KVBackend backend_;

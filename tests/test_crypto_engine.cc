@@ -5,13 +5,15 @@
  * the batched CTR against a faithful replay of the seed scalar CTR,
  * segment batching, batched PRF evaluation, the bucket wire-format
  * golden vector that pins ciphertext bit-compatibility across
- * backends, path-level encode/decode, and cross-backend equality of
- * whole ORAM DRAM images.
+ * backends, the arena<->stash path codec against its Bucket-based
+ * reference, and cross-backend equality of whole ORAM DRAM images.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -21,6 +23,7 @@
 #include "crypto/sha256.hh"
 #include "oram/bucket.hh"
 #include "oram/bucket_codec.hh"
+#include "oram/path_buffer.hh"
 #include "oram/path_oram.hh"
 #include "oram/stash.hh"
 
@@ -294,45 +297,155 @@ TEST(BucketWireFormat, GoldenVectorAcrossBackends)
     }
 }
 
-TEST(PathCodec, EncodeDecodePathRoundTrip)
+/**
+ * Reference form of the path codec: per-level Bucket objects filled by
+ * Bucket::insert (carried blocks first, then the level's own
+ * residents, deepest level first) and serialized with the whole-bucket
+ * BucketCodec::encode; the read side decodes whole buckets and puts
+ * their real slots level by level.
+ */
+void
+referenceEvict(oram::Stash &st, const oram::BucketCodec &codec, Leaf leaf,
+               unsigned levels, std::vector<std::uint8_t> &arena)
 {
-    const unsigned levels = 5;
-    oram::BucketCodec codec(3, 64);
-    std::vector<oram::Bucket> path, decoded;
-    Rng rng(17);
-    for (unsigned l = 0; l < levels; ++l) {
-        oram::Bucket b(3, 64);
-        oram::BlockSlot s;
-        s.id = l + 1;
-        s.leaf = rng.next();
-        s.payload.resize(64);
-        for (auto &x : s.payload)
-            x = static_cast<std::uint8_t>(rng.next());
-        EXPECT_TRUE(b.insert(s));
-        path.push_back(b);
-        decoded.emplace_back(3, 64);
-    }
-
-    std::vector<std::uint8_t> arena(codec.pathBytes(levels));
-    codec.encodePath(path, arena);
-
-    // Path layout is exactly the per-bucket layout, concatenated.
-    for (unsigned l = 0; l < levels; ++l) {
-        std::vector<std::uint8_t> one(codec.serializedBytes());
-        codec.encode(path[l], one);
-        EXPECT_TRUE(std::equal(one.begin(), one.end(),
-                               arena.begin() + l * codec.serializedBytes()))
-            << "level " << l;
-    }
-
-    codec.decodePath(arena, decoded);
-    for (unsigned l = 0; l < levels; ++l) {
-        for (unsigned i = 0; i < 3; ++i) {
-            EXPECT_EQ(decoded[l].slots()[i].id, path[l].slots()[i].id);
-            EXPECT_EQ(decoded[l].slots()[i].leaf, path[l].slots()[i].leaf);
-            EXPECT_EQ(decoded[l].slots()[i].payload,
-                      path[l].slots()[i].payload);
+    const unsigned depth = levels - 1;
+    std::vector<std::uint32_t> pending, placed;
+    for (unsigned l = levels; l-- > 0;) {
+        oram::Bucket b(codec.z(), codec.blockBytes());
+        std::vector<std::uint32_t> candidates = pending;
+        for (const std::uint32_t idx : st.activeIndices()) {
+            // Deepest common level of the two paths, by a bit walk.
+            const Leaf own = st.poolSlot(idx).leaf;
+            unsigned dl = 0;
+            while (dl < depth &&
+                   ((leaf >> (depth - 1 - dl)) & 1) ==
+                       ((own >> (depth - 1 - dl)) & 1))
+                ++dl;
+            if (dl == l)
+                candidates.push_back(idx);
         }
+        pending.clear();
+        for (const std::uint32_t idx : candidates) {
+            if (b.insert(st.poolSlot(idx)))
+                placed.push_back(idx);
+            else
+                pending.push_back(idx);
+        }
+        codec.encode(b, std::span<std::uint8_t>(arena).subspan(
+                            l * codec.serializedBytes(),
+                            codec.serializedBytes()));
+    }
+    st.releaseMany(placed);
+}
+
+void
+referenceUnpack(const std::vector<std::uint8_t> &arena,
+                const oram::BucketCodec &codec, unsigned levels,
+                oram::Stash &st)
+{
+    oram::Bucket b(codec.z(), codec.blockBytes());
+    for (unsigned l = 0; l < levels; ++l) {
+        codec.decode(std::span<const std::uint8_t>(arena).subspan(
+                         l * codec.serializedBytes(),
+                         codec.serializedBytes()),
+                     b);
+        for (const oram::BlockSlot &s : b.slots())
+            if (!s.isDummy())
+                st.put(s.id, s.leaf, s.payload);
+    }
+}
+
+/** Residents in visit order, with leaves and payloads. */
+std::vector<std::tuple<BlockId, Leaf, std::vector<std::uint8_t>>>
+stashContents(const oram::Stash &st)
+{
+    std::vector<std::tuple<BlockId, Leaf, std::vector<std::uint8_t>>> out;
+    for (const std::uint32_t idx : st.activeIndices()) {
+        const oram::BlockSlot &s = st.poolSlot(idx);
+        out.emplace_back(s.id, s.leaf, s.payload);
+    }
+    return out;
+}
+
+TEST(PathCodec, ArenaCodecMatchesBucketReference)
+{
+    // The arena writer (PathBuffer::evictFrom) and reader
+    // (PathBuffer::unpackInto) against the Bucket-based reference, on
+    // random stash states: the serialized plaintext and the stash's
+    // visit order afterwards must be equal byte for byte.
+    struct Geometry
+    {
+        unsigned z;
+        std::uint64_t blockBytes;
+        unsigned depth;
+    };
+    const Geometry geometries[] = {
+        {3, 64, 0}, {1, 32, 0}, {1, 64, 4}, {3, 32, 5},
+        {4, 64, 3}, {4, 32, 6}, {3, 64, 7},
+    };
+    constexpr std::size_t kCapacity = 600;
+    for (const Geometry &g : geometries) {
+        const unsigned levels = g.depth + 1;
+        const std::uint64_t leaves = std::uint64_t{1} << g.depth;
+        oram::PathBuffer buf(g.z, g.blockBytes, levels, kCapacity);
+        const oram::BucketCodec &codec = buf.codec;
+        std::vector<std::uint8_t> ref_arena(buf.pathPlain.size());
+        oram::Stash fast(kCapacity, g.blockBytes);
+        oram::Stash ref(kCapacity, g.blockBytes);
+        Rng rng(1000 + g.z * 100 + g.blockBytes + g.depth);
+        BlockId next_id = 0;
+        std::vector<std::uint8_t> payload(g.blockBytes);
+        const std::string where = "Z=" + std::to_string(g.z) + " B=" +
+                                  std::to_string(g.blockBytes) +
+                                  " depth=" + std::to_string(g.depth);
+
+        for (int round = 0; round < 60; ++round) {
+            const Leaf leaf = rng.nextBounded(leaves);
+            // Round 0 sweeps an empty stash: an all-dummy path. Every
+            // fifth round piles blocks onto the swept leaf itself, more
+            // than its whole path holds, forcing the overflow carry
+            // (and leaving the surplus resident).
+            std::size_t fresh = round == 0 ? 0 : rng.nextBounded(12);
+            if (round > 0 && round % 5 == 0)
+                fresh = g.z * levels + 3;
+            for (std::size_t k = 0; k < fresh; ++k) {
+                if (fast.size() + 1 >= kCapacity)
+                    break;
+                const Leaf own = (round % 5 == 0) ? leaf
+                                                  : rng.nextBounded(leaves);
+                for (auto &x : payload)
+                    x = static_cast<std::uint8_t>(rng.next());
+                fast.put(next_id, own, payload);
+                ref.put(next_id, own, payload);
+                ++next_id;
+            }
+            // Stale bytes in both arenas: every byte must be rewritten.
+            for (std::size_t i = 0; i < ref_arena.size(); ++i)
+                buf.pathPlain[i] = ref_arena[i] =
+                    static_cast<std::uint8_t>(rng.next());
+
+            buf.evictFrom(fast, leaf);
+            referenceEvict(ref, codec, leaf, levels, ref_arena);
+            ASSERT_EQ(buf.pathPlain, ref_arena) << where << " round " << round;
+            ASSERT_EQ(stashContents(fast), stashContents(ref))
+                << where << " round " << round;
+            if (round == 0) {
+                for (unsigned l = 0; l < levels; ++l)
+                    for (unsigned i = 0; i < g.z; ++i)
+                        EXPECT_TRUE(
+                            codec.readSlot(buf.levelBytes(l), i).isDummy());
+            }
+
+            // Read the written path back (about half the time), so
+            // later rounds sweep a reshuffled visit order.
+            if (rng.nextBounded(2) == 0) {
+                buf.unpackInto(fast);
+                referenceUnpack(ref_arena, codec, levels, ref);
+                ASSERT_EQ(stashContents(fast), stashContents(ref))
+                    << where << " round " << round;
+            }
+        }
+        EXPECT_GT(next_id, 0u) << where;
     }
 }
 
@@ -385,7 +498,7 @@ TEST(StashSweep, ReleaseManyCompactsStably)
         s.id = id;
         s.leaf = id * 10;
         s.payload = {static_cast<std::uint8_t>(id)};
-        st.put(s);
+        st.put(s.id, s.leaf, s.payload);
     }
     // Release the pool slots holding ids 1 and 4.
     std::vector<std::uint32_t> victims;
@@ -405,7 +518,7 @@ TEST(StashSweep, ReleaseManyCompactsStably)
     s.id = 100;
     s.leaf = 1;
     s.payload = {9};
-    st.put(s);
+    st.put(s.id, s.leaf, s.payload);
     EXPECT_EQ(st.size(), 5u);
 }
 

@@ -13,6 +13,7 @@
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_config.hh"
+#include "oram/integrity.hh"
 #include "oram/oram_controller.hh"
 #include "oram/path_oram.hh"
 
@@ -135,7 +136,7 @@ TEST(Stash, PutFindTake)
     s.id = 5;
     s.leaf = 1;
     s.payload = pattern(5);
-    st.put(s);
+    st.put(s.id, s.leaf, s.payload);
     EXPECT_TRUE(st.contains(5));
     EXPECT_NE(st.find(5), nullptr);
     const BlockSlot t = st.take(5);
@@ -150,9 +151,9 @@ TEST(Stash, PutReplacesSameId)
     s.id = 5;
     s.leaf = 1;
     s.payload = pattern(5);
-    st.put(s);
+    st.put(s.id, s.leaf, s.payload);
     s.payload = pattern(6);
-    st.put(s);
+    st.put(s.id, s.leaf, s.payload);
     EXPECT_EQ(st.size(), 1u);
     EXPECT_EQ(st.find(5)->payload, pattern(6));
 }
@@ -165,12 +166,23 @@ TEST(Stash, HighWaterTracks)
         s.id = i;
         s.leaf = 0;
         s.payload = pattern(i);
-        st.put(s);
+        st.put(s.id, s.leaf, s.payload);
     }
     st.take(0);
     st.take(1);
     EXPECT_EQ(st.highWater(), 5u);
     EXPECT_EQ(st.size(), 3u);
+}
+
+/** Reference heap walk: from the root, step to child 2i+1+bit for
+ *  each leaf bit below it, most significant first. */
+std::uint64_t
+bitWalkIndex(Leaf leaf, unsigned level, unsigned depth)
+{
+    std::uint64_t idx = 0;
+    for (unsigned l = 0; l < level; ++l)
+        idx = 2 * idx + 1 + ((leaf >> (depth - 1 - l)) & 1);
+    return idx;
 }
 
 TEST(PathOram, BucketIndexOnPathIsHeapWalk)
@@ -187,6 +199,49 @@ TEST(PathOram, BucketIndexOnPathIsHeapWalk)
     // Max leaf descends the right spine.
     EXPECT_EQ(oram.bucketIndexOnPath(c.numLeaves() - 1, 1), 2u);
     EXPECT_EQ(oram.bucketIndexOnPath(c.numLeaves() - 1, 2), 6u);
+
+    // The closed form against the bit walk for every (leaf, level) of
+    // real trees of depth 0..12, and the integrity tree's path too.
+    for (unsigned depth = 0; depth <= 12; ++depth) {
+        OramConfig d = tinyConfig(std::uint64_t{3} << depth);
+        d.z = 3;
+        d.blockBytes = 8;
+        ASSERT_EQ(d.treeDepth(), depth);
+        FlatPositionMap m(d.numBlocks);
+        PathOram o(d, m, 2);
+        ASSERT_EQ(o.depth(), depth);
+        ASSERT_EQ(o.numLeaves(), d.numLeaves());
+        IntegrityVerifier verifier(o);
+        for (Leaf leaf = 0; leaf < o.numLeaves(); ++leaf) {
+            const std::vector<std::uint64_t> path =
+                verifier.pathIndices(leaf);
+            ASSERT_EQ(path.size(), depth + 1u);
+            for (unsigned level = 0; level <= depth; ++level) {
+                const std::uint64_t want = bitWalkIndex(leaf, level, depth);
+                ASSERT_EQ(o.bucketIndexOnPath(leaf, level), want)
+                    << "depth " << depth << " leaf " << leaf << " level "
+                    << level;
+                ASSERT_EQ(path[level], want);
+            }
+        }
+    }
+
+    // Deep trees (too large to build) through the same closed form,
+    // on sampled leaves including both spines.
+    Rng rng(20);
+    for (const unsigned depth : {20u, 24u, 31u, 32u, 40u, 48u, 63u}) {
+        const Leaf max_leaf = (Leaf{1} << depth) - 1;
+        for (int k = 0; k < 200; ++k) {
+            const Leaf leaf = k == 0   ? 0
+                              : k == 1 ? max_leaf
+                                       : rng.next() & max_leaf;
+            for (unsigned level = 0; level <= depth; ++level)
+                ASSERT_EQ(PathOram::heapIndexOnPath(leaf, level, depth),
+                          bitWalkIndex(leaf, level, depth))
+                    << "depth " << depth << " leaf " << leaf << " level "
+                    << level;
+        }
+    }
 }
 
 TEST(PathOram, WriteThenReadBack)

@@ -4,10 +4,10 @@
  * per-rank generator determinism under interleaving, the versioned
  * binary op-trace format (round-trip + rejection), KV-over-ORAM block
  * packing (inline/spill round trips, probing, updates, misses, failed
- * puts), the KV-serving harness's worker-count bit-identity, the
- * synthetic-vs-recorded-trace replay identity, the Daly checkpoint
- * method driving RecoveryRun's snapshot chain, and the SystemConfig /
- * stat-dump plumbing around all of it.
+ * puts), the KV-serving harness's worker-count bit-identity and
+ * pinned run digests, the synthetic-vs-recorded-trace replay identity,
+ * the Daly checkpoint method driving RecoveryRun's snapshot chain, and
+ * the SystemConfig / stat-dump plumbing around all of it.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "crypto/sha256.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
 #include "sim/kv_backend.hh"
@@ -500,6 +501,124 @@ TEST(KvServing, MultiProducerServesEverythingCleanly)
     sim::KvServingRun sp(smallServing());
     sp.run();
     EXPECT_EQ(mp.opsCompleted(), sp.opsCompleted());
+}
+
+namespace {
+
+/** SHA-256 over everything a single-producer run makes observable:
+ *  every shard stream, the merged KVStats and the get/put p50/p99. */
+std::string
+kvRunDigest(const sim::KvServingRun &run)
+{
+    const sim::KVStats st = run.stats();
+    std::string blob = run.streamCsv();
+    for (const std::uint64_t v :
+         {st.gets, st.puts, st.scans, st.hits, st.misses, st.inserts,
+          st.updates, st.failedPuts, st.probes, st.spillBlocksRead,
+          st.spillBlocksWritten, st.oramReads, st.oramWrites,
+          run.getLatencyPercentile(0.50), run.getLatencyPercentile(0.99),
+          run.putLatencyPercentile(0.50), run.putLatencyPercentile(0.99)})
+        blob += "," + std::to_string(v);
+    return crypto::toHex(crypto::Sha256::hash(blob));
+}
+
+/** Read-heavy Zipf 0.99 over 48 keys from 320 sessions: most ops
+ *  queue on a handful of hot home slots. */
+sim::KvServingConfig
+contendedReadServing()
+{
+    sim::KvServingConfig cfg;
+    cfg.shards = 2;
+    cfg.seed = 7;
+    cfg.workload.method = "kv";
+    cfg.workload.seed = 7;
+    cfg.workload.ranks = 320;
+    cfg.workload.opsPerRank = 5;
+    cfg.workload.keySpace = 48;
+    cfg.workload.zipfTheta = 0.99;
+    cfg.workload.getFraction = 0.85;
+    cfg.workload.scanFraction = 0.05;
+    cfg.workload.scanLen = 3;
+    cfg.kv.homeSlots = 128;
+    return cfg;
+}
+
+/** Put-heavy mix with values large enough to spill. */
+sim::KvServingConfig
+writeHeavyServing()
+{
+    sim::KvServingConfig cfg;
+    cfg.shards = 2;
+    cfg.seed = 11;
+    cfg.workload.method = "kv";
+    cfg.workload.seed = 11;
+    cfg.workload.ranks = 200;
+    cfg.workload.opsPerRank = 5;
+    cfg.workload.keySpace = 256;
+    cfg.workload.zipfTheta = 0.9;
+    cfg.workload.getFraction = 0.10;
+    cfg.workload.scanFraction = 0.05;
+    cfg.workload.scanLen = 2;
+    cfg.workload.valueBytes = 80;
+    cfg.kv.homeSlots = 512;
+    return cfg;
+}
+
+/** Two lanes of 96 sessions each behind 16-token rings: trySubmit
+ *  refuses part of every full submission pass. */
+sim::KvServingConfig
+backpressuredServing()
+{
+    sim::KvServingConfig cfg;
+    cfg.shards = 2;
+    cfg.lanes = 2;
+    cfg.ringCapacity = 16;
+    cfg.seed = 5;
+    cfg.workload.method = "kv";
+    cfg.workload.seed = 5;
+    cfg.workload.ranks = 192;
+    cfg.workload.opsPerRank = 4;
+    cfg.workload.keySpace = 512;
+    cfg.workload.zipfTheta = 0.6;
+    cfg.workload.getFraction = 0.6;
+    cfg.workload.thinkCycles = 200;
+    cfg.kv.homeSlots = 256;
+    return cfg;
+}
+
+} // namespace
+
+TEST(KvServing, PinnedRunDigests)
+{
+    // Digests of the single-producer drive, recorded before its ready
+    // set became wake-on-release: skipping a session stalled on a held
+    // slot until that slot is released must replay exactly the same
+    // submissions, so every observable byte stays put.
+    const struct
+    {
+        const char *name;
+        sim::KvServingConfig cfg;
+        const char *digest;
+    } cases[] = {
+        {"contended_read", contendedReadServing(),
+         "e18ce56a963615b2b8c92b2e69773e38cd9607803f503da56ed04b6737928b70"},
+        {"write_heavy", writeHeavyServing(),
+         "f5808f05e6bb4895b178abd338a77a4c48984152c0e219be9ab7510aba44731c"},
+        {"backpressured", backpressuredServing(),
+         "a04c61643cef5c31e472a28efde580079331768e347b10d4b0b0cfde555b8e15"},
+    };
+    for (const auto &c : cases) {
+        for (const unsigned threads : {1u, 4u}) {
+            sim::KvServingConfig cfg = c.cfg;
+            cfg.threads = threads;
+            sim::KvServingRun run(cfg);
+            run.run();
+            EXPECT_TRUE(run.allTokensRetired()) << c.name;
+            EXPECT_EQ(run.payloadMismatches(), 0u) << c.name;
+            EXPECT_EQ(kvRunDigest(run), c.digest)
+                << c.name << " at " << threads << " thread(s)";
+        }
+    }
 }
 
 TEST(KvServingDeath, RejectsAliasingFunctionalCap)
