@@ -2,7 +2,7 @@
  * @file
  * Command-line simulation driver: run any scheme on any workload
  * without writing code. Covers the whole public configuration
- * surface, optionally records the workload trace or emits CSV.
+ * surface and optionally appends the result as CSV.
  *
  * Usage examples:
  *   example_cli_sim --scheme dynamic --rates 4 --growth 4 --bench mcf
@@ -29,9 +29,7 @@
 #include "sim/secure_processor.hh"
 #include "sim/stat_dump.hh"
 #include "sim/workload_driver.hh"
-#include "timing/dispatch_policy.hh"
 #include "workload/spec_suite.hh"
-#include "workload/trace_io.hh"
 #include "workload/workload_source.hh"
 
 using namespace tcoram;
@@ -60,15 +58,12 @@ usage()
         "                         eviction (needs async)      [off]\n"
         "  --eviction-budget <n>  max deferred write-backs    [64]\n"
         "  --shards <m>           ORAM subtree shards         [1]\n"
-        "  --dispatch-policy <rr|wrr|edf>  scheduler QoS      [rr]\n"
-        "  --threads <n>          scheduler workers (0=shards) [1]\n"
         "  --memory-backend <flat|banked|trace>               [scheme's]\n"
         "  --fault-spec <s>       fault injection, e.g. flip@1e-4 or\n"
         "                         all@1e-3#7                  [none]\n"
         "  --retry-budget <n>     recovery retry budget       [4]\n"
         "  --seed <n>             simulation seed             [1]\n"
         "  --csv <path>           append result as CSV\n"
-        "  --record-trace <path>  save the workload trace and exit\n"
         "  --list                 print available workloads\n"
         "  --list-backends        print registered backend kinds\n"
         "checkpoint mode (runs the scheduler harness, not the CPU sim):\n"
@@ -144,9 +139,6 @@ main(int argc, char **argv)
                     " (background eviction; non-off needs"
                     " --dram-mode async)",
                     oram::evictionPolicyNames());
-        std::printf("\ndispatch policies:");
-        for (const auto &k : timing::dispatchPolicyNames())
-            std::printf(" %s", k.c_str());
         std::printf("\nfault kinds: flip stuck delay refuse"
                     " (spec \"<kinds>@<rate>[#seed]\"; the faulty"
                     " backend wraps any inner as faulty:<inner>)");
@@ -251,15 +243,8 @@ main(int argc, char **argv)
 
         std::uint32_t auto_budget = 0;
         if (has(argc, argv, "--eviction-auto")) {
-            // Route through the validated SystemConfig accessor so the
-            // CLI and config-file paths fail (and size) identically.
-            sim::SystemConfig sc = sim::SystemConfig::dynamicScheme(4, 4);
-            sc.name = "cli_sim --eviction-auto";
-            sc.workload = wspec;
-            sc.evictionAutoTune = true;
-            sc.dramMode = "async";
-            sc.evictionPolicy = "highwater";
-            auto_budget = sc.evictionAutoBudget();
+            auto_budget = workload::observedBurstDepth(
+                wp, sim::SystemConfig::kMaxEvictionBudget);
             std::printf("eviction    auto budget %u"
                         " (observed burst depth)\n",
                         auto_budget);
@@ -372,16 +357,6 @@ main(int argc, char **argv)
     const auto warmup = static_cast<InstCount>(std::strtoull(
         arg(argc, argv, "--warmup", "2400000"), nullptr, 10));
 
-    if (const char *trace_path =
-            arg(argc, argv, "--record-trace", nullptr)) {
-        workload::SyntheticTrace src(prof, 1);
-        workload::recordTrace(src, insts, trace_path);
-        std::printf("recorded %llu ops of %s to %s\n",
-                    (unsigned long long)insts, prof.name.c_str(),
-                    trace_path);
-        return 0;
-    }
-
     const std::string scheme = arg(argc, argv, "--scheme", "dynamic");
     const auto rates = static_cast<std::size_t>(
         std::strtoul(arg(argc, argv, "--rates", "4"), nullptr, 10));
@@ -423,11 +398,6 @@ main(int argc, char **argv)
     if (const char *shards = arg(argc, argv, "--shards", nullptr))
         cfg.oramShards = static_cast<std::uint32_t>(
             std::strtoul(shards, nullptr, 10));
-    if (const char *policy = arg(argc, argv, "--dispatch-policy", nullptr))
-        cfg.dispatchPolicy = policy;
-    if (const char *threads = arg(argc, argv, "--threads", nullptr))
-        cfg.schedulerThreads = static_cast<std::uint32_t>(
-            std::strtoul(threads, nullptr, 10));
     if (const char *ep = arg(argc, argv, "--eviction-policy", nullptr))
         cfg.evictionPolicy = ep;
     if (const char *eb = arg(argc, argv, "--eviction-budget", nullptr))
@@ -435,8 +405,6 @@ main(int argc, char **argv)
             std::strtoul(eb, nullptr, 10));
     // Validate now so a bad knob fails fast, naming the config — the
     // dramModeKind() discipline.
-    (void)cfg.dispatchPolicyKind();
-    (void)cfg.schedulerThreadCount();
     (void)cfg.evictionPolicyKind();
     (void)cfg.evictionBudgetValue();
     if (const char *mb = arg(argc, argv, "--memory-backend", nullptr))
@@ -511,10 +479,13 @@ main(int argc, char **argv)
         if (f == nullptr)
             tcoram_fatal("cannot open ", csv);
         std::fseek(f, 0, SEEK_END);
-        if (std::ftell(f) == 0)
-            std::fprintf(f, "%s\n", sim::csvHeader().c_str());
-        std::fprintf(f, "%s\n", sim::csvRow(r).c_str());
-        std::fclose(f);
+        const bool header_ok =
+            std::ftell(f) != 0 ||
+            std::fprintf(f, "%s\n", sim::csvHeader().c_str()) >= 0;
+        const bool ok = header_ok &&
+                        std::fprintf(f, "%s\n", sim::csvRow(r).c_str()) >= 0;
+        if (std::fclose(f) != 0 || !ok)
+            tcoram_fatal("write to CSV output failed: ", csv);
         std::printf("csv         appended to %s\n", csv);
     }
     return 0;

@@ -19,7 +19,6 @@ RootBucketProbe::RootBucketProbe(const oram::PathOram &oram) : oram_(oram)
 bool
 RootBucketProbe::probe()
 {
-    ++probes_;
     const crypto::Ciphertext &current = oram_.bucketCiphertext(0);
     const bool changed = !(current == lastSeen_);
     lastSeen_ = current;

@@ -56,12 +56,9 @@ class RootBucketProbe
      */
     bool probe();
 
-    std::uint64_t probeCount() const { return probes_; }
-
   private:
     const oram::PathOram &oram_;
     crypto::Ciphertext lastSeen_;
-    std::uint64_t probes_ = 0;
 };
 
 } // namespace tcoram::attack

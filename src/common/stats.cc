@@ -1,126 +1,10 @@
 #include "common/stats.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/log.hh"
 
 namespace tcoram {
-
-void
-RunningStat::add(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_ += v;
-    sumSq_ += v * v;
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat{};
-}
-
-double
-RunningStat::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-RunningStat::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    const double n = static_cast<double>(count_);
-    const double m = sum_ / n;
-    return sumSq_ / n - m * m;
-}
-
-Histogram::Histogram(double bucket_width, std::size_t n_buckets)
-    : bucketWidth_(bucket_width), buckets_(n_buckets, 0)
-{
-    tcoram_assert(bucket_width > 0 && n_buckets > 0, "bad histogram shape");
-}
-
-void
-Histogram::add(double v)
-{
-    ++total_;
-    if (v < 0) {
-        ++overflow_;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>(v / bucketWidth_);
-    if (idx >= buckets_.size())
-        ++overflow_;
-    else
-        ++buckets_[idx];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    total_ = 0;
-    overflow_ = 0;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    tcoram_assert(q >= 0.0 && q <= 1.0, "quantile out of range");
-    if (total_ == 0)
-        return 0.0;
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(total_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen >= target)
-            return (static_cast<double>(i) + 1.0) * bucketWidth_;
-    }
-    return static_cast<double>(buckets_.size()) * bucketWidth_;
-}
-
-void
-WindowSeries::add(std::uint64_t dx, double dy)
-{
-    tcoram_assert(window_ > 0, "window must be positive");
-    // Distribute dy uniformly over dx as we cross window boundaries.
-    while (dx > 0) {
-        const std::uint64_t room = window_ - posInWindow_;
-        const std::uint64_t step = std::min(room, dx);
-        const double share =
-            dy * (static_cast<double>(step) / static_cast<double>(dx));
-        accum_ += share;
-        dy -= share;
-        dx -= step;
-        posInWindow_ += step;
-        if (posInWindow_ == window_) {
-            values_.push_back(accum_ / static_cast<double>(window_));
-            accum_ = 0.0;
-            posInWindow_ = 0;
-        }
-    }
-}
-
-void
-WindowSeries::finish()
-{
-    if (posInWindow_ > 0) {
-        values_.push_back(accum_ / static_cast<double>(posInWindow_));
-        accum_ = 0.0;
-        posInWindow_ = 0;
-    }
-}
 
 double
 StatDump::get(const std::string &name) const

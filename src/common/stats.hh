@@ -1,90 +1,16 @@
 /**
  * @file
- * Lightweight statistics primitives: scalar counters, running means,
- * histograms and windowed time series. These back the simulator's
- * per-run reports and the benchmark harness output.
+ * Named-scalar stat registry backing the KV-serving stats export
+ * (sim/stat_dump.hh).
  */
 
 #ifndef TCORAM_COMMON_STATS_HH
 #define TCORAM_COMMON_STATS_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace tcoram {
-
-/** Running mean/min/max/count accumulator. */
-class RunningStat
-{
-  public:
-    void add(double v);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    double mean() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-    double sum() const { return sum_; }
-    /** Population variance (0 when count < 2). */
-    double variance() const;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Fixed-bucket histogram over [0, bucketWidth * nBuckets). */
-class Histogram
-{
-  public:
-    Histogram(double bucket_width, std::size_t n_buckets);
-
-    void add(double v);
-    void reset();
-
-    std::uint64_t total() const { return total_; }
-    std::uint64_t overflow() const { return overflow_; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    double bucketWidth() const { return bucketWidth_; }
-    /** Value below which @p q of the mass lies (q in [0,1]). */
-    double quantile(double q) const;
-
-  private:
-    double bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
-    std::uint64_t overflow_ = 0;
-};
-
-/**
- * Time series sampled in fixed windows (e.g. IPC per 1 M instructions,
- * which backs the paper's Figure 7).
- */
-class WindowSeries
-{
-  public:
-    explicit WindowSeries(std::uint64_t window) : window_(window) {}
-
-    /** Advance position by @p dx and accumulate @p dy; closes windows. */
-    void add(std::uint64_t dx, double dy);
-    /** Flush a partial trailing window (if any) into the series. */
-    void finish();
-
-    std::uint64_t window() const { return window_; }
-    /** One value per closed window: sum(dy)/window. */
-    const std::vector<double> &values() const { return values_; }
-
-  private:
-    std::uint64_t window_;
-    std::uint64_t posInWindow_ = 0;
-    double accum_ = 0.0;
-    std::vector<double> values_;
-};
 
 /** Named scalar registry for end-of-run dumps. */
 class StatDump

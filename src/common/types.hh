@@ -25,9 +25,6 @@ using Leaf = std::uint64_t;
 /** Path ORAM logical block identifier. */
 using BlockId = std::uint64_t;
 
-/** Energy in nanojoules. */
-using NanoJoules = double;
-
 /** Sentinel for "no block" / invalid identifiers. */
 constexpr std::uint64_t kInvalidId = ~std::uint64_t{0};
 

@@ -131,20 +131,8 @@ Core::run(InstCount max_insts)
         drainWriteBuffer(cycle_);
     }
 
-    stats_.cycles = cycle_ - statsStartCycle_;
+    stats_.cycles = cycle_;
     return stats_;
-}
-
-void
-Core::resetStats()
-{
-    stats_ = CoreStats{};
-    statsStartCycle_ = cycle_;
-    ipcValues_.clear();
-    missValues_.clear();
-    instsInWindow_ = 0;
-    windowStartCycle_ = cycle_;
-    missesAtWindowStart_ = 0;
 }
 
 } // namespace tcoram::cpu

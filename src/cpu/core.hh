@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "workload/generators.hh"
 
@@ -80,14 +79,6 @@ class Core
      */
     CoreStats run(InstCount max_insts);
 
-    /**
-     * Zero the statistics while keeping all microarchitectural state
-     * (cache contents, buffered writes, current cycle). Models the
-     * paper's fast-forward methodology (§9.1.1): warm up, reset, then
-     * measure.
-     */
-    void resetStats();
-
     const CoreStats &stats() const { return stats_; }
     /** IPC per closed instruction window (Figure 7 series). */
     const std::vector<double> &ipcSeries() const { return ipcValues_; }
@@ -111,8 +102,6 @@ class Core
     MemorySystemIf &mem_;
     workload::TraceSource &source_;
     Cycles cycle_ = 0;
-    /** Cycle at which the current measurement interval began. */
-    Cycles statsStartCycle_ = 0;
     CoreStats stats_;
     InstCount ipcWindow_;
     std::vector<double> ipcValues_;

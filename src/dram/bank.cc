@@ -53,12 +53,6 @@ Bank::access(std::uint64_t now, std::uint64_t row,
 }
 
 void
-Bank::closeRow()
-{
-    openRow_ = kInvalidId;
-}
-
-void
 Bank::resetTiming()
 {
     openRow_ = kInvalidId;

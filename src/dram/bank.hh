@@ -49,12 +49,6 @@ class Bank
     std::uint64_t rowHits() const { return rowHits_; }
     std::uint64_t rowMisses() const { return rowMisses_; }
 
-    /**
-     * Force the bank into a public state: close the row. Models the
-     * paper's §10 mitigation for running the scheme without ORAM.
-     */
-    void closeRow();
-
     /** Back to the idle construction state (hit counters kept). */
     void resetTiming();
 

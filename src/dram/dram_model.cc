@@ -85,13 +85,6 @@ DramModel::rowHitRate() const
 }
 
 void
-DramModel::closeAllRows()
-{
-    for (auto &b : banks_)
-        b.closeRow();
-}
-
-void
 DramModel::resetTiming()
 {
     for (auto &b : banks_)

@@ -46,9 +46,6 @@ class DramModel : public MemoryIf
     /** Aggregate row-buffer hit rate across all banks. */
     double rowHitRate() const;
 
-    /** Put every bank's row buffer into the public (closed) state. */
-    void closeAllRows();
-
     const DramConfig &config() const { return cfg_; }
 
     /** Address decomposition exposed for tests. */

@@ -19,7 +19,6 @@ IntegrityVerifier::IntegrityVerifier(const PathOram &oram) : oram_(oram)
 crypto::Digest256
 IntegrityVerifier::hashNode(std::uint64_t index) const
 {
-    ++hashes_;
     const crypto::Ciphertext &ct = oram_.bucketCiphertext(index);
     crypto::Sha256 h;
     std::uint8_t nonce_bytes[8];
@@ -61,7 +60,6 @@ IntegrityVerifier::verifyPath(Leaf leaf) const
 
     for (std::size_t i = path.size(); i-- > 0;) {
         const std::uint64_t index = path[i];
-        ++hashes_;
         const crypto::Ciphertext &ct = oram_.bucketCiphertext(index);
         crypto::Sha256 h;
         std::uint8_t nonce_bytes[8];
@@ -121,7 +119,6 @@ crypto::Digest256
 BucketAuthenticator::tagFor(std::uint64_t index,
                             const crypto::Ciphertext &ct) const
 {
-    ++computed_;
     msgScratch_.clear();
     for (int i = 0; i < 8; ++i)
         msgScratch_.push_back(static_cast<std::uint8_t>(index >> (8 * i)));

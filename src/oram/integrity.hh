@@ -65,9 +65,6 @@ class IntegrityVerifier
     /** The on-chip trusted root digest. */
     const crypto::Digest256 &root() const { return root_; }
 
-    /** Digests recomputed since construction (cost accounting). */
-    std::uint64_t hashesComputed() const { return hashes_; }
-
     /** Bucket indices on the path to @p leaf, root first. */
     std::vector<std::uint64_t> pathIndices(Leaf leaf) const;
 
@@ -77,7 +74,6 @@ class IntegrityVerifier
     const PathOram &oram_;
     std::vector<crypto::Digest256> nodeDigests_;
     crypto::Digest256 root_{};
-    mutable std::uint64_t hashes_ = 0;
 };
 
 /**
@@ -100,10 +96,6 @@ class BucketAuthenticator
     /** Verify @p ct against bucket @p index's latched tag. */
     bool verify(std::uint64_t index, const crypto::Ciphertext &ct) const;
 
-    std::uint64_t bucketCount() const { return tags_.size(); }
-
-    /** Tags computed since construction (cost accounting). */
-    std::uint64_t tagsComputed() const { return computed_; }
 
   private:
     crypto::Digest256 tagFor(std::uint64_t index,
@@ -113,7 +105,6 @@ class BucketAuthenticator
     std::vector<crypto::Digest256> tags_;
     /** Reused message buffer: tagging must not allocate per bucket. */
     mutable std::vector<std::uint8_t> msgScratch_;
-    mutable std::uint64_t computed_ = 0;
 };
 
 /**

@@ -54,16 +54,6 @@ enum class PathMode
     Pipelined, ///< write-backs overlap in-flight deeper reads
 };
 
-/** Summary of one (real or dummy) ORAM access for the power model. */
-struct OramAccessCost
-{
-    Cycles latency = 0;
-    std::uint64_t bytes = 0;
-    /** 16-byte AES chunks processed (2x bytes moved: decrypt + encrypt
-     *  are counted per direction separately by the caller). */
-    std::uint64_t aesChunks = 0;
-};
-
 class OramController
 {
   public:

@@ -217,8 +217,6 @@ class FunctionalOramDevice : public timing::OramDeviceIf
      */
     void enableFaultModel(const dram::FaultSpec &spec,
                           unsigned retry_budget = 4);
-    bool faultModelEnabled() const { return func_->dataOram()
-                                                .integrityEnabled(); }
 
     /** Cumulative recovery counters (zero until enableFaultModel). */
     std::uint64_t faultsDetected() const { return func_->faultsDetected(); }

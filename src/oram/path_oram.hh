@@ -248,7 +248,6 @@ class PathOram
      */
     void enableIntegrity(std::uint64_t mac_seed,
                          unsigned retry_budget = 4);
-    bool integrityEnabled() const { return auth_ != nullptr; }
 
     /**
      * Attach a fault source corrupting the scratch copies of path

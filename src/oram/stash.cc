@@ -147,14 +147,4 @@ Stash::restoreState(ByteReader &r)
     highWater_ = high_water;
 }
 
-std::vector<BlockId>
-Stash::residentIds() const
-{
-    std::vector<BlockId> ids;
-    ids.reserve(active_.size());
-    for (const std::uint32_t idx : active_)
-        ids.push_back(pool_[idx].id);
-    return ids;
-}
-
 } // namespace tcoram::oram

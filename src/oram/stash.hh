@@ -66,9 +66,6 @@ class Stash
     /** Largest occupancy ever observed (for the property tests). */
     std::size_t highWater() const { return highWater_; }
 
-    /** Snapshot of all resident block ids. */
-    std::vector<BlockId> residentIds() const;
-
     /**
      * Pool indices of every resident block, in the stash's
      * deterministic visit order. Together with poolSlot() and

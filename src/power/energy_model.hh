@@ -96,8 +96,6 @@ class EnergyModel
     double watts(const EnergyEvents &ev, std::uint64_t oram_chunks,
                  Cycles oram_latency) const;
 
-    const EnergyCoefficients &coefficients() const { return c_; }
-
   private:
     EnergyCoefficients c_;
 };

@@ -1,9 +1,9 @@
 /**
  * @file
- * Columnar stat plane. Hot paths (experiment-grid workers, ring-shard
- * workers) record telemetry as RAW TYPED VALUES into fixed-schema
- * column buffers — no per-access/per-row string formatting — and the
- * serial end-of-run pass renders the familiar CSV bytes once.
+ * Columnar stat plane. Hot paths (ring-shard workers) record
+ * telemetry as RAW TYPED VALUES into fixed-schema column buffers — no
+ * per-access/per-row string formatting — and the serial end-of-run
+ * pass renders the familiar CSV bytes once.
  *
  * Concurrency model: a ColumnBatch owns one ColumnChunk per worker;
  * each worker appends only to its own chunk, so recording is lock-free
@@ -11,7 +11,7 @@
  * caller-chosen order key; serialization merge-sorts chunks by key, so
  * the emitted bytes are independent of worker count and interleaving —
  * byte-identical to the historical single-threaded emission
- * (test-enforced against sim/report.cc and sim/shard_worker.cc).
+ * (test-enforced against sim/shard_worker.cc).
  */
 
 #ifndef TCORAM_SIM_COLUMN_BATCH_HH
@@ -99,7 +99,6 @@ class ColumnBatch
     ColumnBatch(ColumnSchema schema, std::size_t workers);
 
     const ColumnSchema &schema() const { return schema_; }
-    std::size_t workerCount() const { return chunks_.size(); }
     ColumnChunk &chunk(std::size_t worker);
 
     /** Total rows recorded across chunks (serial phases only). */

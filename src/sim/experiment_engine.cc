@@ -1,13 +1,13 @@
 #include "sim/experiment_engine.hh"
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "sim/report.hh"
 
 namespace tcoram::sim {
 
@@ -15,8 +15,11 @@ unsigned
 ExperimentEngine::defaultThreads()
 {
     if (const char *env = std::getenv("TCORAM_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
+        // The whole string must be a positive count that fits
+        // `unsigned`: "2x" or an out-of-range value is not a count.
+        char *end = nullptr;
+        const long long n = std::strtoll(env, &end, 10);
+        if (*end == '\0' && n > 0 && n <= UINT_MAX)
             return static_cast<unsigned>(n);
         warnImpl("ignoring invalid TCORAM_THREADS value");
     }
@@ -52,15 +55,8 @@ ExperimentEngine::run(const std::vector<SystemConfig> &configs,
 
     const std::size_t n = threads_ < cells ? threads_ : cells;
 
-    // Columnar stat plane: each worker records its cells' results as
-    // raw typed values into its own chunk (lock-free by ownership);
-    // the cell index is the order key, so serialization emits rows in
-    // config-major order whatever the thread count or schedule.
-    auto batch = std::make_shared<ColumnBatch>(resultSchema(), n);
-
     std::atomic<std::size_t> next{0};
-    auto worker = [&](std::size_t t) {
-        ColumnChunk &chunk = batch->chunk(t);
+    auto worker = [&] {
         for (;;) {
             const std::size_t i = next.fetch_add(1);
             if (i >= cells)
@@ -70,21 +66,19 @@ ExperimentEngine::run(const std::vector<SystemConfig> &configs,
             g.results[c][w] =
                 runOne(configs[c], workloads[w], insts, warmup,
                        cellSeed(configs[c], w));
-            appendResult(chunk, i, g.results[c][w]);
         }
     };
 
     if (n <= 1) {
-        worker(0);
+        worker();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(n);
         for (std::size_t t = 0; t < n; ++t)
-            pool.emplace_back(worker, t);
+            pool.emplace_back(worker);
         for (auto &t : pool)
             t.join();
     }
-    g.columns = std::move(batch);
     return g;
 }
 

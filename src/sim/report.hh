@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "sim/column_batch.hh"
 #include "sim/experiment.hh"
 
 namespace tcoram::sim {
@@ -21,25 +20,11 @@ std::string csvHeader();
 /** One result as a CSV row (no trailing newline). */
 std::string csvRow(const SimResult &r);
 
-/** Column layout of a result row (csvHeader()'s columns, typed). */
-ColumnSchema resultSchema();
-
-/**
- * Record @p r into @p chunk as raw typed values under @p order_key
- * (the grid cell index — config-major, matching toCsv()'s emission
- * order). The workers' half of the columnar plane: no formatting.
- */
-void appendResult(ColumnChunk &chunk, std::uint64_t order_key,
-                  const SimResult &r);
-
-/**
- * Serialize a whole grid (header + one row per run). Uses the grid's
- * columnar plane when present, the per-row formatter otherwise; both
- * emit identical bytes (test-enforced).
- */
+/** Serialize a whole grid (header + one row per run, config-major). */
 std::string toCsv(const Grid &grid);
 
-/** Write a grid to @p path (fatal on I/O error). */
+/** Write a grid to @p path (fatal on any I/O error, the final flush
+ *  included). */
 void writeCsv(const Grid &grid, const std::string &path);
 
 } // namespace tcoram::sim

@@ -5,43 +5,6 @@
 namespace tcoram::sim {
 
 StatDump
-toStatDump(const SimResult &r)
-{
-    StatDump d;
-    d.set("sim.cycles", static_cast<double>(r.cycles));
-    d.set("sim.instructions", static_cast<double>(r.instructions));
-    d.set("sim.ipc", r.ipc);
-    d.set("power.watts", r.watts);
-    d.set("power.on_chip_watts", r.onChipWatts);
-    d.set("cache.llc_misses", static_cast<double>(r.llcMisses));
-    d.set("oram.real_accesses", static_cast<double>(r.oramReal));
-    d.set("oram.dummy_accesses", static_cast<double>(r.oramDummy));
-    d.set("oram.dummy_fraction", r.dummyFraction());
-    d.set("oram.access_latency", static_cast<double>(r.oramLatency));
-    d.set("oram.bytes_per_access",
-          static_cast<double>(r.oramBytesPerAccess));
-    d.set("oram.crypto_bytes", static_cast<double>(r.cryptoBytes));
-    d.set("oram.crypto_calls", static_cast<double>(r.cryptoCalls));
-    // Crypto budget check: 2·(H+1) per access (H recursion stages)
-    // when ORAM traffic exists; 0 for the no-ORAM baselines.
-    const std::uint64_t oram_accesses = r.oramReal + r.oramDummy;
-    d.set("oram.crypto_calls_per_access",
-          oram_accesses == 0 ? 0.0
-                             : static_cast<double>(r.cryptoCalls) /
-                                   static_cast<double>(oram_accesses));
-    d.set("oram.stash_occupancy", static_cast<double>(r.stashOccupancy));
-    d.set("oram.stash_high_water", static_cast<double>(r.stashHighWater));
-    d.set("oram.blocks_evicted", static_cast<double>(r.blocksEvicted));
-    d.set("oram.evictions", static_cast<double>(r.evictionsIssued));
-    d.set("timing.epochs_used", static_cast<double>(r.epochsUsed));
-    d.set("timing.rate_decisions",
-          static_cast<double>(r.rateDecisions.size()));
-    d.set("leakage.sim_bits", r.simLeakageBits);
-    d.set("leakage.paper_bits", r.paperLeakageBits);
-    return d;
-}
-
-StatDump
 toStatDump(const KVStats &s, Cycles get_p99, Cycles put_p99)
 {
     StatDump d;

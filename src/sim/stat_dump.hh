@@ -1,7 +1,7 @@
 /**
  * @file
- * Named-scalar export of a SimResult (gem5-style stats dump), for
- * regression tracking and ad-hoc inspection.
+ * Named-scalar export of the KV-serving counters (gem5-style stats
+ * dump), for regression tracking and ad-hoc inspection.
  */
 
 #ifndef TCORAM_SIM_STAT_DUMP_HH
@@ -12,12 +12,8 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/kv_backend.hh"
-#include "sim/sim_result.hh"
 
 namespace tcoram::sim {
-
-/** Flatten a result record into a named-scalar StatDump. */
-StatDump toStatDump(const SimResult &r);
 
 /**
  * Flatten KV-serving counters into kv.* keys (hit/miss, spill

@@ -4,7 +4,6 @@
 
 #include "common/log.hh"
 #include "oram/oram_device.hh"
-#include "workload/workload_source.hh"
 
 namespace tcoram::sim {
 
@@ -144,70 +143,6 @@ SystemConfig::evictionBudgetValue() const
                      "when evictionPolicy is \"", evictionPolicy, "\"");
     }
     return evictionBudget;
-}
-
-workload::WorkloadParams
-SystemConfig::workloadSpec() const
-{
-    if (workload.empty()) {
-        tcoram_fatal("config '", name, "': workload spec is empty "
-                     "(expected \"method:k=v,...\", methods: ",
-                     joinNames(workload::WorkloadRegistry::instance()
-                                   .methods()),
-                     ")");
-    }
-    // parseWorkloadSpec validates keys and the method name itself and
-    // is fatal with the offending spec; prefix the config key so the
-    // failure names where the string came from.
-    workload::WorkloadParams params =
-        workload::parseWorkloadSpec(workload);
-    if (!workload::WorkloadRegistry::instance().contains(params.method)) {
-        tcoram_fatal("config '", name, "': unknown workload method \"",
-                     params.method, "\" (registered: ",
-                     joinNames(workload::WorkloadRegistry::instance()
-                                   .methods()),
-                     ")");
-    }
-    return params;
-}
-
-std::uint32_t
-SystemConfig::evictionAutoBudget() const
-{
-    if (!evictionAutoTune)
-        return evictionBudgetValue();
-    if (evictionPolicyKind() != oram::EvictionPolicy::HighWater) {
-        tcoram_fatal("config '", name, "': evictionAutoTune requires "
-                     "evictionPolicy = \"highwater\" (got \"",
-                     evictionPolicy.empty() ? "off" : evictionPolicy,
-                     "\")");
-    }
-    const workload::WorkloadParams params = workloadSpec();
-    return workload::observedBurstDepth(params, kMaxEvictionBudget);
-}
-
-timing::DispatchPolicyKind
-SystemConfig::dispatchPolicyKind() const
-{
-    if (dispatchPolicy.empty())
-        return timing::DispatchPolicyKind::RoundRobin;
-    const auto kind = timing::parseDispatchPolicy(dispatchPolicy);
-    if (!kind) {
-        tcoram_fatal("config '", name, "': unknown dispatchPolicy \"",
-                     dispatchPolicy, "\" (known: ",
-                     joinNames(timing::dispatchPolicyNames()), ")");
-    }
-    return *kind;
-}
-
-std::uint32_t
-SystemConfig::schedulerThreadCount() const
-{
-    if (schedulerThreads > kMaxSchedulerThreads) {
-        tcoram_fatal("config '", name, "': schedulerThreads must be in [0, ",
-                     kMaxSchedulerThreads, "], got ", schedulerThreads);
-    }
-    return schedulerThreads == 0 ? shardCount() : schedulerThreads;
 }
 
 SystemConfig

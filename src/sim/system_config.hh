@@ -18,12 +18,7 @@
 #include "dram/backend_registry.hh"
 #include "oram/oram_config.hh"
 #include "oram/oram_controller.hh"
-#include "timing/dispatch_policy.hh"
 #include "timing/rate_learner.hh"
-
-namespace tcoram::workload {
-struct WorkloadParams; // workload/workload_source.hh
-} // namespace tcoram::workload
 
 namespace tcoram::sim {
 
@@ -214,33 +209,6 @@ struct SystemConfig
     static constexpr std::uint32_t kMaxEvictionBudget = 1u << 20;
 
     /**
-     * QoS dispatch policy of the scaled scheduler's ShardSlots
-     * (timing/dispatch_policy.hh): "rr" (round-robin, default), "wrr"
-     * (weighted round-robin) or "edf" (earliest deadline first). A
-     * policy only picks WHICH eligible session rides a shard's next
-     * enforced slot — it cannot shift any shard's observable stream.
-     * Empty selects "rr".
-     */
-    std::string dispatchPolicy;
-
-    /** Resolved policy (fatal on an unknown dispatchPolicy, naming the
-     *  config). */
-    timing::DispatchPolicyKind dispatchPolicyKind() const;
-
-    /**
-     * Worker threads of the scaled scheduler (sim/shard_worker.hh).
-     * 0 = one worker per shard; otherwise clamped to the shard count
-     * at run time. Purely a wall-clock knob: the phased-round barrier
-     * discipline keeps every thread count bit-identical.
-     */
-    std::uint32_t schedulerThreads = 1;
-
-    /** Validated thread knob (fatal above kMaxSchedulerThreads,
-     *  naming the config). */
-    std::uint32_t schedulerThreadCount() const;
-    static constexpr std::uint32_t kMaxSchedulerThreads = 256;
-
-    /**
      * Bucket-crypto engine backend for functional ORAM components
      * ("auto" / "scalar" / "ttable" / "aesni"; see
      * crypto/crypto_engine.hh). Empty keeps the process default:
@@ -255,33 +223,6 @@ struct SystemConfig
      * detection too.
      */
     std::string cryptoBackend;
-
-    /**
-     * Workload-plane spec "method:k=v,..." (workload/
-     * workload_source.hh; methods listed by the registry — synthetic,
-     * trace, kv, daly). Empty = no workload-plane run; cli_sim's
-     * --workload mode requires it. Parsed and validated by
-     * workloadSpec().
-     */
-    std::string workload;
-
-    /** Parsed workload spec (fatal on an empty or malformed string or
-     *  an unknown method, naming the config key). */
-    workload::WorkloadParams workloadSpec() const;
-
-    /**
-     * Auto-size the eviction budget from the workload's observed
-     * burst depth (workload::observedBurstDepth) instead of the fixed
-     * evictionBudget. Off by default; requires the "highwater"
-     * eviction policy and a non-empty workload spec (validated by
-     * evictionAutoBudget()).
-     */
-    bool evictionAutoTune = false;
-
-    /** Resolved budget under auto-tuning (fatal when evictionAutoTune
-     *  is set without a highwater policy + workload, naming the
-     *  config); falls back to evictionBudgetValue() when off. */
-    std::uint32_t evictionAutoBudget() const;
 
     // --- Named presets (§9.1.6, §10) ---
     static SystemConfig baseDram();

@@ -145,7 +145,6 @@ class RateEnforcer
      */
     void applyTransition() { transitionAt(nextBoundary()); }
 
-    Cycles currentRate() const { return rate_; }
     unsigned currentEpoch() const { return epoch_; }
     const std::vector<RateDecision> &decisions() const { return decisions_; }
     const PerfCounters &counters() const { return counters_; }

@@ -51,7 +51,6 @@ class ShardSlot
               const LearnerIf &learner, Cycles initial_rate,
               DispatchPolicyKind policy);
 
-    std::uint32_t shardId() const { return shardId_; }
     RateEnforcer &enforcer() { return enf_; }
     const RateEnforcer &enforcer() const { return enf_; }
 

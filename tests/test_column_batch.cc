@@ -2,10 +2,8 @@
  * @file
  * Columnar stat-plane tests: schema-checked typed appends, the
  * order-key merge that makes serialization independent of chunk
- * (worker) assignment, byte-identity of the engine-built columnar CSV
- * against the historical per-row formatter across thread counts, and
- * the RingScheduler's per-(round, shard) telemetry pinned bit-
- * identical between 1 and N workers.
+ * (worker) assignment, and the RingScheduler's per-(round, shard)
+ * telemetry pinned bit-identical between 1 and N workers.
  */
 
 #include <gtest/gtest.h>
@@ -19,14 +17,10 @@
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
 #include "sim/column_batch.hh"
-#include "sim/experiment.hh"
-#include "sim/experiment_engine.hh"
-#include "sim/report.hh"
 #include "sim/shard_worker.hh"
 #include "timing/epoch_schedule.hh"
 #include "timing/rate_learner.hh"
 #include "timing/rate_set.hh"
-#include "workload/spec_suite.hh"
 
 namespace tcoram {
 namespace {
@@ -88,43 +82,6 @@ TEST(ColumnBatch, MergeOrderIsKeyOrderNotChunkOrder)
         append(single.chunk(0), key);
 
     EXPECT_EQ(scattered.csv(), single.csv());
-}
-
-// ---------------------------------------------------------------------
-// The engine-built result plane: same bytes as the per-row formatter,
-// whatever the thread count.
-// ---------------------------------------------------------------------
-
-TEST(ColumnBatch, ResultSchemaMatchesCsvHeader)
-{
-    EXPECT_EQ(sim::resultSchema().headerCsv(), sim::csvHeader());
-}
-
-TEST(ColumnBatch, EngineColumnsMatchPerRowFormatterAcrossThreads)
-{
-    std::vector<sim::SystemConfig> configs = {sim::SystemConfig::baseDram(),
-                                              sim::SystemConfig::baseOram()};
-    for (auto &c : configs) {
-        c.oram.numBlocks = 1 << 12;
-        c.epoch0 = 1 << 16;
-        c.ipcWindow = 50'000;
-    }
-    const std::vector<workload::Profile> loads = {
-        workload::specProfile("mcf"), workload::specProfile("hmmer")};
-
-    const sim::Grid g1 = sim::ExperimentEngine(1).run(configs, loads, 60'000);
-    const sim::Grid g4 = sim::ExperimentEngine(4).run(configs, loads, 60'000);
-    ASSERT_NE(g1.columns, nullptr);
-    ASSERT_NE(g4.columns, nullptr);
-    EXPECT_EQ(g1.columns->rows(), configs.size() * loads.size());
-
-    const std::string columnar = sim::toCsv(g1);
-    EXPECT_EQ(sim::toCsv(g4), columnar) << "thread-count dependent bytes";
-
-    // Legacy per-row path (hand-assembled grids) must agree.
-    sim::Grid legacy = g1;
-    legacy.columns = nullptr;
-    EXPECT_EQ(sim::toCsv(legacy), columnar);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the common substrate: bit utilities, RNG, statistics.
+ * Unit tests for the common substrate: bit utilities, RNG, the stat
+ * registry.
  */
 
 #include <gtest/gtest.h>
@@ -120,67 +121,6 @@ TEST(Rng, GeometricMeanClose)
     for (int i = 0; i < n; ++i)
         sum += static_cast<double>(r.nextGeometric(mean));
     EXPECT_NEAR(sum / n, mean, mean * 0.05);
-}
-
-TEST(RunningStat, Basics)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    s.add(1.0);
-    s.add(2.0);
-    s.add(3.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-    EXPECT_NEAR(s.variance(), 2.0 / 3.0, 1e-12);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10.0, 4); // [0,40)
-    h.add(0);
-    h.add(9.99);
-    h.add(10);
-    h.add(39.9);
-    h.add(40); // overflow
-    h.add(-1); // negative -> overflow
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.buckets()[0], 2u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[3], 1u);
-}
-
-TEST(Histogram, Quantile)
-{
-    Histogram h(1.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-}
-
-TEST(WindowSeries, UniformDistribution)
-{
-    WindowSeries w(10);
-    w.add(20, 40.0); // 2 windows at density 2.0
-    ASSERT_EQ(w.values().size(), 2u);
-    EXPECT_NEAR(w.values()[0], 2.0, 1e-9);
-    EXPECT_NEAR(w.values()[1], 2.0, 1e-9);
-}
-
-TEST(WindowSeries, PartialWindowFinish)
-{
-    WindowSeries w(10);
-    w.add(5, 5.0);
-    EXPECT_TRUE(w.values().empty());
-    w.finish();
-    ASSERT_EQ(w.values().size(), 1u);
-    EXPECT_NEAR(w.values()[0], 1.0, 1e-9);
 }
 
 TEST(StatDump, SetGetHas)

@@ -85,16 +85,6 @@ TEST(Bank, ClosedPageNeverHits)
     EXPECT_EQ(bank.openRow(), kInvalidId);
 }
 
-TEST(Bank, CloseRowForcesPublicState)
-{
-    const DramConfig cfg = testConfig();
-    Bank bank(cfg);
-    bank.access(0, 9, 1);
-    EXPECT_EQ(bank.openRow(), 9u);
-    bank.closeRow();
-    EXPECT_EQ(bank.openRow(), kInvalidId);
-}
-
 TEST(DramModel, DecodeChannelInterleaving)
 {
     DramModel m(testConfig());

@@ -2,8 +2,8 @@
  * @file
  * Tests for the extension features: Merkle integrity verification,
  * the §7.3 threshold learner, leakage-budget enforcement inside the
- * rate enforcer and SecureProcessor, the §10 protected-DRAM scheme,
- * trace file I/O, and CSV reporting.
+ * rate enforcer and SecureProcessor, the §10 protected-DRAM scheme
+ * and CSV reporting.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "sim/secure_processor.hh"
 #include "timing/threshold_learner.hh"
 #include "workload/spec_suite.hh"
-#include "workload/trace_io.hh"
 
 namespace tcoram {
 namespace {
@@ -297,60 +296,6 @@ TEST(ProtectedDram, FarCheaperThanOram)
 }
 
 // ---------------------------------------------------------------------
-// Trace I/O.
-// ---------------------------------------------------------------------
-
-TEST(TraceIo, RoundTripsExactly)
-{
-    const std::string path = "/tmp/tcoram_trace_test.bin";
-    workload::SyntheticTrace src(workload::specProfile("gcc"), 5);
-    workload::recordTrace(src, 1000, path);
-
-    workload::SyntheticTrace again(workload::specProfile("gcc"), 5);
-    workload::FileTrace file(path);
-    ASSERT_EQ(file.size(), 1000u);
-    for (int i = 0; i < 1000; ++i) {
-        const auto a = again.next();
-        const auto b = file.next();
-        ASSERT_EQ(a.addr, b.addr) << i;
-        ASSERT_EQ(a.gapInsts, b.gapInsts) << i;
-        ASSERT_EQ(a.extraGapCycles, b.extraGapCycles) << i;
-        ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind)) << i;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, LoopsWhenExhausted)
-{
-    const std::string path = "/tmp/tcoram_trace_loop.bin";
-    std::vector<workload::TraceOp> ops(3);
-    ops[0].addr = 0x100;
-    ops[1].addr = 0x200;
-    ops[2].addr = 0x300;
-    workload::writeTrace(ops, path);
-
-    workload::FileTrace file(path);
-    EXPECT_EQ(file.next().addr, 0x100u);
-    EXPECT_EQ(file.next().addr, 0x200u);
-    EXPECT_EQ(file.next().addr, 0x300u);
-    EXPECT_EQ(file.next().addr, 0x100u); // wrapped
-    EXPECT_EQ(file.loops(), 1u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, RejectsGarbage)
-{
-    const std::string path = "/tmp/tcoram_trace_bad.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("this is not a trace", f);
-    std::fclose(f);
-    EXPECT_EXIT(workload::readTrace(path),
-                ::testing::ExitedWithCode(1), "not a tcoram trace");
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
 // CSV reporting.
 // ---------------------------------------------------------------------
 
@@ -395,6 +340,23 @@ TEST(Report, WriteCsvCreatesFile)
     ASSERT_NE(f, nullptr);
     std::fclose(f);
     std::remove(path.c_str());
+}
+
+TEST(ReportDeath, WriteCsvDiesWhenTheFinalFlushFails)
+{
+    // /dev/full accepts the buffered fwrite and fails only at fclose:
+    // the row must not be silently lost.
+    std::FILE *probe = std::fopen("/dev/full", "w");
+    if (probe == nullptr)
+        GTEST_SKIP() << "/dev/full not available";
+    std::fclose(probe);
+    const std::vector<sim::SystemConfig> configs = {
+        sim::SystemConfig::baseDram()};
+    const std::vector<workload::Profile> profs = {
+        workload::specProfile("hmmer")};
+    const auto grid = sim::runGrid(configs, profs, 20'000);
+    EXPECT_EXIT(sim::writeCsv(grid, "/dev/full"),
+                ::testing::ExitedWithCode(1), "write to CSV output failed");
 }
 
 } // namespace

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <locale>
 #include <new>
+#include <string>
 
 #include "common/rng.hh"
 #include "dram/backend_registry.hh"
@@ -609,6 +611,32 @@ TEST(ExperimentEngine, CellSeedsPairConfigsPerWorkload)
     const auto dyn = sim::SystemConfig::dynamicScheme(4, 4);
     EXPECT_EQ(sim::ExperimentEngine::cellSeed(cfg, 2),
               sim::ExperimentEngine::cellSeed(dyn, 2));
+}
+
+TEST(ExperimentEngine, DefaultThreadsRejectsNonCountEnvValues)
+{
+    const char *saved = std::getenv("TCORAM_THREADS");
+    const std::string restore = saved != nullptr ? saved : "";
+    ::unsetenv("TCORAM_THREADS");
+    const unsigned fallback = sim::ExperimentEngine::defaultThreads();
+
+    ::setenv("TCORAM_THREADS", "3", 1);
+    EXPECT_EQ(sim::ExperimentEngine::defaultThreads(), 3u);
+    ::setenv("TCORAM_THREADS", "4294967295", 1);
+    EXPECT_EQ(sim::ExperimentEngine::defaultThreads(), UINT_MAX);
+    // Trailing junk, values past UINT_MAX (never narrowed) and
+    // non-positive counts all warn and fall back.
+    for (const char *bad : {"2x", "4294967296", "18446744073709551618",
+                            "0", "-2", "", "x"}) {
+        ::setenv("TCORAM_THREADS", bad, 1);
+        EXPECT_EQ(sim::ExperimentEngine::defaultThreads(), fallback)
+            << "TCORAM_THREADS=\"" << bad << '"';
+    }
+
+    if (saved != nullptr)
+        ::setenv("TCORAM_THREADS", restore.c_str(), 1);
+    else
+        ::unsetenv("TCORAM_THREADS");
 }
 
 TEST(MixSeed, DeterministicAndSpreading)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the substrate-depth extensions: cache replacement
  * policies (LRU/FIFO/Random), DRAM refresh windows, explicit epoch
- * schedules with the §6.2 family constraint, and the stats dump.
+ * schedules with the §6.2 family constraint, and the key SimResult
+ * scalars (leakage, crypto budget, sync-mode evictions).
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include "cache/cache.hh"
 #include "dram/dram_model.hh"
 #include "sim/experiment.hh"
-#include "sim/stat_dump.hh"
 #include "timing/epoch_schedule.hh"
 #include "workload/spec_suite.hh"
 
@@ -180,34 +180,26 @@ TEST(ExplicitSchedule, LeakageAccountingStillBounded)
 }
 
 // ---------------------------------------------------------------------
-// Stats dump.
+// Key result scalars.
 // ---------------------------------------------------------------------
 
-TEST(StatDumpExport, CoversKeyScalars)
+TEST(SimResultScalars, LeakageCryptoBudgetAndSyncEvictions)
 {
     auto cfg = sim::SystemConfig::dynamicScheme(4, 2);
     cfg.oram.numBlocks = 1 << 12;
     cfg.epoch0 = 1 << 15;
     const auto r =
         sim::runOne(cfg, workload::specProfile("astar"), 200'000);
-    const StatDump d = sim::toStatDump(r);
-    EXPECT_TRUE(d.has("sim.ipc"));
-    EXPECT_TRUE(d.has("power.watts"));
-    EXPECT_TRUE(d.has("leakage.paper_bits"));
-    EXPECT_DOUBLE_EQ(d.get("leakage.paper_bits"), 64.0);
-    EXPECT_DOUBLE_EQ(d.get("sim.instructions"), 200'000.0);
-    EXPECT_GT(d.get("oram.real_accesses"), 0.0);
+    EXPECT_DOUBLE_EQ(r.paperLeakageBits, 64.0);
+    EXPECT_EQ(r.instructions, 200'000u);
+    ASSERT_GT(r.oramReal, 0u);
     // Crypto budget: 2·(H+1) batched calls per access for H recursion
-    // stages (two per tree), exported as a per-access rate.
-    const double trees = 1.0 + cfg.oram.recursionChain().size();
-    EXPECT_DOUBLE_EQ(d.get("oram.crypto_calls_per_access"), 2.0 * trees);
-    // Background-eviction telemetry rides the same export (zero under
-    // the sync default, where the engine is off).
-    EXPECT_TRUE(d.has("oram.stash_occupancy"));
-    EXPECT_TRUE(d.has("oram.stash_high_water"));
-    EXPECT_TRUE(d.has("oram.blocks_evicted"));
-    EXPECT_DOUBLE_EQ(d.get("oram.evictions"), 0.0);
-    EXPECT_NE(d.toString().find("sim.ipc"), std::string::npos);
+    // stages (two per tree).
+    const std::uint64_t trees = 1 + cfg.oram.recursionChain().size();
+    EXPECT_EQ(r.cryptoCalls, 2 * trees * (r.oramReal + r.oramDummy));
+    // The background-eviction engine is off under the sync default.
+    EXPECT_EQ(r.evictionsIssued, 0u);
+    EXPECT_EQ(r.blocksEvicted, 0u);
 }
 
 } // namespace

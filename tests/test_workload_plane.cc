@@ -7,7 +7,7 @@
  * puts), the KV-serving harness's worker-count bit-identity and
  * pinned run digests, the synthetic-vs-recorded-trace replay identity,
  * the Daly checkpoint method driving RecoveryRun's snapshot chain, and
- * the SystemConfig / stat-dump plumbing around all of it.
+ * the kv.* stat dump around all of it.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "sim/kv_serving.hh"
 #include "sim/recovery_run.hh"
 #include "sim/stat_dump.hh"
-#include "sim/system_config.hh"
 #include "sim/workload_driver.hh"
 #include "workload/op_trace.hh"
 #include "workload/workload_source.hh"
@@ -760,48 +759,7 @@ TEST(DalyRecovery, SnapshotChainRestoresBitIdentically)
 }
 
 // ---------------------------------------------------------------------
-// SystemConfig plumbing + stat dump
-
-TEST(SystemConfigWorkload, ParsesAndValidates)
-{
-    sim::SystemConfig cfg = sim::SystemConfig::dynamicScheme(4, 4);
-    cfg.workload = "kv:ranks=5,keys=64";
-    const WorkloadParams p = cfg.workloadSpec();
-    EXPECT_EQ(p.method, "kv");
-    EXPECT_EQ(p.ranks, 5u);
-    EXPECT_EQ(p.keySpace, 64u);
-}
-
-TEST(SystemConfigWorkloadDeath, NamesTheConfigKey)
-{
-    sim::SystemConfig cfg = sim::SystemConfig::dynamicScheme(4, 4);
-    EXPECT_DEATH({ auto p = cfg.workloadSpec(); }, "workload spec");
-    cfg.workload = "kv:bogus=1";
-    EXPECT_DEATH({ auto p = cfg.workloadSpec(); }, "bogus");
-}
-
-TEST(SystemConfigWorkload, EvictionAutoTune)
-{
-    sim::SystemConfig cfg = sim::SystemConfig::dynamicScheme(4, 4);
-    // Off: falls back to the fixed budget.
-    EXPECT_EQ(cfg.evictionAutoBudget(), cfg.evictionBudget);
-    // On, valid: highwater + async + a workload to observe.
-    cfg.evictionAutoTune = true;
-    cfg.dramMode = "async";
-    cfg.evictionPolicy = "highwater";
-    cfg.workload = "kv:ranks=4,ops=16,think=100";
-    const std::uint32_t budget = cfg.evictionAutoBudget();
-    EXPECT_GE(budget, 1u);
-    EXPECT_LE(budget, sim::SystemConfig::kMaxEvictionBudget);
-}
-
-TEST(SystemConfigWorkloadDeath, AutoTuneNeedsHighwater)
-{
-    sim::SystemConfig cfg = sim::SystemConfig::dynamicScheme(4, 4);
-    cfg.evictionAutoTune = true;
-    cfg.workload = "kv";
-    EXPECT_DEATH({ auto b = cfg.evictionAutoBudget(); }, "highwater");
-}
+// KV stat dump
 
 TEST(StatDumpKv, ExportsKvKeysThroughTheColumnPlane)
 {
