@@ -12,9 +12,12 @@
  *   example_cli_sim --list
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/log.hh"
@@ -99,6 +102,35 @@ arg(int argc, char **argv, const char *flag, const char *fallback)
     return fallback;
 }
 
+/**
+ * @p text, the value of numeric flag @p flag, as a base-10 integer of
+ * type T. Dies naming the flag on empty input, a sign or leading
+ * space, trailing junk, or a value T cannot hold.
+ */
+template <typename T>
+T
+parseNum(const char *flag, const char *text)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+        v > std::numeric_limits<T>::max()) {
+        tcoram_fatal(flag, ": expected an integer in [0, ",
+                     std::numeric_limits<T>::max(), "], got \"", text,
+                     "\"");
+    }
+    return static_cast<T>(v);
+}
+
+/** parseNum() over the value of @p flag, or @p fallback when absent. */
+template <typename T>
+T
+numArg(int argc, char **argv, const char *flag, const char *fallback)
+{
+    return parseNum<T>(flag, arg(argc, argv, flag, fallback));
+}
+
 bool
 has(int argc, char **argv, const char *flag)
 {
@@ -164,19 +196,17 @@ main(int argc, char **argv)
             tcoram_fatal("checkpoint mode supports --oram-device "
                          "timing|functional, got ", rc.deviceKind);
         }
-        rc.shards = static_cast<std::uint32_t>(std::strtoul(
-            arg(argc, argv, "--shards", "1"), nullptr, 10));
-        rc.seed = std::strtoull(arg(argc, argv, "--seed", "1"), nullptr, 10);
+        rc.shards = numArg<std::uint32_t>(argc, argv, "--shards", "1");
+        rc.seed = numArg<std::uint64_t>(argc, argv, "--seed", "1");
         if (const char *fs = arg(argc, argv, "--fault-spec", nullptr))
             rc.fault = dram::FaultSpec::parse(fs);
-        rc.retryBudget = static_cast<unsigned>(std::strtoul(
-            arg(argc, argv, "--retry-budget", "4"), nullptr, 10));
+        rc.retryBudget = numArg<unsigned>(argc, argv, "--retry-budget", "4");
         if (std::string(arg(argc, argv, "--dram-mode", "sync")) == "async")
             rc.pathMode = oram::PathMode::Pipelined;
         if (const char *ep = arg(argc, argv, "--eviction-policy", nullptr)) {
             rc.evictionPolicy = oram::parseEvictionPolicy(ep);
-            rc.evictionBudget = static_cast<std::uint32_t>(std::strtoul(
-                arg(argc, argv, "--eviction-budget", "64"), nullptr, 10));
+            rc.evictionBudget =
+                numArg<std::uint32_t>(argc, argv, "--eviction-budget", "64");
             if (rc.evictionPolicy != oram::EvictionPolicy::Off &&
                 rc.pathMode != oram::PathMode::Pipelined) {
                 tcoram_fatal("--eviction-policy ", ep,
@@ -186,9 +216,7 @@ main(int argc, char **argv)
         const std::string ckpt_path =
             arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
         const std::uint64_t every =
-            ckpt_every != nullptr
-                ? std::strtoull(ckpt_every, nullptr, 10)
-                : 0;
+            numArg<std::uint64_t>(argc, argv, "--checkpoint-every", "0");
 
         sim::RecoveryRun run(rc);
         if (restore_from != nullptr) {
@@ -232,14 +260,12 @@ main(int argc, char **argv)
     if (const char *wspec = arg(argc, argv, "--workload", nullptr)) {
         const workload::WorkloadParams wp =
             workload::parseWorkloadSpec(wspec);
-        const auto wl_shards = static_cast<std::uint32_t>(std::strtoul(
-            arg(argc, argv, "--shards", "2"), nullptr, 10));
-        const auto wl_rate = static_cast<Cycles>(std::strtoull(
-            arg(argc, argv, "--rate", "300"), nullptr, 10));
-        const auto wl_threads = static_cast<unsigned>(std::strtoul(
-            arg(argc, argv, "--threads", "1"), nullptr, 10));
-        const auto wl_seed = std::strtoull(
-            arg(argc, argv, "--seed", "42"), nullptr, 10);
+        const auto wl_shards =
+            numArg<std::uint32_t>(argc, argv, "--shards", "2");
+        const auto wl_rate = numArg<Cycles>(argc, argv, "--rate", "300");
+        const auto wl_threads =
+            numArg<unsigned>(argc, argv, "--threads", "1");
+        const auto wl_seed = numArg<std::uint64_t>(argc, argv, "--seed", "42");
 
         std::uint32_t auto_budget = 0;
         if (has(argc, argv, "--eviction-auto")) {
@@ -352,16 +378,12 @@ main(int argc, char **argv)
     else
         prof = workload::specProfile(bench_name);
 
-    const auto insts = static_cast<InstCount>(
-        std::strtoull(arg(argc, argv, "--insts", "600000"), nullptr, 10));
-    const auto warmup = static_cast<InstCount>(std::strtoull(
-        arg(argc, argv, "--warmup", "2400000"), nullptr, 10));
+    const auto insts = numArg<InstCount>(argc, argv, "--insts", "600000");
+    const auto warmup = numArg<InstCount>(argc, argv, "--warmup", "2400000");
 
     const std::string scheme = arg(argc, argv, "--scheme", "dynamic");
-    const auto rates = static_cast<std::size_t>(
-        std::strtoul(arg(argc, argv, "--rates", "4"), nullptr, 10));
-    const auto growth = static_cast<unsigned>(
-        std::strtoul(arg(argc, argv, "--growth", "4"), nullptr, 10));
+    const auto rates = numArg<std::size_t>(argc, argv, "--rates", "4");
+    const auto growth = numArg<unsigned>(argc, argv, "--growth", "4");
 
     sim::SystemConfig cfg;
     if (scheme == "base_dram") {
@@ -369,8 +391,8 @@ main(int argc, char **argv)
     } else if (scheme == "base_oram") {
         cfg = sim::SystemConfig::baseOram();
     } else if (scheme == "static") {
-        cfg = sim::SystemConfig::staticScheme(static_cast<Cycles>(
-            std::strtoull(arg(argc, argv, "--rate", "300"), nullptr, 10)));
+        cfg = sim::SystemConfig::staticScheme(
+            numArg<Cycles>(argc, argv, "--rate", "300"));
     } else if (scheme == "dynamic") {
         cfg = sim::SystemConfig::dynamicScheme(rates, growth);
     } else if (scheme == "protected_dram") {
@@ -382,9 +404,8 @@ main(int argc, char **argv)
 
     cfg.oram = oram::OramConfig::paperConfig();
     cfg.epoch0 = Cycles{1} << 18;
-    cfg.llcBytes = std::strtoull(arg(argc, argv, "--llc", "1048576"),
-                                 nullptr, 10);
-    cfg.seed = std::strtoull(arg(argc, argv, "--seed", "1"), nullptr, 10);
+    cfg.llcBytes = numArg<std::uint64_t>(argc, argv, "--llc", "1048576");
+    cfg.seed = numArg<std::uint64_t>(argc, argv, "--seed", "1");
     cfg.ipcWindow = 100'000;
     if (const char *be = arg(argc, argv, "--crypto-backend", nullptr)) {
         cfg.cryptoBackend = be;
@@ -396,13 +417,11 @@ main(int argc, char **argv)
     if (const char *mode = arg(argc, argv, "--dram-mode", nullptr))
         cfg.dramMode = mode;
     if (const char *shards = arg(argc, argv, "--shards", nullptr))
-        cfg.oramShards = static_cast<std::uint32_t>(
-            std::strtoul(shards, nullptr, 10));
+        cfg.oramShards = parseNum<std::uint32_t>("--shards", shards);
     if (const char *ep = arg(argc, argv, "--eviction-policy", nullptr))
         cfg.evictionPolicy = ep;
     if (const char *eb = arg(argc, argv, "--eviction-budget", nullptr))
-        cfg.evictionBudget = static_cast<std::uint32_t>(
-            std::strtoul(eb, nullptr, 10));
+        cfg.evictionBudget = parseNum<std::uint32_t>("--eviction-budget", eb);
     // Validate now so a bad knob fails fast, naming the config — the
     // dramModeKind() discipline.
     (void)cfg.evictionPolicyKind();
@@ -413,12 +432,20 @@ main(int argc, char **argv)
         cfg.faultSpec = fs;
         (void)cfg.faultSpecParsed(); // fail fast on a malformed spec
     }
-    cfg.faultRetryBudget = static_cast<unsigned>(std::strtoul(
-        arg(argc, argv, "--retry-budget", "4"), nullptr, 10));
+    cfg.faultRetryBudget =
+        numArg<unsigned>(argc, argv, "--retry-budget", "4");
     if (std::string(arg(argc, argv, "--learner", "simple")) == "threshold")
         cfg.learnerKind = sim::SystemConfig::Learner::Threshold;
-    if (const char *limit = arg(argc, argv, "--limit", nullptr))
-        cfg.leakageLimitBits = std::strtod(limit, nullptr);
+    if (const char *limit = arg(argc, argv, "--limit", nullptr)) {
+        errno = 0;
+        char *end = nullptr;
+        cfg.leakageLimitBits = std::strtod(limit, &end);
+        if (end == limit || *end != '\0' || errno == ERANGE ||
+            !std::isfinite(cfg.leakageLimitBits)) {
+            tcoram_fatal("--limit: expected a finite number of bits, got \"",
+                         limit, "\"");
+        }
+    }
 
     sim::SecureProcessor proc(cfg, prof);
     const sim::SimResult r = proc.run(insts, warmup);
@@ -427,9 +454,9 @@ main(int argc, char **argv)
     std::printf("workload    %s\n", r.workloadName.c_str());
     if (proc.oramDevice() != nullptr) {
         std::printf("oram device %s", proc.oramDevice()->kind());
-        if (!proc.shardEnforcers().empty())
+        if (proc.enforcers().size() > 1)
             std::printf(" (%zu rate-enforced shards)",
-                        proc.shardEnforcers().size());
+                        proc.enforcers().size());
         std::printf("\n");
     }
     std::printf("cycles      %llu\n", (unsigned long long)r.cycles);
@@ -466,12 +493,13 @@ main(int argc, char **argv)
             std::printf(" %llu", (unsigned long long)d.rate);
         std::printf("\nleakage     %.1f bits (paper constants: %.1f)\n",
                     r.simLeakageBits, r.paperLeakageBits);
-        if (proc.enforcer() != nullptr &&
-            proc.enforcer()->pinnedDecisions() > 0)
+        unsigned pinned = 0;
+        for (const auto &enf : proc.enforcers())
+            pinned += enf->pinnedDecisions();
+        if (pinned > 0)
             std::printf("budget      pinned %u decisions at L = %.1f "
                         "bits\n",
-                        proc.enforcer()->pinnedDecisions(),
-                        cfg.leakageLimitBits);
+                        pinned, cfg.leakageLimitBits);
     }
 
     if (const char *csv = arg(argc, argv, "--csv", nullptr)) {

@@ -132,10 +132,10 @@ OramController::serve(Cycles now)
     return start + latency_;
 }
 
-OramController::EvictionCharge
+timing::OramEvictionCharge
 OramController::maybeEvict(Cycles horizon)
 {
-    EvictionCharge c;
+    timing::OramEvictionCharge c;
     if (!evict_.wantsEviction())
         return c;
     c.firstSchedule = evict_.evictionsIssued();

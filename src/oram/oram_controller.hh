@@ -44,6 +44,7 @@
 #include "dram/memory_if.hh"
 #include "oram/eviction_engine.hh"
 #include "oram/oram_config.hh"
+#include "timing/oram_device.hh"
 
 namespace tcoram::oram {
 
@@ -133,30 +134,18 @@ class OramController
     const OramConfig &config() const { return cfg_; }
 
     /**
-     * Background-eviction accounting for evictions issued in one idle
-     * window. firstSchedule is the reverse-lexicographic schedule
-     * index of the first eviction (functional devices realize
-     * evictions [firstSchedule, firstSchedule + evictions) against
-     * their stash).
-     */
-    struct EvictionCharge
-    {
-        std::uint32_t evictions = 0;
-        std::uint64_t firstSchedule = 0;
-        std::uint64_t bytesMoved = 0;
-        std::uint64_t cryptoBytes = 0;
-        std::uint64_t cryptoCalls = 0;
-    };
-
-    /**
      * Issue background evictions inside the idle window between
      * busyUntil() and @p horizon. The enforcer guarantees no future
      * slot can start before @p horizon, and every eviction issued here
      * fully retires by then — an eviction in flight never delays a
      * real access's slot. No-op (and zero-cost) when the engine is
      * off, so eviction-off runs stay bit-identical to pre-eviction.
+     * The charge's firstSchedule is the reverse-lexicographic schedule
+     * index of the first eviction (functional devices realize
+     * evictions [firstSchedule, firstSchedule + evictions) against
+     * their stash).
      */
-    EvictionCharge maybeEvict(Cycles horizon);
+    timing::OramEvictionCharge maybeEvict(Cycles horizon);
 
     const EvictionEngine &evictionEngine() const { return evict_; }
 

@@ -7,38 +7,24 @@
 
 namespace tcoram::oram {
 
-namespace {
-
-/** Charge one access on @p ctrl and fill the model-cost completion. */
-timing::OramCompletion
-chargedCompletion(OramController &ctrl, Cycles now,
-                  const timing::OramTransaction &txn)
-{
-    const bool real = txn.kind == timing::OramTransaction::Kind::Real;
-    const Cycles done = real ? ctrl.access(now) : ctrl.dummyAccess(now);
-    timing::OramCompletion c;
-    c.start = done - ctrl.accessLatency();
-    c.done = done;
-    c.bytesMoved = ctrl.bytesPerAccess();
-    c.cryptoBytes = ctrl.cryptoBytesPerAccess();
-    c.cryptoCalls = ctrl.cryptoCallsPerAccess();
-    return c;
-}
-
-} // namespace
-
 timing::OramCompletion
 TimingOramDevice::submit(Cycles now, const timing::OramTransaction &txn)
 {
-    return chargedCompletion(ctrl_, now, txn);
+    const bool real = txn.kind == timing::OramTransaction::Kind::Real;
+    const Cycles done = real ? ctrl_.access(now) : ctrl_.dummyAccess(now);
+    timing::OramCompletion c;
+    c.start = done - ctrl_.accessLatency();
+    c.done = done;
+    c.bytesMoved = ctrl_.bytesPerAccess();
+    c.cryptoBytes = ctrl_.cryptoBytesPerAccess();
+    c.cryptoCalls = ctrl_.cryptoCallsPerAccess();
+    return c;
 }
 
 timing::OramEvictionCharge
 TimingOramDevice::maybeEvict(Cycles horizon)
 {
-    const OramController::EvictionCharge e = ctrl_.maybeEvict(horizon);
-    return {e.evictions, e.firstSchedule, e.bytesMoved, e.cryptoBytes,
-            e.cryptoCalls};
+    return ctrl_.maybeEvict(horizon);
 }
 
 void
@@ -60,7 +46,9 @@ FunctionalOramDevice::FunctionalOramDevice(const OramConfig &cfg,
                                            crypto::CryptoBackend backend,
                                            PathMode mode,
                                            const EvictionConfig &evict)
-    : ctrl_(cfg, mem, rng, mode, evict), funcCfg_(cfg), keySeed_(key_seed)
+    : TimingOramDevice(cfg, mem, rng, mode, evict),
+      funcCfg_(cfg),
+      keySeed_(key_seed)
 {
     if (datapath_block_cap != 0)
         funcCfg_.numBlocks =
@@ -94,6 +82,11 @@ FunctionalOramDevice::enableFaultModel(const dram::FaultSpec &spec,
 timing::OramCompletion
 FunctionalOramDevice::submit(Cycles now, const timing::OramTransaction &txn)
 {
+    // Timing, byte and crypto attribution come from the calibrated
+    // controller over the MODELED geometry — identical to the timing
+    // device, whatever the (possibly capped) datapath moves.
+    timing::OramCompletion c = TimingOramDevice::submit(now, txn);
+
     // Cumulative-counter deltas around the access attribute recovery
     // work to THIS transaction (per-access last* counters undercount
     // when a recursion stage is touched twice in one access).
@@ -128,10 +121,6 @@ FunctionalOramDevice::submit(Cycles now, const timing::OramTransaction &txn)
     }
     dataBytesMoved_ += func_->lastAccessBytes();
 
-    // Timing, byte and crypto attribution come from the calibrated
-    // controller over the MODELED geometry — identical to the timing
-    // device, whatever the (possibly capped) datapath moved.
-    timing::OramCompletion c = chargedCompletion(ctrl_, now, txn);
     c.faultsDetected =
         static_cast<std::uint32_t>(func_->faultsDetected() - detected0);
     c.retries =
@@ -142,7 +131,8 @@ FunctionalOramDevice::submit(Cycles now, const timing::OramTransaction &txn)
 timing::OramEvictionCharge
 FunctionalOramDevice::maybeEvict(Cycles horizon)
 {
-    const OramController::EvictionCharge e = ctrl_.maybeEvict(horizon);
+    const timing::OramEvictionCharge e =
+        TimingOramDevice::maybeEvict(horizon);
     // Realize each issued eviction against the functional stash on its
     // schedule counter; costs stay controller-attributed so stats are
     // bit-identical to the timing device.
@@ -150,14 +140,13 @@ FunctionalOramDevice::maybeEvict(Cycles horizon)
         func_->backgroundEvict(e.firstSchedule + i);
         dataBytesMoved_ += func_->lastAccessBytes();
     }
-    return {e.evictions, e.firstSchedule, e.bytesMoved, e.cryptoBytes,
-            e.cryptoCalls};
+    return e;
 }
 
 void
 FunctionalOramDevice::saveState(ByteWriter &w) const
 {
-    ctrl_.saveState(w);
+    TimingOramDevice::saveState(w);
     w.u64(dataBytesMoved_);
     func_->saveState(w);
     w.b(injector_ != nullptr);
@@ -168,7 +157,7 @@ FunctionalOramDevice::saveState(ByteWriter &w) const
 void
 FunctionalOramDevice::restoreState(ByteReader &r)
 {
-    ctrl_.restoreState(r);
+    TimingOramDevice::restoreState(r);
     dataBytesMoved_ = r.u64();
     func_->restoreState(r);
     const bool had_injector = r.b();

@@ -13,7 +13,8 @@
  *                          back full paths through the bucket codec
  *                          and AES-CTR engine; every dummy touches
  *                          every tree — with cycle charging from the
- *                          SAME calibrated controller, so a run's
+ *                          SAME calibrated controller (it derives
+ *                          from TimingOramDevice), so a run's
  *                          timing/power/leakage stats are
  *                          bit-identical to the timing device.
  *
@@ -113,10 +114,13 @@ class TimingOramDevice : public timing::OramDeviceIf
 
 /**
  * Functional backend: real data movement with timing-device charging.
- * Construction consumes the identical calibration RNG draws as
- * TimingOramDevice, so swapping devices never shifts a seeded run.
+ * It IS a TimingOramDevice — every completion, eviction charge and
+ * accessor comes from the inherited calibrated controller — that also
+ * runs each transaction through a real datapath. The base is built
+ * first, so construction consumes the identical calibration RNG draws
+ * as TimingOramDevice and swapping devices never shifts a seeded run.
  */
-class FunctionalOramDevice : public timing::OramDeviceIf
+class FunctionalOramDevice : public TimingOramDevice
 {
   public:
     /**
@@ -142,32 +146,6 @@ class FunctionalOramDevice : public timing::OramDeviceIf
     timing::OramCompletion submit(Cycles now,
                                   const timing::OramTransaction &txn) override;
 
-    Cycles accessLatency() const override { return ctrl_.accessLatency(); }
-    Cycles occupancyPerAccess() const override
-    {
-        return ctrl_.occupancyPerAccess();
-    }
-    std::uint64_t bytesPerAccess() const override
-    {
-        return ctrl_.bytesPerAccess();
-    }
-    std::uint64_t cryptoBytesPerAccess() const override
-    {
-        return ctrl_.cryptoBytesPerAccess();
-    }
-    std::uint64_t cryptoCallsPerAccess() const override
-    {
-        return ctrl_.cryptoCallsPerAccess();
-    }
-    std::uint64_t realAccesses() const override
-    {
-        return ctrl_.realAccesses();
-    }
-    std::uint64_t dummyAccesses() const override
-    {
-        return ctrl_.dummyAccesses();
-    }
-
     /**
      * Background evictions: the controller's engine decides how many
      * fit the window and charges modeled costs; each one is then
@@ -177,22 +155,6 @@ class FunctionalOramDevice : public timing::OramDeviceIf
      * (controller-derived) values, identical to the timing device.
      */
     timing::OramEvictionCharge maybeEvict(Cycles horizon) override;
-    std::uint64_t stashOccupancy() const override
-    {
-        return ctrl_.stashOccupancy();
-    }
-    std::uint64_t stashHighWater() const override
-    {
-        return ctrl_.stashHighWater();
-    }
-    std::uint64_t blocksEvicted() const override
-    {
-        return ctrl_.blocksEvicted();
-    }
-    std::uint64_t evictionsIssued() const override
-    {
-        return ctrl_.evictionsIssued();
-    }
 
     /** The functional tree stack (attack probes, tests). */
     RecursivePathOram &functionalOram() { return *func_; }
@@ -234,7 +196,6 @@ class FunctionalOramDevice : public timing::OramDeviceIf
     void restoreState(ByteReader &r) override;
 
   private:
-    OramController ctrl_;    ///< timing calibration + busy/served counters
     OramConfig funcCfg_;     ///< capped functional geometry
     std::uint64_t keySeed_;  ///< datapath key seed (tag key derivation)
     std::unique_ptr<RecursivePathOram> func_;

@@ -75,18 +75,20 @@ class SecureProcessor::OramBackend : public cpu::MemorySystemIf
 };
 
 /**
- * Sharded rate-enforced backend: the PRF router assigns each miss to a
- * subtree shard, whose own enforcer times it. Each shard's observable
- * stream stays periodic independently; a miss only ever waits on its
- * own shard's slot.
+ * Rate-enforced backend (static_*, dynamic_* and protected_dram). With
+ * one enforcer every miss goes to it; with one per shard the PRF
+ * router assigns each miss to a subtree shard, whose own enforcer
+ * times it. Each shard's observable stream stays periodic
+ * independently; a miss only ever waits on its own shard's slot.
  */
-class SecureProcessor::ShardedEnforcedBackend : public cpu::MemorySystemIf
+class SecureProcessor::EnforcedBackend : public cpu::MemorySystemIf
 {
   public:
-    ShardedEnforcedBackend(
-        oram::ShardedOramDevice &dev,
-        std::vector<std::unique_ptr<timing::RateEnforcer>> &enfs)
-        : dev_(dev), enfs_(enfs)
+    /** @param router the sharded array that picks a miss's enforcer
+     *         (enfs[shard]); null with one enforcer. */
+    EnforcedBackend(oram::ShardedOramDevice *router,
+                    std::vector<std::unique_ptr<timing::RateEnforcer>> &enfs)
+        : router_(router), enfs_(enfs)
     {
     }
 
@@ -108,40 +110,12 @@ class SecureProcessor::ShardedEnforcedBackend : public cpu::MemorySystemIf
     {
         auto txn =
             timing::OramTransaction::real(lineBlockId(line_addr), is_write);
-        const std::uint32_t s = dev_.route(txn);
+        const std::uint32_t s = router_ != nullptr ? router_->route(txn) : 0;
         return enfs_[s]->serve(now, txn).done;
     }
 
-    oram::ShardedOramDevice &dev_;
+    oram::ShardedOramDevice *router_;
     std::vector<std::unique_ptr<timing::RateEnforcer>> &enfs_;
-};
-
-/** Rate-enforced ORAM backend (static_* and dynamic_* schemes). */
-class SecureProcessor::EnforcedBackend : public cpu::MemorySystemIf
-{
-  public:
-    explicit EnforcedBackend(timing::RateEnforcer &enf) : enf_(enf) {}
-
-    Cycles
-    serveMiss(Cycles now, Addr line_addr) override
-    {
-        return enf_
-            .serve(now, timing::OramTransaction::real(
-                            lineBlockId(line_addr), /*is_write=*/false))
-            .done;
-    }
-
-    Cycles
-    serveAsync(Cycles now, Addr line_addr) override
-    {
-        return enf_
-            .serve(now, timing::OramTransaction::real(
-                            lineBlockId(line_addr), /*is_write=*/true))
-            .done;
-    }
-
-  private:
-    timing::RateEnforcer &enf_;
 };
 
 namespace {
@@ -252,23 +226,6 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
         backend_ = std::make_unique<DramBackend>(*mem_);
     } else if (cfg_.scheme == Scheme::ProtectedDram) {
         device_ = std::make_unique<ProtectedDramDevice>(*mem_);
-        rates_ = std::make_unique<timing::RateSet>(
-            cfg_.rateCount, cfg_.rateLo, cfg_.rateHi,
-            cfg_.linearSpacing ? timing::RateSet::Spacing::Linear
-                               : timing::RateSet::Spacing::Log);
-        schedule_ = std::make_unique<timing::EpochSchedule>(
-            cfg_.epoch0, cfg_.epochGrowth, cfg_.tmax);
-        if (cfg_.learnerKind == SystemConfig::Learner::Threshold) {
-            learner_ = std::make_unique<timing::ThresholdLearner>(
-                *rates_, device_->accessLatency(),
-                cfg_.thresholdSharpness);
-        } else {
-            learner_ = std::make_unique<timing::RateLearner>(
-                *rates_, cfg_.divider);
-        }
-        enforcer_ = std::make_unique<timing::RateEnforcer>(
-            *device_, *rates_, *schedule_, *learner_, cfg_.initialRate);
-        backend_ = std::make_unique<EnforcedBackend>(*enforcer_);
     } else {
         // ORAM schemes run over the banked DDR3 model, behind the
         // configured transactional device backend (timing model or
@@ -296,70 +253,64 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
         dev_spec.evictionPolicy = cfg_.evictionPolicyKind();
         dev_spec.evictionBudget = cfg_.evictionBudgetValue();
         device_ = oram::makeOramDevice(dev_spec, cfg_.oram, *mem_, rng_);
-        auto *sharded = dynamic_cast<oram::ShardedOramDevice *>(
-            device_.get());
-        const std::uint32_t nshards =
-            sharded != nullptr ? sharded->shardCount() : 1;
-
-        if (cfg_.scheme == Scheme::BaseOram) {
+        if (cfg_.scheme == Scheme::BaseOram)
             backend_ = std::make_unique<OramBackend>(*device_);
-        } else {
-            if (cfg_.scheme == Scheme::Static) {
-                rates_ = std::make_unique<timing::RateSet>(
-                    std::vector<Cycles>{cfg_.staticRate});
-            } else {
-                rates_ = std::make_unique<timing::RateSet>(
-                    cfg_.rateCount, cfg_.rateLo, cfg_.rateHi,
-                    cfg_.linearSpacing
-                        ? timing::RateSet::Spacing::Linear
-                        : timing::RateSet::Spacing::Log);
-            }
-            schedule_ = std::make_unique<timing::EpochSchedule>(
-                cfg_.epoch0, cfg_.epochGrowth, cfg_.tmax);
-            if (cfg_.learnerKind == SystemConfig::Learner::Threshold) {
-                learner_ = std::make_unique<timing::ThresholdLearner>(
-                    *rates_, device_->accessLatency(),
-                    cfg_.thresholdSharpness);
-            } else {
-                learner_ = std::make_unique<timing::RateLearner>(
-                    *rates_, cfg_.divider);
-            }
-
-            const Cycles initial_rate = cfg_.scheme == Scheme::Static
-                                            ? cfg_.staticRate
-                                            : cfg_.initialRate;
-            if (nshards > 1) {
-                // Rate enforcement is per shard: each subtree's stream
-                // is timed by its own enforcer over its own device,
-                // and a miss only waits on its own shard's slot.
-                for (std::uint32_t i = 0; i < nshards; ++i)
-                    shardEnforcers_.push_back(
-                        std::make_unique<timing::RateEnforcer>(
-                            sharded->shard(i), *rates_, *schedule_,
-                            *learner_, initial_rate));
-                backend_ = std::make_unique<ShardedEnforcedBackend>(
-                    *sharded, shardEnforcers_);
-            } else {
-                enforcer_ = std::make_unique<timing::RateEnforcer>(
-                    *device_, *rates_, *schedule_, *learner_,
-                    initial_rate);
-                backend_ = std::make_unique<EnforcedBackend>(*enforcer_);
-            }
-        }
     }
 
-    // Optional session leakage budget (§2.1). A sharded run attaches
-    // ONE monitor to every shard's enforcer: free decisions on any
-    // shard draw from the composed budget, so the sum over the M
-    // streams never exceeds L.
-    if (cfg_.leakageLimitBits >= 0.0 && rates_ &&
-        (enforcer_ || !shardEnforcers_.empty())) {
-        monitor_ = std::make_unique<timing::LeakageMonitor>(
-            cfg_.leakageLimitBits, rates_->size());
-        if (enforcer_)
-            enforcer_->attachMonitor(monitor_.get());
-        for (auto &enf : shardEnforcers_)
-            enf->attachMonitor(monitor_.get());
+    if (cfg_.scheme != Scheme::BaseDram && cfg_.scheme != Scheme::BaseOram) {
+        // Rate-enforced schemes: static_* (one candidate rate), and
+        // dynamic_* / protected_dram (the configured candidate set).
+        if (cfg_.scheme == Scheme::Static) {
+            rates_ = std::make_unique<timing::RateSet>(
+                std::vector<Cycles>{cfg_.staticRate});
+        } else {
+            rates_ = std::make_unique<timing::RateSet>(
+                cfg_.rateCount, cfg_.rateLo, cfg_.rateHi,
+                cfg_.linearSpacing ? timing::RateSet::Spacing::Linear
+                                   : timing::RateSet::Spacing::Log);
+        }
+        schedule_ = std::make_unique<timing::EpochSchedule>(
+            cfg_.epoch0, cfg_.epochGrowth, cfg_.tmax);
+        if (cfg_.learnerKind == SystemConfig::Learner::Threshold) {
+            learner_ = std::make_unique<timing::ThresholdLearner>(
+                *rates_, device_->accessLatency(), cfg_.thresholdSharpness);
+        } else {
+            learner_ =
+                std::make_unique<timing::RateLearner>(*rates_, cfg_.divider);
+        }
+        const Cycles initial_rate = cfg_.scheme == Scheme::Static
+                                        ? cfg_.staticRate
+                                        : cfg_.initialRate;
+
+        // Rate enforcement is per shard: each subtree's stream is timed
+        // by its own enforcer over its own device. An unsharded device
+        // — including a one-shard array, which then never routes — has
+        // one enforcer over the whole device.
+        auto *sharded =
+            dynamic_cast<oram::ShardedOramDevice *>(device_.get());
+        if (sharded != nullptr && sharded->shardCount() == 1)
+            sharded = nullptr;
+        if (sharded != nullptr) {
+            for (std::uint32_t i = 0; i < sharded->shardCount(); ++i)
+                enforcers_.push_back(std::make_unique<timing::RateEnforcer>(
+                    sharded->shard(i), *rates_, *schedule_, *learner_,
+                    initial_rate));
+        } else {
+            enforcers_.push_back(std::make_unique<timing::RateEnforcer>(
+                *device_, *rates_, *schedule_, *learner_, initial_rate));
+        }
+        backend_ = std::make_unique<EnforcedBackend>(sharded, enforcers_);
+
+        // Optional session leakage budget (§2.1). A sharded run
+        // attaches ONE monitor to every shard's enforcer: free
+        // decisions on any shard draw from the composed budget, so the
+        // sum over the M streams never exceeds L.
+        if (cfg_.leakageLimitBits >= 0.0) {
+            monitor_ = std::make_unique<timing::LeakageMonitor>(
+                cfg_.leakageLimitBits, rates_->size());
+            for (auto &enf : enforcers_)
+                enf->attachMonitor(monitor_.get());
+        }
     }
 
     // Controller construction calibrates against main memory; drop
@@ -397,9 +348,7 @@ SecureProcessor::run(InstCount insts, InstCount warmup)
 
     // Fire the dummies the enforced schedule owes up to the final cycle
     // (they are observable and consume energy) — on every shard.
-    if (enforcer_)
-        enforcer_->drainUntil(core_->now());
-    for (auto &enf : shardEnforcers_)
+    for (auto &enf : enforcers_)
         enf->drainUntil(core_->now());
 
     SimResult r;
@@ -459,11 +408,8 @@ SecureProcessor::run(InstCount insts, InstCount warmup)
         // the per-transaction completions feed); base_oram has no
         // enforcer, so its constant-cost accesses are attributed
         // analytically.
-        if (enforcer_) {
-            r.cryptoBytes = enforcer_->counters().cryptoBytes();
-            r.cryptoCalls = enforcer_->counters().cryptoCalls();
-        } else if (!shardEnforcers_.empty()) {
-            for (const auto &enf : shardEnforcers_) {
+        if (!enforcers_.empty()) {
+            for (const auto &enf : enforcers_) {
                 r.cryptoBytes += enf->counters().cryptoBytes();
                 r.cryptoCalls += enf->counters().cryptoCalls();
             }
@@ -480,27 +426,22 @@ SecureProcessor::run(InstCount insts, InstCount warmup)
                               : 0.0;
 
     // Leakage accounting.
-    if (enforcer_) {
-        r.rateDecisions = enforcer_->decisions();
-        // Leakage counts learner decisions = epoch transitions taken;
-        // the initial epoch's rate is data-independent (§6.2).
-        r.epochsUsed = enforcer_->currentEpoch();
-        r.simLeakageBits = timing::LeakageAccountant::oramTimingBits(
-            rates_->size(), r.epochsUsed);
-        r.paperLeakageBits = timing::LeakageAccountant::paperConfigBits(
-            rates_->size(), cfg_.epochGrowth);
-    } else if (!shardEnforcers_.empty()) {
-        // Sharded: the M streams compose additively (§10). Realized
-        // bits sum each shard's own epoch count; the paper-constant
+    if (!enforcers_.empty()) {
+        // Leakage counts free learner decisions: epoch transitions
+        // taken, less those the budget pinned (a forced decision leaks
+        // nothing); the initial epoch's rate is data-independent
+        // (§6.2). Sharded streams compose additively (§10): realized
+        // bits sum each shard's own count, and the paper-constant
         // bound is M times the single-stream figure. Rate decisions
         // are reported for shard 0 (every shard shares R and E).
-        r.rateDecisions = shardEnforcers_.front()->decisions();
-        r.epochsUsed = shardEnforcers_.front()->currentEpoch();
-        for (const auto &enf : shardEnforcers_)
+        r.rateDecisions = enforcers_.front()->decisions();
+        r.epochsUsed = enforcers_.front()->currentEpoch();
+        for (const auto &enf : enforcers_)
             r.simLeakageBits += timing::LeakageAccountant::oramTimingBits(
-                rates_->size(), enf->currentEpoch());
+                rates_->size(),
+                enf->currentEpoch() - enf->pinnedDecisions());
         r.paperLeakageBits =
-            static_cast<double>(shardEnforcers_.size()) *
+            static_cast<double>(enforcers_.size()) *
             timing::LeakageAccountant::paperConfigBits(rates_->size(),
                                                        cfg_.epochGrowth);
     } else if (cfg_.scheme == Scheme::BaseOram) {

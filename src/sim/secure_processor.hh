@@ -43,16 +43,15 @@ class SecureProcessor
      */
     SimResult run(InstCount insts, InstCount warmup = 0);
 
-    /** The rate enforcer, if the scheme has a single-stream one (else
-     *  nullptr; a sharded run has one enforcer per shard instead). */
-    const timing::RateEnforcer *enforcer() const { return enforcer_.get(); }
-
-    /** Per-shard enforcers of a sharded enforced run (empty when the
-     *  scheme is unsharded or unenforced). */
+    /**
+     * The rate enforcers of an enforced scheme: one per shard when the
+     * ORAM device is sharded M > 1 ways, else one over the whole
+     * device. Empty when the scheme is unenforced.
+     */
     const std::vector<std::unique_ptr<timing::RateEnforcer>> &
-    shardEnforcers() const
+    enforcers() const
     {
-        return shardEnforcers_;
+        return enforcers_;
     }
 
     /**
@@ -76,7 +75,6 @@ class SecureProcessor
     class DramBackend;
     class OramBackend;
     class EnforcedBackend;
-    class ShardedEnforcedBackend;
 
     SystemConfig cfg_;
     Rng rng_;
@@ -86,8 +84,7 @@ class SecureProcessor
     std::unique_ptr<timing::EpochSchedule> schedule_;
     std::unique_ptr<timing::LearnerIf> learner_;
     std::unique_ptr<timing::OramDeviceIf> device_;
-    std::unique_ptr<timing::RateEnforcer> enforcer_;
-    std::vector<std::unique_ptr<timing::RateEnforcer>> shardEnforcers_;
+    std::vector<std::unique_ptr<timing::RateEnforcer>> enforcers_;
     std::unique_ptr<timing::LeakageMonitor> monitor_;
     std::unique_ptr<cpu::MemorySystemIf> backend_;
     std::unique_ptr<workload::SyntheticTrace> trace_;

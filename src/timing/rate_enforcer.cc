@@ -41,10 +41,11 @@ RateEnforcer::evictInGap()
     //
     // Everything the horizon depends on — the slot grid, the epoch
     // schedule, calibrated constants — is public, so eviction timing
-    // is data-independent, and this method runs at the same sequence
-    // points on the bounded and unbounded paths (after every
-    // completion), keeping N-worker runs bit-identical to 1-worker
-    // runs.
+    // is data-independent. It runs after every completion of the one
+    // slot/epoch interleave (advanceBounded, serveBounded, settle), so
+    // where the transitions are applied — inline by serve() and
+    // drainUntil(), or at the ring scheduler's barrier — never moves
+    // it, keeping N-worker runs bit-identical to 1-worker runs.
     const Cycles boundary = schedule_.epochStart(epoch_ + 1);
     const Cycles slot = nextSlot();
     const Cycles horizon =
@@ -86,75 +87,18 @@ RateEnforcer::transitionAt(Cycles boundary)
     decisions_.push_back({epoch_, boundary, new_rate});
 }
 
-void
-RateEnforcer::advanceTo(Cycles t)
-{
-    // Interleave epoch transitions and idle dummy slots in time order.
-    for (;;) {
-        const Cycles boundary = schedule_.epochStart(epoch_ + 1);
-        const Cycles slot = nextSlot();
-
-        if (boundary <= t && boundary <= slot) {
-            transitionAt(boundary);
-            continue;
-        }
-        if (slot < t) {
-            // The slot fires with no pending work: dummy access.
-            const OramCompletion c =
-                device_.submit(slot, OramTransaction::dummy());
-            lastCompletion_ = c.done;
-            counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-            evictInGap();
-            continue;
-        }
-        return;
-    }
-}
-
 OramCompletion
 RateEnforcer::serve(Cycles arrival, const OramTransaction &txn)
 {
-    tcoram_assert(txn.kind == OramTransaction::Kind::Real,
-                  "dummies are scheduled by the enforcer, not submitted");
-
-    // Fire any dummies/transitions due strictly before the arrival.
-    advanceTo(arrival);
-
-    // Req 3 (Figure 4): this request was outstanding concurrently with
-    // the previous real access (back-to-back queue) — charge one rate
-    // period to Waste on top of the physical wait.
-    if (arrival < lastRealCompletion_)
-        counters_.noteWaste(rate_);
-
-    // The request starts at the first slot at or after its arrival;
-    // epoch transitions between arrival and that slot must be applied
-    // (they change the rate and hence the slot position).
+    // The bounded serve with each transition it stops at applied
+    // inline, then the recovery slots it still owes.
     for (;;) {
-        const Cycles boundary = schedule_.epochStart(epoch_ + 1);
-        const Cycles slot = std::max(nextSlot(), arrival);
-        if (boundary <= slot) {
-            transitionAt(boundary);
-            continue;
-        }
-        // Waiting from arrival to slot start is rate-induced loss: the
-        // paper's Waste cases (a) overset rate and (b) dummy in flight
-        // both show up as slot - arrival here.
-        const Cycles start = slot;
-        if (start > arrival)
-            counters_.noteWaste(start - arrival);
-
-        const OramCompletion c = device_.submit(start, txn);
-        counters_.noteRealAccess(c.done - start);
-        counters_.noteCrypto(c.cryptoBytes, c.cryptoCalls);
-        lastCompletion_ = c.done;
-        lastRealCompletion_ = c.done;
-        evictInGap();
-        if (c.retries > 0) {
-            chargeRecovery(c);
+        if (const auto c = serveBounded(arrival, txn)) {
             while (!settle())
-                transitionAt(schedule_.epochStart(epoch_ + 1));
+                applyTransition();
+            return *c;
         }
-        return c;
+        applyTransition();
     }
 }
 
@@ -166,7 +110,7 @@ RateEnforcer::chargeRecovery(const OramCompletion &c)
     // because the timing layer sits below oram in the dependency
     // order). Each slot fires at the enforced position the next idle
     // dummy would have used, with due epoch transitions applied first,
-    // exactly as advanceTo() interleaves them.
+    // exactly as advanceBounded() interleaves them.
     recoveryOwed_ = (std::uint64_t{1} << c.retries) - 1;
     counters_.noteFaultRecovery(c.faultsDetected, c.retries, recoveryOwed_);
 }
@@ -190,15 +134,18 @@ RateEnforcer::settle()
 void
 RateEnforcer::drainUntil(Cycles t)
 {
-    advanceTo(t);
+    while (!drainBounded(t))
+        applyTransition();
 }
 
 bool
 RateEnforcer::advanceBounded(Cycles t)
 {
-    // Same interleave as advanceTo(): when both a transition and a
-    // dummy slot are due, the transition goes first — here that means
-    // stopping, since the transition belongs to the serial barrier.
+    // Interleave epoch transitions and idle dummy slots in time order.
+    // When both a transition and a dummy slot are due, the transition
+    // goes first: stop, and let the caller apply it (inline in
+    // serve()/drainUntil(), at the serial barrier under the ring
+    // scheduler).
     for (;;) {
         const Cycles boundary = schedule_.epochStart(epoch_ + 1);
         const Cycles slot = nextSlot();
@@ -223,26 +170,36 @@ RateEnforcer::serveBounded(Cycles arrival, const OramTransaction &txn)
     tcoram_assert(txn.kind == OramTransaction::Kind::Real,
                   "dummies are scheduled by the enforcer, not submitted");
 
-    // The pre-arrival advance and the Req 3 charge run once per
-    // transaction, at the same sequence point as serve(). Retries skip
-    // both: serve()'s post-arrival loop never fires dummies, even when
-    // a transition drops the rate so far that nextSlot() lands before
-    // the arrival again, and re-entering the advance here would.
+    // The pre-arrival advance (dummies/transitions due strictly before
+    // the arrival) and the Req 3 charge run once per transaction.
+    // Retries skip both: once the request is waiting, no dummy fires
+    // ahead of it, even when a transition drops the rate so far that
+    // nextSlot() lands before the arrival again, and re-entering the
+    // advance here would.
     if (!settle())
         return std::nullopt;
     if (!serveWasteCharged_) {
         if (!advanceBounded(arrival))
             return std::nullopt;
+        // Req 3 (Figure 4): this request was outstanding concurrently
+        // with the previous real access (back-to-back queue) — charge
+        // one rate period to Waste on top of the physical wait.
         if (arrival < lastRealCompletion_)
             counters_.noteWaste(rate_);
         serveWasteCharged_ = true;
     }
 
+    // The request starts at the first slot at or after its arrival;
+    // an epoch transition before that slot changes the rate and hence
+    // the slot position, so it must be applied first.
     const Cycles boundary = schedule_.epochStart(epoch_ + 1);
     const Cycles slot = std::max(nextSlot(), arrival);
     if (boundary <= slot)
         return std::nullopt;
 
+    // Waiting from arrival to slot start is rate-induced loss: the
+    // paper's Waste cases (a) overset rate and (b) dummy in flight
+    // both show up as slot - arrival here.
     const Cycles start = slot;
     if (start > arrival)
         counters_.noteWaste(start - arrival);

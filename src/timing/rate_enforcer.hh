@@ -70,7 +70,9 @@ class RateEnforcer
      * simulated first; the transaction starts at the first enforced
      * slot at or after its arrival, so the observable stream stays
      * periodic whatever the request carries. Returns the completion
-     * record (the line is available at .done).
+     * record (the line is available at .done). This is serveBounded()
+     * with each epoch transition it stops at applied inline, followed
+     * by settle() the same way.
      */
     OramCompletion serve(Cycles arrival, const OramTransaction &txn);
 
@@ -83,28 +85,29 @@ class RateEnforcer
 
     /**
      * Advance the enforced schedule to cycle @p t with no pending
-     * work, firing the dummy accesses the rate demands. Called when
-     * the program ends (and optionally at sync points).
+     * work, firing the dummy accesses the rate demands: drainBounded()
+     * with each transition it stops at applied inline. Called when the
+     * program ends (and optionally at sync points).
      */
     void drainUntil(Cycles t);
 
-    // --- Bounded-horizon variants (multi-threaded worker pool) ---
+    // --- The bounded steps (one slot/epoch interleave) ---
     //
-    // serve()/drainUntil() process epoch transitions inline, which is
-    // fine single-threaded but racy when M enforcers share one
-    // LeakageMonitor across worker threads. The bounded variants stop
-    // INSTEAD of processing a transition: the caller applies pending
-    // transitions at a deterministic slot barrier (shard-id order, see
-    // sim/shard_worker.hh) via applyTransition() and then retries.
-    // Composing bounded ops with barrier-applied transitions replays
-    // the identical micro-operation sequence — dummies, waste charges,
-    // transitions, serves, all in the same order with the same
-    // counters — as the unbounded calls, so per-shard observable
-    // streams and decisions stay bit-identical to the single-threaded
-    // path (test-enforced in tests/test_scheduler_scale.cc).
+    // There is one implementation of the slot/epoch interleave: the
+    // bounded steps below, which stop INSTEAD of processing an epoch
+    // transition. serve()/drainUntil() are those steps with each
+    // transition applied inline (applyTransition()) — the CPU
+    // simulator's single-threaded path. The ring scheduler, where M
+    // enforcers share one LeakageMonitor across worker threads, calls
+    // the steps directly and applies the transitions at a
+    // deterministic slot barrier in shard-id order (see
+    // sim/shard_worker.hh). Either way the micro-operation sequence —
+    // dummies, waste charges, transitions, serves — is the same, so
+    // per-shard observable streams and decisions do not depend on who
+    // applies the transitions or on the worker count.
 
     /**
-     * Bounded serve(): returns nullopt when the transaction cannot be
+     * Bounded serve: returns nullopt when the transaction cannot be
      * served before this enforcer's next epoch boundary. The caller
      * must applyTransition() (after the barrier) and retry with the
      * SAME transaction — the enforcer tracks the per-transaction
@@ -116,7 +119,7 @@ class RateEnforcer
                                                const OramTransaction &txn);
 
     /**
-     * Bounded drainUntil(): fires dummy slots due before @p t, but
+     * Bounded drain: fires dummy slots due before @p t, but
      * stops instead of processing an epoch transition. @return true
      * when the schedule reached @p t; false when a transition at
      * nextBoundary() must be applied first.
@@ -124,8 +127,8 @@ class RateEnforcer
     bool drainBounded(Cycles t);
 
     /**
-     * Fire the recovery backoff slots a bounded serve still owes —
-     * exactly where serve() would have fired them, before anything
+     * Fire the recovery backoff slots a bounded serve still owes — at
+     * the enforced slot positions right after it, before anything
      * else touches this enforcer. @return false when a transition at
      * nextBoundary() must be applied first (serveBounded() and
      * drainBounded() settle on entry; callers that inspect
@@ -184,11 +187,10 @@ class RateEnforcer
      * devices.
      */
     void evictInGap();
-    /** Process epoch transitions and dummy slots up to cycle @p t. */
-    void advanceTo(Cycles t);
     /**
-     * advanceTo(), but stop (returning false) where advanceTo() would
-     * process an epoch transition; true once the schedule reached @p t.
+     * Fire the dummy slots due before cycle @p t, stopping (returning
+     * false) at an epoch transition that comes first; true once the
+     * schedule reached @p t.
      */
     bool advanceBounded(Cycles t);
     /** Apply the epoch transition at @p boundary. */
@@ -215,8 +217,8 @@ class RateEnforcer
     /**
      * Whether the in-flight bounded transaction already completed its
      * pre-arrival advance and took its Req 3 waste charge —
-     * serveBounded() retries must skip both (serve()'s post-arrival
-     * loop neither fires dummies nor re-charges).
+     * serveBounded() retries must skip both (a waiting request
+     * neither lets dummies fire ahead of it nor is re-charged).
      */
     bool serveWasteCharged_ = false;
     /** Recovery backoff slots owed (fired by settle()). */

@@ -236,20 +236,35 @@ TEST(LeakageBudget, EnforcerPinsRateAtLimit)
 
 TEST(LeakageBudget, SecureProcessorHonorsLimit)
 {
-    auto cfg = sim::SystemConfig::dynamicScheme(4, 2);
-    cfg.oram.numBlocks = 1 << 12;
-    cfg.epoch0 = 1 << 15;
-    cfg.leakageLimitBits = 4.0; // two free decisions of lg4 = 2 bits
-    const auto prof = workload::specProfile("mcf");
-    sim::SecureProcessor proc(cfg, prof);
-    const auto r = proc.run(400'000);
-    ASSERT_GT(r.epochsUsed, 2u);
-    EXPECT_GT(proc.enforcer()->pinnedDecisions(), 0u);
-    // All decisions after the second are pinned to the second's rate.
-    const auto &d = r.rateDecisions;
-    ASSERT_GE(d.size(), 4u);
-    for (std::size_t i = 3; i < d.size(); ++i)
-        EXPECT_EQ(d[i].rate, d[2].rate);
+    // One enforcer over the whole device, and one per shard sharing
+    // the session budget: either way the reported leakage counts only
+    // the free decisions, so it stays within L once decisions pin.
+    for (const std::uint32_t shards : {1u, 4u}) {
+        SCOPED_TRACE(shards);
+        auto cfg = sim::SystemConfig::dynamicScheme(4, 2);
+        cfg.oram.numBlocks = 1 << 12;
+        cfg.epoch0 = 1 << 15;
+        cfg.oramShards = shards;
+        cfg.leakageLimitBits = 4.0; // two free decisions of lg4 = 2 bits
+        const auto prof = workload::specProfile("mcf");
+        sim::SecureProcessor proc(cfg, prof);
+        const auto r = proc.run(400'000);
+        ASSERT_GT(r.epochsUsed, 2u);
+        ASSERT_EQ(proc.enforcers().size(), shards);
+        unsigned pinned = 0;
+        for (const auto &enf : proc.enforcers())
+            pinned += enf->pinnedDecisions();
+        EXPECT_GT(pinned, 0u);
+        EXPECT_LE(r.simLeakageBits, cfg.leakageLimitBits);
+        if (shards > 1)
+            continue;
+        // All decisions after the second are pinned to the second's
+        // rate.
+        const auto &d = r.rateDecisions;
+        ASSERT_GE(d.size(), 4u);
+        for (std::size_t i = 3; i < d.size(); ++i)
+            EXPECT_EQ(d[i].rate, d[2].rate);
+    }
 }
 
 TEST(LeakageBudget, UnlimitedByDefault)
@@ -260,7 +275,8 @@ TEST(LeakageBudget, UnlimitedByDefault)
     const auto prof = workload::specProfile("mcf");
     sim::SecureProcessor proc(cfg, prof);
     proc.run(200'000);
-    EXPECT_EQ(proc.enforcer()->pinnedDecisions(), 0u);
+    ASSERT_EQ(proc.enforcers().size(), 1u);
+    EXPECT_EQ(proc.enforcers().front()->pinnedDecisions(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -30,7 +30,10 @@
 #include "oram/position_map.hh"
 #include "sim/checkpoint.hh"
 #include "sim/recovery_run.hh"
+#include "sim/report.hh"
+#include "sim/secure_processor.hh"
 #include "sim/system_config.hh"
+#include "workload/spec_suite.hh"
 
 using namespace tcoram;
 
@@ -707,4 +710,51 @@ TEST(RecoveryRun, FaultChargingKeepsStreamOnFaultFreeGrid)
     ASSERT_GT(n, 0u);
     for (std::size_t j = 0; j < n; ++j)
         EXPECT_EQ(stream[j].start, clean.streams[0][j].start) << j;
+}
+
+/**
+ * The enforced CPU path under injected data faults: recovered
+ * transactions owe backoff slots that fire across epoch boundaries,
+ * with the transitions applied in between. Pinned rows (cross-run,
+ * cross-platform like the golden stream above) for one enforcer over
+ * the whole functional device and one per shard of a 4-way array.
+ */
+TEST(SecureProcessorFaults, PinnedRowsWithRecoveryAcrossEpochs)
+{
+    struct Case
+    {
+        std::uint32_t shards;
+        const char *row;
+        std::uint64_t recoverySlots;
+    };
+    const Case cases[] = {
+        {1,
+         "dynamic_R4_E2,mcf,150000,4638716,0.0323365,0.666234,0.047541,"
+         "5274,5275,590,0.100597,530,12672,7,14,64",
+         428},
+        {4,
+         "dynamic_R4_E2,mcf,150000,87678600,0.00171079,0.143011,"
+         "0.0375577,5274,5275,18265,0.775913,489,9984,11,88,256",
+         323},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.shards);
+        auto cfg = sim::SystemConfig::dynamicScheme(4, 2);
+        cfg.oramDevice = "functional";
+        cfg.faultSpec = "flip@2e-3#5";
+        cfg.epoch0 = Cycles{1} << 15;
+        cfg.oram.numBlocks = 1 << 12;
+        cfg.functionalBlockCap = 1 << 12;
+        cfg.oramShards = c.shards;
+        sim::SecureProcessor proc(cfg, workload::specProfile("mcf"));
+        const sim::SimResult r = proc.run(150'000, 50'000);
+        EXPECT_EQ(sim::csvRow(r), c.row);
+
+        std::uint64_t slots = 0;
+        for (const auto &enf : proc.enforcers())
+            slots += enf->counters().recoverySlots();
+        EXPECT_GT(slots, 0u);
+        EXPECT_EQ(slots, c.recoverySlots);
+        EXPECT_GT(r.epochsUsed, 2u);
+    }
 }

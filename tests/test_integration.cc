@@ -78,7 +78,7 @@ TEST(Integration, DynamicConvergesToSlowRateWhenIdle)
     // Warm long enough for the word-granular walk to cover the hot
     // set; cold misses would otherwise masquerade as demand.
     proc.run(kRun, 4 * kRun);
-    const auto &decisions = proc.enforcer()->decisions();
+    const auto &decisions = proc.enforcers().front()->decisions();
     ASSERT_GE(decisions.size(), 2u);
     EXPECT_GE(decisions.back().rate, 6000u);
 }
@@ -88,7 +88,7 @@ TEST(Integration, DynamicConvergesToFastRateWhenMemoryBound)
     const auto prof = workload::specProfile("libq");
     SecureProcessor proc(fast(SystemConfig::dynamicScheme(4, 2)), prof);
     proc.run(kRun);
-    const auto &decisions = proc.enforcer()->decisions();
+    const auto &decisions = proc.enforcers().front()->decisions();
     ASSERT_GE(decisions.size(), 2u);
     EXPECT_LE(decisions.back().rate, 1290u);
 }

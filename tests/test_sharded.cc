@@ -498,8 +498,7 @@ TEST(SecureProcessorSharded, RunsWithComposedLeakageAccounting)
 
     const auto prof = workload::specProfile("mcf");
     sim::SecureProcessor proc(cfg, prof);
-    ASSERT_EQ(proc.shardEnforcers().size(), 4u);
-    ASSERT_EQ(proc.enforcer(), nullptr);
+    ASSERT_EQ(proc.enforcers().size(), 4u);
     ASSERT_STREQ(proc.oramDevice()->kind(), "sharded");
 
     const auto r = proc.run(60'000, 120'000);
@@ -507,7 +506,7 @@ TEST(SecureProcessorSharded, RunsWithComposedLeakageAccounting)
     EXPECT_GT(r.oramDummy, 0u);
 
     double expect_bits = 0.0;
-    for (const auto &enf : proc.shardEnforcers())
+    for (const auto &enf : proc.enforcers())
         expect_bits += timing::LeakageAccountant::oramTimingBits(
             4, enf->currentEpoch());
     EXPECT_DOUBLE_EQ(r.simLeakageBits, expect_bits);
