@@ -13,16 +13,18 @@ TimingTraceRecorder::gaps() const
 
 RootBucketProbe::RootBucketProbe(const oram::PathOram &oram) : oram_(oram)
 {
-    lastSeen_ = oram_.bucketCiphertext(0);
+    lastSeen_ = crypto::Ciphertext::copyOf(oram_.bucketCiphertext(0));
 }
 
 bool
 RootBucketProbe::probe()
 {
-    const crypto::Ciphertext &current = oram_.bucketCiphertext(0);
-    const bool changed = !(current == lastSeen_);
-    lastSeen_ = current;
-    return changed;
+    const crypto::CiphertextView current = oram_.bucketCiphertext(0);
+    if (current == lastSeen_)
+        return false;
+    lastSeen_.nonce = current.nonce;
+    lastSeen_.data.assign(current.data.begin(), current.data.end());
+    return true;
 }
 
 } // namespace tcoram::attack

@@ -58,6 +58,7 @@ class RootBucketProbe
 
   private:
     const oram::PathOram &oram_;
+    /** Owning copy: the tree image is rewritten under the view. */
     crypto::Ciphertext lastSeen_;
 };
 

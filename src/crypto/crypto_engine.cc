@@ -1,12 +1,55 @@
 #include "crypto/crypto_engine.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
+#include "common/bitutils.hh"
 #include "common/log.hh"
 
 namespace tcoram::crypto {
+
+namespace {
+/** Counter blocks per encryptBlocks call in the portable ctrXor. */
+constexpr std::size_t kCtrChunkBlocks = 32;
+} // namespace
+
+void
+CryptoEngineIf::ctrXor(std::uint64_t nonce, std::span<const std::uint8_t> in,
+                       std::span<std::uint8_t> out) const
+{
+    Block128 ks[kCtrChunkBlocks];
+    const std::size_t n = in.size();
+    std::uint64_t block = 0;
+    for (std::size_t off = 0; off < n;) {
+        const std::size_t len = std::min(n - off, kCtrChunkBlocks * 16);
+        const std::size_t nblocks = (len + 15) / 16;
+        for (std::size_t j = 0; j < nblocks; ++j) {
+            store64le(ks[j].data(), nonce);
+            store64le(ks[j].data() + 8, block + j);
+        }
+        encryptBlocks({ks, nblocks});
+        // XOR in 64-bit lanes with a byte-wise tail; memcpy keeps the
+        // lane loads/stores alignment- and aliasing-safe.
+        const std::uint8_t *k = ks[0].data();
+        const std::uint8_t *src = in.data() + off;
+        std::uint8_t *dst = out.data() + off;
+        std::size_t i = 0;
+        for (; i + 8 <= len; i += 8) {
+            std::uint64_t a, b;
+            std::memcpy(&a, src + i, 8);
+            std::memcpy(&b, k + i, 8);
+            a ^= b;
+            std::memcpy(dst + i, &a, 8);
+        }
+        for (; i < len; ++i)
+            dst[i] = static_cast<std::uint8_t>(src[i] ^ k[i]);
+        off += len;
+        block += nblocks;
+    }
+}
 
 // Provided by crypto_engine_aesni.cc. Returns nullptr when hardware
 // AES is compiled out or the CPU lacks it.

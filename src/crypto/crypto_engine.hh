@@ -3,10 +3,13 @@
  * Batched AES encryption engines. The ORAM controller encrypts and
  * decrypts every bucket on a path for every periodic access, so bucket
  * crypto dominates simulator wall-clock; this layer turns the single
- * scalar AES of crypto/aes128.hh into a throughput-oriented primitive:
- * `encryptBlocks` encrypts a whole span of 16-byte blocks per call, so
- * an implementation can amortize table lookups or keep the AES-NI
- * pipeline full (4-8 independent blocks in flight).
+ * scalar AES of crypto/aes128.hh into two throughput-oriented
+ * primitives: `encryptBlocks` encrypts a whole span of 16-byte blocks
+ * per call, and `ctrXor` streams a buffer through CTR mode in one pass
+ * (counter blocks built, encrypted and XORed into the data without a
+ * keystream buffer in memory), so an implementation can amortize table
+ * lookups or keep the AES-NI pipeline full (8 independent blocks in
+ * flight).
  *
  * Three backends exist:
  *  - Scalar:  the from-scratch byte-wise FIPS-197 rounds (the seed
@@ -58,12 +61,29 @@ class CryptoEngineIf
     virtual const char *name() const = 0;
 
     /**
-     * ECB-encrypt every 16-byte block in @p blocks in place. This is
-     * the batched primitive the CTR layer builds keystreams with: the
-     * caller lays counter blocks contiguously and gets keystream back
-     * in one call.
+     * ECB-encrypt every 16-byte block in @p blocks in place: the raw
+     * batched primitive (the portable ctrXor runs on it; benchmarks
+     * time it in isolation).
      */
     virtual void encryptBlocks(std::span<Block128> blocks) const = 0;
+
+    /**
+     * Fused CTR: out[i] = in[i] ^ keystream(@p nonce)[i] for every
+     * byte, where keystream block j is the encryption of the counter
+     * block (8-byte little-endian nonce || 8-byte little-endian j).
+     * The spans must be the same length. @p out may alias @p in
+     * exactly (the in-place form); partially overlapping spans are not
+     * allowed. A length that is not a multiple of 16 uses the first
+     * bytes of the last keystream block.
+     *
+     * The base implementation works through a fixed stack chunk of
+     * counter blocks (encryptBlocks, then XOR), so every backend
+     * inherits it; AES-NI overrides it with counters built in
+     * registers and the XOR fused into the store.
+     */
+    virtual void ctrXor(std::uint64_t nonce,
+                        std::span<const std::uint8_t> in,
+                        std::span<std::uint8_t> out) const;
 
     /** Single-block convenience (not the hot path). */
     Block128

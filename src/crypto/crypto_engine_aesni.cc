@@ -9,6 +9,15 @@
  * reports AES support (crypto_engine.cc additionally honors the
  * TCORAM_NO_AESNI environment override).
  *
+ * `ctrXor` is the fused CTR kernel the ORAM path crypto runs on: each
+ * counter block is built in a register (the nonce in the low 64-bit
+ * lane, i.e. little-endian bytes 0-7, and the block index in the high
+ * lane, bytes 8-15 — the portable layout), 8 blocks go through the
+ * rounds together, and the input is XORed in on the store. The
+ * keystream never touches memory except for a partial last block,
+ * which goes through one 16-byte temporary. `encryptBlocks` and
+ * `ctrXor` share one round schedule (`aesRounds`).
+ *
  * The functions carry `target("aes,sse2")` attributes instead of
  * building the whole file with -maes, so the library never executes an
  * AES instruction on a CPU that lacks it — dispatch is purely runtime.
@@ -29,6 +38,30 @@ namespace tcoram::crypto {
 #if TCORAM_HAVE_AESNI
 
 namespace {
+
+/** The AES-128 rounds on 8 independent blocks, interleaved so each
+ *  aesenc's latency hides behind the other seven. */
+__attribute__((target("aes,sse2"), always_inline)) inline void
+aesRounds(__m128i (&b)[8], const __m128i (&k)[11])
+{
+    for (int i = 0; i < 8; ++i)
+        b[i] = _mm_xor_si128(b[i], k[0]);
+    for (int r = 1; r <= 9; ++r)
+        for (int i = 0; i < 8; ++i)
+            b[i] = _mm_aesenc_si128(b[i], k[r]);
+    for (int i = 0; i < 8; ++i)
+        b[i] = _mm_aesenclast_si128(b[i], k[10]);
+}
+
+/** The same rounds on one block. */
+__attribute__((target("aes,sse2"), always_inline)) inline __m128i
+aesRounds(__m128i b, const __m128i (&k)[11])
+{
+    b = _mm_xor_si128(b, k[0]);
+    for (int r = 1; r <= 9; ++r)
+        b = _mm_aesenc_si128(b, k[r]);
+    return _mm_aesenclast_si128(b, k[10]);
+}
 
 class AesNiEngine final : public CryptoEngineIf
 {
@@ -56,81 +89,83 @@ class AesNiEngine final : public CryptoEngineIf
     encryptBlocks(std::span<Block128> blocks) const override
     {
         __m128i k[11];
-        for (int r = 0; r < 11; ++r)
-            k[r] = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(rk_[r].data()));
-
+        loadRoundKeys(k);
         std::uint8_t *p = blocks.empty() ? nullptr : blocks[0].data();
         std::size_t n = blocks.size();
 
         // 8-block pipelined main loop.
-        while (n >= 8) {
-            __m128i b0 = _mm_loadu_si128(reinterpret_cast<__m128i *>(p));
-            __m128i b1 =
-                _mm_loadu_si128(reinterpret_cast<__m128i *>(p + 16));
-            __m128i b2 =
-                _mm_loadu_si128(reinterpret_cast<__m128i *>(p + 32));
-            __m128i b3 =
-                _mm_loadu_si128(reinterpret_cast<__m128i *>(p + 48));
-            __m128i b4 =
-                _mm_loadu_si128(reinterpret_cast<__m128i *>(p + 64));
-            __m128i b5 =
-                _mm_loadu_si128(reinterpret_cast<__m128i *>(p + 80));
-            __m128i b6 =
-                _mm_loadu_si128(reinterpret_cast<__m128i *>(p + 96));
-            __m128i b7 =
-                _mm_loadu_si128(reinterpret_cast<__m128i *>(p + 112));
-            b0 = _mm_xor_si128(b0, k[0]);
-            b1 = _mm_xor_si128(b1, k[0]);
-            b2 = _mm_xor_si128(b2, k[0]);
-            b3 = _mm_xor_si128(b3, k[0]);
-            b4 = _mm_xor_si128(b4, k[0]);
-            b5 = _mm_xor_si128(b5, k[0]);
-            b6 = _mm_xor_si128(b6, k[0]);
-            b7 = _mm_xor_si128(b7, k[0]);
-            for (int r = 1; r <= 9; ++r) {
-                b0 = _mm_aesenc_si128(b0, k[r]);
-                b1 = _mm_aesenc_si128(b1, k[r]);
-                b2 = _mm_aesenc_si128(b2, k[r]);
-                b3 = _mm_aesenc_si128(b3, k[r]);
-                b4 = _mm_aesenc_si128(b4, k[r]);
-                b5 = _mm_aesenc_si128(b5, k[r]);
-                b6 = _mm_aesenc_si128(b6, k[r]);
-                b7 = _mm_aesenc_si128(b7, k[r]);
-            }
-            b0 = _mm_aesenclast_si128(b0, k[10]);
-            b1 = _mm_aesenclast_si128(b1, k[10]);
-            b2 = _mm_aesenclast_si128(b2, k[10]);
-            b3 = _mm_aesenclast_si128(b3, k[10]);
-            b4 = _mm_aesenclast_si128(b4, k[10]);
-            b5 = _mm_aesenclast_si128(b5, k[10]);
-            b6 = _mm_aesenclast_si128(b6, k[10]);
-            b7 = _mm_aesenclast_si128(b7, k[10]);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(p), b0);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(p + 16), b1);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(p + 32), b2);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(p + 48), b3);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(p + 64), b4);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(p + 80), b5);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(p + 96), b6);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(p + 112), b7);
-            p += 128;
-            n -= 8;
+        for (; n >= 8; p += 128, n -= 8) {
+            __m128i b[8];
+            for (int i = 0; i < 8; ++i)
+                b[i] = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(p + 16 * i));
+            aesRounds(b, k);
+            for (int i = 0; i < 8; ++i)
+                _mm_storeu_si128(reinterpret_cast<__m128i *>(p + 16 * i),
+                                 b[i]);
         }
-
-        while (n > 0) {
-            __m128i b = _mm_loadu_si128(reinterpret_cast<__m128i *>(p));
-            b = _mm_xor_si128(b, k[0]);
-            for (int r = 1; r <= 9; ++r)
-                b = _mm_aesenc_si128(b, k[r]);
-            b = _mm_aesenclast_si128(b, k[10]);
+        for (; n > 0; p += 16, --n) {
+            const __m128i b = aesRounds(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)), k);
             _mm_storeu_si128(reinterpret_cast<__m128i *>(p), b);
-            p += 16;
-            n -= 1;
+        }
+    }
+
+    __attribute__((target("aes,sse2"))) void
+    ctrXor(std::uint64_t nonce, std::span<const std::uint8_t> in,
+           std::span<std::uint8_t> out) const override
+    {
+        __m128i k[11];
+        loadRoundKeys(k);
+        const std::uint8_t *src = in.data();
+        std::uint8_t *dst = out.data();
+        std::size_t n = in.size();
+        // Counter block j = (LE nonce || LE j); adding `one` steps the
+        // high (index) lane only.
+        __m128i ctr = _mm_set_epi64x(0, static_cast<long long>(nonce));
+        const __m128i one = _mm_set_epi64x(1, 0);
+
+        // 8 blocks in flight; in may alias out exactly, and each block
+        // is loaded before its own store.
+        for (; n >= 128; src += 128, dst += 128, n -= 128) {
+            __m128i b[8];
+            for (int i = 0; i < 8; ++i) {
+                b[i] = ctr;
+                ctr = _mm_add_epi64(ctr, one);
+            }
+            aesRounds(b, k);
+            for (int i = 0; i < 8; ++i) {
+                const __m128i x = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(src + 16 * i));
+                _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + 16 * i),
+                                 _mm_xor_si128(b[i], x));
+            }
+        }
+        for (; n >= 16; src += 16, dst += 16, n -= 16) {
+            const __m128i x =
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(src));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(dst),
+                             _mm_xor_si128(aesRounds(ctr, k), x));
+            ctr = _mm_add_epi64(ctr, one);
+        }
+        if (n > 0) {
+            alignas(16) std::uint8_t ks[16];
+            _mm_store_si128(reinterpret_cast<__m128i *>(ks),
+                            aesRounds(ctr, k));
+            for (std::size_t i = 0; i < n; ++i)
+                dst[i] = static_cast<std::uint8_t>(src[i] ^ ks[i]);
         }
     }
 
   private:
+    __attribute__((target("aes,sse2"), always_inline)) void
+    loadRoundKeys(__m128i (&k)[11]) const
+    {
+        for (int r = 0; r < 11; ++r)
+            k[r] = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(rk_[r].data()));
+    }
+
     alignas(16) std::array<std::array<std::uint8_t, 16>, 11> rk_;
 };
 

@@ -1,57 +1,9 @@
 #include "crypto/ctr.hh"
 
-#include <bit>
-#include <cstring>
-
 #include "common/bitutils.hh"
 #include "common/log.hh"
 
 namespace tcoram::crypto {
-
-namespace {
-
-/** Little-endian 64-bit store (memcpy on LE hosts, no UB shifts). */
-inline void
-storeLe64(std::uint8_t *p, std::uint64_t v)
-{
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(p, &v, 8);
-    } else {
-        for (int i = 0; i < 8; ++i)
-            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-}
-
-/**
- * out = in ^ ks over @p n bytes, XORing in 64-bit lanes with a
- * byte-wise tail. memcpy keeps the lane loads/stores alignment- and
- * aliasing-safe (in/out may be the same buffer).
- */
-inline void
-xorBytes(const std::uint8_t *ks, const std::uint8_t *in, std::uint8_t *out,
-         std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        std::uint64_t a, b;
-        std::memcpy(&a, in + i, 8);
-        std::memcpy(&b, ks + i, 8);
-        a ^= b;
-        std::memcpy(out + i, &a, 8);
-    }
-    for (; i < n; ++i)
-        out[i] = static_cast<std::uint8_t>(in[i] ^ ks[i]);
-}
-
-/** Counter block b of @p nonce: LE nonce || LE block index. */
-inline void
-fillCounter(Block128 &ctr, std::uint64_t nonce, std::uint64_t block)
-{
-    storeLe64(ctr.data(), nonce);
-    storeLe64(ctr.data() + 8, block);
-}
-
-} // namespace
 
 void
 CtrCipher::xcrypt(std::uint64_t nonce, std::span<const std::uint8_t> in,
@@ -64,36 +16,10 @@ CtrCipher::xcrypt(std::uint64_t nonce, std::span<const std::uint8_t> in,
 void
 CtrCipher::xcryptSegments(std::span<const CtrSegment> segments) const
 {
-    std::size_t total_blocks = 0;
     for (const auto &seg : segments) {
         tcoram_assert(seg.in.size() == seg.out.size(),
                       "xcrypt spans must have equal length");
-        total_blocks += divCeil(seg.in.size(), 16);
-    }
-    if (total_blocks == 0)
-        return;
-
-    // Lay every segment's counter blocks contiguously, then one
-    // batched engine call turns them all into keystream.
-    if (keystream_.size() < total_blocks)
-        keystream_.resize(total_blocks);
-    std::size_t b = 0;
-    for (const auto &seg : segments) {
-        const std::size_t nblocks = divCeil(seg.in.size(), 16);
-        for (std::size_t j = 0; j < nblocks; ++j)
-            fillCounter(keystream_[b++], seg.nonce, j);
-    }
-    engine_->encryptBlocks({keystream_.data(), total_blocks});
-
-    b = 0;
-    for (const auto &seg : segments) {
-        const std::size_t len = seg.in.size();
-        if (len == 0)
-            continue; // keystream_[b] may be past-the-end here
-        // The keystream blocks for this segment are contiguous, so one
-        // lane-wise XOR covers all full blocks plus the tail.
-        xorBytes(keystream_[b].data(), seg.in.data(), seg.out.data(), len);
-        b += divCeil(len, 16);
+        engine_->ctrXor(seg.nonce, seg.in, seg.out);
     }
 }
 
@@ -107,7 +33,7 @@ CtrCipher::encryptInto(std::span<const std::uint8_t> plain,
 }
 
 void
-CtrCipher::decryptInto(const Ciphertext &cipher,
+CtrCipher::decryptInto(const CiphertextView &cipher,
                        std::span<std::uint8_t> out) const
 {
     // CTR decryption is encryption with the same nonce.
@@ -124,7 +50,7 @@ CtrCipher::encrypt(const std::vector<std::uint8_t> &plain,
 }
 
 std::vector<std::uint8_t>
-CtrCipher::decrypt(const Ciphertext &cipher) const
+CtrCipher::decrypt(const CiphertextView &cipher) const
 {
     std::vector<std::uint8_t> plain(cipher.data.size());
     decryptInto(cipher, plain);

@@ -7,17 +7,19 @@
  * the adversary detects an ORAM access by observing the root bucket's
  * ciphertext change.
  *
- * The cipher is batched end to end: one call generates the whole
- * keystream for a buffer (or for a list of independently-nonced
- * segments — e.g. every bucket on an ORAM path) through a single
- * CryptoEngineIf::encryptBlocks invocation, then XORs it in 64-bit
- * lanes. The keystream scratch is owned by the cipher and reused, so
- * steady-state operation performs no heap allocation.
+ * The cipher streams each buffer through the engine's fused CTR kernel
+ * (CryptoEngineIf::ctrXor) once: counter blocks are generated,
+ * encrypted and XORed into the data in one pass, with no keystream
+ * buffer in between. A list of independently-nonced segments — e.g.
+ * every bucket on an ORAM path — is one CtrCipher call. The cipher
+ * holds no scratch state, so steady-state operation performs no heap
+ * allocation and one instance may be shared across threads.
  */
 
 #ifndef TCORAM_CRYPTO_CTR_HH
 #define TCORAM_CRYPTO_CTR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -26,6 +28,24 @@
 #include "crypto/crypto_engine.hh"
 
 namespace tcoram::crypto {
+
+/**
+ * A non-owning view of a ciphertext: its nonce plus a span over the
+ * encrypted payload, wherever the payload lives (a Ciphertext, or a
+ * bucket inside an ORAM tree image). Equality compares nonce and
+ * bytes — exactly what an off-chip observer can test.
+ */
+struct CiphertextView
+{
+    std::uint64_t nonce = 0;
+    std::span<const std::uint8_t> data;
+
+    friend bool
+    operator==(const CiphertextView &a, const CiphertextView &b)
+    {
+        return a.nonce == b.nonce && std::ranges::equal(a.data, b.data);
+    }
+};
 
 /**
  * A ciphertext: nonce plus the encrypted payload. The nonce is stored
@@ -38,6 +58,15 @@ struct Ciphertext
     std::vector<std::uint8_t> data;
 
     bool operator==(const Ciphertext &other) const = default;
+
+    operator CiphertextView() const { return {nonce, data}; }
+
+    /** Owning copy of @p view. */
+    static Ciphertext
+    copyOf(const CiphertextView &view)
+    {
+        return {view.nonce, {view.data.begin(), view.data.end()}};
+    }
 };
 
 /**
@@ -61,9 +90,6 @@ struct CtrSegment
  * implementation (counter block = 8-byte little-endian nonce || 8-byte
  * little-endian block index), so ciphertexts are bit-identical across
  * every backend — the golden-vector test pins this.
- *
- * Not thread-safe per instance (the keystream scratch is shared
- * between calls); each ORAM instance owns its own cipher.
  */
 class CtrCipher
 {
@@ -85,18 +111,17 @@ class CtrCipher
      * The spans must be the same length; @p out may alias @p in (the
      * in-place form), which is the allocation-free core every other
      * entry point reduces to. CTR is an involution, so the same call
-     * both encrypts and decrypts. The whole keystream is produced by
-     * one batched engine call.
+     * both encrypts and decrypts. One pass of the engine's fused
+     * ctrXor kernel does the whole buffer.
      */
     void xcrypt(std::uint64_t nonce, std::span<const std::uint8_t> in,
                 std::span<std::uint8_t> out) const;
 
     /**
-     * Process every segment with ONE batched keystream generation:
-     * counter blocks for all segments are laid out contiguously,
-     * encrypted in a single engine call, and XORed per segment. This
-     * is the whole-path primitive — an ORAM path read decrypts every
-     * bucket (each with its own nonce) in one call.
+     * Process every segment in one call, each through one pass of the
+     * fused ctrXor kernel under its own nonce. This is the whole-path
+     * primitive — an ORAM path read decrypts every bucket (each with
+     * its own nonce) in one call.
      */
     void xcryptSegments(std::span<const CtrSegment> segments) const;
 
@@ -109,7 +134,7 @@ class CtrCipher
                      std::uint64_t nonce, Ciphertext &out) const;
 
     /** Decrypt into a caller-owned buffer of exactly the payload size. */
-    void decryptInto(const Ciphertext &cipher,
+    void decryptInto(const CiphertextView &cipher,
                      std::span<std::uint8_t> out) const;
 
     /** Encrypt @p plain under @p nonce (allocating convenience form). */
@@ -117,7 +142,7 @@ class CtrCipher
                        std::uint64_t nonce) const;
 
     /** Decrypt; inverse of encrypt for the same key. */
-    std::vector<std::uint8_t> decrypt(const Ciphertext &cipher) const;
+    std::vector<std::uint8_t> decrypt(const CiphertextView &cipher) const;
 
     /** Name of the engine actually selected ("scalar"/"ttable"/"aesni"). */
     const char *backendName() const { return engine_->name(); }
@@ -130,8 +155,6 @@ class CtrCipher
 
   private:
     std::unique_ptr<CryptoEngineIf> engine_;
-    /** Reusable keystream arena (counter blocks in, keystream out). */
-    mutable std::vector<Block128> keystream_;
 };
 
 } // namespace tcoram::crypto

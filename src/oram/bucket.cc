@@ -81,7 +81,8 @@ Bucket::seal(const crypto::CtrCipher &cipher, std::uint64_t nonce) const
 }
 
 Bucket
-Bucket::unseal(const crypto::Ciphertext &ct, const crypto::CtrCipher &cipher,
+Bucket::unseal(const crypto::CiphertextView &ct,
+               const crypto::CtrCipher &cipher,
                unsigned z, std::uint64_t block_bytes)
 {
     return deserialize(cipher.decrypt(ct), z, block_bytes);

@@ -65,7 +65,7 @@ class Bucket
                             std::uint64_t nonce) const;
 
     /** Decrypt and deserialize. */
-    static Bucket unseal(const crypto::Ciphertext &ct,
+    static Bucket unseal(const crypto::CiphertextView &ct,
                          const crypto::CtrCipher &cipher, unsigned z,
                          std::uint64_t block_bytes);
 

@@ -19,13 +19,13 @@ IntegrityVerifier::IntegrityVerifier(const PathOram &oram) : oram_(oram)
 crypto::Digest256
 IntegrityVerifier::hashNode(std::uint64_t index) const
 {
-    const crypto::Ciphertext &ct = oram_.bucketCiphertext(index);
+    const crypto::CiphertextView ct = oram_.bucketCiphertext(index);
     crypto::Sha256 h;
     std::uint8_t nonce_bytes[8];
     for (int i = 0; i < 8; ++i)
         nonce_bytes[i] = static_cast<std::uint8_t>(ct.nonce >> (8 * i));
     h.update(nonce_bytes, sizeof(nonce_bytes));
-    h.update(ct.data);
+    h.update(ct.data.data(), ct.data.size());
     const std::uint64_t left = 2 * index + 1;
     const std::uint64_t right = 2 * index + 2;
     if (left < nodeDigests_.size())
@@ -60,13 +60,13 @@ IntegrityVerifier::verifyPath(Leaf leaf) const
 
     for (std::size_t i = path.size(); i-- > 0;) {
         const std::uint64_t index = path[i];
-        const crypto::Ciphertext &ct = oram_.bucketCiphertext(index);
+        const crypto::CiphertextView ct = oram_.bucketCiphertext(index);
         crypto::Sha256 h;
         std::uint8_t nonce_bytes[8];
         for (int b = 0; b < 8; ++b)
             nonce_bytes[b] = static_cast<std::uint8_t>(ct.nonce >> (8 * b));
         h.update(nonce_bytes, sizeof(nonce_bytes));
-        h.update(ct.data);
+        h.update(ct.data.data(), ct.data.size());
         const std::uint64_t left = 2 * index + 1;
         const std::uint64_t right = 2 * index + 2;
         if (left < nodeDigests_.size()) {
@@ -117,7 +117,7 @@ BucketAuthenticator::BucketAuthenticator(std::uint64_t mac_seed,
 
 crypto::Digest256
 BucketAuthenticator::tagFor(std::uint64_t index,
-                            const crypto::Ciphertext &ct) const
+                            const crypto::CiphertextView &ct) const
 {
     msgScratch_.clear();
     for (int i = 0; i < 8; ++i)
@@ -129,7 +129,8 @@ BucketAuthenticator::tagFor(std::uint64_t index,
 }
 
 void
-BucketAuthenticator::commit(std::uint64_t index, const crypto::Ciphertext &ct)
+BucketAuthenticator::commit(std::uint64_t index,
+                            const crypto::CiphertextView &ct)
 {
     tcoram_assert(index < tags_.size(), "bucket index out of range");
     tags_[index] = tagFor(index, ct);
@@ -137,7 +138,7 @@ BucketAuthenticator::commit(std::uint64_t index, const crypto::Ciphertext &ct)
 
 bool
 BucketAuthenticator::verify(std::uint64_t index,
-                            const crypto::Ciphertext &ct) const
+                            const crypto::CiphertextView &ct) const
 {
     tcoram_assert(index < tags_.size(), "bucket index out of range");
     return crypto::digestEqual(tags_[index], tagFor(index, ct));

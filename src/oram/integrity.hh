@@ -91,15 +91,14 @@ class BucketAuthenticator
     BucketAuthenticator(std::uint64_t mac_seed, std::uint64_t buckets);
 
     /** Recompute and latch the tag of bucket @p index over @p ct. */
-    void commit(std::uint64_t index, const crypto::Ciphertext &ct);
+    void commit(std::uint64_t index, const crypto::CiphertextView &ct);
 
     /** Verify @p ct against bucket @p index's latched tag. */
-    bool verify(std::uint64_t index, const crypto::Ciphertext &ct) const;
-
+    bool verify(std::uint64_t index, const crypto::CiphertextView &ct) const;
 
   private:
     crypto::Digest256 tagFor(std::uint64_t index,
-                             const crypto::Ciphertext &ct) const;
+                             const crypto::CiphertextView &ct) const;
 
     std::vector<std::uint8_t> key_;
     std::vector<crypto::Digest256> tags_;

@@ -15,6 +15,17 @@ namespace {
 constexpr std::size_t kInitBatch = 256;
 /** Leaf labels drawn per batched PRF call (position-map remapping). */
 constexpr std::size_t kLeafBatch = 32;
+
+/** Prefetch every cache line of @p bytes (a hint; never faults). */
+inline void
+prefetchLines(std::span<const std::uint8_t> bytes)
+{
+    constexpr std::uintptr_t kLine = 64;
+    const auto first = reinterpret_cast<std::uintptr_t>(bytes.data());
+    const std::uintptr_t end = first + bytes.size();
+    for (std::uintptr_t a = first & ~(kLine - 1); a < end; a += kLine)
+        __builtin_prefetch(reinterpret_cast<const void *>(a));
+}
 } // namespace
 
 PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
@@ -25,6 +36,7 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
       depth_(cfg.treeDepth()),
       numLeaves_(std::uint64_t{1} << depth_),
       bucketBytes_(cfg.bucketBytes()),
+      serialBytes_(BucketCodec(cfg.z, cfg.blockBytes).serializedBytes()),
       posMap_(pos_map),
       cipher_(crypto::keyFromSeed(cipher_seed.value_or(key_seed)), backend),
       prf_(crypto::keyFromSeed(key_seed ^ 0x5eedf00dull), backend),
@@ -51,9 +63,9 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
     // in bulk and buckets encrypted kInitBatch at a time through the
     // batched CTR engine.
     const std::uint64_t buckets = cfg_.numBuckets();
-    const std::uint64_t sb = buf_.codec.serializedBytes();
-    dram_.resize(buckets);
-    std::vector<std::uint8_t> all_dummy(sb);
+    nonces_.resize(buckets);
+    image_.resize(buckets * serialBytes_);
+    std::vector<std::uint8_t> all_dummy(serialBytes_);
     buf_.codec.writeDummies(all_dummy, 0);
 
     std::vector<std::uint64_t> nonces(
@@ -67,10 +79,8 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
         nonceDraws_ += n;
         segs.clear();
         for (std::uint64_t j = 0; j < n; ++j) {
-            crypto::Ciphertext &ct = dram_[base + j];
-            ct.nonce = nonces[j];
-            ct.data.resize(sb);
-            segs.push_back({ct.nonce, all_dummy, ct.data});
+            nonces_[base + j] = nonces[j];
+            segs.push_back({nonces[j], all_dummy, imageSlice(base + j)});
         }
         cipher_.xcryptSegments(segs);
         ++cryptoCalls_;
@@ -85,21 +95,13 @@ PathOram::bucketAddr(std::uint64_t index) const
     return baseAddr_ + index * bucketBytes_;
 }
 
-const crypto::Ciphertext &
-PathOram::bucketCiphertext(std::uint64_t index) const
-{
-    tcoram_assert(index < dram_.size(), "bucket index out of range");
-    return dram_[index];
-}
-
 void
 PathOram::tamperCiphertext(std::uint64_t bucket_index,
                            std::size_t byte_index)
 {
-    tcoram_assert(bucket_index < dram_.size(), "bucket index out of range");
-    auto &data = dram_[bucket_index].data;
-    tcoram_assert(!data.empty(), "empty ciphertext");
-    data[byte_index % data.size()] ^= 0x01;
+    tcoram_assert(bucket_index < nonces_.size(), "bucket index out of range");
+    tcoram_assert(serialBytes_ > 0, "empty ciphertext");
+    imageSlice(bucket_index)[byte_index % serialBytes_] ^= 0x01;
 }
 
 Leaf
@@ -129,14 +131,17 @@ PathOram::readPath(Leaf leaf)
         verifiedReadPath(leaf);
         return;
     }
-    // Gather every bucket ciphertext on the path, decrypt them all
-    // with ONE batched CTR call into the contiguous path arena, then
-    // put the real slots straight from the arena into the stash.
+    // Gather every bucket ciphertext on the path (prefetching all of
+    // them before the first is decrypted: they are scattered across
+    // the image), decrypt them all with ONE batched CTR call into the
+    // contiguous path arena, then put the real slots straight from the
+    // arena into the stash.
     buf_.segments.clear();
     for (unsigned level = 0; level <= depth_; ++level) {
         const std::uint64_t idx = bucketIndexOnPath(leaf, level);
         buf_.trace.reads.push_back({bucketAddr(idx), bucketBytes_, false});
-        const crypto::Ciphertext &ct = dram_[idx];
+        const crypto::CiphertextView ct = bucketCiphertext(idx);
+        prefetchLines(ct.data);
         buf_.segments.push_back({ct.nonce, ct.data, buf_.levelBytes(level)});
     }
     cipher_.xcryptSegments(buf_.segments);
@@ -165,23 +170,22 @@ PathOram::verifiedReadPath(Leaf leaf)
             const std::uint64_t idx = bucketIndexOnPath(leaf, level);
             buf_.trace.reads.push_back(
                 {bucketAddr(idx), bucketBytes_, false});
-            crypto::Ciphertext &copy = readScratch_[level];
-            copy.nonce = dram_[idx].nonce;
-            tcoram_assert(copy.data.size() == dram_[idx].data.size(),
-                          "read scratch size drift");
-            std::copy(dram_[idx].data.begin(), dram_[idx].data.end(),
-                      copy.data.begin());
+            const crypto::CiphertextView stored = bucketCiphertext(idx);
+            const std::span<std::uint8_t> copy =
+                std::span<std::uint8_t>(readScratch_)
+                    .subspan(level * serialBytes_, serialBytes_);
+            std::copy(stored.data.begin(), stored.data.end(), copy.begin());
             // Corrupt every level's copy before verifying any, so the
             // injector's draw stream does not depend on which bucket
             // fails first.
             if (injector_ != nullptr)
-                injector_->maybeCorrupt(idx, copy.data);
-            if (all_ok && !auth_->verify(idx, copy)) {
+                injector_->maybeCorrupt(idx, copy);
+            if (all_ok && !auth_->verify(idx, {stored.nonce, copy})) {
                 all_ok = false;
                 bad_idx = idx;
             }
             buf_.segments.push_back(
-                {copy.nonce, copy.data, buf_.levelBytes(level)});
+                {stored.nonce, copy, buf_.levelBytes(level)});
         }
         if (all_ok)
             break;
@@ -210,7 +214,6 @@ void
 PathOram::writePath(Leaf leaf)
 {
     const unsigned levels = depth_ + 1;
-    const std::uint64_t sb = buf_.codec.serializedBytes();
 
     buf_.evictFrom(stash_, leaf);
 
@@ -224,10 +227,9 @@ PathOram::writePath(Leaf leaf)
     for (unsigned l = levels, k = 0; l-- > 0; ++k) {
         const std::uint64_t idx = bucketIndexOnPath(leaf, l);
         buf_.trace.writes.push_back({bucketAddr(idx), bucketBytes_, true});
-        crypto::Ciphertext &ct = dram_[idx];
-        ct.nonce = buf_.nonces[k];
-        tcoram_assert(ct.data.size() == sb, "bucket ciphertext size drift");
-        buf_.segments.push_back({ct.nonce, buf_.levelBytes(l), ct.data});
+        nonces_[idx] = buf_.nonces[k];
+        buf_.segments.push_back(
+            {nonces_[idx], buf_.levelBytes(l), imageSlice(idx)});
     }
     cipher_.xcryptSegments(buf_.segments);
     ++cryptoCalls_;
@@ -237,7 +239,7 @@ PathOram::writePath(Leaf leaf)
     if (auth_ != nullptr) {
         for (unsigned l = 0; l < levels; ++l) {
             const std::uint64_t idx = bucketIndexOnPath(leaf, l);
-            auth_->commit(idx, dram_[idx]);
+            auth_->commit(idx, bucketCiphertext(idx));
         }
     }
 }
@@ -376,7 +378,7 @@ PathOram::checkInvariant(const std::vector<BlockId> &ids)
         bool found = false;
         for (unsigned level = 0; level <= depth_ && !found; ++level) {
             const std::uint64_t idx = bucketIndexOnPath(leaf, level);
-            Bucket b = Bucket::unseal(dram_[idx], cipher_, cfg_.z,
+            Bucket b = Bucket::unseal(bucketCiphertext(idx), cipher_, cfg_.z,
                                       cfg_.blockBytes);
             for (const auto &slot : b.slots())
                 if (slot.id == id)
@@ -391,14 +393,11 @@ PathOram::checkInvariant(const std::vector<BlockId> &ids)
 void
 PathOram::enableIntegrity(std::uint64_t mac_seed, unsigned retry_budget)
 {
-    auth_ = std::make_unique<BucketAuthenticator>(mac_seed, dram_.size());
+    auth_ = std::make_unique<BucketAuthenticator>(mac_seed, nonces_.size());
     recovery_ = std::make_unique<RecoveryEngine>(retry_budget);
-    for (std::uint64_t i = 0; i < dram_.size(); ++i)
-        auth_->commit(i, dram_[i]);
-    const std::uint64_t sb = buf_.codec.serializedBytes();
-    readScratch_.resize(depth_ + 1);
-    for (crypto::Ciphertext &ct : readScratch_)
-        ct.data.resize(sb);
+    for (std::uint64_t i = 0; i < nonces_.size(); ++i)
+        auth_->commit(i, bucketCiphertext(i));
+    readScratch_.resize((depth_ + 1) * serialBytes_);
 }
 
 void
@@ -448,10 +447,10 @@ PathOram::saveState(ByteWriter &w) const
         w.u64(v);
     w.u64(leafPos_);
 
-    const std::uint64_t sb = buf_.codec.serializedBytes();
-    w.u64(dram_.size());
-    w.u64(sb);
-    for (const crypto::Ciphertext &ct : dram_) {
+    w.u64(nonces_.size());
+    w.u64(serialBytes_);
+    for (std::uint64_t i = 0; i < nonces_.size(); ++i) {
+        const crypto::CiphertextView ct = bucketCiphertext(i);
         w.u64(ct.nonce);
         w.bytes(ct.data);
     }
@@ -483,14 +482,11 @@ PathOram::restoreState(ByteReader &r)
         v = r.u64();
     leafPos_ = r.u64();
 
-    tcoram_assert(r.u64() == dram_.size(), "snapshot tree size mismatch");
-    const std::uint64_t sb = r.u64();
-    tcoram_assert(sb == buf_.codec.serializedBytes(),
-                  "snapshot bucket size mismatch");
-    for (crypto::Ciphertext &ct : dram_) {
-        ct.nonce = r.u64();
-        tcoram_assert(ct.data.size() == sb, "bucket ciphertext size drift");
-        r.bytes(ct.data);
+    tcoram_assert(r.u64() == nonces_.size(), "snapshot tree size mismatch");
+    tcoram_assert(r.u64() == serialBytes_, "snapshot bucket size mismatch");
+    for (std::uint64_t i = 0; i < nonces_.size(); ++i) {
+        nonces_[i] = r.u64();
+        r.bytes(imageSlice(i));
     }
 
     stash_.restoreState(r);
@@ -500,8 +496,8 @@ PathOram::restoreState(ByteReader &r)
     // Tags are derived state: re-latch over the restored image instead
     // of trusting serialized tags.
     if (auth_ != nullptr)
-        for (std::uint64_t i = 0; i < dram_.size(); ++i)
-            auth_->commit(i, dram_[i]);
+        for (std::uint64_t i = 0; i < nonces_.size(); ++i)
+            auth_->commit(i, bucketCiphertext(i));
 }
 
 // ---------------------------------------------------------------------------

@@ -21,12 +21,19 @@
  * point; the vector-returning access() is a convenience wrapper for
  * tests and examples.
  *
- * Crypto is batched at path granularity: a path read decrypts every
- * bucket on the path with ONE CtrCipher::xcryptSegments call (each
- * bucket keeps its own nonce, so the wire format is unchanged), and a
- * write-back re-encrypts the whole path with one more — two engine
- * calls per tree per access. Write-back nonces and position-map remap
- * leaves are likewise drawn through the PRF's batched entry points.
+ * The DRAM image is one contiguous allocation per tree: bucket i's
+ * ciphertext is the serialized-bucket-sized slice at byte
+ * i * serializedBytes of image_, and its nonce is nonces_[i].
+ * bucketCiphertext() hands out a CiphertextView into it, so the
+ * integrity layer and the root-bucket probe read buckets in place.
+ *
+ * Crypto is batched at path granularity: a path read prefetches every
+ * on-path bucket's cache lines, then decrypts the whole path with ONE
+ * CtrCipher::xcryptSegments call (each bucket keeps its own nonce, so
+ * the wire format is unchanged), and a write-back re-encrypts the
+ * whole path with one more — two engine calls per tree per access.
+ * Write-back nonces and position-map remap leaves are likewise drawn
+ * through the PRF's batched entry points.
  * Stash eviction precomputes each resident's deepest legal level once
  * per access (XOR of leaf labels) and buckets the sweep by level
  * instead of rescanning the stash per tree level. The tree geometry
@@ -175,8 +182,19 @@ class PathOram
     /** Net blocks drained from the stash by background evictions. */
     std::uint64_t blocksEvicted() const { return blocksEvicted_; }
 
-    /** Ciphertext currently stored for bucket @p index (0 = root). */
-    const crypto::Ciphertext &bucketCiphertext(std::uint64_t index) const;
+    /**
+     * Ciphertext currently stored for bucket @p index (0 = root): a
+     * view into the tree image, valid until the bucket is next
+     * written (any access on a path through it).
+     */
+    crypto::CiphertextView
+    bucketCiphertext(std::uint64_t index) const
+    {
+        tcoram_assert(index < nonces_.size(), "bucket index out of range");
+        return {nonces_[index],
+                std::span<const std::uint8_t>(image_).subspan(
+                    index * serialBytes_, serialBytes_)};
+    }
 
     /** Physical address of bucket @p index. */
     Addr bucketAddr(std::uint64_t index) const;
@@ -287,6 +305,13 @@ class PathOram
     void writePath(Leaf leaf);
     /** Fresh uniform leaf from the batched remap cache. */
     Leaf nextLeaf();
+    /** Writable ciphertext bytes of bucket @p index in image_. */
+    std::span<std::uint8_t>
+    imageSlice(std::uint64_t index)
+    {
+        return std::span<std::uint8_t>(image_).subspan(index * serialBytes_,
+                                                       serialBytes_);
+    }
 
     OramConfig cfg_;
     // Geometry derived once from cfg_ (treeDepth() is a divide and a
@@ -294,6 +319,8 @@ class PathOram
     unsigned depth_;
     std::uint64_t numLeaves_;
     std::uint64_t bucketBytes_;
+    /** Serialized (and ciphertext) bytes per bucket. */
+    std::uint64_t serialBytes_;
     PositionMapIf &posMap_;
     crypto::CtrCipher cipher_;
     crypto::Prf prf_;
@@ -305,7 +332,10 @@ class PathOram
     std::size_t leafPos_ = 0;
     Stash stash_;
     Addr baseAddr_;
-    std::vector<crypto::Ciphertext> dram_;
+    /** Nonce of every bucket, heap-numbered. */
+    std::vector<std::uint64_t> nonces_;
+    /** Every bucket's ciphertext, bucket i at i * serialBytes_. */
+    std::vector<std::uint8_t> image_;
     PathBuffer buf_;
     std::uint64_t accesses_ = 0;
     std::uint64_t evictions_ = 0;
@@ -327,9 +357,10 @@ class PathOram
     std::unique_ptr<BucketAuthenticator> auth_;
     std::unique_ptr<RecoveryEngine> recovery_;
     dram::FaultInjector *injector_ = nullptr; ///< not owned
-    /** Scratch ciphertext copies of the path being read: faults are
-     *  injected into the copy, so a retry re-reads pristine DRAM. */
-    std::vector<crypto::Ciphertext> readScratch_;
+    /** Scratch copy of the ciphertexts on the path being read (level
+     *  l at l * serialBytes_): faults are injected into the copy, so a
+     *  retry re-reads pristine DRAM. */
+    std::vector<std::uint8_t> readScratch_;
     std::uint32_t lastRetries_ = 0;
     std::uint32_t lastDetected_ = 0;
 };

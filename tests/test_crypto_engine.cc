@@ -3,7 +3,8 @@
  * Batched crypto engine tests: FIPS-197 known answers across every
  * available backend (scalar / T-table / AES-NI), differential fuzz of
  * the batched CTR against a faithful replay of the seed scalar CTR,
- * segment batching, batched PRF evaluation, the bucket wire-format
+ * the fused ctrXor kernel at its length and nonce edges, segment
+ * batching, batched PRF evaluation, the bucket wire-format
  * golden vector that pins ciphertext bit-compatibility across
  * backends, the arena<->stash path codec against its Bucket-based
  * reference, and cross-backend equality of whole ORAM DRAM images.
@@ -182,15 +183,17 @@ TEST(CtrBatched, DifferentialFuzzVsSeedScalar)
 
 TEST(CtrBatched, InPlaceMatchesOutOfPlace)
 {
-    const crypto::CtrCipher cipher(crypto::keyFromSeed(8));
-    std::vector<std::uint8_t> msg(213);
-    for (std::size_t i = 0; i < msg.size(); ++i)
-        msg[i] = static_cast<std::uint8_t>(i * 7);
-    std::vector<std::uint8_t> out(msg.size());
-    cipher.xcrypt(99, msg, out);
-    std::vector<std::uint8_t> inplace = msg;
-    cipher.xcrypt(99, inplace, inplace);
-    EXPECT_EQ(inplace, out);
+    for (const auto be : availableBackends()) {
+        const crypto::CtrCipher cipher(crypto::keyFromSeed(8), be);
+        std::vector<std::uint8_t> msg(213);
+        for (std::size_t i = 0; i < msg.size(); ++i)
+            msg[i] = static_cast<std::uint8_t>(i * 7);
+        std::vector<std::uint8_t> out(msg.size());
+        cipher.xcrypt(99, msg, out);
+        std::vector<std::uint8_t> inplace = msg;
+        cipher.xcrypt(99, inplace, inplace);
+        EXPECT_EQ(inplace, out) << cipher.backendName();
+    }
 }
 
 TEST(CtrBatched, SegmentsMatchPerSegmentCalls)
@@ -199,32 +202,68 @@ TEST(CtrBatched, SegmentsMatchPerSegmentCalls)
     // equal N separate xcrypt calls — this is the whole-path batching
     // the ORAM read/write paths rely on.
     const Key128 key = crypto::keyFromSeed(21);
-    const crypto::CtrCipher cipher(key, CryptoBackend::TTable);
-    Rng rng(55);
-    std::vector<std::vector<std::uint8_t>> ins(7), sep, batch;
-    std::vector<std::uint64_t> nonces;
-    for (auto &v : ins) {
-        v.resize(17 + rng.nextBounded(300));
-        for (auto &b : v)
-            b = static_cast<std::uint8_t>(rng.next());
-        nonces.push_back(rng.next());
+    for (const auto be : availableBackends()) {
+        const crypto::CtrCipher cipher(key, be);
+        Rng rng(55);
+        std::vector<std::vector<std::uint8_t>> ins(7), sep, batch;
+        std::vector<std::uint64_t> nonces;
+        for (auto &v : ins) {
+            v.resize(17 + rng.nextBounded(300));
+            for (auto &b : v)
+                b = static_cast<std::uint8_t>(rng.next());
+            nonces.push_back(rng.next());
+        }
+        sep = ins;
+        batch = ins;
+        for (std::size_t i = 0; i < ins.size(); ++i)
+            cipher.xcrypt(nonces[i], sep[i], sep[i]);
+        std::vector<crypto::CtrSegment> segs;
+        for (std::size_t i = 0; i < ins.size(); ++i)
+            segs.push_back({nonces[i], batch[i], batch[i]});
+        cipher.xcryptSegments(segs);
+        EXPECT_EQ(batch, sep) << cipher.backendName();
     }
-    sep = ins;
-    batch = ins;
-    for (std::size_t i = 0; i < ins.size(); ++i)
-        cipher.xcrypt(nonces[i], sep[i], sep[i]);
-    std::vector<crypto::CtrSegment> segs;
-    for (std::size_t i = 0; i < ins.size(); ++i)
-        segs.push_back({nonces[i], batch[i], batch[i]});
-    cipher.xcryptSegments(segs);
-    EXPECT_EQ(batch, sep);
+}
+
+TEST(CtrXor, KernelEdgesMatchSeedScalar)
+{
+    // The fused kernel at its edges, against the seed per-block loop:
+    // empty, partial first block, exact block, one past, just under,
+    // at and past the 8-block pipeline width, a partial last block
+    // after several full pipelines, and one whole KV path (1920 B);
+    // the extreme nonces (the nonce lane must not carry into the
+    // index lane); in place and out of place.
+    const Key128 key = crypto::keyFromSeed(0xc7e);
+    const crypto::Aes128 ref_aes(key);
+    Rng rng(4321);
+    for (const auto be : availableBackends()) {
+        const auto engine = crypto::makeCryptoEngine(key, be);
+        for (const std::size_t len :
+             {0u, 1u, 15u, 16u, 17u, 127u, 128u, 129u, 255u, 1920u}) {
+            for (const std::uint64_t nonce :
+                 {std::uint64_t{0}, ~std::uint64_t{0}}) {
+                std::vector<std::uint8_t> msg(len);
+                for (auto &b : msg)
+                    b = static_cast<std::uint8_t>(rng.next());
+                std::vector<std::uint8_t> expect(len), out(len, 0xee);
+                seedCtrReference(ref_aes, nonce, msg, expect);
+                engine->ctrXor(nonce, msg, out);
+                EXPECT_EQ(out, expect) << engine->name() << " len=" << len
+                                       << " nonce=" << nonce;
+                std::vector<std::uint8_t> inplace = msg;
+                engine->ctrXor(nonce, inplace, inplace);
+                EXPECT_EQ(inplace, expect)
+                    << engine->name() << " in place, len=" << len
+                    << " nonce=" << nonce;
+            }
+        }
+    }
 }
 
 TEST(CtrBatched, EmptySegmentsAreSafe)
 {
-    // Zero-length segments anywhere in the batch — including trailing,
-    // where the naive keystream index would run past the end — must be
-    // no-ops that don't disturb their neighbors.
+    // Zero-length segments anywhere in the batch, including trailing
+    // ones, must be no-ops that don't disturb their neighbors.
     const crypto::CtrCipher cipher(crypto::keyFromSeed(22));
     std::vector<std::uint8_t> msg(40, 0xab), expect(40);
     cipher.xcrypt(5, msg, expect);
@@ -476,7 +515,8 @@ TEST(PathOramCrossBackend, IdenticalDramImages)
         }
         std::vector<crypto::Ciphertext> image;
         for (std::uint64_t i = 0; i < c.numBuckets(); ++i)
-            image.push_back(o->bucketCiphertext(i));
+            image.push_back(
+                crypto::Ciphertext::copyOf(o->bucketCiphertext(i)));
         // Keep the position map alive until the image is captured.
         return image;
     };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
@@ -302,7 +303,9 @@ TEST(PathOram, AccessRewritesRootCiphertext)
     OramConfig c = tinyConfig();
     FlatPositionMap map(c.numBlocks);
     PathOram oram(c, map, 6);
-    const auto before = oram.bucketCiphertext(0);
+    // An owning copy: the view aliases the image the access rewrites.
+    const auto before =
+        crypto::Ciphertext::copyOf(oram.bucketCiphertext(0));
     oram.access(0, Op::Read);
     EXPECT_FALSE(before == oram.bucketCiphertext(0));
 }
@@ -312,9 +315,116 @@ TEST(PathOram, DummyAccessAlsoRewritesRoot)
     OramConfig c = tinyConfig();
     FlatPositionMap map(c.numBlocks);
     PathOram oram(c, map, 7);
-    const auto before = oram.bucketCiphertext(0);
+    // An owning copy: the view aliases the image the access rewrites.
+    const auto before =
+        crypto::Ciphertext::copyOf(oram.bucketCiphertext(0));
     oram.dummyAccess();
     EXPECT_FALSE(before == oram.bucketCiphertext(0));
+}
+
+/** Owning snapshot of every bucket ciphertext of @p oram's image. */
+std::vector<crypto::Ciphertext>
+imageSnapshot(const PathOram &oram)
+{
+    std::vector<crypto::Ciphertext> image;
+    for (std::uint64_t i = 0; i < oram.config().numBuckets(); ++i)
+        image.push_back(crypto::Ciphertext::copyOf(oram.bucketCiphertext(i)));
+    return image;
+}
+
+/** A leaf whose path passes through bucket @p index (heap-numbered). */
+Leaf
+leafThrough(const PathOram &oram, std::uint64_t index)
+{
+    unsigned level = 0;
+    while ((std::uint64_t{2} << level) - 1 <= index)
+        ++level;
+    const std::uint64_t pos = index - ((std::uint64_t{1} << level) - 1);
+    return pos << (oram.depth() - level);
+}
+
+TEST(PathOram, TamperStaysInsideItsBucket)
+{
+    // Every bucket shares one contiguous image, so an indexing
+    // off-by-one would corrupt a neighbour. Flipping the first and the
+    // last byte of bucket i must change bucket i's bytes only — at
+    // exactly those two offsets — and leave every other bucket's nonce
+    // and bytes equal to a snapshot; a tag store latched over the image
+    // must then see exactly one bad bucket.
+    OramConfig c = tinyConfig();
+    FlatPositionMap map(c.numBlocks);
+    PathOram oram(c, map, 11);
+    for (BlockId id = 0; id < 40; ++id)
+        oram.access(id, Op::Write, pattern(id));
+    const std::uint64_t buckets = c.numBuckets();
+    const std::uint64_t sb = oram.bucketCiphertext(0).data.size();
+    ASSERT_GT(sb, 1u);
+
+    BucketAuthenticator auth(0x15, buckets);
+    for (std::uint64_t i = 0; i < buckets; ++i)
+        auth.commit(i, oram.bucketCiphertext(i));
+
+    for (const std::uint64_t victim :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+          buckets / 2, buckets - 2, buckets - 1}) {
+        const auto before = imageSnapshot(oram);
+        oram.tamperCiphertext(victim, 0);
+        oram.tamperCiphertext(victim, sb - 1);
+        for (std::uint64_t i = 0; i < buckets; ++i) {
+            const crypto::CiphertextView now = oram.bucketCiphertext(i);
+            if (i != victim) {
+                ASSERT_TRUE(now == before[i])
+                    << "bucket " << i << " changed by tampering " << victim;
+                continue;
+            }
+            ASSERT_EQ(now.nonce, before[i].nonce);
+            for (std::uint64_t b = 0; b < sb; ++b) {
+                const std::uint8_t flip = (b == 0 || b == sb - 1) ? 1 : 0;
+                ASSERT_EQ(now.data[b], before[i].data[b] ^ flip)
+                    << "bucket " << i << " byte " << b;
+            }
+        }
+        std::uint64_t detections = 0;
+        for (std::uint64_t i = 0; i < buckets; ++i) {
+            if (!auth.verify(i, oram.bucketCiphertext(i))) {
+                ++detections;
+                EXPECT_EQ(i, victim);
+            }
+        }
+        EXPECT_EQ(detections, 1u) << "victim " << victim;
+        // A flip is its own inverse: restore for the next victim.
+        oram.tamperCiphertext(victim, 0);
+        oram.tamperCiphertext(victim, sb - 1);
+        ASSERT_TRUE(imageSnapshot(oram) == before);
+    }
+}
+
+TEST(PathOram, VerifiedReadFlagsTheVictimNotItsArenaNeighbours)
+{
+    // With integrity on and a one-retry budget, a tampered bucket's
+    // arena neighbours (i - 1 and i + 1, on other paths) still verify:
+    // reading their paths reports no detection. Reading the victim's
+    // own path fails verification on the read and on its one retry
+    // (the DRAM copy stays tampered) and dies naming the victim bucket
+    // as the one that failed.
+    OramConfig c = tinyConfig();
+    FlatPositionMap map(c.numBlocks);
+    PathOram oram(c, map, 12);
+    oram.enableIntegrity(0x77, 1);
+    for (BlockId id = 0; id < 40; ++id)
+        oram.access(id, Op::Write, pattern(id));
+    ASSERT_EQ(oram.faultsDetected(), 0u);
+
+    const std::uint64_t victim = c.numBuckets() / 2;
+    oram.tamperCiphertext(victim, 0);
+    for (const std::uint64_t neighbour : {victim - 1, victim + 1}) {
+        oram.evictPath(leafThrough(oram, neighbour));
+        EXPECT_EQ(oram.lastFaultsDetected(), 0u) << "neighbour " << neighbour;
+    }
+    EXPECT_EQ(oram.faultsDetected(), 0u);
+    EXPECT_DEATH(oram.evictPath(leafThrough(oram, victim)),
+                 "integrity violation on bucket " + std::to_string(victim) +
+                     " .*persists after 1 retries");
 }
 
 TEST(PathOram, TraceTouchesFullPathTwice)
