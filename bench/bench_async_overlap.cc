@@ -39,7 +39,7 @@
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
-#include "oram/oram_controller.hh"
+#include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
 #include "sim/shard_worker.hh"
 #include "timing/rate_enforcer.hh"
@@ -68,7 +68,7 @@ struct Cell
  * reference: gather every bucket of one random path per tree, read
  * them all in one batch, then write them all back in a second batch
  * issued at the read phase's completion. Identical code (and identical
- * RNG draws) to the seed OramController::calibrate.
+ * RNG draws) to the seed controller's calibrate().
  */
 Cycles
 preSplitCalibration(const oram::OramConfig &cfg, dram::MemoryIf &mem,
@@ -117,16 +117,15 @@ runCell(std::uint64_t blocks_log2, unsigned banks)
     {
         dram::DramModel mem(dcfg);
         Rng rng(kCalibSeed);
-        oram::OramController ctrl(cfg, mem, rng, oram::PathMode::Sync);
-        c.syncOlat = ctrl.accessLatency();
+        oram::TimingOramDevice dev(cfg, mem, rng, oram::PathMode::Sync);
+        c.syncOlat = dev.accessLatency();
     }
     {
         dram::DramModel mem(dcfg);
         Rng rng(kCalibSeed);
-        oram::OramController ctrl(cfg, mem, rng,
-                                  oram::PathMode::Pipelined);
-        c.pipeOlat = ctrl.accessLatency();
-        c.pipeOccupancy = ctrl.occupancyPerAccess();
+        oram::TimingOramDevice dev(cfg, mem, rng, oram::PathMode::Pipelined);
+        c.pipeOlat = dev.accessLatency();
+        c.pipeOccupancy = dev.occupancyPerAccess();
     }
     {
         dram::DramModel mem(dcfg);

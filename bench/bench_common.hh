@@ -143,7 +143,7 @@ applyOramDeviceFlag(int argc, char **argv,
 /**
  * Apply a `--dram-mode <sync|async>` command-line flag to every
  * configuration in @p configs. Async calibrates the split-transaction
- * controller (oram/oram_controller.hh): bucket write-backs overlap
+ * controller (oram/oram_device.hh): bucket write-backs overlap
  * in-flight deeper reads, OLAT shrinks to the path-read phase, and
  * the write-back tail drains inside the enforced inter-access gap —
  * so figures run faster at identical leakage accounting. Sync (the

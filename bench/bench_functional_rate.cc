@@ -18,8 +18,7 @@
  * --check runs the deterministic, machine-independent gates:
  *   1. fusion: every tree's accessCount() advances by exactly 1 per
  *      logical access (a get+set cascade would cost 3 per stage);
- *   2. crypto-call delta per access == 2·treeCount();
- *   3. ColumnBatch serialization independent of chunk assignment.
+ *   2. crypto-call delta per access == 2·treeCount().
  * --baseline <path> adds the throughput backstop: accesses/s at H = 3
  * must exceed the file's "acc_per_s_h3_floor", a deliberately
  * conservative value (bench/functional_baseline.json).
@@ -38,7 +37,6 @@
 #include "bench_common.hh"
 #include "common/rng.hh"
 #include "oram/path_oram.hh"
-#include "sim/column_batch.hh"
 
 using namespace tcoram;
 
@@ -107,27 +105,6 @@ run(const oram::OramConfig &c, std::size_t accesses)
     return r;
 }
 
-/** Gate 3: chunk-assignment-independent ColumnBatch bytes. */
-bool
-columnBatchIdentityHolds()
-{
-    using enum sim::ColumnType;
-    const sim::ColumnSchema schema{{{"k", U64}, {"v", F64}}};
-    auto append = [](sim::ColumnChunk &c, std::uint64_t key) {
-        c.beginRow(key);
-        c.u64(key);
-        c.f64(static_cast<double>(key) * 0.125);
-        c.endRow();
-    };
-    sim::ColumnBatch scattered(schema, 4);
-    for (std::uint64_t key = 64; key-- > 0;)
-        append(scattered.chunk(key % 4), key);
-    sim::ColumnBatch single(schema, 1);
-    for (std::uint64_t key = 0; key < 64; ++key)
-        append(single.chunk(0), key);
-    return scattered.csv() == single.csv();
-}
-
 } // namespace
 
 int
@@ -190,10 +167,6 @@ main(int argc, char **argv)
                  "crypto calls per access != 2 * treeCount()");
         }
     }
-
-    if (check)
-        gate(columnBatchIdentityHolds(),
-             "ColumnBatch bytes depend on chunk assignment");
 
     if (baseline_path != nullptr) {
         const double floor =

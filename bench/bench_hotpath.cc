@@ -8,10 +8,8 @@
  *  - CTR MB/s through CtrCipher::xcrypt on a path-sized buffer
  *  - end-to-end functional PathOram accesses/s (bench geometry)
  *
- * plus the pre-PR seed implementation replayed faithfully (per-block
- * scalar AES calls, per-byte counter/XOR loops) as the "before"
- * column, so the emitted BENCH_hotpath.json carries before/after in
- * one artifact and CI can fail on regressions via --check.
+ * and emits them as BENCH_hotpath.json; CI fails on regressions via
+ * --check.
  *
  * Usage:
  *   bench_hotpath [--quick] [--json <path>] [--check <baseline.json>]
@@ -57,33 +55,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/**
- * Faithful replay of the seed (pre-PR) CTR inner loop: one scalar
- * AES call per 16-byte block, byte-built counters, per-byte XOR.
- * This is the "before" every speedup in the JSON is relative to.
- */
-void
-seedCtrXcrypt(const crypto::Aes128 &aes, std::uint64_t nonce,
-              std::span<const std::uint8_t> in, std::span<std::uint8_t> out)
-{
-    crypto::Block128 counter{};
-    for (int i = 0; i < 8; ++i)
-        counter[i] = static_cast<std::uint8_t>(nonce >> (8 * i));
-    std::uint64_t block_index = 0;
-    std::size_t off = 0;
-    while (off < in.size()) {
-        for (int i = 0; i < 8; ++i)
-            counter[8 + i] =
-                static_cast<std::uint8_t>(block_index >> (8 * i));
-        const crypto::Block128 ks = aes.encryptBlockScalar(counter);
-        const std::size_t n = std::min<std::size_t>(16, in.size() - off);
-        for (std::size_t i = 0; i < n; ++i)
-            out[off + i] = static_cast<std::uint8_t>(in[off + i] ^ ks[i]);
-        off += n;
-        ++block_index;
-    }
-}
-
 /** AES throughput: blocks/s through one batched encryptBlocks call. */
 double
 benchAes(const crypto::CryptoEngineIf &engine, std::size_t iters)
@@ -107,20 +78,6 @@ benchCtr(const crypto::CtrCipher &cipher, std::size_t iters)
     const auto t0 = Clock::now();
     for (std::size_t it = 0; it < iters; ++it)
         cipher.xcrypt(it, buf, buf);
-    const double dt = secondsSince(t0);
-    return static_cast<double>(buf.size()) * static_cast<double>(iters) /
-           dt / 1e6;
-}
-
-/** Seed-replay CTR throughput (the "before" number). */
-double
-benchCtrSeed(std::size_t iters)
-{
-    const crypto::Aes128 aes(crypto::keyFromSeed(2));
-    std::vector<std::uint8_t> buf(24 * 1024, 0x5a);
-    const auto t0 = Clock::now();
-    for (std::size_t it = 0; it < iters; ++it)
-        seedCtrXcrypt(aes, it, buf, buf);
     const double dt = secondsSince(t0);
     return static_cast<double>(buf.size()) * static_cast<double>(iters) /
            dt / 1e6;
@@ -174,9 +131,8 @@ main(int argc, char **argv)
     // run-to-run spread, far beyond the gate's tolerance.
     const std::size_t aes_iters = quick ? 200 : 2000;
     const std::size_t ctr_iters = quick ? 400 : 4000;
-    const std::size_t seed_ctr_iters = quick ? 40 : 400;
     const std::size_t oram_accesses = quick ? 10000 : 20000;
-    const std::size_t seed_oram_accesses = quick ? 2400 : 4000;
+    const std::size_t scalar_oram_accesses = quick ? 2400 : 4000;
 
     bench::banner("hot-path: batched AES-CTR engine + ORAM datapath");
     std::printf("aesni available: %s\n",
@@ -193,17 +149,7 @@ main(int argc, char **argv)
         results.emplace_back(key, v);
     };
 
-    // --- "before": the seed implementation, replayed faithfully ---
-    const double seed_ctr = benchCtrSeed(seed_ctr_iters);
-    put("seed_ctr_mb_per_s", seed_ctr);
-    // Seed ORAM = scalar engine minus batching; the scalar-backend
-    // ORAM row below isolates the engine, this one is the honest
-    // "before" for end-to-end speedups (measured via the scalar
-    // backend whose per-path cost is dominated by the same rounds).
-    std::printf("%-24s ctr %8.1f MB/s\n", "seed (pre-PR replay)", seed_ctr);
-
     double oram_scalar = 0.0, oram_ttable = 0.0, oram_best = 0.0;
-    double ctr_ttable = 0.0;
     for (const auto be : backends) {
         const auto key = crypto::keyFromSeed(1);
         const auto engine = crypto::makeCryptoEngine(key, be);
@@ -214,17 +160,15 @@ main(int argc, char **argv)
         const double ctr = benchCtr(cipher, ctr_iters);
         const bool is_scalar = (be == crypto::CryptoBackend::Scalar);
         const double oram =
-            benchOram(be, is_scalar ? seed_oram_accesses : oram_accesses);
+            benchOram(be, is_scalar ? scalar_oram_accesses : oram_accesses);
 
         put(std::string("aes_blocks_per_s_") + name, aes);
         put(std::string("ctr_mb_per_s_") + name, ctr);
         put(std::string("oram_accesses_per_s_") + name, oram);
         if (be == crypto::CryptoBackend::Scalar)
             oram_scalar = oram;
-        if (be == crypto::CryptoBackend::TTable) {
+        if (be == crypto::CryptoBackend::TTable)
             oram_ttable = oram;
-            ctr_ttable = ctr;
-        }
         oram_best = std::max(oram_best, oram);
 
         std::printf("%-24s aes %10.3e blk/s   ctr %8.1f MB/s   "
@@ -232,13 +176,11 @@ main(int argc, char **argv)
                     name, aes, ctr, oram);
     }
     put("oram_accesses_per_s_best", oram_best);
-    put("speedup_ctr_ttable_vs_seed", ctr_ttable / seed_ctr);
     put("speedup_oram_ttable_vs_scalar", oram_ttable / oram_scalar);
     put("speedup_oram_best_vs_scalar", oram_best / oram_scalar);
 
-    std::printf("portable speedups: ctr %.1fx, oram %.1fx (best %.1fx)\n",
-                ctr_ttable / seed_ctr, oram_ttable / oram_scalar,
-                oram_best / oram_scalar);
+    std::printf("portable speedups: oram %.1fx (best %.1fx)\n",
+                oram_ttable / oram_scalar, oram_best / oram_scalar);
 
     // --- JSON artifact ---
     {

@@ -30,9 +30,12 @@
  *   bench_kv_serving [--quick] [--json <path>] [--check]
  */
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <locale>
 #include <sstream>
@@ -248,8 +251,12 @@ main(int argc, char **argv)
     sim::WorkloadReplayRun synth(replay_cfg);
     synth.run();
 
+    // Scratch file under a per-process name in the temp directory:
+    // the artifact path may be unwritable (--json /dev/null).
     const std::string trace_path =
-        json_path + ".optrace"; // lives next to the artifact
+        (std::filesystem::temp_directory_path() /
+         ("tcoram_kv_serving_" + std::to_string(::getpid()) + ".optrace"))
+            .string();
     {
         auto recorded =
             workload::loadWorkload(replay_cfg.workload);

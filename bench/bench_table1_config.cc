@@ -12,7 +12,7 @@
 #include "cache/cache_config.hh"
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
-#include "oram/oram_controller.hh"
+#include "oram/oram_device.hh"
 
 using namespace tcoram;
 
@@ -56,7 +56,7 @@ main()
     const auto oc = oram::OramConfig::paperConfig();
     Rng rng(1);
     dram::DramModel mem(dc);
-    oram::OramController ctrl(oc, mem, rng);
+    oram::TimingOramDevice dev(oc, mem, rng);
     std::printf("ORAM capacity                      %llu blocks (4 GB)\n",
                 (unsigned long long)oc.numBlocks);
     std::printf("Z (blocks/bucket)                  %u\n", oc.z);
@@ -64,8 +64,8 @@ main()
                 oc.recursionChain().size());
     std::printf("Data-tree depth                    %u\n", oc.treeDepth());
     std::printf("Bytes per access   paper: 24.2 KB  measured: %.1f KB\n",
-                static_cast<double>(ctrl.bytesPerAccess()) / 1024.0);
+                static_cast<double>(dev.bytesPerAccess()) / 1024.0);
     std::printf("Access latency     paper: 1488 cy  measured: %llu cy\n",
-                (unsigned long long)ctrl.accessLatency());
+                (unsigned long long)dev.accessLatency());
     return 0;
 }

@@ -10,7 +10,7 @@
 #include "bench_common.hh"
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
-#include "oram/oram_controller.hh"
+#include "oram/oram_device.hh"
 #include "power/energy_model.hh"
 
 using namespace tcoram;
@@ -46,15 +46,15 @@ main()
     std::printf("                    paper: ~984 nJ   measured: %.1f nJ\n",
                 c.oramAccessNj(2 * 758, 1488));
 
-    // And with our own calibrated controller:
+    // And with our own calibrated timing device:
     Rng rng(1);
     dram::DramModel mem{dram::DramConfig{}};
-    oram::OramController ctrl(oram::OramConfig::paperConfig(), mem, rng);
+    oram::TimingOramDevice dev(oram::OramConfig::paperConfig(), mem, rng);
     std::printf("ORAM access (our calibration, %llu chunks, %llu cycles):\n",
-                (unsigned long long)ctrl.chunksPerAccess(),
-                (unsigned long long)ctrl.accessLatency());
+                (unsigned long long)dev.chunksPerAccess(),
+                (unsigned long long)dev.accessLatency());
     std::printf("                                     measured: %.1f nJ\n",
-                c.oramAccessNj(ctrl.chunksPerAccess(),
-                               ctrl.accessLatency()));
+                c.oramAccessNj(dev.chunksPerAccess(),
+                               dev.accessLatency()));
     return 0;
 }

@@ -39,7 +39,7 @@ namespace tcoram::dram {
 struct BackendSpec
 {
     std::string kind = "banked";
-    /** FlatMemory access latency. */
+    /** FlatMemory access latency (the base_dram baseline, §9.1.2). */
     Cycles flatLatency = 40;
     /** Banked-model geometry/timing. */
     DramConfig dram;

@@ -9,7 +9,7 @@
  * pending completion, and drainRetired() hands back every transaction
  * that has completed by a given cycle. This is what lets the pipelined
  * ORAM path mode overlap write-back of shallow levels with still-in-
- * flight reads of deeper ones (oram/oram_controller.hh), and it is the
+ * flight reads of deeper ones (oram/oram_device.hh), and it is the
  * seam background eviction and deadline-aware dispatch build on.
  *
  * The legacy blocking calls — access() and accessBatch() — are thin

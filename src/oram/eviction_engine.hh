@@ -9,7 +9,7 @@
  * requested line is already available, and the rate enforcer then
  * leaves the channel idle until the next slot. The engine converts
  * that latent bandwidth into backlog drain: with the engine enabled,
- * an access may *defer* its write-back tail (the controller charges
+ * an access may *defer* its write-back tail (the timing device charges
  * only the read phase and the evicted blocks notionally stay in the
  * stash), and the deferred tail is retired later by a background
  * eviction — a full path read + stash-evict + write-back on a
@@ -20,11 +20,10 @@
  * same calibrated duration), and whether one fires depends only on
  * the public slot grid and calibrated constants — never on data.
  *
- * The engine owns the retire-event replay loop formerly inlined in
- * OramController::calibratePipelined (replayPipelinedPath); the
- * controller and the engine both calibrate through it, so an eviction
- * occupies the path for exactly as long as the access whose tail it
- * retires would have.
+ * The engine owns the retire-event replay loop (replayPipelinedPath);
+ * TimingOramDevice's pipelined calibration and the engine both
+ * calibrate through it, so an eviction occupies the path for exactly
+ * as long as the access whose tail it retires would have.
  */
 
 #ifndef TCORAM_ORAM_EVICTION_ENGINE_HH
@@ -71,7 +70,7 @@ struct PipelinedPathTiming
 /**
  * The split-transaction retire-event loop: stream every path-bucket
  * read through the async core and issue each bucket's write-back the
- * moment its read retires. Shared by OramController's pipelined
+ * moment its read retires. Shared by TimingOramDevice's pipelined
  * calibration and EvictionEngine::calibrate.
  */
 PipelinedPathTiming replayPipelinedPath(dram::MemoryIf &mem,

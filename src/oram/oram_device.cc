@@ -2,41 +2,207 @@
 
 #include <algorithm>
 
+#include "common/bitutils.hh"
 #include "common/log.hh"
 #include "oram/sharded_device.hh"
 
 namespace tcoram::oram {
 
+TimingOramDevice::TimingOramDevice(const OramConfig &cfg, dram::MemoryIf &mem,
+                                   Rng &rng, PathMode mode,
+                                   const EvictionConfig &evict)
+    : cfg_(cfg), mode_(mode), evict_(evict)
+{
+    // The calibration path choice consumes identical RNG draws in both
+    // modes, so switching modes never shifts any later seeded draw.
+    const std::vector<dram::MemRequest> reads = buildPathReads(rng);
+    if (mode_ == PathMode::Sync) {
+        latency_ = calibrateSync(mem, reads);
+        occupancy_ = latency_;
+    } else {
+        calibratePipelined(mem, reads);
+    }
+    tcoram_assert(occupancy_ >= latency_,
+                  "write-back tail cannot retire before the read phase");
+    bytesPerAccess_ = cfg_.totalBytesPerAccess();
+    chunksPerAccess_ = divCeil(bytesPerAccess_, 16);
+    // One batched whole-path decrypt plus one batched write-back
+    // encrypt per tree — 2·(H+1) engine calls for H recursion stages
+    // (path_oram.hh).
+    cryptoCallsPerAccess_ = 2 * (cfg_.recursionChain().size() + 1);
+    std::vector<OramConfig> trees = cfg_.recursionChain();
+    trees.insert(trees.begin(), cfg_);
+    for (const auto &tree : trees)
+        pathBlocksPerAccess_ += tree.z * (tree.treeDepth() + 1);
+    if (evict_.enabled()) {
+        tcoram_assert(mode_ == PathMode::Pipelined,
+                      "background eviction requires the pipelined path "
+                      "mode (the sync controller has no write-back tail "
+                      "to defer)");
+        // Calibrate the eviction's path occupancy by replaying the
+        // SAME read set (no extra RNG draws, so enabling the engine
+        // never shifts any later seeded draw) against freshly-reset
+        // bank timing, mirroring the device's own calibration.
+        mem.resetTiming();
+        evict_.calibrate(mem, reads);
+    }
+}
+
+std::vector<dram::MemRequest>
+TimingOramDevice::buildPathReads(Rng &rng) const
+{
+    // One representative access: for the data tree and each recursive
+    // tree, every bucket on a random root-to-leaf path.
+    std::vector<OramConfig> trees = cfg_.recursionChain();
+    trees.insert(trees.begin(), cfg_);
+
+    std::vector<dram::MemRequest> reads;
+    Addr base = 0;
+    for (const auto &tree : trees) {
+        const unsigned depth = tree.treeDepth();
+        const Leaf leaf = rng.nextBounded(tree.numLeaves());
+        std::uint64_t idx = 0;
+        reads.push_back({base, tree.bucketBytes(), false});
+        for (unsigned l = 0; l < depth; ++l) {
+            const std::uint64_t bit = (leaf >> (depth - 1 - l)) & 1;
+            idx = 2 * idx + 1 + bit;
+            reads.push_back(
+                {base + idx * tree.bucketBytes(), tree.bucketBytes(),
+                 false});
+        }
+        base += tree.numBuckets() * tree.bucketBytes();
+    }
+    return reads;
+}
+
+Cycles
+TimingOramDevice::calibrateSync(dram::MemoryIf &mem,
+                                std::span<const dram::MemRequest> reads)
+{
+    // Replay the DRAM transactions of one representative access: read
+    // every bucket on the path, then write the path back. Reads are
+    // issued as fast as the controller can stream them (channel buses
+    // serialize transfers); the write-back phase begins once the read
+    // phase completes, matching a read-path-then-write-path controller.
+    const Cycles start = 1000; // arbitrary warm start
+
+    const Cycles read_done = mem.accessBatch(start, reads);
+
+    std::vector<dram::MemRequest> writes(reads.begin(), reads.end());
+    for (auto &req : writes)
+        req.isWrite = true;
+    const Cycles done = mem.accessBatch(read_done, writes);
+    tcoram_assert(done > start, "calibration produced zero latency");
+    return done - start;
+}
+
+void
+TimingOramDevice::calibratePipelined(dram::MemoryIf &mem,
+                                     std::span<const dram::MemRequest> reads)
+{
+    // The retire-event loop lives in the eviction engine (it calibrates
+    // evictions through the same replay); OLAT is the read phase,
+    // occupancy runs until the last write-back retires.
+    const PipelinedPathTiming t = replayPipelinedPath(mem, reads);
+    latency_ = t.readDone;
+    occupancy_ = t.allDone;
+}
+
 timing::OramCompletion
 TimingOramDevice::submit(Cycles now, const timing::OramTransaction &txn)
 {
-    const bool real = txn.kind == timing::OramTransaction::Kind::Real;
-    const Cycles done = real ? ctrl_.access(now) : ctrl_.dummyAccess(now);
+    if (txn.kind == timing::OramTransaction::Kind::Real)
+        ++realAccesses_;
+    else
+        ++dummyAccesses_;
+    // The path (banks, buses, and in pipelined mode the write-back
+    // tail) is occupied for occupancy_ cycles; the requested line is
+    // available latency_ cycles after service start. In sync mode the
+    // two coincide.
+    //
+    // With the eviction engine enabled and budget headroom, the
+    // write-back tail is deferred: the access occupies the path only
+    // for its read phase, the evicted blocks notionally stay in the
+    // stash, and a later background eviction (maybeEvict) retires the
+    // tail inside an enforced-gap idle window. Real and dummy accesses
+    // take this branch identically, so deferral depends only on the
+    // public slot count, never on data.
+    const Cycles start = std::max(now, busyUntil_);
+    if (evict_.canDefer()) {
+        busyUntil_ = start + latency_;
+        evict_.deferWriteback();
+    } else {
+        busyUntil_ = start + occupancy_;
+    }
     timing::OramCompletion c;
-    c.start = done - ctrl_.accessLatency();
-    c.done = done;
-    c.bytesMoved = ctrl_.bytesPerAccess();
-    c.cryptoBytes = ctrl_.cryptoBytesPerAccess();
-    c.cryptoCalls = ctrl_.cryptoCallsPerAccess();
+    c.start = start;
+    c.done = start + latency_;
+    c.bytesMoved = bytesPerAccess_;
+    c.cryptoBytes = bytesPerAccess_;
+    c.cryptoCalls = cryptoCallsPerAccess_;
     return c;
 }
 
 timing::OramEvictionCharge
 TimingOramDevice::maybeEvict(Cycles horizon)
 {
-    return ctrl_.maybeEvict(horizon);
+    timing::OramEvictionCharge c;
+    if (!evict_.wantsEviction())
+        return c;
+    c.firstSchedule = evict_.evictionsIssued();
+    const Cycles d = evict_.evictionDuration();
+    while (evict_.debt() > 0 && busyUntil_ + d <= horizon) {
+        busyUntil_ += d;
+        evict_.issueEviction();
+        ++c.evictions;
+        // On the wire an eviction is a dummy access: same bytes over
+        // the pins, same per-tree path decrypts and single batched
+        // write-back flush.
+        c.bytesMoved += bytesPerAccess_;
+        c.cryptoBytes += bytesPerAccess_;
+        c.cryptoCalls += cryptoCallsPerAccess_;
+    }
+    return c;
 }
 
 void
 TimingOramDevice::saveState(ByteWriter &w) const
 {
-    ctrl_.saveState(w);
+    w.u64(latency_);
+    w.u64(occupancy_);
+    w.u64(bytesPerAccess_);
+    w.u64(chunksPerAccess_);
+    w.u64(cryptoCallsPerAccess_);
+    w.u64(busyUntil_);
+    w.u64(realAccesses_);
+    w.u64(dummyAccesses_);
+    evict_.saveState(w);
 }
 
 void
 TimingOramDevice::restoreState(ByteReader &r)
 {
-    ctrl_.restoreState(r);
+    const Cycles latency = r.u64();
+    const Cycles occupancy = r.u64();
+    tcoram_assert(latency == latency_ && occupancy == occupancy_,
+                  "controller snapshot calibrated for a different "
+                  "geometry (latency ", latency, " vs ", latency_, ")");
+    // Same cycle costs do not imply the same bucket geometry: a
+    // different recursion split can calibrate to identical latencies
+    // while moving different bytes per access. Reject those too.
+    const std::uint64_t bytes = r.u64();
+    const std::uint64_t chunks = r.u64();
+    const std::uint64_t crypto_calls = r.u64();
+    tcoram_assert(bytes == bytesPerAccess_ && chunks == chunksPerAccess_ &&
+                      crypto_calls == cryptoCallsPerAccess_,
+                  "controller snapshot taken under a different bucket "
+                  "geometry (bytes/access ", bytes, " vs ", bytesPerAccess_,
+                  ", crypto calls ", crypto_calls, " vs ",
+                  cryptoCallsPerAccess_, ")");
+    busyUntil_ = r.u64();
+    realAccesses_ = r.u64();
+    dummyAccesses_ = r.u64();
+    evict_.restoreState(r);
 }
 
 FunctionalOramDevice::FunctionalOramDevice(const OramConfig &cfg,
@@ -82,8 +248,8 @@ FunctionalOramDevice::enableFaultModel(const dram::FaultSpec &spec,
 timing::OramCompletion
 FunctionalOramDevice::submit(Cycles now, const timing::OramTransaction &txn)
 {
-    // Timing, byte and crypto attribution come from the calibrated
-    // controller over the MODELED geometry — identical to the timing
+    // Timing, byte and crypto attribution come from the inherited
+    // calibration over the MODELED geometry — identical to the timing
     // device, whatever the (possibly capped) datapath moves.
     timing::OramCompletion c = TimingOramDevice::submit(now, txn);
 
@@ -134,7 +300,7 @@ FunctionalOramDevice::maybeEvict(Cycles horizon)
     const timing::OramEvictionCharge e =
         TimingOramDevice::maybeEvict(horizon);
     // Realize each issued eviction against the functional stash on its
-    // schedule counter; costs stay controller-attributed so stats are
+    // schedule counter; costs stay calibration-attributed so stats are
     // bit-identical to the timing device.
     for (std::uint32_t i = 0; i < e.evictions; ++i) {
         func_->backgroundEvict(e.firstSchedule + i);

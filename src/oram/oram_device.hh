@@ -4,8 +4,9 @@
  * (timing/oram_device.hh), plus the factory the sim layer selects
  * them through:
  *
- *  - TimingOramDevice:     the calibrated constant-OLAT controller
- *                          (oram/oram_controller.hh) behind submit().
+ *  - TimingOramDevice:     the calibrated constant-OLAT ORAM
+ *                          controller itself: one path replay at
+ *                          construction fixes every per-access cost.
  *                          No data moves; this is the paper's
  *                          methodology and the default.
  *  - FunctionalOramDevice: a real RecursivePathOram datapath — every
@@ -13,8 +14,8 @@
  *                          back full paths through the bucket codec
  *                          and AES-CTR engine; every dummy touches
  *                          every tree — with cycle charging from the
- *                          SAME calibrated controller (it derives
- *                          from TimingOramDevice), so a run's
+ *                          SAME calibration (it derives from
+ *                          TimingOramDevice), so a run's
  *                          timing/power/leakage stats are
  *                          bit-identical to the timing device.
  *
@@ -30,92 +31,211 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/serial.hh"
+#include "common/types.hh"
 #include "crypto/crypto_engine.hh"
 #include "dram/faulty_memory.hh"
 #include "dram/memory_if.hh"
-#include "oram/oram_controller.hh"
+#include "oram/eviction_engine.hh"
+#include "oram/oram_config.hh"
 #include "oram/path_oram.hh"
 #include "timing/oram_device.hh"
 
 namespace tcoram::oram {
 
-/** Timing-model backend: OramController behind the transaction API. */
+/** Path read/write-back scheduling policy (SystemConfig::dramMode). */
+enum class PathMode
+{
+    Sync,      ///< whole-path read, then whole-path write-back
+    Pipelined, ///< write-backs overlap in-flight deeper reads
+};
+
+/**
+ * The calibrated ORAM controller (paper §3): it sits where a DRAM
+ * controller would, and every transaction costs a full tree path in
+ * the data ORAM and every recursive ORAM. No data moves.
+ *
+ * Path ORAM's access cost is address-independent by construction
+ * (every access touches one root-to-leaf path per tree), so the device
+ * derives its per-access costs by replaying one path's DRAM
+ * transactions against the memory model once at construction. This
+ * is the paper's methodology, which quotes a constant 1488-cycle /
+ * 24.2 KB access for the 4 GB configuration.
+ *
+ * Two path modes select what that replay models:
+ *
+ *  - PathMode::Sync (the paper's controller): read the whole path,
+ *    then write the whole path back; the requested line is available —
+ *    and the device free — only when the last write-back bucket lands.
+ *    OLAT covers both phases.
+ *
+ *  - PathMode::Pipelined (split-transaction controller): bucket
+ *    write-backs are issued through the async dram::MemoryIf the
+ *    moment their read retires (re-encryption is not cycle-charged,
+ *    matching the sync model), so write-back of level k is in flight
+ *    while deeper reads still stream. The requested line is available
+ *    once the path read completes — OLAT shrinks to the read phase —
+ *    while the write-back tail drains in the shadow of the enforced
+ *    inter-access gap. occupancyPerAccess() is the full drain time;
+ *    the device does not start the next access before the previous
+ *    one's write-back has retired, so the DRAM-level stream stays
+ *    address- and data-independent.
+ */
 class TimingOramDevice : public timing::OramDeviceIf
 {
   public:
+    /**
+     * @param cfg tree geometry
+     * @param mem DRAM backing the tree (used once, for calibration)
+     * @param rng randomness for the calibration path choice (the same
+     *        draws whichever mode, so modes never shift a seeded run)
+     * @param mode path scheduling policy to calibrate under
+     * @param evict background eviction engine configuration
+     */
     TimingOramDevice(const OramConfig &cfg, dram::MemoryIf &mem, Rng &rng,
                      PathMode mode = PathMode::Sync,
-                     const EvictionConfig &evict = {})
-        : ctrl_(cfg, mem, rng, mode, evict)
-    {
-    }
+                     const EvictionConfig &evict = {});
 
     const char *kind() const override { return "timing"; }
 
+    /**
+     * Serve @p txn from max(now, busyUntil()). Real and dummy
+     * transactions cost the same; the completion's done cycle is when
+     * the requested line is available. In sync mode the device is also
+     * free again then; in pipelined mode its write-back tail keeps the
+     * path busy until start + occupancyPerAccess().
+     */
     timing::OramCompletion submit(Cycles now,
                                   const timing::OramTransaction &txn) override;
 
-    Cycles accessLatency() const override { return ctrl_.accessLatency(); }
-    Cycles occupancyPerAccess() const override
-    {
-        return ctrl_.occupancyPerAccess();
-    }
-    std::uint64_t bytesPerAccess() const override
-    {
-        return ctrl_.bytesPerAccess();
-    }
+    /** Calibrated per-access latency (the paper's OLAT): cycles from
+     *  service start until the requested line is available. */
+    Cycles accessLatency() const override { return latency_; }
+
+    /**
+     * Cycles from service start until the access's DRAM traffic has
+     * fully drained and the next access may start. Equals
+     * accessLatency() in sync mode; in pipelined mode it covers the
+     * overlapped write-back tail (occupancy >= latency).
+     */
+    Cycles occupancyPerAccess() const override { return occupancy_; }
+
+    /** The calibrated path mode. */
+    PathMode pathMode() const { return mode_; }
+
+    /** Bytes moved over the pins per access (paper: 24.2 KB). */
+    std::uint64_t bytesPerAccess() const override { return bytesPerAccess_; }
+
+    /** AES chunks per access (16 B each; paper: 2 * 758 per direction). */
+    std::uint64_t chunksPerAccess() const { return chunksPerAccess_; }
+
+    /**
+     * Bytes through the bucket crypto engine per access: every byte
+     * moved on/off chip is decrypted (path read) or encrypted (path
+     * write-back) exactly once, so this equals bytesPerAccess().
+     */
     std::uint64_t cryptoBytesPerAccess() const override
     {
-        return ctrl_.cryptoBytesPerAccess();
-    }
-    std::uint64_t cryptoCallsPerAccess() const override
-    {
-        return ctrl_.cryptoCallsPerAccess();
-    }
-    std::uint64_t realAccesses() const override
-    {
-        return ctrl_.realAccesses();
-    }
-    std::uint64_t dummyAccesses() const override
-    {
-        return ctrl_.dummyAccesses();
+        return bytesPerAccess_;
     }
 
+    /**
+     * Batched crypto-engine invocations per access with the path-level
+     * engine: one whole-path decrypt and one whole-path write-back
+     * encrypt per tree (data + each recursive position-map ORAM) —
+     * 2·(H+1) for H recursion stages.
+     */
+    std::uint64_t cryptoCallsPerAccess() const override
+    {
+        return cryptoCallsPerAccess_;
+    }
+
+    std::uint64_t realAccesses() const override { return realAccesses_; }
+    std::uint64_t dummyAccesses() const override { return dummyAccesses_; }
+
+    /** Cycle at which the current access (including any overlapped
+     *  write-back tail) stops occupying the path. */
+    Cycles busyUntil() const { return busyUntil_; }
+
+    /**
+     * Issue background evictions inside the idle window between
+     * busyUntil() and @p horizon. The enforcer guarantees no future
+     * slot can start before @p horizon, and every eviction issued here
+     * fully retires by then — an eviction in flight never delays a
+     * real access's slot. No-op (and zero-cost) when the engine is
+     * off, so eviction-off runs stay bit-identical to pre-eviction.
+     * The charge's firstSchedule is the reverse-lexicographic schedule
+     * index of the first eviction (functional devices realize
+     * evictions [firstSchedule, firstSchedule + evictions) against
+     * their stash).
+     */
     timing::OramEvictionCharge maybeEvict(Cycles horizon) override;
+
+    const EvictionEngine &evictionEngine() const { return evict_; }
+
+    /**
+     * Modeled stash pressure, identical for timing-only and functional
+     * devices: each deferred write-back tail parks one path's worth of
+     * blocks in the stash until a background eviction retires it.
+     */
     std::uint64_t stashOccupancy() const override
     {
-        return ctrl_.stashOccupancy();
+        return evict_.debt() * pathBlocksPerAccess_;
     }
     std::uint64_t stashHighWater() const override
     {
-        return ctrl_.stashHighWater();
+        return evict_.highWaterDebt() * pathBlocksPerAccess_;
     }
     std::uint64_t blocksEvicted() const override
     {
-        return ctrl_.blocksEvicted();
+        return evict_.evictionsIssued() * pathBlocksPerAccess_;
     }
     std::uint64_t evictionsIssued() const override
     {
-        return ctrl_.evictionsIssued();
+        return evict_.evictionsIssued();
     }
 
-    const OramController &controller() const { return ctrl_; }
-
+    /**
+     * Checkpoint support: the run state (busy horizon, served
+     * counters). Calibration results are derived at construction and
+     * asserted — not restored — so a snapshot can never smuggle in a
+     * mismatched geometry.
+     */
     void saveState(ByteWriter &w) const override;
     void restoreState(ByteReader &r) override;
 
   private:
-    OramController ctrl_;
+    /** One representative access's path-read transactions (all trees). */
+    std::vector<dram::MemRequest> buildPathReads(Rng &rng) const;
+    Cycles calibrateSync(dram::MemoryIf &mem,
+                         std::span<const dram::MemRequest> reads);
+    /** Sets latency_ (read done) AND occupancy_ (full drain). */
+    void calibratePipelined(dram::MemoryIf &mem,
+                            std::span<const dram::MemRequest> reads);
+
+    OramConfig cfg_;
+    PathMode mode_;
+    EvictionEngine evict_;
+    Cycles latency_ = 0;
+    Cycles occupancy_ = 0;
+    std::uint64_t bytesPerAccess_ = 0;
+    std::uint64_t chunksPerAccess_ = 0;
+    std::uint64_t cryptoCallsPerAccess_ = 0;
+    std::uint64_t pathBlocksPerAccess_ = 0;
+    Cycles busyUntil_ = 0;
+    std::uint64_t realAccesses_ = 0;
+    std::uint64_t dummyAccesses_ = 0;
 };
 
 /**
  * Functional backend: real data movement with timing-device charging.
  * It IS a TimingOramDevice — every completion, eviction charge and
- * accessor comes from the inherited calibrated controller — that also
+ * accessor comes from the inherited calibration — that also
  * runs each transaction through a real datapath. The base is built
  * first, so construction consumes the identical calibration RNG draws
  * as TimingOramDevice and swapping devices never shifts a seeded run.
@@ -147,12 +267,12 @@ class FunctionalOramDevice : public TimingOramDevice
                                   const timing::OramTransaction &txn) override;
 
     /**
-     * Background evictions: the controller's engine decides how many
+     * Background evictions: the inherited engine decides how many
      * fit the window and charges modeled costs; each one is then
      * realized against the functional stash via
      * RecursivePathOram::backgroundEvict, so the drained blocks really
      * land back in the tree. Telemetry accessors report the modeled
-     * (controller-derived) values, identical to the timing device.
+     * (calibration-derived) values, identical to the timing device.
      */
     timing::OramEvictionCharge maybeEvict(Cycles horizon) override;
 
@@ -250,7 +370,7 @@ struct OramDeviceSpec
     /**
      * Background eviction engine (oram/eviction_engine.hh). Off by
      * default; enabling it requires pathMode = Pipelined (validated by
-     * SystemConfig, asserted by the controller). Per shard when the
+     * SystemConfig, asserted by TimingOramDevice). Per shard when the
      * device is sharded.
      */
     EvictionPolicy evictionPolicy = EvictionPolicy::Off;

@@ -20,27 +20,17 @@ KvServingRun::KvServingRun(const KvServingConfig &cfg)
     tcoram_assert(cfg_.kv.blockBytes == ocfg.blockBytes,
                   "kv serving: KV block size ", cfg_.kv.blockBytes,
                   " != device block size ", ocfg.blockBytes);
-    if (cfg_.deviceKind == "functional") {
-        // A capacity fold would alias distinct KV blocks (records
-        // would overwrite each other); the KV table must fit uncapped.
-        tcoram_assert(cfg_.functionalBlockCap == 0 ||
-                          cfg_.functionalBlockCap >=
-                              cfg_.kv.totalBlocks(),
-                      "kv serving: functional block cap ",
-                      cfg_.functionalBlockCap, " would fold the ",
-                      cfg_.kv.totalBlocks(), "-block KV table");
-        // First-touch id compaction is per shard; even the worst-case
-        // routing (every KV block on one shard) must fit its subtree.
-        const std::uint64_t per_shard =
-            (ocfg.numBlocks + cfg_.shards - 1) / cfg_.shards;
-        tcoram_assert(cfg_.kv.totalBlocks() <= per_shard,
-                      "kv serving: ", cfg_.kv.totalBlocks(),
-                      "-block KV table exceeds the ", per_shard,
-                      "-block per-shard subtree");
-    }
+    // Functional shards serve the real payloads, uncapped. First-touch
+    // id compaction is per shard; even the worst-case routing (every KV
+    // block on one shard) must fit its subtree.
+    const std::uint64_t per_shard =
+        (ocfg.numBlocks + cfg_.shards - 1) / cfg_.shards;
+    tcoram_assert(cfg_.kv.totalBlocks() <= per_shard,
+                  "kv serving: ", cfg_.kv.totalBlocks(),
+                  "-block KV table exceeds the ", per_shard,
+                  "-block per-shard subtree");
     oram::OramDeviceSpec spec;
-    spec.kind = cfg_.deviceKind;
-    spec.functionalBlockCap = cfg_.functionalBlockCap;
+    spec.kind = "functional";
     RingScheduler::Options opts;
     opts.lanes = cfg_.lanes;
     opts.ringCapacity = cfg_.ringCapacity;
@@ -223,15 +213,9 @@ KvServingRun::advanceSession(Session &s)
             s.opStart = s.clock;
             const auto max_len =
                 static_cast<std::uint32_t>(cfg_.kv.maxValueBytes());
-            const std::uint32_t min_len =
-                cfg_.selfVerify ? kMinValueBytes : 1;
-            const std::uint32_t len = std::clamp(
-                op.valueBytes, min_len, max_len);
-            if (cfg_.selfVerify)
-                buildValue(s.payload, op.key, s.putSeq++, len);
-            else
-                s.payload.assign(len,
-                                 static_cast<std::uint8_t>(op.key));
+            const std::uint32_t len =
+                std::clamp(op.valueBytes, kMinValueBytes, max_len);
+            buildValue(s.payload, op.key, s.putSeq++, len);
             s.cursor.beginPut(op.key, s.payload);
             continue;
         }
@@ -252,8 +236,7 @@ KvServingRun::finishOp(Session &s)
     using workload::WorkloadOpKind;
     const bool is_read = s.opKind == WorkloadOpKind::Get ||
                          s.opKind == WorkloadOpKind::Scan;
-    if (is_read && cfg_.selfVerify && s.cursor.hit() &&
-        !checkValue(s.cursor.value(), s.opKey))
+    if (is_read && s.cursor.hit() && !checkValue(s.cursor.value(), s.opKey))
         ++s.mismatches;
     ++s.opsDone;
     if (s.opKind == WorkloadOpKind::Scan && s.scanLeft > 0)
@@ -397,7 +380,7 @@ KvServingRun::drainTail()
     Cycles last = 0;
     for (const Session &s : sessions_)
         last = std::max(last, s.lastDone);
-    stack_->drainAfter(last, cfg_.drainSlackPeriods);
+    stack_->drainAfter(last);
 }
 
 KVStats

@@ -58,20 +58,9 @@ struct KvServingConfig
     Cycles rate = 300;
     std::uint64_t seed = 42;
     Cycles epoch0 = Cycles{1} << 18;
-    Cycles drainSlackPeriods = 8;
-    /** Per-shard backend: "functional" serves real payloads. */
-    std::string deviceKind = "functional";
-    /**
-     * Functional capacity cap. MUST be 0 (uncapped) or at least
-     * KvConfig::totalBlocks(): a fold would alias distinct KV blocks
-     * and corrupt records (asserted at construction).
-     */
-    std::uint64_t functionalBlockCap = 0;
     /** Op stream; workload.ranks == session count. */
     workload::WorkloadParams workload;
     KvConfig kv{};
-    /** Write self-verifying put payloads and check every get hit. */
-    bool selfVerify = true;
 };
 
 class KvServingRun

@@ -173,7 +173,7 @@ RecoveryRun::finish()
     // The drain horizon is derived from lastReal_, which restoreFrom()
     // reloads — an interrupted-and-restored run and the uninterrupted
     // one compute the identical horizon and hence identical streams.
-    return stack_->drainAfter(lastReal_, cfg_.drainSlackPeriods);
+    return stack_->drainAfter(lastReal_);
 }
 
 std::string

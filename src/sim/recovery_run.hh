@@ -72,9 +72,6 @@ struct RecoveryRunConfig
     std::uint32_t evictionBudget = 0;
     /** First epoch length; small enough that runs cross boundaries. */
     Cycles epoch0 = Cycles{1} << 18;
-    /** Trailing-dummy drain horizon, in slot periods past the last
-     *  real completion. */
-    Cycles drainSlackPeriods = 8;
     /**
      * Workload-plane spec ("method:k=v,..."; workload/
      * workload_source.hh). Empty keeps the legacy synthetic backlog.

@@ -54,9 +54,10 @@ ServingStack::period() const
 }
 
 Cycles
-ServingStack::drainAfter(Cycles last, Cycles slack_periods)
+ServingStack::drainAfter(Cycles last)
 {
-    const Cycles horizon = last + slack_periods * period();
+    constexpr Cycles kSlackPeriods = 8;
+    const Cycles horizon = last + kSlackPeriods * period();
     sched_.drainUntil(horizon);
     return horizon;
 }

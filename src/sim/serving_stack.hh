@@ -71,9 +71,9 @@ class ServingStack
     /** Max over shards (sizes drain horizons). */
     Cycles period() const;
 
-    /** Fire trailing dummies to @p last + @p slack_periods * period().
+    /** Fire trailing dummies to @p last + 8 * period().
      *  @return the horizon. */
-    Cycles drainAfter(Cycles last, Cycles slack_periods);
+    Cycles drainAfter(Cycles last);
 
     /** Shard @p i's full recorded stream (reals and dummies). */
     std::vector<Event> shardStream(std::uint32_t i) const;

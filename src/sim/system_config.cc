@@ -10,8 +10,8 @@ namespace tcoram::sim {
 dram::BackendSpec
 SystemConfig::memorySpec() const
 {
+    // base_dram's flat latency is BackendSpec's default (§9.1.2).
     dram::BackendSpec spec;
-    spec.flatLatency = baseDramLatency;
     switch (scheme) {
       case Scheme::BaseDram:
         spec.kind = "flat";

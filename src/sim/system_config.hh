@@ -17,7 +17,7 @@
 #include "common/types.hh"
 #include "dram/backend_registry.hh"
 #include "oram/oram_config.hh"
-#include "oram/oram_controller.hh"
+#include "oram/oram_device.hh"
 #include "timing/rate_learner.hh"
 
 namespace tcoram::sim {
@@ -47,8 +47,6 @@ struct SystemConfig
     std::uint64_t llcBytes = 1024 * 1024;
     /** ORAM geometry (ignored for BaseDram). */
     oram::OramConfig oram = oram::OramConfig::benchConfig();
-    /** Flat latency of the insecure DRAM baseline (§9.1.2). */
-    Cycles baseDramLatency = 40;
 
     // --- Rate control (Static / Dynamic) ---
     /** Static scheme's single rate. */
@@ -142,7 +140,7 @@ struct SystemConfig
 
     /**
      * Path read/write-back scheduling of the ORAM controller against
-     * DRAM (oram/oram_controller.hh):
+     * DRAM (oram::TimingOramDevice, oram/oram_device.hh):
      *
      *   "sync"  — whole-path read then whole-path write-back (the
      *             paper's blocking controller; the default, and the

@@ -11,26 +11,22 @@ WorkloadReplayRun::WorkloadReplayRun(const WorkloadReplayConfig &cfg)
     : cfg_(cfg)
 {
     tcoram_assert(cfg_.shards >= 1, "workload replay needs a shard");
-    tcoram_assert(cfg_.lanes >= 1, "workload replay needs a lane");
     numBlocks_ = oram::OramConfig::benchConfig().numBlocks;
-    oram::OramDeviceSpec spec;
-    spec.kind = cfg_.deviceKind;
     RingScheduler::Options opts;
-    opts.lanes = cfg_.lanes;
-    opts.ringCapacity = cfg_.ringCapacity;
     opts.threads = cfg_.threads;
     opts.recordLatencies = false;
-    stack_ = std::make_unique<ServingStack>(spec, cfg_.shards, cfg_.rate,
-                                            cfg_.epoch0, cfg_.seed, opts);
+    constexpr Cycles kEpoch0 = Cycles{1} << 18;
+    stack_ = std::make_unique<ServingStack>(oram::OramDeviceSpec{},
+                                            cfg_.shards, cfg_.rate, kEpoch0,
+                                            cfg_.seed, opts);
     source_ = workload::loadWorkload(cfg_.workload);
     const std::uint32_t ranks = source_->ranks();
     tcoram_assert(ranks >= 1, "workload replay: workload has no ranks");
     sessions_.reserve(ranks);
     for (std::uint32_t rank = 0; rank < ranks; ++rank) {
-        const auto lane = static_cast<std::uint16_t>(rank % cfg_.lanes);
         Session s;
         s.sid = stack_->scheduler().openSession(
-            mixSeed(cfg_.seed, 0x5e55'0000ull + rank), -1.0, lane);
+            mixSeed(cfg_.seed, 0x5e55'0000ull + rank), -1.0);
         s.rank = rank;
         sessions_.push_back(s);
     }
@@ -93,15 +89,14 @@ WorkloadReplayRun::run()
                 advanceSession(s);
         sched.runUntilIdle();
         SessionRing::Completion c;
-        for (std::size_t l = 0; l < cfg_.lanes; ++l)
-            while (sched.lane(l).popCompletion(c)) {
-                Session &s = sessions_[c.sessionId];
-                tcoram_assert(s.awaiting, "stray completion");
-                s.awaiting = false;
-                s.clock = std::max(s.clock, c.completion.done);
-                s.lastDone = std::max(s.lastDone, c.completion.done);
-                ++s.opsDone;
-            }
+        while (sched.lane(0).popCompletion(c)) {
+            Session &s = sessions_[c.sessionId];
+            tcoram_assert(s.awaiting, "stray completion");
+            s.awaiting = false;
+            s.clock = std::max(s.clock, c.completion.done);
+            s.lastDone = std::max(s.lastDone, c.completion.done);
+            ++s.opsDone;
+        }
         bool done = true;
         for (const Session &s : sessions_)
             if (!s.ended || s.awaiting) {
@@ -114,7 +109,7 @@ WorkloadReplayRun::run()
     Cycles last = 0;
     for (const Session &s : sessions_)
         last = std::max(last, s.lastDone);
-    stack_->drainAfter(last, cfg_.drainSlackPeriods);
+    stack_->drainAfter(last);
 }
 
 std::uint64_t

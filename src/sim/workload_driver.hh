@@ -17,8 +17,8 @@
  *   End         -> the rank retires
  *
  * Unlike KvServingRun this layer moves no payloads — it exists to
- * replay op streams against the timing plane, so the default backend
- * is the calibrated timing device.
+ * replay op streams against the timing plane, so every shard is the
+ * calibrated timing device, fed by one producer lane.
  */
 
 #ifndef TCORAM_SIM_WORKLOAD_DRIVER_HH
@@ -37,16 +37,9 @@ namespace tcoram::sim {
 struct WorkloadReplayConfig
 {
     std::uint32_t shards = 4;
-    std::size_t lanes = 1;
     unsigned threads = 1;
-    std::size_t ringCapacity = 1024;
     Cycles rate = 300;
     std::uint64_t seed = 42;
-    Cycles epoch0 = Cycles{1} << 18;
-    Cycles drainSlackPeriods = 8;
-    /** Per-shard backend kind ("timing" replays op streams against
-     *  the calibrated model without moving payload bytes). */
-    std::string deviceKind = "timing";
     /** Op stream; workload.ranks == session count. */
     workload::WorkloadParams workload;
 };

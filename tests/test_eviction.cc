@@ -21,7 +21,6 @@
 #include "common/serial.hh"
 #include "dram/dram_model.hh"
 #include "oram/eviction_engine.hh"
-#include "oram/oram_controller.hh"
 #include "oram/oram_device.hh"
 #include "oram/path_oram.hh"
 #include "oram/position_map.hh"
@@ -247,25 +246,25 @@ TEST(EvictionEngine, SnapshotRoundTripsAndRejectsConfigMismatch)
 }
 
 // ---------------------------------------------------------------------
-// Controller integration
+// Timing device integration
 // ---------------------------------------------------------------------
 
-TEST(OramControllerEviction, CalibrationMatchesThePipelinedOccupancy)
+TEST(TimingOramDeviceEviction, CalibrationMatchesThePipelinedOccupancy)
 {
     // An eviction replays the same transaction set as an access, so it
     // must occupy the path for exactly occupancyPerAccess() — the
     // indistinguishability anchor.
     dram::DramModel mem{dram::DramConfig{}};
     Rng rng(7);
-    oram::OramController ctrl(tinyConfig(), mem, rng,
-                              oram::PathMode::Pipelined,
-                              {oram::EvictionPolicy::Gap, 8});
-    EXPECT_GT(ctrl.occupancyPerAccess(), ctrl.accessLatency());
-    EXPECT_EQ(ctrl.evictionEngine().evictionDuration(),
-              ctrl.occupancyPerAccess());
+    oram::TimingOramDevice dev(tinyConfig(), mem, rng,
+                               oram::PathMode::Pipelined,
+                               {oram::EvictionPolicy::Gap, 8});
+    EXPECT_GT(dev.occupancyPerAccess(), dev.accessLatency());
+    EXPECT_EQ(dev.evictionEngine().evictionDuration(),
+              dev.occupancyPerAccess());
 }
 
-TEST(OramControllerEviction, EnablingTheEngineDoesNotShiftCalibration)
+TEST(TimingOramDeviceEviction, EnablingTheEngineDoesNotShiftCalibration)
 {
     // The engine calibrates by replaying the SAME read set against
     // reset bank timing: latency/occupancy and all later RNG draws are
@@ -273,76 +272,77 @@ TEST(OramControllerEviction, EnablingTheEngineDoesNotShiftCalibration)
     dram::DramModel mem_off{dram::DramConfig{}};
     dram::DramModel mem_on{dram::DramConfig{}};
     Rng rng_off(7), rng_on(7);
-    oram::OramController off(tinyConfig(), mem_off, rng_off,
-                             oram::PathMode::Pipelined);
-    oram::OramController on(tinyConfig(), mem_on, rng_on,
-                            oram::PathMode::Pipelined,
-                            {oram::EvictionPolicy::Gap, 8});
+    oram::TimingOramDevice off(tinyConfig(), mem_off, rng_off,
+                               oram::PathMode::Pipelined);
+    oram::TimingOramDevice on(tinyConfig(), mem_on, rng_on,
+                              oram::PathMode::Pipelined,
+                              {oram::EvictionPolicy::Gap, 8});
     EXPECT_EQ(on.accessLatency(), off.accessLatency());
     EXPECT_EQ(on.occupancyPerAccess(), off.occupancyPerAccess());
     EXPECT_EQ(rng_on.next(), rng_off.next())
         << "engine calibration must not consume RNG draws";
 }
 
-TEST(OramControllerEviction, DeferralChargesReadPhaseUntilSaturation)
+TEST(TimingOramDeviceEviction, DeferralChargesReadPhaseUntilSaturation)
 {
     dram::DramModel mem{dram::DramConfig{}};
     Rng rng(7);
-    oram::OramController ctrl(tinyConfig(), mem, rng,
-                              oram::PathMode::Pipelined,
-                              {oram::EvictionPolicy::Gap, 2});
-    const Cycles lat = ctrl.accessLatency();
-    const Cycles occ = ctrl.occupancyPerAccess();
+    oram::TimingOramDevice dev(tinyConfig(), mem, rng,
+                               oram::PathMode::Pipelined,
+                               {oram::EvictionPolicy::Gap, 2});
+    const Cycles lat = dev.accessLatency();
+    const Cycles occ = dev.occupancyPerAccess();
 
     // Two accesses fit the budget: each occupies only its read phase.
-    EXPECT_EQ(ctrl.access(0), lat);
-    EXPECT_EQ(ctrl.busyUntil(), lat);
-    EXPECT_EQ(ctrl.dummyAccess(0), lat + lat)
+    EXPECT_EQ(dev.submit(0, timing::OramTransaction::real(0)).done, lat);
+    EXPECT_EQ(dev.busyUntil(), lat);
+    EXPECT_EQ(dev.submit(0, timing::OramTransaction::dummy()).done,
+              lat + lat)
         << "dummies defer identically to reals";
-    EXPECT_EQ(ctrl.busyUntil(), 2 * lat);
-    EXPECT_EQ(ctrl.stashOccupancy(), ctrl.stashHighWater());
-    EXPECT_GT(ctrl.stashOccupancy(), 0u);
+    EXPECT_EQ(dev.busyUntil(), 2 * lat);
+    EXPECT_EQ(dev.stashOccupancy(), dev.stashHighWater());
+    EXPECT_GT(dev.stashOccupancy(), 0u);
 
     // Budget saturated: the third access pays full occupancy again.
-    ctrl.access(0);
-    EXPECT_EQ(ctrl.busyUntil(), 2 * lat + occ);
+    dev.submit(0, timing::OramTransaction::real(0));
+    EXPECT_EQ(dev.busyUntil(), 2 * lat + occ);
 }
 
-TEST(OramControllerEviction, MaybeEvictDrainsOnlyWhatFitsTheHorizon)
+TEST(TimingOramDeviceEviction, MaybeEvictDrainsOnlyWhatFitsTheHorizon)
 {
     dram::DramModel mem{dram::DramConfig{}};
     Rng rng(7);
-    oram::OramController ctrl(tinyConfig(), mem, rng,
-                              oram::PathMode::Pipelined,
-                              {oram::EvictionPolicy::Gap, 8});
-    const Cycles d = ctrl.evictionEngine().evictionDuration();
+    oram::TimingOramDevice dev(tinyConfig(), mem, rng,
+                               oram::PathMode::Pipelined,
+                               {oram::EvictionPolicy::Gap, 8});
+    const Cycles d = dev.evictionEngine().evictionDuration();
     for (int i = 0; i < 4; ++i)
-        ctrl.access(0);
-    ASSERT_EQ(ctrl.evictionEngine().debt(), 4u);
-    const Cycles busy = ctrl.busyUntil();
+        dev.submit(0, timing::OramTransaction::real(0));
+    ASSERT_EQ(dev.evictionEngine().debt(), 4u);
+    const Cycles busy = dev.busyUntil();
 
     // Room for exactly two evictions; the third would overrun.
-    const auto c = ctrl.maybeEvict(busy + 2 * d + d / 2);
+    const auto c = dev.maybeEvict(busy + 2 * d + d / 2);
     EXPECT_EQ(c.evictions, 2u);
     EXPECT_EQ(c.firstSchedule, 0u);
-    EXPECT_EQ(ctrl.busyUntil(), busy + 2 * d)
+    EXPECT_EQ(dev.busyUntil(), busy + 2 * d)
         << "evictions occupy the path like accesses";
-    EXPECT_EQ(ctrl.evictionEngine().debt(), 2u);
-    EXPECT_EQ(c.bytesMoved, 2 * ctrl.bytesPerAccess());
-    EXPECT_EQ(c.cryptoBytes, 2 * ctrl.bytesPerAccess());
-    EXPECT_EQ(c.cryptoCalls, 2 * ctrl.cryptoCallsPerAccess());
-    EXPECT_EQ(ctrl.blocksEvicted(),
-              2 * ctrl.stashOccupancy() / ctrl.evictionEngine().debt());
+    EXPECT_EQ(dev.evictionEngine().debt(), 2u);
+    EXPECT_EQ(c.bytesMoved, 2 * dev.bytesPerAccess());
+    EXPECT_EQ(c.cryptoBytes, 2 * dev.bytesPerAccess());
+    EXPECT_EQ(c.cryptoCalls, 2 * dev.cryptoCallsPerAccess());
+    EXPECT_EQ(dev.blocksEvicted(),
+              2 * dev.stashOccupancy() / dev.evictionEngine().debt());
 
     // No room at all: a no-op, not a partial charge.
-    const auto none = ctrl.maybeEvict(ctrl.busyUntil() + d - 1);
+    const auto none = dev.maybeEvict(dev.busyUntil() + d - 1);
     EXPECT_EQ(none.evictions, 0u);
 
     // Second drain continues the schedule counter.
-    const auto more = ctrl.maybeEvict(ctrl.busyUntil() + 4 * d);
+    const auto more = dev.maybeEvict(dev.busyUntil() + 4 * d);
     EXPECT_EQ(more.evictions, 2u);
     EXPECT_EQ(more.firstSchedule, 2u);
-    EXPECT_EQ(ctrl.evictionEngine().debt(), 0u);
+    EXPECT_EQ(dev.evictionEngine().debt(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -24,7 +24,6 @@
 #include "dram/dram_model.hh"
 #include "dram/faulty_memory.hh"
 #include "oram/integrity.hh"
-#include "oram/oram_controller.hh"
 #include "oram/oram_device.hh"
 #include "oram/path_oram.hh"
 #include "oram/position_map.hh"
@@ -590,28 +589,28 @@ TEST(RecoveryRun, RestoreRejectsMismatchedEvictionConfig)
     std::remove(path.c_str());
 }
 
-TEST(OramControllerSnapshot, RejectsPatchedGeometryBytes)
+TEST(TimingOramDeviceSnapshot, RejectsPatchedGeometryBytes)
 {
-    // The controller snapshot now carries the calibrated per-access
+    // The timing device's snapshot carries the calibrated per-access
     // geometry (bytes, chunks, crypto calls); a payload whose geometry
     // words were altered must be rejected, not silently adopted.
     const auto cfg = tinyConfig(1 << 10);
     dram::DramModel mem{dram::DramConfig{}};
     Rng rng(7);
-    oram::OramController ctrl(cfg, mem, rng);
-    ctrl.access(0);
+    oram::TimingOramDevice dev(cfg, mem, rng);
+    dev.submit(0, timing::OramTransaction::real(0));
     ByteWriter w;
-    ctrl.saveState(w);
+    dev.saveState(w);
 
     // The pristine snapshot restores into an identically built twin.
     {
         dram::DramModel m2{dram::DramConfig{}};
         Rng r2(7);
-        oram::OramController twin(cfg, m2, r2);
+        oram::TimingOramDevice twin(cfg, m2, r2);
         ByteReader r(w.data());
         twin.restoreState(r);
         EXPECT_TRUE(r.atEnd());
-        EXPECT_EQ(twin.realAccesses(), ctrl.realAccesses());
+        EXPECT_EQ(twin.realAccesses(), dev.realAccesses());
     }
 
     // Field order: latency, occupancy, bytes/access, ... as fixed
@@ -623,7 +622,7 @@ TEST(OramControllerSnapshot, RejectsPatchedGeometryBytes)
         {
             dram::DramModel m3{dram::DramConfig{}};
             Rng r3(7);
-            oram::OramController victim(cfg, m3, r3);
+            oram::TimingOramDevice victim(cfg, m3, r3);
             ByteReader r(patched);
             victim.restoreState(r);
         },

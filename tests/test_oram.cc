@@ -3,7 +3,7 @@
  * Path ORAM tests: geometry arithmetic, bucket serialization and
  * sealing, stash behaviour, functional read/write correctness, the
  * tree-path invariant, recursion, ciphertext freshness, and the
- * timing controller's calibration.
+ * timing device's calibration.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include "dram/dram_model.hh"
 #include "oram/oram_config.hh"
 #include "oram/integrity.hh"
-#include "oram/oram_controller.hh"
+#include "oram/oram_device.hh"
 #include "oram/path_oram.hh"
 
 namespace tcoram::oram {
@@ -478,63 +478,65 @@ TEST(RecursivePathOram, TreeCountMatchesConfig)
     EXPECT_GE(oram.treeCount(), 2u);
 }
 
-TEST(OramController, CalibratedLatencyScalesWithDepth)
+TEST(TimingOramDevice, CalibratedLatencyScalesWithDepth)
 {
     Rng rng(1);
     dram::DramModel mem_small(dram::DramConfig{});
     dram::DramModel mem_big(dram::DramConfig{});
     OramConfig small = tinyConfig(1 << 10);
     OramConfig big = tinyConfig(1 << 16);
-    OramController c_small(small, mem_small, rng);
-    OramController c_big(big, mem_big, rng);
+    TimingOramDevice c_small(small, mem_small, rng);
+    TimingOramDevice c_big(big, mem_big, rng);
     EXPECT_GT(c_big.accessLatency(), c_small.accessLatency());
 }
 
-TEST(OramController, PaperScaleLatencyNearPaperValue)
+TEST(TimingOramDevice, PaperScaleLatencyNearPaperValue)
 {
     // The 4 GB configuration should land in the neighbourhood of the
     // paper's 1488 cycles (we accept a generous band; the shape, not
     // the point value, is what downstream results rely on).
     Rng rng(2);
     dram::DramModel mem(dram::DramConfig{});
-    OramController ctrl(OramConfig::paperConfig(), mem, rng);
-    EXPECT_GT(ctrl.accessLatency(), 700u);
-    EXPECT_LT(ctrl.accessLatency(), 3200u);
+    TimingOramDevice dev(OramConfig::paperConfig(), mem, rng);
+    EXPECT_GT(dev.accessLatency(), 700u);
+    EXPECT_LT(dev.accessLatency(), 3200u);
 }
 
-TEST(OramController, SerializesAccesses)
+TEST(TimingOramDevice, SerializesAccesses)
 {
     Rng rng(3);
     dram::DramModel mem(dram::DramConfig{});
-    OramController ctrl(tinyConfig(1 << 12), mem, rng);
-    const Cycles t1 = ctrl.access(0);
-    const Cycles t2 = ctrl.access(0);
-    EXPECT_EQ(t2 - t1, ctrl.accessLatency());
-    EXPECT_EQ(ctrl.realAccesses(), 2u);
+    TimingOramDevice dev(tinyConfig(1 << 12), mem, rng);
+    const Cycles t1 = dev.submit(0, timing::OramTransaction::real(0)).done;
+    const Cycles t2 = dev.submit(0, timing::OramTransaction::real(0)).done;
+    EXPECT_EQ(t2 - t1, dev.accessLatency());
+    EXPECT_EQ(dev.realAccesses(), 2u);
 }
 
-TEST(OramController, DummySameCostAsReal)
+TEST(TimingOramDevice, DummySameCostAsReal)
 {
     Rng rng(4);
     dram::DramModel mem(dram::DramConfig{});
-    OramController ctrl(tinyConfig(1 << 12), mem, rng);
-    const Cycles r = ctrl.access(10000) - 10000;
-    const Cycles start = ctrl.busyUntil() + 5000;
-    const Cycles d = ctrl.dummyAccess(start) - start;
+    TimingOramDevice dev(tinyConfig(1 << 12), mem, rng);
+    const Cycles r =
+        dev.submit(10000, timing::OramTransaction::real(0)).done - 10000;
+    const Cycles start = dev.busyUntil() + 5000;
+    const Cycles d =
+        dev.submit(start, timing::OramTransaction::dummy()).done - start;
     EXPECT_EQ(r, d);
-    EXPECT_EQ(ctrl.dummyAccesses(), 1u);
+    EXPECT_EQ(dev.dummyAccesses(), 1u);
 }
 
-TEST(OramController, SyncModeOccupancyEqualsLatency)
+TEST(TimingOramDevice, SyncModeOccupancyEqualsLatency)
 {
     Rng rng(5);
     dram::DramModel mem(dram::DramConfig{});
-    OramController ctrl(tinyConfig(1 << 12), mem, rng, PathMode::Sync);
-    EXPECT_EQ(ctrl.pathMode(), PathMode::Sync);
-    EXPECT_EQ(ctrl.occupancyPerAccess(), ctrl.accessLatency());
+    TimingOramDevice dev(tinyConfig(1 << 12), mem, rng, PathMode::Sync);
+    EXPECT_EQ(dev.pathMode(), PathMode::Sync);
+    EXPECT_EQ(dev.occupancyPerAccess(), dev.accessLatency());
 }
 
-TEST(OramController, PipelinedShrinksOlatBelowSync)
+TEST(TimingOramDevice, PipelinedShrinksOlatBelowSync)
 {
     // Same geometry, same calibration seed: the split-transaction
     // controller returns the requested line once the path read
@@ -546,8 +548,8 @@ TEST(OramController, PipelinedShrinksOlatBelowSync)
     dram::DramModel mem_s(dram::DramConfig{});
     dram::DramModel mem_p(dram::DramConfig{});
     Rng rng_s(6), rng_p(6);
-    OramController sync(cfg, mem_s, rng_s, PathMode::Sync);
-    OramController pipe(cfg, mem_p, rng_p, PathMode::Pipelined);
+    TimingOramDevice sync(cfg, mem_s, rng_s, PathMode::Sync);
+    TimingOramDevice pipe(cfg, mem_p, rng_p, PathMode::Pipelined);
 
     EXPECT_LT(pipe.accessLatency(), sync.accessLatency());
     EXPECT_GE(pipe.occupancyPerAccess(), pipe.accessLatency());
@@ -559,28 +561,27 @@ TEST(OramController, PipelinedShrinksOlatBelowSync)
     EXPECT_EQ(rng_s.next(), rng_p.next());
 }
 
-TEST(OramController, PipelinedServeGatesOnOccupancy)
+TEST(TimingOramDevice, PipelinedServeGatesOnOccupancy)
 {
     Rng rng(7);
     dram::DramModel mem(dram::DramConfig{});
-    OramController ctrl(tinyConfig(1 << 12), mem, rng,
-                        PathMode::Pipelined);
-    const Cycles lat = ctrl.accessLatency();
-    const Cycles occ = ctrl.occupancyPerAccess();
+    TimingOramDevice dev(tinyConfig(1 << 12), mem, rng, PathMode::Pipelined);
+    const Cycles lat = dev.accessLatency();
+    const Cycles occ = dev.occupancyPerAccess();
     ASSERT_GT(occ, lat) << "pipelined mode must have a write-back tail";
 
     // First access: line available after OLAT, path busy through occ.
-    const Cycles t1 = ctrl.access(0);
+    const Cycles t1 = dev.submit(0, timing::OramTransaction::real(0)).done;
     EXPECT_EQ(t1, lat);
-    EXPECT_EQ(ctrl.busyUntil(), occ);
+    EXPECT_EQ(dev.busyUntil(), occ);
 
     // A back-to-back access waits for the tail, not just the line.
-    const Cycles t2 = ctrl.access(t1);
+    const Cycles t2 = dev.submit(t1, timing::OramTransaction::real(0)).done;
     EXPECT_EQ(t2, occ + lat);
-    EXPECT_EQ(ctrl.busyUntil(), 2 * occ);
+    EXPECT_EQ(dev.busyUntil(), 2 * occ);
 
     // Dummies pay the identical schedule.
-    const Cycles t3 = ctrl.dummyAccess(0);
+    const Cycles t3 = dev.submit(0, timing::OramTransaction::dummy()).done;
     EXPECT_EQ(t3, 2 * occ + lat);
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
 #include "sim/experiment.hh"
@@ -55,6 +56,60 @@ TEST(TimingOramDevice, SubmitSerializesAndAttributesCosts)
     EXPECT_EQ(dev.realAccesses(), 1u);
     EXPECT_EQ(dev.dummyAccesses(), 1u);
     EXPECT_STREQ(dev.kind(), "timing");
+}
+
+TEST(TimingOramDevice, PinnedCalibrationAndCheckpointBytes)
+{
+    // Calibration and run state at bench geometry, recorded before the
+    // controller and the device became one class: OLAT, occupancy, the
+    // per-access byte and crypto costs, and the saveState bytes after a
+    // fixed submit/maybeEvict sequence must never drift.
+    const struct
+    {
+        const char *name;
+        oram::PathMode mode;
+        oram::EvictionConfig evict;
+        Cycles latency;
+        Cycles occupancy;
+        std::uint64_t bytes;
+        std::uint64_t cryptoCalls;
+        const char *stateDigest;
+    } cases[] = {
+        {"sync", oram::PathMode::Sync, {}, 768, 768, 18048, 8,
+         "b3cde7ff184cba401dc197d1c0c90e492f9634f34771415c2b83a18f128dca90"},
+        {"pipelined_highwater", oram::PathMode::Pipelined,
+         {oram::EvictionPolicy::HighWater, 8}, 381, 749, 18048, 8,
+         "f44b985d5e4bc1706e094a24d862baac841a0727b46a9d1b929d0d0abce3e193"},
+    };
+    for (const auto &c : cases) {
+        dram::DramModel mem{dram::DramConfig{}};
+        Rng rng(7);
+        oram::TimingOramDevice dev(oram::OramConfig::benchConfig(), mem, rng,
+                                   c.mode, c.evict);
+        EXPECT_EQ(dev.accessLatency(), c.latency) << c.name;
+        EXPECT_EQ(dev.occupancyPerAccess(), c.occupancy) << c.name;
+        EXPECT_EQ(dev.bytesPerAccess(), c.bytes) << c.name;
+        EXPECT_EQ(dev.cryptoCallsPerAccess(), c.cryptoCalls) << c.name;
+
+        std::uint32_t evictions = 0;
+        for (std::uint64_t i = 0; i < 40; ++i) {
+            const auto txn = i % 3 == 0
+                                 ? timing::OramTransaction::dummy()
+                                 : timing::OramTransaction::real(i, i % 2);
+            const auto done = dev.submit(i * 500, txn).done;
+            if (i % 5 == 4)
+                evictions +=
+                    dev.maybeEvict(done + 3 * dev.occupancyPerAccess())
+                        .evictions;
+        }
+        if (c.evict.policy != oram::EvictionPolicy::Off)
+            EXPECT_GT(evictions, 0u) << c.name;
+        ByteWriter w;
+        dev.saveState(w);
+        EXPECT_EQ(crypto::toHex(crypto::Sha256::hash(w.data())),
+                  c.stateDigest)
+            << c.name;
+    }
 }
 
 TEST(FunctionalOramDevice, MovesRealDataWithTimingCharging)

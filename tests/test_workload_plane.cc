@@ -620,13 +620,6 @@ TEST(KvServing, PinnedRunDigests)
     }
 }
 
-TEST(KvServingDeath, RejectsAliasingFunctionalCap)
-{
-    auto cfg = smallServing();
-    cfg.functionalBlockCap = 16; // would fold the KV table
-    EXPECT_DEATH({ sim::KvServingRun run(cfg); }, "fold");
-}
-
 // ---------------------------------------------------------------------
 // Replay driver: one API, bit-identical trace replay
 
