@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <bit>
+
 #include "common/bitutils.hh"
 #include "common/log.hh"
 
@@ -45,33 +47,40 @@ Cache::Cache(const CacheConfig &cfg)
     : cfg_(cfg),
       numSets_(cfg.numSets()),
       lineShift_(floorLog2(cfg.lineBytes)),
+      setShift_(floorLog2(numSets_)),
+      allWays_(cfg.ways >= 32 ? ~std::uint32_t{0}
+                              : (std::uint32_t{1} << cfg.ways) - 1),
       victimRng_(cfg.seed)
 {
     tcoram_assert(isPow2(cfg.lineBytes), "line size must be a power of two");
     tcoram_assert(numSets_ > 0 && isPow2(numSets_),
                   "set count must be a nonzero power of two: ", cfg.name);
-    lines_.resize(numSets_ * cfg_.ways);
+    tcoram_assert(cfg.ways >= 1 && cfg.ways <= 32,
+                  "ways must be in [1, 32]: ", cfg.name);
+    store_.resize(numSets_ * 2 * cfg_.ways);
+    bits_.resize(numSets_);
 }
 
-Cache::Line *
-Cache::selectVictim(Line *base)
+unsigned
+Cache::selectVictim(std::uint64_t set)
 {
-    // Invalid ways are always preferred.
-    for (unsigned w = 0; w < cfg_.ways; ++w)
-        if (!base[w].valid)
-            return &base[w];
+    // Invalid ways are always preferred, the lowest first.
+    const std::uint32_t invalid = ~bits_[set].valid & allWays_;
+    if (invalid)
+        return static_cast<unsigned>(std::countr_zero(invalid));
 
     switch (cfg_.replacement) {
       case Replacement::Random:
-        return &base[victimRng_.nextBounded(cfg_.ways)];
+        return static_cast<unsigned>(victimRng_.nextBounded(cfg_.ways));
       case Replacement::Lru:
       case Replacement::Fifo: {
-        // Both evict the smallest stamp; they differ in whether hits
-        // refresh it (LRU) or not (FIFO).
-        Line *victim = &base[0];
+        // Both evict the smallest stamp (the lowest way on a tie);
+        // they differ in whether hits refresh it (LRU) or not (FIFO).
+        const std::uint64_t *stamp = stamps(set);
+        unsigned victim = 0;
         for (unsigned w = 1; w < cfg_.ways; ++w)
-            if (base[w].stamp < victim->stamp)
-                victim = &base[w];
+            if (stamp[w] < stamp[victim])
+                victim = w;
         return victim;
       }
     }
@@ -87,13 +96,23 @@ Cache::setIndex(Addr addr) const
 Addr
 Cache::tagOf(Addr addr) const
 {
-    return addr >> lineShift_ >> floorLog2(numSets_);
+    return addr >> lineShift_ >> setShift_;
 }
 
 Addr
 Cache::lineAddr(Addr tag, std::uint64_t set) const
 {
-    return ((tag << floorLog2(numSets_)) | set) << lineShift_;
+    return ((tag << setShift_) | set) << lineShift_;
+}
+
+std::uint32_t
+Cache::matchMask(std::uint64_t set, Addr tag) const
+{
+    const Addr *way = tags(set);
+    std::uint32_t match = 0;
+    for (unsigned w = 0; w < cfg_.ways; ++w)
+        match |= static_cast<std::uint32_t>(way[w] == tag) << w;
+    return match & bits_[set].valid;
 }
 
 AccessResult
@@ -101,62 +120,54 @@ Cache::access(Addr addr, bool is_write)
 {
     const std::uint64_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
-    Line *base = &lines_[set * cfg_.ways];
+    SetBits &bits = bits_[set];
 
     AccessResult res;
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            ++hits_;
-            if (cfg_.replacement == Replacement::Lru)
-                line.stamp = ++stamp_; // FIFO keeps insertion order
-            line.dirty = line.dirty || is_write;
-            res.hit = true;
-            return res;
-        }
+    if (const std::uint32_t match = matchMask(set, tag)) {
+        // The lowest matching way, as a way-by-way scan would find.
+        const unsigned w = static_cast<unsigned>(std::countr_zero(match));
+        ++hits_;
+        if (cfg_.replacement == Replacement::Lru)
+            stamps(set)[w] = ++stamp_; // FIFO keeps insertion order
+        if (is_write)
+            bits.dirty |= std::uint32_t{1} << w;
+        res.hit = true;
+        return res;
     }
 
     ++misses_;
-    Line *victim = selectVictim(base);
-    if (victim->valid && victim->dirty) {
+    const unsigned w = selectVictim(set);
+    const std::uint32_t bit = std::uint32_t{1} << w;
+    if (bits.valid & bits.dirty & bit) {
         res.writeback = true;
-        res.victimAddr = lineAddr(victim->tag, set);
+        res.victimAddr = lineAddr(tags(set)[w], set);
     }
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = tag;
-    victim->stamp = ++stamp_;
+    bits.valid |= bit;
+    bits.dirty = is_write ? bits.dirty | bit : bits.dirty & ~bit;
+    tags(set)[w] = tag;
+    stamps(set)[w] = ++stamp_;
     return res;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    const Line *base = &lines_[set * cfg_.ways];
-    for (unsigned w = 0; w < cfg_.ways; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
+    return matchMask(setIndex(addr), tagOf(addr)) != 0;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
     const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[set * cfg_.ways];
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            const bool was_dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
-            return was_dirty;
-        }
-    }
-    return false;
+    const std::uint32_t match = matchMask(set, tagOf(addr));
+    if (!match)
+        return false;
+    const std::uint32_t bit = match & -match; // the lowest matching way
+    SetBits &bits = bits_[set];
+    const bool was_dirty = (bits.dirty & bit) != 0;
+    bits.valid &= ~bit;
+    bits.dirty &= ~bit;
+    return was_dirty;
 }
 
 double

@@ -57,25 +57,38 @@ class Cache
     double missRate() const;
 
   private:
-    struct Line
+    /** Presence and dirtiness of one set's ways, bit w for way w. */
+    struct SetBits
     {
-        Addr tag = kInvalidId;
-        bool valid = false;
-        bool dirty = false;
-        /** LRU: touch stamp; FIFO: insertion stamp. */
-        std::uint64_t stamp = 0;
+        std::uint32_t valid = 0;
+        std::uint32_t dirty = 0;
     };
 
     std::uint64_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
     Addr lineAddr(Addr tag, std::uint64_t set) const;
-    /** Victim way for the set starting at @p base (policy-driven). */
-    Line *selectVictim(Line *base);
+    /** The ways of @p set: its tags, then its stamps. */
+    Addr *tags(std::uint64_t set) { return &store_[set * 2 * cfg_.ways]; }
+    const Addr *tags(std::uint64_t set) const
+    {
+        return &store_[set * 2 * cfg_.ways];
+    }
+    std::uint64_t *stamps(std::uint64_t set) { return tags(set) + cfg_.ways; }
+    /** Way mask of the valid ways of @p set holding @p tag. */
+    std::uint32_t matchMask(std::uint64_t set, Addr tag) const;
+    /** Victim way in @p set (policy-driven). */
+    unsigned selectVictim(std::uint64_t set);
 
     CacheConfig cfg_;
     std::uint64_t numSets_;
     unsigned lineShift_;
-    std::vector<Line> lines_; // numSets * ways, set-major
+    unsigned setShift_;
+    std::uint32_t allWays_;
+    // Packed tag store, set-major: each set is its tags, a contiguous
+    // run a lookup compares against, then its stamps (LRU: touch;
+    // FIFO: insertion). Valid and dirty bits sit in per-set way masks.
+    std::vector<std::uint64_t> store_; // numSets * 2 * ways
+    std::vector<SetBits> bits_;        // numSets
     std::uint64_t stamp_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -10,11 +10,13 @@
 #ifndef TCORAM_CACHE_HIERARCHY_HH
 #define TCORAM_CACHE_HIERARCHY_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/write_buffer.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace tcoram::cache {
@@ -27,6 +29,30 @@ enum class AccessKind
     Store,
 };
 
+/**
+ * The dirty LLC victims of one access, held inline: an access writes
+ * back at most two lines (the L1 victim's drain and the demand fill
+ * can each evict one from the LLC).
+ */
+class WritebackList
+{
+  public:
+    void push_back(Addr addr)
+    {
+        tcoram_dassert(size_ < addrs_.size(), "more than two writebacks");
+        addrs_[size_++] = addr;
+    }
+    const Addr *begin() const { return addrs_.data(); }
+    const Addr *end() const { return addrs_.data() + size_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    Addr operator[](std::size_t i) const { return addrs_[i]; }
+
+  private:
+    std::array<Addr, 2> addrs_{};
+    std::size_t size_ = 0;
+};
+
 /** Outcome of one access walked through L1 and L2. */
 struct HierarchyResult
 {
@@ -37,7 +63,7 @@ struct HierarchyResult
     /** Missing line address (valid iff llcMiss). */
     Addr missAddr = 0;
     /** Dirty LLC victims that must be written back to main memory. */
-    std::vector<Addr> memWritebacks;
+    WritebackList memWritebacks;
 };
 
 /** Per-component access counters consumed by the power model. */

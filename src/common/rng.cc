@@ -1,7 +1,10 @@
 #include "common/rng.hh"
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
+#include "common/bitutils.hh"
 #include "common/log.hh"
 
 namespace tcoram {
@@ -18,11 +21,11 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
+/** One past the largest 53-bit draw. */
+constexpr std::uint64_t kDrawEnd = std::uint64_t{1} << 53;
+
+/** Cuts closer together than this end the table: the tail. */
+constexpr std::uint64_t kMinCutSpacing = std::uint64_t{1} << 20;
 
 } // namespace
 
@@ -31,22 +34,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t x = seed;
     for (auto &w : s_)
         w = splitMix64(x);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
 }
 
 std::uint64_t
@@ -60,12 +47,6 @@ Rng::nextBounded(std::uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 bool
@@ -82,18 +63,69 @@ mixSeed(std::uint64_t base, std::uint64_t stream)
     std::uint64_t x = base ^ (stream * 0xd1342543de82ef95ull);
     std::uint64_t a = splitMix64(x);
     std::uint64_t b = splitMix64(x);
-    return a ^ rotl(b, 32);
+    return a ^ std::rotl(b, 32);
+}
+
+std::uint64_t
+Rng::geometricGap(std::uint64_t x, double denom)
+{
+    // Inverse-CDF of geometric with success prob 1/mean.
+    const double u = static_cast<double>(x) * 0x1.0p-53;
+    const double v = std::log1p(-u) / denom;
+    return static_cast<std::uint64_t>(v) + 1;
 }
 
 std::uint64_t
 Rng::nextGeometric(double mean)
 {
     tcoram_assert(mean >= 1.0, "geometric mean must be >= 1");
-    const double u = nextDouble();
-    // Inverse-CDF of geometric with success prob 1/mean.
-    const double p = 1.0 / mean;
-    const double v = std::log1p(-u) / std::log1p(-p);
-    return static_cast<std::uint64_t>(v) + 1;
+    const std::uint64_t x = next() >> 11;
+    return geometricGap(x, std::log1p(-(1.0 / mean)));
+}
+
+BoundedDraw::BoundedDraw(std::uint64_t bound)
+    : bound_(bound), threshold_(bound ? -bound % bound : 0),
+      pow2_(isPow2(bound))
+{
+}
+
+void
+GeometricTable::build()
+{
+    tcoram_assert(mean_ >= 1.0, "geometric mean must be >= 1");
+    built_ = true;
+    denom_ = std::log1p(-(1.0 / mean_));
+    // Mean 1 divides by -inf: every draw is gap 1, all of it "tail".
+    if (!(denom_ > -std::numeric_limits<double>::infinity()))
+        return;
+
+    // cuts_[k]: the smallest x whose gap is at least k + 2. Each
+    // search starts at the previous cut.
+    std::uint64_t lo = 0;
+    while (cuts_.size() < kMaxCuts) {
+        const std::uint64_t want = cuts_.size() + 2;
+        std::uint64_t hi = kDrawEnd - 1;
+        if (Rng::geometricGap(hi, denom_) < want)
+            break;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (Rng::geometricGap(mid, denom_) >= want)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        if (!cuts_.empty() && lo - cuts_.back() < kMinCutSpacing)
+            break;
+        cuts_.push_back(lo);
+    }
+
+    std::size_t k = 0;
+    for (std::size_t b = 0; b < bucket_.size(); ++b) {
+        const std::uint64_t first = std::uint64_t{b} << (53 - kBucketBits);
+        while (k < cuts_.size() && cuts_[k] < first)
+            ++k;
+        bucket_[b] = static_cast<std::uint16_t>(k);
+    }
 }
 
 } // namespace tcoram

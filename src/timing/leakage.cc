@@ -1,10 +1,8 @@
 #include "timing/leakage.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
-#include <vector>
 
 #include "common/bitutils.hh"
 #include "common/log.hh"
@@ -86,23 +84,25 @@ LeakageAccountant::unprotectedBits(Cycles t, Cycles olat)
     const auto gap = static_cast<double>(olat - 1);
     const std::uint64_t imax = t / olat;
 
+    // Online log-sum-exp: sum holds the terms so far scaled by
+    // 2^-max_term, rescaled whenever the running max rises, so memory
+    // stays O(1) however many terms there are.
     double max_term = -std::numeric_limits<double>::infinity();
-    std::vector<double> terms;
-    terms.reserve(std::min<std::uint64_t>(imax + 1, 1u << 20));
+    double sum = 0.0;
     for (std::uint64_t i = 0; i <= imax; ++i) {
         const double term =
             lg_choose(t_d - static_cast<double>(i) * gap,
                       static_cast<double>(i));
-        terms.push_back(term);
-        max_term = std::max(max_term, term);
+        if (term > max_term) {
+            sum = sum * std::exp2(max_term - term) + 1.0;
+            max_term = term;
+        } else {
+            sum += std::exp2(term - max_term);
+        }
         // Terms decay once past the mode; stop when negligible.
         if (term < max_term - 64 && i > imax / 2)
             break;
     }
-
-    double sum = 0.0;
-    for (double term : terms)
-        sum += std::exp2(term - max_term);
     const double per_termination = max_term + std::log2(sum);
     // Sum over termination times 1..t adds at most lg t bits.
     return per_termination + std::log2(t_d);

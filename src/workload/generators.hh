@@ -7,7 +7,9 @@
 #ifndef TCORAM_WORKLOAD_GENERATORS_HH
 #define TCORAM_WORKLOAD_GENERATORS_HH
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -57,11 +59,56 @@ class SyntheticTrace : public TraceSource
     std::size_t phaseIndex() const { return phaseIdx_; }
 
   private:
+    /** Extra-gap-cycle draws precomputed for gaps below this. */
+    static constexpr std::uint32_t kExtraTable = 64;
+
+    /**
+     * One phase's draws, precomputed at construction: every Bernoulli
+     * as an integer cut, every bound with its rejection threshold, the
+     * derived region sizes, and the gap table (built on first draw).
+     * Each form makes the same Rng draws and returns the same value as
+     * the Rng call it replaces.
+     */
+    struct Draws
+    {
+        explicit Draws(const Phase &p);
+
+        /** Extra gap cycles for a gap of @p g instructions: the whole
+         *  part, and the cut for one more. */
+        struct Extra
+        {
+            std::uint32_t whole = 0;
+            BernoulliCut oneMore;
+        };
+        static Extra extraFor(const Phase &p, std::uint32_t g);
+
+        /** Fetch jumps need at least this many instructions. */
+        InstCount fetchJumpAfter;
+        BernoulliCut fetchJump{0.5};
+        BoundedDraw codeLine;
+        GeometricTable gap;
+        BernoulliCut burst;
+        std::array<Extra, kExtraTable> extra;
+        BernoulliCut store;
+
+        bool mayGoCold;
+        BernoulliCut hot;
+        double mixTotal;
+        std::uint64_t lines;
+        BoundedDraw coldLine;
+        BernoulliCut stack;
+        BoundedDraw stackWord;
+        std::uint64_t hotWords;
+        BoundedDraw hotLine;
+        BoundedDraw lineWord;
+    };
+
     const Phase &phase() const { return profile_.phases[phaseIdx_]; }
     void advancePhase(InstCount insts);
-    Addr dataAddr();
+    Addr dataAddr(const Phase &p, const Draws &d);
 
     Profile profile_;
+    std::vector<Draws> draws_;
     Rng rng_;
     std::size_t phaseIdx_ = 0;
     InstCount instsLeftInPhase_;

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "cache/write_buffer.hh"
+#include "common/rng.hh"
 
 namespace tcoram::cache {
 namespace {
@@ -110,6 +113,118 @@ TEST(Cache, VictimAddressRoundTrips)
     const auto r = c.access(victim + 16 * 64, false);
     ASSERT_TRUE(r.writeback);
     EXPECT_EQ(r.victimAddr, victim & ~Addr{63});
+}
+
+/** A cache as an array of {tag, valid, dirty, stamp} lines scanned way
+ *  by way: the reference the packed tag store must reproduce. */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &cfg)
+        : cfg_(cfg), sets_(cfg.numSets()), lines_(sets_ * cfg.ways),
+          rng_(cfg.seed)
+    {
+    }
+
+    AccessResult access(Addr addr, bool is_write)
+    {
+        Line *base = set(addr);
+        AccessResult res;
+        for (unsigned w = 0; w < cfg_.ways; ++w) {
+            if (base[w].valid && base[w].tag == tagOf(addr)) {
+                if (cfg_.replacement == Replacement::Lru)
+                    base[w].stamp = ++stamp_;
+                base[w].dirty = base[w].dirty || is_write;
+                res.hit = true;
+                return res;
+            }
+        }
+        Line *v = nullptr;
+        for (unsigned w = 0; w < cfg_.ways && !v; ++w)
+            if (!base[w].valid)
+                v = &base[w];
+        if (!v && cfg_.replacement == Replacement::Random)
+            v = &base[rng_.nextBounded(cfg_.ways)];
+        if (!v) {
+            v = &base[0];
+            for (unsigned w = 1; w < cfg_.ways; ++w)
+                if (base[w].stamp < v->stamp)
+                    v = &base[w];
+        }
+        if (v->valid && v->dirty) {
+            res.writeback = true;
+            res.victimAddr = (v->tag * sets_ + (addr / 64) % sets_) * 64;
+        }
+        *v = {tagOf(addr), true, is_write, ++stamp_};
+        return res;
+    }
+
+    bool invalidate(Addr addr)
+    {
+        Line *base = set(addr);
+        for (unsigned w = 0; w < cfg_.ways; ++w) {
+            if (base[w].valid && base[w].tag == tagOf(addr)) {
+                const bool dirty = base[w].dirty;
+                base[w].valid = base[w].dirty = false;
+                return dirty;
+            }
+        }
+        return false;
+    }
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t stamp = 0;
+    };
+    Addr tagOf(Addr addr) const { return addr / 64 / sets_; }
+    Line *set(Addr addr) { return &lines_[(addr / 64) % sets_ * cfg_.ways]; }
+
+    CacheConfig cfg_;
+    std::uint64_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t stamp_ = 0;
+    Rng rng_;
+};
+
+TEST(Cache, MatchesTheLineArrayReference)
+{
+    for (const Replacement policy :
+         {Replacement::Lru, Replacement::Fifo, Replacement::Random}) {
+        for (const unsigned ways : {4u, 16u}) {
+            SCOPED_TRACE(static_cast<int>(policy) * 100 + ways);
+            CacheConfig cfg = tinyCache(ways, 8 * 1024);
+            cfg.replacement = policy;
+            Cache c(cfg);
+            ReferenceCache ref(cfg);
+            Rng r(ways + static_cast<unsigned>(policy));
+            for (int i = 0; i < 200'000; ++i) {
+                // Mostly a footprint 3x the capacity, sometimes a far
+                // address with a wide tag.
+                Addr addr = r.nextBounded(24 * 1024);
+                if (r.nextBool(0.05))
+                    addr += (r.next() >> 20) << 20;
+                if (r.nextBool(0.1)) {
+                    ASSERT_EQ(c.invalidate(addr), ref.invalidate(addr));
+                    continue;
+                }
+                const bool write = r.nextBool(0.3);
+                const AccessResult got = c.access(addr, write);
+                const AccessResult want = ref.access(addr, write);
+                ASSERT_EQ(got.hit, want.hit) << i;
+                ASSERT_EQ(got.writeback, want.writeback) << i;
+                if (want.writeback) {
+                    ASSERT_EQ(got.victimAddr, want.victimAddr) << i;
+                }
+                ASSERT_TRUE(c.contains(addr));
+            }
+            EXPECT_GT(c.hits(), 0u);
+            EXPECT_GT(c.misses(), 0u);
+        }
+    }
 }
 
 TEST(WriteBuffer, CapacityAndOrdering)

@@ -9,6 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numbers>
+#include <vector>
 
 #include "timing/epoch_schedule.hh"
 #include "timing/leakage.hh"
@@ -446,6 +450,62 @@ TEST(Leakage, UnprotectedDegenerateCase)
     const double bits = LeakageAccountant::unprotectedBits(10, 10);
     EXPECT_LT(bits, 8.0);
     EXPECT_GE(bits, 0.0);
+}
+
+/** unprotectedBits as it was first written: every log-term kept in a
+ *  vector, then one log-sum-exp over them with the final max. */
+double
+unprotectedBitsTwoPass(Cycles t, Cycles olat)
+{
+    const double ln2 = std::numbers::ln2_v<double>;
+    auto ln_gamma = [](double x) {
+        int sign = 0;
+        return ::lgamma_r(x, &sign);
+    };
+    auto lg_choose = [&](double n, double k) {
+        if (k < 0 || k > n)
+            return -std::numeric_limits<double>::infinity();
+        return (ln_gamma(n + 1) - ln_gamma(k + 1) - ln_gamma(n - k + 1)) /
+               ln2;
+    };
+    const auto t_d = static_cast<double>(t);
+    const auto gap = static_cast<double>(olat - 1);
+    const std::uint64_t imax = t / olat;
+    double max_term = -std::numeric_limits<double>::infinity();
+    std::vector<double> terms;
+    for (std::uint64_t i = 0; i <= imax; ++i) {
+        const double term = lg_choose(t_d - static_cast<double>(i) * gap,
+                                      static_cast<double>(i));
+        terms.push_back(term);
+        max_term = std::max(max_term, term);
+        if (term < max_term - 64 && i > imax / 2)
+            break;
+    }
+    double sum = 0.0;
+    for (double term : terms)
+        sum += std::exp2(term - max_term);
+    return max_term + std::log2(sum) + std::log2(t_d);
+}
+
+TEST(Leakage, UnprotectedOnlineSumMatchesTwoPassForm)
+{
+    // The online log-sum-exp rescales its running sum as the max
+    // rises; over long increasing runs (OLAT 1 sums C(t, i) up to
+    // t / 2) that must stay within rounding of the two-pass form.
+    for (const Cycles t : {Cycles{1}, Cycles{10}, Cycles{1000},
+                           Cycles{123'457}, Cycles{1'000'000},
+                           Cycles{1} << 22}) {
+        for (const Cycles olat : {Cycles{1}, Cycles{2}, Cycles{7},
+                                  Cycles{100}, Cycles{1488}}) {
+            if (olat > t)
+                continue;
+            const double want = unprotectedBitsTwoPass(t, olat);
+            const double got = LeakageAccountant::unprotectedBits(t, olat);
+            EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want))
+                << "t " << t << " olat " << olat << ": " << got << " vs "
+                << want;
+        }
+    }
 }
 
 TEST(LeakageMonitor, EnforcesBudget)
