@@ -4,7 +4,7 @@
  * (sim/shard_worker.hh) on dispatch-bound workloads, plus the
  * million-open-session smoke the descriptor design exists for.
  *
- * Four sections, every one also asserted under --check:
+ * Three sections, every one also asserted under --check:
  *
  *  1. DISPATCH THROUGHPUT — S sessions, M = 16 shards, open-loop
  *     backlog; the activation list is O(1) per serve under backlog.
@@ -18,10 +18,7 @@
  *     speedup is reported, and gated only loosely (>= 0.3x of the
  *     1-thread run) because the phased rounds serialize on few-core
  *     hosts while the barrier overhead stays.
- *  3. POLICY SWEEP — rr/wrr/edf at the same point: identical served
- *     counts and last-completion cycle (dispatch policy must never
- *     change the observable envelope under a static rate).
- *  4. MILLION-SESSION SMOKE — open 1,000,000 descriptor sessions
+ *  3. MILLION-SESSION SMOKE — open 1,000,000 descriptor sessions
  *     (unlimited budgets), gate the resident-set growth of the opens
  *     at "a few hundred MB" (< 600 MB), then push a spread of real
  *     transactions through and require every one retired (fence ==
@@ -47,7 +44,6 @@
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
 #include "sim/shard_worker.hh"
-#include "timing/dispatch_policy.hh"
 #include "timing/rate_enforcer.hh"
 
 using namespace tcoram;
@@ -59,8 +55,8 @@ constexpr std::uint64_t kRouteSeed = 7;
 constexpr std::uint32_t kShards = 16;
 
 /** The single public rate/epoch configuration (static rate: the
- *  dispatch order cannot move the learner, so every thread count and
- *  policy must produce the same observable envelope). */
+ *  dispatch order cannot move the learner, so every thread count must
+ *  produce the same observable envelope). */
 struct RateConfig
 {
     timing::RateSet rates{std::vector<Cycles>{kRate}};
@@ -120,8 +116,7 @@ struct EnginePoint
  * backlog the activation list is O(1) under.
  */
 EnginePoint
-runRing(std::size_t sessions, std::uint64_t total_txns, unsigned threads,
-        timing::DispatchPolicyKind policy)
+runRing(std::size_t sessions, std::uint64_t total_txns, unsigned threads)
 {
     dram::DramModel mem{dram::DramConfig{}};
     Rng rng(42);
@@ -133,14 +128,11 @@ runRing(std::size_t sessions, std::uint64_t total_txns, unsigned threads,
     opts.lanes = 1;
     opts.ringCapacity = 4096;
     opts.threads = threads;
-    opts.policy = policy;
     opts.recordLatencies = false;
     sim::RingScheduler sched(device, rc.rates, rc.schedule, rc.learner,
                              kRate, RateConfig::params(), opts);
     for (std::size_t s = 0; s < sessions; ++s)
-        sched.openSession(mixSeed(0x5a7d, s), -1.0, 0,
-                          static_cast<std::uint16_t>(1 + s % 3),
-                          100 * static_cast<Cycles>(s));
+        sched.openSession(mixSeed(0x5a7d, s));
 
     auto drain = [&] {
         sim::SessionRing::Completion c;
@@ -266,8 +258,7 @@ main(int argc, char **argv)
                 "threads", "sessions", "served", "wall-ms", "txn/s");
 
     // --- 1. dispatch throughput: the O(1) activation list
-    EnginePoint ring1 = runRing(sessions, total_txns, 1,
-                                timing::DispatchPolicyKind::RoundRobin);
+    EnginePoint ring1 = runRing(sessions, total_txns, 1);
     auto row = [](const EnginePoint &p, std::size_t n_sessions) {
         std::printf("%-10s %-8u %-10zu %-10llu %-12.1f %-10.0f\n",
                     p.engine.c_str(), p.threads, n_sessions,
@@ -292,8 +283,7 @@ main(int argc, char **argv)
     std::vector<EnginePoint> workers{ring1};
     bool identical = true;
     for (std::size_t i = 1; i < worker_counts.size(); ++i) {
-        EnginePoint p = runRing(sessions, total_txns, worker_counts[i],
-                                timing::DispatchPolicyKind::RoundRobin);
+        EnginePoint p = runRing(sessions, total_txns, worker_counts[i]);
         row(p, sessions);
         if (p.csv != ring1.csv || p.served != ring1.served ||
             p.lastCompletion != ring1.lastCompletion)
@@ -303,24 +293,7 @@ main(int argc, char **argv)
     std::printf("N-worker vs 1-worker shard CSV: %s\n",
                 identical ? "bit-identical" : "DIFFERS");
 
-    // --- 3. policy sweep: rr/wrr/edf share the observable envelope
-    bool policies_agree = true;
-    std::vector<std::pair<const char *, timing::DispatchPolicyKind>> kinds{
-        {"wrr", timing::DispatchPolicyKind::WeightedRoundRobin},
-        {"edf", timing::DispatchPolicyKind::EarliestDeadline}};
-    for (const auto &[name, kind] : kinds) {
-        EnginePoint p = runRing(sessions, total_txns, 1, kind);
-        std::printf("policy %-4s served %-10llu last %llu\n", name,
-                    (unsigned long long)p.served,
-                    (unsigned long long)p.lastCompletion);
-        if (p.served != ring1.served ||
-            p.lastCompletion != ring1.lastCompletion)
-            policies_agree = false;
-    }
-    std::printf("policy sweep envelope: %s\n",
-                policies_agree ? "identical" : "DIFFERS");
-
-    // --- 4. million-session smoke
+    // --- 3. million-session smoke
     const std::size_t smoke_sessions = 1'000'000;
     const std::uint64_t smoke_txns = quick ? 20'000 : 50'000;
     const SmokePoint smoke = runMillionSmoke(smoke_sessions, smoke_txns);
@@ -350,8 +323,6 @@ main(int argc, char **argv)
         os << "  \"ring_txn_per_s_floor\": " << num(floor) << ",\n";
         os << "  \"worker_csv_identical\": "
            << (identical ? "true" : "false") << ",\n";
-        os << "  \"policy_envelope_identical\": "
-           << (policies_agree ? "true" : "false") << ",\n";
         os << "  \"engines\": [";
         bool first = true;
         auto emit = [&](const EnginePoint &p) {
@@ -399,11 +370,6 @@ main(int argc, char **argv)
                         "summary CSV\n");
             ok = false;
         }
-        if (!policies_agree) {
-            std::printf("FAIL: dispatch policy changed the observable "
-                        "envelope under a static rate\n");
-            ok = false;
-        }
         // Threads can't beat one core; gate only the sanity floor so
         // the barrier overhead never regresses into pathology.
         for (const auto &p : workers) {
@@ -435,8 +401,7 @@ main(int argc, char **argv)
         if (!ok)
             return 1;
         std::printf("check OK: %sbit-identical worker sweep, "
-                    "policy-invariant envelope, million-session smoke "
-                    "within budget\n",
+                    "million-session smoke within budget\n",
                     baseline_path != nullptr ? "dispatch above the floor, "
                                              : "");
     }

@@ -407,11 +407,9 @@ main(int argc, char **argv)
     cfg.llcBytes = numArg<std::uint64_t>(argc, argv, "--llc", "1048576");
     cfg.seed = numArg<std::uint64_t>(argc, argv, "--seed", "1");
     cfg.ipcWindow = 100'000;
-    if (const char *be = arg(argc, argv, "--crypto-backend", nullptr)) {
-        cfg.cryptoBackend = be;
-        // Applied here, before any simulation thread exists.
+    // Applied here, before any simulation thread exists.
+    if (const char *be = arg(argc, argv, "--crypto-backend", nullptr))
         crypto::setDefaultCryptoBackend(crypto::parseCryptoBackend(be));
-    }
     if (const char *dev = arg(argc, argv, "--oram-device", nullptr))
         cfg.oramDevice = dev;
     if (const char *mode = arg(argc, argv, "--dram-mode", nullptr))

@@ -25,7 +25,7 @@
  * Auto resolves to the best available — CPUID-detected AES-NI unless
  * the TCORAM_NO_AESNI environment variable is set, else TTable. The
  * process-wide default is also settable via TCORAM_CRYPTO_BACKEND or
- * SystemConfig::cryptoBackend / the CLI --crypto-backend flag.
+ * setDefaultCryptoBackend() (the CLI --crypto-backend flag).
  */
 
 #ifndef TCORAM_CRYPTO_CRYPTO_ENGINE_HH
@@ -118,9 +118,11 @@ bool aesniAvailable();
 CryptoBackend defaultCryptoBackend();
 
 /**
- * Pin the process-wide default (SystemConfig / CLI knob). Pass
- * CryptoBackend::Auto to restore detection. Thread-safe; takes effect
- * for engines constructed afterwards.
+ * Pin the process-wide default — the one in-process selector (cli_sim
+ * --crypto-backend calls it). Drivers call it once at startup, before
+ * any simulation thread builds engines. Pass CryptoBackend::Auto to
+ * restore detection. Thread-safe; takes effect for engines constructed
+ * afterwards.
  */
 void setDefaultCryptoBackend(CryptoBackend backend);
 

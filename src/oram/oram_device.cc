@@ -371,7 +371,8 @@ makeOramDevice(const OramDeviceSpec &spec, const OramConfig &cfg,
     if (spec.kind == "functional") {
         auto dev = std::make_unique<FunctionalOramDevice>(
             cfg, mem, rng, spec.keySeed, spec.functionalBlockCap,
-            spec.cryptoBackend, spec.pathMode, spec.evictionConfig());
+            crypto::CryptoBackend::Auto, spec.pathMode,
+            spec.evictionConfig());
         // Data-fault kinds arm the fault-tolerant datapath; timing
         // kinds belong to the DRAM decorator and are ignored here.
         if (spec.fault.enabled() && spec.fault.has(dram::kFaultDataMask))

@@ -334,8 +334,6 @@ struct OramDeviceSpec
     std::uint64_t keySeed = 1;
     /** Functional capacity cap in blocks (0 = uncapped; per shard). */
     std::uint64_t functionalBlockCap = 0;
-    /** Bucket-crypto engine for the functional datapath. */
-    crypto::CryptoBackend cryptoBackend = crypto::CryptoBackend::Auto;
 
     /**
      * Path read/write-back scheduling the per-access charging is

@@ -28,7 +28,7 @@
 namespace tcoram::sim {
 
 /** Current checkpoint format version. */
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /**
  * Atomically write @p payload as a checkpoint at @p path.

@@ -5,7 +5,6 @@
 
 #include "common/bitutils.hh"
 #include "common/log.hh"
-#include "crypto/crypto_engine.hh"
 #include "dram/trace_memory.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
@@ -189,24 +188,6 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
                                  const workload::Profile &profile)
     : cfg_(cfg), rng_(cfg.seed)
 {
-    // The crypto-backend knob is applied by the driver once at startup
-    // (single-threaded; see SystemConfig::cryptoBackend) — mutating
-    // the process default from per-cell construction would race under
-    // the parallel ExperimentEngine. Validate it here and make a
-    // missing driver application non-silent.
-    if (!cfg_.cryptoBackend.empty()) {
-        const auto want = crypto::parseCryptoBackend(cfg_.cryptoBackend);
-        if (want != crypto::CryptoBackend::Auto &&
-            want != crypto::defaultCryptoBackend()) {
-            warnImpl(detail::formatAll(
-                "config '", cfg_.name, "' requests crypto backend '",
-                cfg_.cryptoBackend, "' but the process default is '",
-                crypto::backendName(crypto::defaultCryptoBackend()),
-                "'; call crypto::setDefaultCryptoBackend at startup ",
-                "(cli_sim --crypto-backend does this)"));
-        }
-    }
-
     // Validate dramMode and the shard count up front so an ill-formed
     // config dies naming itself even for the schemes (base_dram /
     // protected_dram) whose backends have no ORAM path and ignore the
@@ -235,10 +216,6 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
         dev_spec.pathMode = cfg_.pathMode();
         dev_spec.keySeed = cfg_.seed ^ 0x0de71ce5ull;
         dev_spec.functionalBlockCap = cfg_.functionalBlockCap;
-        dev_spec.cryptoBackend =
-            cfg_.cryptoBackend.empty()
-                ? crypto::CryptoBackend::Auto
-                : crypto::parseCryptoBackend(cfg_.cryptoBackend);
         dev_spec.shards = cfg_.shardCount();
         // Route assignment must be reproducible per seeded run but
         // independent of the datapath key stream.

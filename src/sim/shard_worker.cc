@@ -37,8 +37,7 @@ RingScheduler::RingScheduler(oram::ShardedOramDevice &device,
     const std::uint32_t shards = device.shardCount();
     for (std::uint32_t i = 0; i < shards; ++i)
         slots_.push_back(std::make_unique<timing::ShardSlot>(
-            i, device.shard(i), rates, schedule, learner, initial_rate,
-            opts_.policy));
+            i, device.shard(i), rates, schedule, learner, initial_rate));
     for (std::size_t l = 0; l < opts_.lanes; ++l)
         lanes_.push_back(std::make_unique<SessionRing>(opts_.ringCapacity));
 
@@ -76,8 +75,7 @@ RingScheduler::attachMonitor()
 
 std::uint32_t
 RingScheduler::openSession(std::uint64_t user_seed, double leakage_limit_bits,
-                           std::uint16_t lane, std::uint16_t weight,
-                           Cycles deadline_offset)
+                           std::uint16_t lane)
 {
     // The shared monitor is rebuilt from the tightest finite budget at
     // open; a rebuild after decisions were recorded would forget bits
@@ -91,8 +89,6 @@ RingScheduler::openSession(std::uint64_t user_seed, double leakage_limit_bits,
     d.stats.sessionId = id;
     d.stats.leakageLimitBits = leakage_limit_bits;
     d.lane = lane;
-    d.weight = std::max<std::uint16_t>(weight, 1);
-    d.deadlineOffset = deadline_offset;
 
     if (leakage_limit_bits < 0.0) {
         // Unlimited budgets skip the handshake entirely — this is what
@@ -211,9 +207,7 @@ RingScheduler::shardStep(unsigned worker)
             auto &staged = staging_[l][s];
             for (auto &st : staged) {
                 device_->localize(static_cast<std::uint32_t>(s), st.txn);
-                const SessionDescriptor &d = descriptors_[st.sessionId];
-                slot.enqueue(st.sessionId, st.arrival, st.txn, d.weight,
-                             d.deadlineOffset);
+                slot.enqueue(st.sessionId, st.arrival, st.txn);
             }
             staged.clear();
         }

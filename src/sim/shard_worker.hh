@@ -5,9 +5,9 @@
  * step by step or to idle, checkpointable between calls. Clients talk
  * to the scheduler exclusively through
  * per-lane lock-free SPSC rings (sim/session_ring.hh); sessions are
- * lightweight descriptors (HMAC-admitted budget + lane + QoS
- * attributes, ~130 bytes), so a million open sessions fit in a couple
- * hundred MB; dispatch runs on up to M worker threads, one shard's
+ * lightweight descriptors (HMAC-admitted budget + lane + stats, 112
+ * bytes), so a million open sessions fit in a couple hundred MB;
+ * dispatch runs on up to M worker threads, one shard's
  * ShardSlot (enforcer + calibrated device) per worker stripe.
  *
  * ## Determinism: N threads == 1 thread, bit-identical
@@ -60,13 +60,13 @@
  * saveState()/restoreState() capture the whole scheduler between
  * calls (the quiescent points): lane rings with their fence windows,
  * every slot's enforcer, activation list, queued transactions, held
- * pick and dispatch-policy state, the session descriptors with stats
+ * pick and vacated-cursor mark, the session descriptors with stats
  * and latency samples, the shared LeakageMonitor ledger, the per-shard
  * served counts and the deal cursor. Staging buffers and completion
  * buckets are always empty at those points (asserted, not saved). A
  * snapshot restores under any worker count — the state is
  * worker-count independent — into a scheduler built with the same
- * shards, lanes, policy and opened sessions.
+ * shards, lanes and opened sessions.
  */
 
 #ifndef TCORAM_SIM_SHARD_WORKER_HH
@@ -82,7 +82,6 @@
 #include "protocol/session.hh"
 #include "sim/column_batch.hh"
 #include "sim/session_ring.hh"
-#include "timing/dispatch_policy.hh"
 #include "timing/shard_slot.hh"
 
 namespace tcoram::sim {
@@ -137,9 +136,6 @@ class RingScheduler
         std::size_t ringCapacity = 1024;
         /** Worker threads (clamped to [1, max(lanes, shards)]). */
         unsigned threads = 1;
-        /** Per-shard QoS dispatch policy. */
-        timing::DispatchPolicyKind policy =
-            timing::DispatchPolicyKind::RoundRobin;
         /** Keep per-completion latency samples (percentiles). Off for
          *  the million-session smoke, where samples would dominate. */
         bool recordLatencies = true;
@@ -192,9 +188,7 @@ class RingScheduler
      */
     std::uint32_t openSession(std::uint64_t user_seed,
                               double leakage_limit_bits = -1.0,
-                              std::uint16_t lane = 0,
-                              std::uint16_t weight = 1,
-                              Cycles deadline_offset = 0);
+                              std::uint16_t lane = 0);
 
     /**
      * Push a transaction onto the session's lane ring. Returns the
@@ -274,7 +268,7 @@ class RingScheduler
      * Checkpoint support (see the file comment). The device array is
      * checkpointed separately by its owner. Queued transactions must
      * carry no data/out spans, and telemetry recording must be off —
-     * both asserted. Restore fails loudly on a shard, lane, policy or
+     * both asserted. Restore fails loudly on a shard, lane or
      * session-count mismatch.
      */
     void saveState(ByteWriter &w) const;
@@ -285,8 +279,6 @@ class RingScheduler
     {
         SessionStats stats;
         std::uint16_t lane = 0;
-        std::uint16_t weight = 1;
-        Cycles deadlineOffset = 0;
         std::vector<Cycles> latencies;
     };
 

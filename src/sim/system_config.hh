@@ -206,22 +206,6 @@ struct SystemConfig
     std::uint32_t evictionBudgetValue() const;
     static constexpr std::uint32_t kMaxEvictionBudget = 1u << 20;
 
-    /**
-     * Bucket-crypto engine backend for functional ORAM components
-     * ("auto" / "scalar" / "ttable" / "aesni"; see
-     * crypto/crypto_engine.hh). Empty keeps the process default:
-     * CPUID-detected AES-NI when available, else T-tables. Drivers
-     * apply it once at startup (single-threaded) via
-     * crypto::setDefaultCryptoBackend — e.g. cli_sim's
-     * --crypto-backend flag — never from per-cell construction, which
-     * would race under the parallel ExperimentEngine; code that needs
-     * per-instance selection passes a CryptoBackend to
-     * PathOram/CtrCipher/Prf directly. The TCORAM_NO_AESNI and
-     * TCORAM_CRYPTO_BACKEND environment variables override the
-     * detection too.
-     */
-    std::string cryptoBackend;
-
     // --- Named presets (§9.1.6, §10) ---
     static SystemConfig baseDram();
     static SystemConfig baseOram();

@@ -83,25 +83,36 @@ LeakageAccountant::unprotectedBits(Cycles t, Cycles olat)
     const auto t_d = static_cast<double>(t);
     const auto gap = static_cast<double>(olat - 1);
     const std::uint64_t imax = t / olat;
+    auto term = [&](std::uint64_t i) {
+        const auto i_d = static_cast<double>(i);
+        return lg_choose(t_d - i_d * gap, i_d);
+    };
 
-    // Online log-sum-exp: sum holds the terms so far scaled by
-    // 2^-max_term, rescaled whenever the running max rises, so memory
-    // stays O(1) however many terms there are.
-    double max_term = -std::numeric_limits<double>::infinity();
-    double sum = 0.0;
-    for (std::uint64_t i = 0; i <= imax; ++i) {
-        const double term =
-            lg_choose(t_d - static_cast<double>(i) * gap,
-                      static_cast<double>(i));
-        if (term > max_term) {
-            sum = sum * std::exp2(max_term - term) + 1.0;
-            max_term = term;
-        } else {
-            sum += std::exp2(term - max_term);
-        }
-        // Terms decay once past the mode; stop when negligible.
-        if (term < max_term - 64 && i > imax / 2)
+    // The terms are unimodal in i (test-checked on a grid), so the mode
+    // is the first i whose successor is no larger: bisect on that sign.
+    std::uint64_t lo = 0, hi = imax;
+    while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (term(mid + 1) > term(mid))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    // Log-sum-exp outward from the mode; each side stops once its terms
+    // fall 64 bits below the peak, where they no longer move the sum.
+    const double max_term = term(lo);
+    double sum = 1.0;
+    for (std::uint64_t i = lo; i-- > 0;) {
+        const double a = term(i);
+        if (a < max_term - 64)
             break;
+        sum += std::exp2(a - max_term);
+    }
+    for (std::uint64_t i = lo + 1; i <= imax; ++i) {
+        const double a = term(i);
+        if (a < max_term - 64)
+            break;
+        sum += std::exp2(a - max_term);
     }
     const double per_termination = max_term + std::log2(sum);
     // Sum over termination times 1..t adds at most lg t bits.

@@ -1,6 +1,7 @@
 #include "timing/shard_slot.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hh"
 
@@ -8,37 +9,9 @@ namespace tcoram::timing {
 
 ShardSlot::ShardSlot(std::uint32_t shard_id, OramDeviceIf &device,
                      const RateSet &rates, const EpochSchedule &schedule,
-                     const LearnerIf &learner, Cycles initial_rate,
-                     DispatchPolicyKind policy)
-    : shardId_(shard_id),
-      enf_(device, rates, schedule, learner, initial_rate),
-      policy_(makeDispatchPolicy(policy))
+                     const LearnerIf &learner, Cycles initial_rate)
+    : shardId_(shard_id), enf_(device, rates, schedule, learner, initial_rate)
 {
-}
-
-DispatchView::Entry
-ShardSlot::View::entry(std::size_t k) const
-{
-    const std::size_t n = slot_.activeCount_;
-    tcoram_dassert(k < n, "dispatch view position out of range");
-    std::uint32_t idx;
-    if (k == n - 1) {
-        idx = slot_.listCursor_; // last served closes the scan
-    } else if (cachedIdx_ != kNil && k == cachedPos_ + 1 &&
-               cachedPos_ != n - 1) {
-        idx = slot_.queuePool_[cachedIdx_].next;
-    } else if (cachedIdx_ != kNil && k == cachedPos_) {
-        idx = cachedIdx_;
-    } else {
-        idx = slot_.queuePool_[slot_.listCursor_].next;
-        for (std::size_t i = 0; i < k; ++i)
-            idx = slot_.queuePool_[idx].next;
-    }
-    cachedPos_ = k;
-    cachedIdx_ = idx;
-    const auto &q = slot_.queuePool_[idx];
-    const Cycles head_arrival = slot_.nodePool_[q.head].arrival;
-    return {q.sid, head_arrival, q.weight, head_arrival + q.deadlineOffset};
 }
 
 std::uint32_t
@@ -64,8 +37,7 @@ ShardSlot::freeNode(std::uint32_t idx)
 }
 
 std::uint32_t
-ShardSlot::activate(std::uint32_t sid, std::uint16_t weight,
-                    Cycles deadline_offset)
+ShardSlot::activate(std::uint32_t sid)
 {
     // (Re)activate at the back of the round: new sessions join the
     // scan just before the cursor, so everyone already waiting is
@@ -86,8 +58,6 @@ ShardSlot::activate(std::uint32_t sid, std::uint16_t weight,
     ActiveQueue &q = queuePool_[q_idx];
     q.sid = sid;
     q.head = q.tail = kNil;
-    q.weight = std::max<std::uint16_t>(weight, 1);
-    q.deadlineOffset = deadline_offset;
     if (activeCount_ == 0) {
         q.prev = q.next = q_idx;
         listCursor_ = q_idx;
@@ -115,15 +85,14 @@ ShardSlot::activate(std::uint32_t sid, std::uint16_t weight,
 
 void
 ShardSlot::enqueue(std::uint32_t sid, Cycles arrival,
-                   const OramTransaction &txn, std::uint16_t weight,
-                   Cycles deadline_offset)
+                   const OramTransaction &txn)
 {
     if (sessionQueue_.size() <= sid)
         sessionQueue_.resize(static_cast<std::size_t>(sid) + 1, kNil);
     const std::uint32_t node = allocNode(arrival, txn);
     std::uint32_t q_idx = sessionQueue_[sid];
     if (q_idx == kNil) {
-        q_idx = activate(sid, weight, deadline_offset);
+        q_idx = activate(sid);
         queuePool_[q_idx].head = node;
     } else {
         tcoram_assert(nodePool_[queuePool_[q_idx].tail].arrival <= arrival,
@@ -137,19 +106,29 @@ ShardSlot::enqueue(std::uint32_t sid, Cycles arrival,
 std::uint32_t
 ShardSlot::pick()
 {
-    View v(*this);
-    const std::size_t k = policy_->pick(v);
-    tcoram_assert(k < activeCount_, "dispatch policy picked position ", k,
-                  " of ", activeCount_, " on shard ", shardId_);
+    // One walk around the list from the cursor's successor; the
+    // last-served queue (the cursor) closes it. The first head that
+    // has arrived by the last completion goes — O(1) under backlog —
+    // else the earliest head, ties in scan order.
+    const Cycles lc = enf_.lastCompletion();
+    Cycles min_arrival = std::numeric_limits<Cycles>::max();
+    std::uint32_t chosen = queuePool_[listCursor_].next;
     std::uint32_t idx = listCursor_;
-    if (k != activeCount_ - 1) {
-        idx = queuePool_[listCursor_].next;
-        for (std::size_t i = 0; i < k; ++i)
-            idx = queuePool_[idx].next;
+    for (std::size_t k = 0; k < activeCount_; ++k) {
+        idx = queuePool_[idx].next;
+        const Cycles arrival = nodePool_[queuePool_[idx].head].arrival;
+        if (arrival <= lc) {
+            chosen = idx;
+            break;
+        }
+        if (arrival < min_arrival) {
+            min_arrival = arrival;
+            chosen = idx;
+        }
     }
-    listCursor_ = idx; // the cursor moves at pick time
+    listCursor_ = chosen; // the cursor moves at pick time
     cursorVacated_ = false;
-    return idx;
+    return chosen;
 }
 
 void
@@ -188,8 +167,8 @@ ShardSlot::serve(Served &out)
     if (heldQueue_ == kNil) {
         if (pending_ == 0)
             return ServeStatus::Idle;
-        // Owed recovery slots fire before the pick, so the policy sees
-        // the same lastCompletion() an unbounded serve would leave.
+        // Owed recovery slots fire before the pick, so it sees the
+        // same lastCompletion() an unbounded serve would leave.
         if (!enf_.settle())
             return ServeStatus::Blocked;
         heldQueue_ = pick();
@@ -218,8 +197,6 @@ void
 ShardSlot::saveState(ByteWriter &w) const
 {
     enf_.saveState(w);
-    w.u8(static_cast<std::uint8_t>(policy_->kind()));
-    policy_->saveState(w);
     // The activation list in scan order from the cursor (last served
     // first): replaying these enqueues into empty pools rebuilds the
     // identical list.
@@ -228,8 +205,6 @@ ShardSlot::saveState(ByteWriter &w) const
     for (std::size_t k = 0; k < activeCount_; ++k) {
         const ActiveQueue &q = queuePool_[idx];
         w.u32(q.sid);
-        w.u32(q.weight);
-        w.u64(q.deadlineOffset);
         std::uint64_t len = 0;
         for (std::uint32_t n = q.head; n != kNil; n = nodePool_[n].next)
             ++len;
@@ -250,12 +225,6 @@ void
 ShardSlot::restoreState(ByteReader &r)
 {
     enf_.restoreState(r);
-    const auto kind = static_cast<DispatchPolicyKind>(r.u8());
-    tcoram_assert(kind == policy_->kind(),
-                  "snapshot dispatch policy mismatch on shard ", shardId_,
-                  " (", dispatchPolicyName(kind), " vs ",
-                  dispatchPolicyName(policy_->kind()), ")");
-    policy_->restoreState(r);
 
     nodePool_.clear();
     nodeFree_ = kNil;
@@ -271,14 +240,12 @@ ShardSlot::restoreState(ByteReader &r)
     const std::uint64_t active = r.u64();
     for (std::uint64_t k = 0; k < active && r.ok(); ++k) {
         const std::uint32_t sid = r.u32();
-        const auto weight = static_cast<std::uint16_t>(r.u32());
-        const Cycles offset = r.u64();
         const std::uint64_t len = r.u64();
         tcoram_assert(len > 0, "snapshot holds an empty active queue on "
                                "shard ", shardId_);
         for (std::uint64_t i = 0; i < len && r.ok(); ++i) {
             const Cycles arrival = r.u64();
-            enqueue(sid, arrival, loadTransaction(r), weight, offset);
+            enqueue(sid, arrival, loadTransaction(r));
         }
     }
     if (r.b()) {

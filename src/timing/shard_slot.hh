@@ -7,7 +7,7 @@
  * routed to it. The ring scheduler (sim/shard_worker.hh) drives M
  * slots; WHEN a slot's accesses happen is decided entirely by that
  * slot's enforcer, so the observable channel is M independent periodic
- * streams whatever the dispatch policy does.
+ * streams whichever queued session fills a slot.
  *
  * Sessions with queued work live on a circular activation list over
  * pooled intrusive queues, so dispatch is O(active) worst case and
@@ -16,18 +16,21 @@
  * shard's next epoch boundary instead of touching the shared
  * LeakageMonitor, so M worker threads stay race-free and bit-identical
  * to one thread (transitions are applied in shard-id order at a
- * barrier via applyTransition()). WHICH session rides a slot is chosen
- * by a pluggable DispatchPolicy (rr/wrr/edf).
+ * barrier via applyTransition()).
+ *
+ * WHICH session rides a slot is round-robin over the activation list:
+ * the scan starts after the last-served session and takes the first
+ * head that has arrived by the shard's last completion (it would start
+ * at the same upcoming slot); when every head is still in the future,
+ * the earliest arrival goes first, ties in scan order.
  */
 
 #ifndef TCORAM_TIMING_SHARD_SLOT_HH
 #define TCORAM_TIMING_SHARD_SLOT_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "timing/dispatch_policy.hh"
 #include "timing/oram_device.hh"
 #include "timing/rate_enforcer.hh"
 
@@ -45,24 +48,20 @@ class ShardSlot
         std::uint64_t tag = 0; ///< the served txn's attribution tag
     };
 
-    /** Own a fresh enforcer over @p device, dispatching by @p policy. */
+    /** Own a fresh enforcer over @p device. */
     ShardSlot(std::uint32_t shard_id, OramDeviceIf &device,
               const RateSet &rates, const EpochSchedule &schedule,
-              const LearnerIf &learner, Cycles initial_rate,
-              DispatchPolicyKind policy);
+              const LearnerIf &learner, Cycles initial_rate);
 
     RateEnforcer &enforcer() { return enf_; }
     const RateEnforcer &enforcer() const { return enf_; }
 
     /**
      * Queue a transaction from session @p sid arriving at @p arrival.
-     * @p weight (wrr) and @p deadline_offset (edf) are per-session QoS
-     * attributes, latched when the session joins the activation list.
      * Per-(session, shard) arrivals must be non-decreasing. The txn's
      * data/out spans are views; their buffers must outlive service.
      */
-    void enqueue(std::uint32_t sid, Cycles arrival, const OramTransaction &txn,
-                 std::uint16_t weight = 1, Cycles deadline_offset = 0);
+    void enqueue(std::uint32_t sid, Cycles arrival, const OramTransaction &txn);
 
     std::uint64_t pending() const { return pending_; }
     bool idle() const { return pending_ == 0; }
@@ -92,14 +91,12 @@ class ShardSlot
     void applyTransition() { enf_.applyTransition(); }
 
     /**
-     * Checkpoint support: the enforcer, the dispatch policy's state,
-     * the activation list in scan order (each session's queued
-     * transactions), the held pick and the vacated-cursor mark.
-     * Queued transactions must carry no data/out spans (views cannot
-     * be serialized; asserted). The slot restored into must run the
-     * same policy (asserted). Pool indices are not part of the state:
-     * restore rebuilds the pools compactly in scan order, which
-     * dispatches identically.
+     * Checkpoint support: the enforcer, the activation list in scan
+     * order (each session's queued transactions), the held pick and
+     * the vacated-cursor mark. Queued transactions must carry no
+     * data/out spans (views cannot be serialized; asserted). Pool
+     * indices are not part of the state: restore rebuilds the pools
+     * compactly in scan order, which dispatches identically.
      */
     void saveState(ByteWriter &w) const;
     void restoreState(ByteReader &r);
@@ -122,39 +119,16 @@ class ShardSlot
         std::uint32_t sid = 0;
         std::uint32_t head = kNil, tail = kNil; ///< Node indices
         std::uint32_t prev = kNil, next = kNil; ///< ActiveQueue indices
-        std::uint16_t weight = 1;
-        Cycles deadlineOffset = 0;
-    };
-
-    /** DispatchView over the activation list, RR scan order. */
-    class View final : public DispatchView
-    {
-      public:
-        explicit View(const ShardSlot &slot) : slot_(slot) {}
-        std::size_t size() const override { return slot_.activeCount_; }
-        Entry entry(std::size_t k) const override;
-        Cycles
-        lastCompletion() const override
-        {
-            return slot_.enf_.lastCompletion();
-        }
-
-      private:
-        const ShardSlot &slot_;
-        mutable std::size_t cachedPos_ = 0;     ///< sequential-scan cache
-        mutable std::uint32_t cachedIdx_ = kNil;
     };
 
     std::uint32_t allocNode(Cycles arrival, const OramTransaction &txn);
     void freeNode(std::uint32_t idx);
-    std::uint32_t activate(std::uint32_t sid, std::uint16_t weight,
-                           Cycles deadline_offset);
+    std::uint32_t activate(std::uint32_t sid);
     std::uint32_t pick();
     void popServed(std::uint32_t q_idx);
 
     std::uint32_t shardId_;
     RateEnforcer enf_;
-    std::unique_ptr<DispatchPolicy> policy_;
 
     std::vector<Node> nodePool_;
     std::uint32_t nodeFree_ = kNil;

@@ -5,9 +5,9 @@
  * N-thread == 1-thread bit-identity contract of the phased-round
  * RingScheduler (per-shard observable streams, session stats, CSV
  * rows), digests pinned from the removed O(sessions) scheduler,
- * exact-count steps, checkpoint/restore across worker counts, QoS
- * dispatch-policy semantics and their stream-invariance, and the
- * nearest-rank latency percentile against a fully-sorted reference.
+ * exact-count steps, checkpoint/restore across worker counts, the
+ * pinned round-robin attribution order, and the nearest-rank latency
+ * percentile against a fully-sorted reference.
  */
 
 #include <gtest/gtest.h>
@@ -100,8 +100,6 @@ struct RingSetup
 {
     std::uint32_t shards = 1;
     unsigned threads = 1;
-    timing::DispatchPolicyKind policy =
-        timing::DispatchPolicyKind::RoundRobin;
     bool dynamic = false;
     std::size_t sessions = 1;
     std::uint64_t seed = 1;
@@ -156,7 +154,6 @@ runRing(const RingSetup &setup)
     o.lanes = setup.lanes;
     o.ringCapacity = setup.capacity;
     o.threads = setup.threads;
-    o.policy = setup.policy;
     sim::RingScheduler rs(dev, rates, sched, learner,
                           setup.dynamic ? 3200 : 500,
                           leakParams(rates.size()), o);
@@ -164,9 +161,7 @@ runRing(const RingSetup &setup)
     RingResult r;
     for (std::uint32_t sid = 0; sid < setup.sessions; ++sid)
         rs.openSession(100 + sid, -1.0,
-                       static_cast<std::uint16_t>(sid % setup.lanes),
-                       static_cast<std::uint16_t>(1 + sid % 3),
-                       Cycles{100} * sid);
+                       static_cast<std::uint16_t>(sid % setup.lanes));
 
     auto drain = [&] {
         for (std::size_t l = 0; l < setup.lanes; ++l) {
@@ -449,23 +444,14 @@ TEST(RingScheduler, WorkerCountIsBitIdentical)
     struct Case
     {
         std::uint32_t shards;
-        timing::DispatchPolicyKind policy;
         std::uint64_t seed;
     };
     const std::vector<Case> cases = {
-        {1, timing::DispatchPolicyKind::RoundRobin, 1},
-        {1, timing::DispatchPolicyKind::RoundRobin, 2},
-        {4, timing::DispatchPolicyKind::RoundRobin, 1},
-        {4, timing::DispatchPolicyKind::RoundRobin, 2},
-        {4, timing::DispatchPolicyKind::WeightedRoundRobin, 1},
-        {4, timing::DispatchPolicyKind::EarliestDeadline, 1},
-        {16, timing::DispatchPolicyKind::RoundRobin, 1},
-        {16, timing::DispatchPolicyKind::RoundRobin, 2},
+        {1, 1}, {1, 2}, {4, 1}, {4, 2}, {16, 1}, {16, 2},
     };
     for (const auto &c : cases) {
         RingSetup s;
         s.shards = c.shards;
-        s.policy = c.policy;
         s.dynamic = true; // epoch transitions exercise the serial step
         s.sessions = 6;
         s.seed = c.seed;
@@ -479,8 +465,7 @@ TEST(RingScheduler, WorkerCountIsBitIdentical)
             s.threads = threads;
             const RingResult got = runRing(s);
             const std::string what =
-                "shards=" + std::to_string(c.shards) +
-                " policy=" + timing::dispatchPolicyName(c.policy) +
+"shards=" + std::to_string(c.shards) +
                 " seed=" + std::to_string(c.seed) +
                 " threads=" + std::to_string(threads);
             expectSameRun(ref, got, what.c_str());
@@ -766,27 +751,23 @@ struct SnapStack
     sim::RingScheduler rs;
 
     SnapStack(std::uint32_t shards, std::size_t lanes, unsigned threads,
-              timing::DispatchPolicyKind policy, std::size_t sessions)
+              std::size_t sessions)
         : dev(oram::OramDeviceSpec{}, tinyConfig(), shards,
               /*route_seed=*/5, mem, rng, /*record=*/true),
           rs(dev, rates, sched, learner, 3200, leakParams(rates.size()),
-             options(lanes, threads, policy))
+             options(lanes, threads))
     {
         for (std::uint32_t sid = 0; sid < sessions; ++sid)
             rs.openSession(100 + sid, sid == 0 ? 1e6 : -1.0,
-                           static_cast<std::uint16_t>(sid % lanes),
-                           static_cast<std::uint16_t>(1 + sid % 3),
-                           Cycles{100} * sid);
+                           static_cast<std::uint16_t>(sid % lanes));
     }
 
     static sim::RingScheduler::Options
-    options(std::size_t lanes, unsigned threads,
-            timing::DispatchPolicyKind policy)
+    options(std::size_t lanes, unsigned threads)
     {
         sim::RingScheduler::Options o;
         o.lanes = lanes;
         o.threads = threads;
-        o.policy = policy;
         return o;
     }
 
@@ -807,7 +788,7 @@ struct SnapRun
 };
 
 /**
- * 4 shards, 2 lanes, wrr, 6 sessions. Half the workload is served
+ * 4 shards, 2 lanes, 6 sessions. Half the workload is served
  * halfway, lane 0's completions are popped (lane 1's stay ringed), and
  * the other half is submitted but not yet ingested. With @p interrupt
  * the stack is snapshotted there and the run finishes in a fresh stack
@@ -818,7 +799,6 @@ runSnapshotted(unsigned threads_before, unsigned threads_after,
                bool interrupt)
 {
     constexpr std::size_t kSessions = 6;
-    const auto policy = timing::DispatchPolicyKind::WeightedRoundRobin;
     const auto work = makeWorkload(kSessions, 7);
     const std::size_t half = work.size() / 2;
 
@@ -828,8 +808,7 @@ runSnapshotted(unsigned threads_before, unsigned threads_after,
         while (rs.lane(l).popCompletion(c))
             out.run.completions.push_back(c);
     };
-    auto st = std::make_unique<SnapStack>(4, 2, threads_before, policy,
-                                          kSessions);
+    auto st = std::make_unique<SnapStack>(4, 2, threads_before, kSessions);
     for (std::size_t i = 0; i < half; ++i)
         st->submit(work[i]);
     EXPECT_EQ(st->rs.runUntilServed(half / 2), half / 2);
@@ -844,8 +823,7 @@ runSnapshotted(unsigned threads_before, unsigned threads_after,
     st->rs.saveState(w);
     out.snapshot = w.data();
     if (interrupt) {
-        st = std::make_unique<SnapStack>(4, 2, threads_after, policy,
-                                         kSessions);
+        st = std::make_unique<SnapStack>(4, 2, threads_after, kSessions);
         ByteReader r(out.snapshot);
         st->dev.restoreState(r);
         st->rs.restoreState(r);
@@ -877,7 +855,7 @@ runSnapshotted(unsigned threads_before, unsigned threads_after,
 TEST(RingScheduler, SnapshotRestoresAcrossWorkerCounts)
 {
     // A mid-backlog snapshot (queued shard work, ringed submissions,
-    // unpopped completions, wrr burst state, a live monitor ledger)
+    // unpopped completions, a live monitor ledger)
     // saved at 4 workers and restored at 1 — and the reverse — must
     // finish bit-identical to the uninterrupted run.
     const SnapRun ref = runSnapshotted(1, 1, false);
@@ -895,10 +873,9 @@ TEST(RingScheduler, SnapshotRestoresAcrossWorkerCounts)
 
 TEST(RingScheduler, RestoreRejectsMismatchedConfiguration)
 {
-    const auto wrr = timing::DispatchPolicyKind::WeightedRoundRobin;
     std::vector<std::uint8_t> bytes;
     {
-        SnapStack st(2, 2, 1, wrr, 3);
+        SnapStack st(2, 2, 1, 3);
         for (const auto &a : makeWorkload(3, 2))
             st.submit(a);
         st.rs.runUntilServed(10);
@@ -908,63 +885,43 @@ TEST(RingScheduler, RestoreRejectsMismatchedConfiguration)
     }
     // The pristine snapshot restores into an identical scheduler.
     {
-        SnapStack twin(2, 2, 1, wrr, 3);
+        SnapStack twin(2, 2, 1, 3);
         ByteReader r(bytes);
         twin.rs.restoreState(r);
         EXPECT_TRUE(r.atEnd());
         EXPECT_EQ(twin.rs.servedTotal(), 10u);
     }
     auto restoreInto = [&](std::uint32_t shards, std::size_t lanes,
-                           timing::DispatchPolicyKind policy,
                            std::size_t sessions) {
-        SnapStack other(shards, lanes, 1, policy, sessions);
+        SnapStack other(shards, lanes, 1, sessions);
         ByteReader r(bytes);
         other.rs.restoreState(r);
     };
-    EXPECT_DEATH(restoreInto(2, 1, wrr, 3), "lane count");
-    EXPECT_DEATH(restoreInto(4, 2, wrr, 3), "shard count");
-    EXPECT_DEATH(
-        restoreInto(2, 2, timing::DispatchPolicyKind::RoundRobin, 3),
-        "dispatch policy");
-    EXPECT_DEATH(restoreInto(2, 2, wrr, 4), "session count");
+    EXPECT_DEATH(restoreInto(2, 1, 3), "lane count");
+    EXPECT_DEATH(restoreInto(4, 2, 3), "shard count");
+    EXPECT_DEATH(restoreInto(2, 2, 4), "session count");
 }
 
-// --- QoS dispatch ---
-
-TEST(RingScheduler, DispatchPolicyCannotShiftTheObservableStream)
-{
-    // A policy picks WHICH eligible session rides the next enforced
-    // slot. Under a pinned rate (|R| = 1 — the decision channel is
-    // closed, isolating pure dispatch) the per-shard streams must be
-    // bit-identical across policies; only attribution may move.
-    RingSetup s;
-    s.shards = 4;
-    s.sessions = 6;
-    s.seed = 5;
-    s.policy = timing::DispatchPolicyKind::RoundRobin;
-    const RingResult rr = runRing(s);
-    s.policy = timing::DispatchPolicyKind::WeightedRoundRobin;
-    const RingResult wrr = runRing(s);
-    s.policy = timing::DispatchPolicyKind::EarliestDeadline;
-    const RingResult edf = runRing(s);
-
-    EXPECT_EQ(rr.streams, wrr.streams);
-    EXPECT_EQ(rr.streams, edf.streams);
-    EXPECT_EQ(rr.served, wrr.served);
-    EXPECT_EQ(rr.served, edf.served);
-    EXPECT_EQ(rr.last, wrr.last);
-    EXPECT_EQ(rr.last, edf.last);
-}
+// --- dispatch order ---
 
 namespace {
 
-/** Serve a fully backlogged single-shard slate and return the session
- *  attribution order the policy produced. */
+struct Submit
+{
+    std::uint32_t sid;
+    Cycles at;
+};
+
+/**
+ * Serve a single-shard slate at a pinned rate and return the session
+ * attribution order. Each batch is submitted in order; every batch but
+ * the last is followed by exactly one more served transaction, so a
+ * later batch lands between two picks. The last batch is served to
+ * idle.
+ */
 std::vector<std::uint32_t>
-attributionOrder(timing::DispatchPolicyKind policy,
-                 const std::vector<std::uint16_t> &weights,
-                 const std::vector<Cycles> &deadline_offsets,
-                 const std::vector<int> &counts)
+attributionOrder(std::size_t sessions,
+                 const std::vector<std::vector<Submit>> &batches)
 {
     dram::DramModel mem{dram::DramConfig{}};
     Rng rng(11);
@@ -973,21 +930,20 @@ attributionOrder(timing::DispatchPolicyKind policy,
     const timing::RateSet rates{std::vector<Cycles>{500}};
     const timing::EpochSchedule sched{Cycles{1} << 30, 2, Cycles{1} << 40};
     const timing::RateLearner learner{rates};
-    sim::RingScheduler::Options o;
-    o.policy = policy;
-    sim::RingScheduler rs(dev, rates, sched, learner, 500, leakParams(1), o);
+    sim::RingScheduler rs(dev, rates, sched, learner, 500, leakParams(1));
 
-    for (std::size_t sid = 0; sid < counts.size(); ++sid)
-        rs.openSession(100 + sid, -1.0, 0, weights[sid],
-                       deadline_offsets[sid]);
-    // Session-major submission: session 0 activates first, everyone
-    // arrives at cycle 0, so every head is eligible from the start.
-    for (std::size_t sid = 0; sid < counts.size(); ++sid)
-        for (int k = 0; k < counts[sid]; ++k)
-            EXPECT_TRUE(rs.trySubmit(static_cast<std::uint32_t>(sid), 0,
-                                     timing::OramTransaction::real(sid))
+    for (std::size_t sid = 0; sid < sessions; ++sid)
+        rs.openSession(100 + sid);
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+        for (const Submit &s : batches[b])
+            EXPECT_TRUE(rs.trySubmit(s.sid, s.at,
+                                     timing::OramTransaction::real(s.sid))
                             .has_value());
-    rs.runUntilIdle();
+        if (b + 1 < batches.size())
+            rs.runUntilServed(rs.servedTotal() + 1);
+        else
+            rs.runUntilIdle();
+    }
 
     std::vector<std::uint32_t> order;
     sim::SessionRing::Completion c;
@@ -998,26 +954,36 @@ attributionOrder(timing::DispatchPolicyKind policy,
 
 } // namespace
 
-TEST(RingScheduler, WeightedRoundRobinServesBursts)
+TEST(RingScheduler, RoundRobinAttributionIsPinned)
 {
-    // Weights 3:1, all heads tied at arrival 0. The scan starts after
-    // the activation cursor (session 0 activated first), so session 1
-    // opens; thereafter session 0 rides 3-slot bursts.
-    const auto order = attributionOrder(
-        timing::DispatchPolicyKind::WeightedRoundRobin, {3, 1}, {0, 0},
-        {6, 2});
-    EXPECT_EQ(order,
-              (std::vector<std::uint32_t>{1, 0, 0, 0, 1, 0, 0, 0}));
-}
+    // Which queued session rides a slot never reaches the observable
+    // stream, but it is still a pure function of the submission
+    // sequence. The scan starts after the cursor (the last-served
+    // session); sessions join just before the cursor, i.e. at the back
+    // of the round.
 
-TEST(RingScheduler, EarliestDeadlineServesTightestOffsetFirst)
-{
-    // Same arrivals, deadline offsets 3000 vs 0: the zero-offset
-    // session drains completely first.
-    const auto order = attributionOrder(
-        timing::DispatchPolicyKind::EarliestDeadline, {1, 1}, {3000, 0},
-        {3, 3});
-    EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 1, 1, 0, 0, 0}));
+    // All heads tied at cycle 0, session-major submission: session 0
+    // activates first, so the first scan opens at session 1 and a
+    // drained session drops out of the round.
+    EXPECT_EQ(attributionOrder(3, {{{0, 0}, {0, 0}, {0, 0},
+                                    {1, 0}, {1, 0},
+                                    {2, 0}}}),
+              (std::vector<std::uint32_t>{1, 2, 0, 1, 0, 0}));
+
+    // Staggered future arrivals: each pick finds every head still in
+    // the future, so the earliest head goes first and a tie goes to
+    // scan order — session 2 ahead of session 0 at 300000.
+    EXPECT_EQ(attributionOrder(3, {{{0, 300'000}, {0, 900'000},
+                                    {1, 100'000}, {1, 700'000},
+                                    {2, 300'000}, {2, 500'000}}}),
+              (std::vector<std::uint32_t>{1, 2, 0, 2, 1, 0}));
+
+    // Session 1 is served, drains and rejoins before the next pick. It
+    // takes back its vacated place at the end of the scan, so session
+    // 2 and then session 0 go before it.
+    EXPECT_EQ(attributionOrder(3, {{{0, 0}, {0, 0}, {1, 0}, {2, 0}, {2, 0}},
+                                   {{1, 0}, {1, 0}}}),
+              (std::vector<std::uint32_t>{1, 2, 0, 1, 2, 0, 1}));
 }
 
 // --- latency percentiles ---

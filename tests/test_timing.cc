@@ -452,10 +452,10 @@ TEST(Leakage, UnprotectedDegenerateCase)
     EXPECT_GE(bits, 0.0);
 }
 
-/** unprotectedBits as it was first written: every log-term kept in a
- *  vector, then one log-sum-exp over them with the final max. */
+/** lg C(t - i*(olat-1), i): the i-th trace-count term, computed as
+ *  unprotectedBits computes it. */
 double
-unprotectedBitsTwoPass(Cycles t, Cycles olat)
+unprotectedTerm(Cycles t, Cycles olat, std::uint64_t i)
 {
     const double ln2 = std::numbers::ln2_v<double>;
     auto ln_gamma = [](double x) {
@@ -468,14 +468,23 @@ unprotectedBitsTwoPass(Cycles t, Cycles olat)
         return (ln_gamma(n + 1) - ln_gamma(k + 1) - ln_gamma(n - k + 1)) /
                ln2;
     };
+    const auto i_d = static_cast<double>(i);
+    return lg_choose(static_cast<double>(t) -
+                         i_d * static_cast<double>(olat - 1),
+                     i_d);
+}
+
+/** unprotectedBits as it was first written: every log-term kept in a
+ *  vector, then one log-sum-exp over them with the final max. */
+double
+unprotectedBitsTwoPass(Cycles t, Cycles olat)
+{
     const auto t_d = static_cast<double>(t);
-    const auto gap = static_cast<double>(olat - 1);
     const std::uint64_t imax = t / olat;
     double max_term = -std::numeric_limits<double>::infinity();
     std::vector<double> terms;
     for (std::uint64_t i = 0; i <= imax; ++i) {
-        const double term = lg_choose(t_d - static_cast<double>(i) * gap,
-                                      static_cast<double>(i));
+        const double term = unprotectedTerm(t, olat, i);
         terms.push_back(term);
         max_term = std::max(max_term, term);
         if (term < max_term - 64 && i > imax / 2)
@@ -485,6 +494,34 @@ unprotectedBitsTwoPass(Cycles t, Cycles olat)
     for (double term : terms)
         sum += std::exp2(term - max_term);
     return max_term + std::log2(sum) + std::log2(t_d);
+}
+
+TEST(Leakage, UnprotectedTermsAreUnimodal)
+{
+    // unprotectedBits bisects for the mode on the sign of
+    // term(i + 1) - term(i) and sums outward from it; that finds the
+    // mode only if the terms rise and then never rise again. Same grid
+    // as UnprotectedOnlineSumMatchesTwoPassForm below.
+    for (const Cycles t : {Cycles{1}, Cycles{10}, Cycles{1000},
+                           Cycles{123'457}, Cycles{1'000'000},
+                           Cycles{1} << 22}) {
+        for (const Cycles olat : {Cycles{1}, Cycles{2}, Cycles{7},
+                                  Cycles{100}, Cycles{1488}}) {
+            if (olat > t)
+                continue;
+            bool falling = false;
+            double prev = unprotectedTerm(t, olat, 0);
+            for (std::uint64_t i = 1; i <= t / olat; ++i) {
+                const double cur = unprotectedTerm(t, olat, i);
+                if (cur > prev)
+                    ASSERT_FALSE(falling) << "t " << t << " olat " << olat
+                                          << " rises again at i " << i;
+                else
+                    falling = true;
+                prev = cur;
+            }
+        }
+    }
 }
 
 TEST(Leakage, UnprotectedOnlineSumMatchesTwoPassForm)
