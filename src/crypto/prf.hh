@@ -9,7 +9,7 @@
  * Evaluation is batched: evalMany/nextMany produce a whole span of
  * outputs through one CryptoEngineIf::encryptBlocks call, which is
  * what makes bulk consumers (position-map leaf remapping, per-path
- * write-back nonces, whole-tree initialization) cheap.
+ * write-back nonces) cheap.
  */
 
 #ifndef TCORAM_CRYPTO_PRF_HH

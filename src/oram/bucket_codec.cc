@@ -12,14 +12,13 @@ BucketCodec::BucketCodec(unsigned z, std::uint64_t block_bytes)
 }
 
 void
-BucketCodec::writeDummies(std::span<std::uint8_t> bucket,
-                          unsigned from) const
+BucketCodec::writeDummyHeaders(std::span<std::uint8_t> bucket,
+                               unsigned from) const
 {
     for (unsigned i = from; i < z_; ++i) {
         std::uint8_t *p = bucket.data() + i * slotBytes();
         store64le(p, kInvalidId);
         store64le(p + 8, 0);
-        std::memset(p + kHeaderBytes, 0, blockBytes_);
     }
 }
 

@@ -7,7 +7,7 @@
  * included, so every sealed bucket is indistinguishable by length.
  *
  * The ORAM datapath works slot by slot straight on the serialized
- * path arena (readSlot()/writeSlot()/writeDummies()), so a block moves
+ * path arena (readSlot()/writeSlot()/writeDummyHeaders()), so a block moves
  * between the arena and the stash with one payload copy. The whole-
  * Bucket encode()/decode() pair is the reference form the allocating
  * Bucket helpers and the tests use.
@@ -84,9 +84,11 @@ class BucketCodec
         std::memcpy(p + kHeaderBytes, payload.data(), blockBytes_);
     }
 
-    /** Serialize slots [@p from, Z) of @p bucket as dummies: id
-     *  kInvalidId, leaf 0 and an all-zero payload. */
-    void writeDummies(std::span<std::uint8_t> bucket, unsigned from) const;
+    /** Mark slots [@p from, Z) of @p bucket as dummies: id kInvalidId
+     *  and leaf 0. The payload bytes are left alone; a dummy's payload
+     *  is all-zero, so the caller zeroes the bucket first. */
+    void writeDummyHeaders(std::span<std::uint8_t> bucket,
+                           unsigned from) const;
 
     /**
      * Serialize @p bucket into @p out (exactly serializedBytes()).

@@ -32,7 +32,7 @@ PathBuffer::unpackInto(Stash &stash) const
         for (unsigned i = 0; i < codec.z(); ++i) {
             const BucketCodec::SlotView v = codec.readSlot(bucket, i);
             if (!v.isDummy())
-                stash.put(v.id, v.leaf, v.payload);
+                stash.insert(v.id, v.leaf, v.payload);
         }
     }
 }
@@ -78,7 +78,9 @@ PathBuffer::evictFrom(Stash &stash, Leaf leaf)
     // bucket is full stays eligible for every shallower level on the
     // path (its legality constraint is dl >= level). Within a bucket
     // the carried blocks come first, then the level's own residents,
-    // then dummies.
+    // then dummies. The arena is zeroed once up front, so a free slot
+    // needs only its dummy header.
+    std::fill(pathPlain.begin(), pathPlain.end(), std::uint8_t{0});
     pending.clear();
     placed.clear();
     const unsigned z = codec.z();
@@ -109,7 +111,7 @@ PathBuffer::evictFrom(Stash &stash, Leaf leaf)
             else
                 pending.push_back(idx);
         }
-        codec.writeDummies(bucket, used);
+        codec.writeDummyHeaders(bucket, used);
     }
     stash.releaseMany(placed);
 }

@@ -94,9 +94,10 @@ struct PathBuffer
     }
 
     /**
-     * Arena -> stash: put every real slot of the decrypted path into
-     * @p stash straight from pathPlain, level by level and slot by
-     * slot. That order fixes the stash's visit order, and through the
+     * Arena -> stash: insert every real slot of the decrypted path
+     * into @p stash straight from pathPlain, level by level and slot
+     * by slot (no duplicate scan: a block read off its path is never
+     * already in the stash). That order fixes the stash's visit order, and through the
      * eviction sweep every later ciphertext.
      */
     void unpackInto(Stash &stash) const;

@@ -8,11 +8,23 @@
 #include "oram/eviction_engine.hh"
 #include "oram/integrity.hh"
 
+// Under AddressSanitizer the image's unwritten slices are poisoned, so
+// reading a bucket before it holds bytes dies instead of returning
+// uninitialized memory (which ASan cannot see by itself).
+#if defined(__SANITIZE_ADDRESS__)
+#define TCORAM_POISON_IMAGE 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TCORAM_POISON_IMAGE 1
+#endif
+#endif
+#ifdef TCORAM_POISON_IMAGE
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace tcoram::oram {
 
 namespace {
-/** Batch size for bulk bucket initialization in the constructor. */
-constexpr std::size_t kInitBatch = 256;
 /** Leaf labels drawn per batched PRF call (position-map remapping). */
 constexpr std::size_t kLeafBatch = 32;
 
@@ -25,6 +37,26 @@ prefetchLines(std::span<const std::uint8_t> bytes)
     const std::uintptr_t end = first + bytes.size();
     for (std::uintptr_t a = first & ~(kLine - 1); a < end; a += kLine)
         __builtin_prefetch(reinterpret_cast<const void *>(a));
+}
+
+/** Make @p n bytes at @p p unreadable to ASan (no-op without it). */
+inline void
+poisonBytes([[maybe_unused]] const std::uint8_t *p,
+            [[maybe_unused]] std::size_t n)
+{
+#ifdef TCORAM_POISON_IMAGE
+    ASAN_POISON_MEMORY_REGION(p, n);
+#endif
+}
+
+/** Undo poisonBytes() (no-op without ASan). */
+inline void
+unpoisonBytes([[maybe_unused]] const std::uint8_t *p,
+              [[maybe_unused]] std::size_t n)
+{
+#ifdef TCORAM_POISON_IMAGE
+    ASAN_UNPOISON_MEMORY_REGION(p, n);
+#endif
 }
 } // namespace
 
@@ -53,41 +85,54 @@ PathOram::PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
     leafCache_.resize(kLeafBatch);
     leafPos_ = leafCache_.size(); // force a refill on first use
 
-    // Initialize every bucket to an all-dummy encrypted state. Blocks
-    // are lazily materialized (zero-filled) on first access; until then
-    // their position-map entry (leaf 0 by convention) is irrelevant
-    // because readPath() simply won't find them and the first access
-    // remaps them to a fresh uniform leaf.
+    // Every bucket starts all-dummy. Blocks are lazily materialized
+    // (zero-filled) on first access; until then their position-map
+    // entry (leaf 0 by convention) is irrelevant because readPath()
+    // simply won't find them and the first access remaps them to a
+    // fresh uniform leaf.
     //
-    // The whole tree shares one all-dummy plaintext; nonces are drawn
-    // in bulk and buckets encrypted kInitBatch at a time through the
-    // batched CTR engine.
+    // Bucket i's initial ciphertext is the all-dummy bucket under
+    // nonce-PRF value i, encrypted on first use (materialize()); the
+    // PRF skips those B values so write-backs draw the same nonces an
+    // eager initialization would have left them.
     const std::uint64_t buckets = cfg_.numBuckets();
     nonces_.resize(buckets);
-    image_.resize(buckets * serialBytes_);
-    std::vector<std::uint8_t> all_dummy(serialBytes_);
-    buf_.codec.writeDummies(all_dummy, 0);
-
-    std::vector<std::uint64_t> nonces(
-        std::min<std::uint64_t>(kInitBatch, buckets));
-    std::vector<crypto::CtrSegment> segs;
-    segs.reserve(nonces.size());
-    for (std::uint64_t base = 0; base < buckets; base += kInitBatch) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(kInitBatch, buckets - base);
-        prf_.nextMany({nonces.data(), n});
-        nonceDraws_ += n;
-        segs.clear();
-        for (std::uint64_t j = 0; j < n; ++j) {
-            nonces_[base + j] = nonces[j];
-            segs.push_back({nonces[j], all_dummy, imageSlice(base + j)});
-        }
-        cipher_.xcryptSegments(segs);
-        ++cryptoCalls_;
-    }
+    image_ = std::make_unique_for_overwrite<std::uint8_t[]>(buckets *
+                                                            serialBytes_);
+    poisonBytes(image_.get(), buckets * serialBytes_);
+    written_.assign(buckets, false);
+    dummyPlain_.assign(serialBytes_, 0);
+    buf_.codec.writeDummyHeaders(dummyPlain_, 0);
+    prf_.setCounter(buckets);
 }
 
-PathOram::~PathOram() = default;
+PathOram::~PathOram()
+{
+    unpoisonBytes(image_.get(), nonces_.size() * serialBytes_);
+}
+
+std::uint64_t
+PathOram::initialCiphertext(std::uint64_t index,
+                            std::span<std::uint8_t> out) const
+{
+    const std::uint64_t nonce = prf_.eval(index);
+    cipher_.xcrypt(nonce, dummyPlain_, out);
+    return nonce;
+}
+
+void
+PathOram::materialize(std::uint64_t index) const
+{
+    markWritten(index);
+    nonces_[index] = initialCiphertext(index, imageSlice(index));
+}
+
+void
+PathOram::markWritten(std::uint64_t index) const
+{
+    written_[index] = true;
+    unpoisonBytes(imageSlice(index).data(), serialBytes_);
+}
 
 Addr
 PathOram::bucketAddr(std::uint64_t index) const
@@ -101,6 +146,8 @@ PathOram::tamperCiphertext(std::uint64_t bucket_index,
 {
     tcoram_assert(bucket_index < nonces_.size(), "bucket index out of range");
     tcoram_assert(serialBytes_ > 0, "empty ciphertext");
+    if (!written_[bucket_index])
+        materialize(bucket_index);
     imageSlice(bucket_index)[byte_index % serialBytes_] ^= 0x01;
 }
 
@@ -135,14 +182,21 @@ PathOram::readPath(Leaf leaf)
     // them before the first is decrypted: they are scattered across
     // the image), decrypt them all with ONE batched CTR call into the
     // contiguous path arena, then put the real slots straight from the
-    // arena into the stash.
+    // arena into the stash. A never-written bucket's plaintext is
+    // known, so it is copied in rather than read and decrypted; the
+    // call is counted either way.
     buf_.segments.clear();
     for (unsigned level = 0; level <= depth_; ++level) {
         const std::uint64_t idx = bucketIndexOnPath(leaf, level);
         buf_.trace.reads.push_back({bucketAddr(idx), bucketBytes_, false});
-        const crypto::CiphertextView ct = bucketCiphertext(idx);
-        prefetchLines(ct.data);
-        buf_.segments.push_back({ct.nonce, ct.data, buf_.levelBytes(level)});
+        const std::span<std::uint8_t> plain = buf_.levelBytes(level);
+        if (!written_[idx]) {
+            std::copy(dummyPlain_.begin(), dummyPlain_.end(), plain.begin());
+            continue;
+        }
+        const std::span<const std::uint8_t> ct = imageSlice(idx);
+        prefetchLines(ct);
+        buf_.segments.push_back({nonces_[idx], ct, plain});
     }
     cipher_.xcryptSegments(buf_.segments);
     ++cryptoCalls_;
@@ -227,6 +281,7 @@ PathOram::writePath(Leaf leaf)
     for (unsigned l = levels, k = 0; l-- > 0; ++k) {
         const std::uint64_t idx = bucketIndexOnPath(leaf, l);
         buf_.trace.writes.push_back({bucketAddr(idx), bucketBytes_, true});
+        markWritten(idx);
         nonces_[idx] = buf_.nonces[k];
         buf_.segments.push_back(
             {nonces_[idx], buf_.levelBytes(l), imageSlice(idx)});
@@ -447,12 +502,19 @@ PathOram::saveState(ByteWriter &w) const
         w.u64(v);
     w.u64(leafPos_);
 
+    // An unwritten bucket is saved as its initial ciphertext, computed
+    // into scratch: saving leaves the image (and its RSS) as it was.
     w.u64(nonces_.size());
     w.u64(serialBytes_);
+    std::vector<std::uint8_t> scratch(serialBytes_);
     for (std::uint64_t i = 0; i < nonces_.size(); ++i) {
-        const crypto::CiphertextView ct = bucketCiphertext(i);
-        w.u64(ct.nonce);
-        w.bytes(ct.data);
+        if (written_[i]) {
+            w.u64(nonces_[i]);
+            w.bytes(imageSlice(i));
+        } else {
+            w.u64(initialCiphertext(i, scratch));
+            w.bytes(scratch);
+        }
     }
 
     stash_.saveState(w);
@@ -485,6 +547,7 @@ PathOram::restoreState(ByteReader &r)
     tcoram_assert(r.u64() == nonces_.size(), "snapshot tree size mismatch");
     tcoram_assert(r.u64() == serialBytes_, "snapshot bucket size mismatch");
     for (std::uint64_t i = 0; i < nonces_.size(); ++i) {
+        markWritten(i);
         nonces_[i] = r.u64();
         r.bytes(imageSlice(i));
     }

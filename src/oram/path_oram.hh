@@ -27,8 +27,22 @@
  * bucketCiphertext() hands out a CiphertextView into it, so the
  * integrity layer and the root-bucket probe read buckets in place.
  *
+ * The image is filled lazily. Every bucket starts as the all-dummy
+ * bucket encrypted under nonce-PRF value i, the bytes an eager
+ * initialization would have written, so bucket i's initial ciphertext
+ * is a pure function of i. Construction allocates the image without
+ * touching it and advances the nonce PRF past those B initial draws.
+ * A per-bucket written bit records which slices hold bytes: a path
+ * read hands an unwritten level to the arena as plain all-dummy
+ * without reading or decrypting anything, and the accessors that
+ * expose bytes (bucketCiphertext, tamperCiphertext, enableIntegrity,
+ * checkInvariant) materialize a bucket first. saveState encrypts
+ * unwritten buckets into scratch, so a checkpoint leaves the image as
+ * it was. Under AddressSanitizer the unwritten slices are poisoned,
+ * so a read of one dies.
+ *
  * Crypto is batched at path granularity: a path read prefetches every
- * on-path bucket's cache lines, then decrypts the whole path with ONE
+ * written on-path bucket's cache lines, then decrypts them with ONE
  * CtrCipher::xcryptSegments call (each bucket keeps its own nonce, so
  * the wire format is unchanged), and a write-back re-encrypts the
  * whole path with one more — two engine calls per tree per access.
@@ -102,12 +116,19 @@ class PathOram
      *        from this seed instead of key_seed (PRF seeds still come
      *        from key_seed). RecursivePathOram shares one cipher seed
      *        across all trees: the paper's single bucket key κ.
+     *
+     * Every bucket starts all-dummy, but nothing is encrypted here:
+     * the image is allocated untouched and each bucket is encrypted on
+     * first use (see the file comment).
      */
     PathOram(const OramConfig &cfg, PositionMapIf &pos_map,
              std::uint64_t key_seed, Addr base_addr = 0,
              crypto::CryptoBackend backend = crypto::CryptoBackend::Auto,
              std::optional<std::uint64_t> cipher_seed = std::nullopt);
+    /** Unpoisons the image under ASan before it is freed. */
     ~PathOram();
+    PathOram(const PathOram &) = delete;
+    PathOram &operator=(const PathOram &) = delete;
 
     /**
      * Access block @p id over caller-owned buffers (the allocation-free
@@ -139,8 +160,9 @@ class PathOram
      *  beginAccess() read. */
     void finishAccess();
 
-    /** Batched crypto-engine calls this instance issued (init, path
-     *  reads, write-backs). */
+    /** Batched crypto-engine calls this instance issued: one per path
+     *  read and one per write-back. Lazy bucket materialization is
+     *  not counted. */
     std::uint64_t cryptoCalls() const { return cryptoCalls_; }
 
     /**
@@ -185,15 +207,17 @@ class PathOram
     /**
      * Ciphertext currently stored for bucket @p index (0 = root): a
      * view into the tree image, valid until the bucket is next
-     * written (any access on a path through it).
+     * written (any access on a path through it). A never-written
+     * bucket is materialized first.
      */
     crypto::CiphertextView
     bucketCiphertext(std::uint64_t index) const
     {
         tcoram_assert(index < nonces_.size(), "bucket index out of range");
+        if (!written_[index])
+            materialize(index);
         return {nonces_[index],
-                std::span<const std::uint8_t>(image_).subspan(
-                    index * serialBytes_, serialBytes_)};
+                {image_.get() + index * serialBytes_, serialBytes_}};
     }
 
     /** Physical address of bucket @p index. */
@@ -250,7 +274,8 @@ class PathOram
     /**
      * Adversary action (threat model §4.3): flip one bit of a stored
      * bucket ciphertext, as a malicious server with DRAM access can.
-     * The integrity layer (oram/integrity.hh) must detect this.
+     * The integrity layer (oram/integrity.hh) must detect this. A
+     * never-written bucket is materialized before the flip.
      */
     void tamperCiphertext(std::uint64_t bucket_index,
                           std::size_t byte_index);
@@ -262,7 +287,8 @@ class PathOram
      * pristine DRAM image on a tag mismatch, up to @p retry_budget
      * times (budget exhaustion is fatal-with-context — the corruption
      * is persistent, not a transient fault). Tags the whole current
-     * tree image on enable (O(N) HMACs — intended for capped trees).
+     * tree image on enable, materializing every unwritten bucket
+     * (O(N) encryptions and HMACs — intended for capped trees).
      */
     void enableIntegrity(std::uint64_t mac_seed,
                          unsigned retry_budget = 4);
@@ -305,13 +331,22 @@ class PathOram
     void writePath(Leaf leaf);
     /** Fresh uniform leaf from the batched remap cache. */
     Leaf nextLeaf();
-    /** Writable ciphertext bytes of bucket @p index in image_. */
+    /** Ciphertext bytes of bucket @p index in image_. */
     std::span<std::uint8_t>
-    imageSlice(std::uint64_t index)
+    imageSlice(std::uint64_t index) const
     {
-        return std::span<std::uint8_t>(image_).subspan(index * serialBytes_,
-                                                       serialBytes_);
+        return {image_.get() + index * serialBytes_, serialBytes_};
     }
+    /** Bucket @p index's initial ciphertext: encrypt the all-dummy
+     *  bucket under nonce-PRF value @p index into @p out.
+     *  @return the nonce */
+    std::uint64_t initialCiphertext(std::uint64_t index,
+                                    std::span<std::uint8_t> out) const;
+    /** Write bucket @p index's initial ciphertext into the image and
+     *  mark it written. */
+    void materialize(std::uint64_t index) const;
+    /** Mark bucket @p index as holding bytes (and unpoison them). */
+    void markWritten(std::uint64_t index) const;
 
     OramConfig cfg_;
     // Geometry derived once from cfg_ (treeDepth() is a divide and a
@@ -332,10 +367,19 @@ class PathOram
     std::size_t leafPos_ = 0;
     Stash stash_;
     Addr baseAddr_;
-    /** Nonce of every bucket, heap-numbered. */
-    std::vector<std::uint64_t> nonces_;
-    /** Every bucket's ciphertext, bucket i at i * serialBytes_. */
-    std::vector<std::uint8_t> image_;
+    // The lazily filled image (see the file comment): const accessors
+    // materialize buckets, hence mutable.
+    /** Nonce of every bucket, heap-numbered; valid once written. */
+    mutable std::vector<std::uint64_t> nonces_;
+    /** Every bucket's ciphertext, bucket i at i * serialBytes_; a
+     *  slice holds bytes only once its written_ bit is set. */
+    mutable std::unique_ptr<std::uint8_t[]> image_;
+    /** One bit per bucket: set by a write-back, a materialization or
+     *  a restore. */
+    mutable std::vector<bool> written_;
+    /** Serialized all-dummy bucket: every unwritten bucket's
+     *  plaintext. */
+    std::vector<std::uint8_t> dummyPlain_;
     PathBuffer buf_;
     std::uint64_t accesses_ = 0;
     std::uint64_t evictions_ = 0;

@@ -56,6 +56,16 @@ Stash::put(BlockId id, Leaf leaf, std::span<const std::uint8_t> payload)
     s->payload.assign(payload.begin(), payload.end());
 }
 
+void
+Stash::insert(BlockId id, Leaf leaf, std::span<const std::uint8_t> payload)
+{
+    tcoram_assert(id != kInvalidId, "stash holds only real blocks");
+    tcoram_dassert(findIndex(id) == kNone, "insert of resident block ", id);
+    BlockSlot &s = allocSlot(id);
+    s.leaf = leaf;
+    s.payload.assign(payload.begin(), payload.end());
+}
+
 BlockSlot *
 Stash::emplaceFresh(BlockId id, Leaf leaf, std::uint64_t block_bytes)
 {

@@ -45,6 +45,14 @@ class Stash
     void put(BlockId id, Leaf leaf, std::span<const std::uint8_t> payload);
 
     /**
+     * put() for a block known to be absent, without the duplicate
+     * scan: a path read's blocks, which Path ORAM's invariant keeps
+     * out of the stash (a block is in the stash or on its path, never
+     * both). Debug builds check the absence.
+     */
+    void insert(BlockId id, Leaf leaf, std::span<const std::uint8_t> payload);
+
+    /**
      * Insert a zero-filled block for @p id (must be absent) and return
      * the pooled slot for in-place initialization. Allocation-free in
      * steady state.
