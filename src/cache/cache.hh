@@ -56,12 +56,18 @@ class Cache
     std::uint64_t misses() const { return misses_; }
     double missRate() const;
 
+    /** Same geometry, contents (tags, valid/dirty bits, replacement
+     *  stamps and victim RNG) and counters. */
+    bool operator==(const Cache &) const = default;
+
   private:
     /** Presence and dirtiness of one set's ways, bit w for way w. */
     struct SetBits
     {
         std::uint32_t valid = 0;
         std::uint32_t dirty = 0;
+
+        bool operator==(const SetBits &) const = default;
     };
 
     std::uint64_t setIndex(Addr addr) const;

@@ -35,6 +35,8 @@ struct CacheConfig
     /** Victim-selection seed (Random policy). */
     std::uint64_t seed = 0x5eed;
 
+    bool operator==(const CacheConfig &) const = default;
+
     std::uint64_t numSets() const
     {
         return sizeBytes / (static_cast<std::uint64_t>(ways) * lineBytes);

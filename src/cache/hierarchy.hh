@@ -75,8 +75,15 @@ struct HierarchyEvents
     std::uint64_t l1dRefills = 0;
     std::uint64_t l2Hits = 0;
     std::uint64_t l2Refills = 0;
+
+    bool operator==(const HierarchyEvents &) const = default;
 };
 
+/**
+ * The hierarchy is a value: a copy continues exactly as the original
+ * would, which is what lets the experiment engine warm it once and
+ * start several cells from that state (sim/experiment_engine.hh).
+ */
 class Hierarchy
 {
   public:
@@ -93,10 +100,14 @@ class Hierarchy
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
     WriteBuffer &writeBuffer() { return wb_; }
+    const WriteBuffer &writeBuffer() const { return wb_; }
     const HierarchyEvents &events() const { return events_; }
 
     /** LLC misses observed so far (equals ORAM request count). */
     std::uint64_t llcMisses() const { return llcMisses_; }
+
+    /** Same cache contents, write buffer and counters. */
+    bool operator==(const Hierarchy &) const = default;
 
   private:
     Cache l1i_;

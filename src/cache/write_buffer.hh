@@ -39,6 +39,12 @@ class WriteBuffer
     /** Number of push attempts rejected because the buffer was full. */
     std::uint64_t fullStalls() const { return fullStalls_; }
     void noteFullStall() { ++fullStalls_; }
+    /** Count @p n writes that retired the cycle they were pushed (the
+     *  zero-latency fast-forward, cpu::fastForward): they add to
+     *  totalPushed() but never occupy an entry. */
+    void notePassedThrough(std::uint64_t n) { pushed_ += n; }
+
+    bool operator==(const WriteBuffer &) const = default;
 
   private:
     std::size_t capacity_;

@@ -77,6 +77,8 @@ class Rng
     std::array<std::uint64_t, 4> state() const { return s_; }
     void setState(const std::array<std::uint64_t, 4> &s) { s_ = s; }
 
+    bool operator==(const Rng &) const = default;
+
   private:
     std::array<std::uint64_t, 4> s_;
 };

@@ -65,6 +65,43 @@ Core::noteRetired(InstCount insts)
     }
 }
 
+namespace {
+
+cache::AccessKind
+accessKind(workload::OpKind kind)
+{
+    switch (kind) {
+      case workload::OpKind::InstFetch:
+        return cache::AccessKind::InstFetch;
+      case workload::OpKind::Load:
+        return cache::AccessKind::Load;
+      default:
+        return cache::AccessKind::Store;
+    }
+}
+
+} // namespace
+
+void
+fastForward(cache::Hierarchy &hierarchy, workload::SyntheticTrace &source,
+            InstCount insts)
+{
+    InstCount retired = 0;
+    std::uint64_t writes = 0;
+    while (retired < insts) {
+        const workload::TraceOp op = source.next();
+        if (op.gapInsts >= insts - retired)
+            break;
+        retired += op.gapInsts + 1;
+        const cache::AccessKind kind = accessKind(op.kind);
+        const cache::HierarchyResult res = hierarchy.access(op.addr, kind);
+        writes += res.memWritebacks.size();
+        if (res.llcMiss && kind == cache::AccessKind::Store)
+            ++writes;
+    }
+    hierarchy.writeBuffer().notePassedThrough(writes);
+}
+
 CoreStats
 Core::run(InstCount max_insts)
 {
@@ -85,18 +122,15 @@ Core::run(InstCount max_insts)
 
         // The memory operation itself retires one instruction.
         using cache::AccessKind;
-        AccessKind kind;
-        switch (op.kind) {
-          case workload::OpKind::InstFetch:
-            kind = AccessKind::InstFetch;
+        const AccessKind kind = accessKind(op.kind);
+        switch (kind) {
+          case AccessKind::InstFetch:
             ++stats_.fetches;
             break;
-          case workload::OpKind::Load:
-            kind = AccessKind::Load;
+          case AccessKind::Load:
             ++stats_.loads;
             break;
-          default:
-            kind = AccessKind::Store;
+          case AccessKind::Store:
             ++stats_.stores;
             break;
         }

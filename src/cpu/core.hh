@@ -113,6 +113,19 @@ class Core
     std::deque<Cycles> pendingWrites_;
 };
 
+/**
+ * Functional fast-forward (§9.1.1): retire @p insts instructions of
+ * @p source through @p hierarchy with main memory answering at once.
+ * Leaves the hierarchy and the trace exactly as a Core over a memory
+ * whose misses complete at the cycle they arrive would: the same
+ * retire rule (an op whose gap reaches the budget is drawn, and the
+ * run ends inside its gap), the same accesses, and every store miss
+ * and dirty writeback counted in the write buffer's totalPushed()
+ * without ever occupying it. Nothing cycle-related is computed.
+ */
+void fastForward(cache::Hierarchy &hierarchy, workload::SyntheticTrace &source,
+                 InstCount insts);
+
 } // namespace tcoram::cpu
 
 #endif // TCORAM_CPU_CORE_HH

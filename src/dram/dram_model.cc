@@ -41,6 +41,23 @@ DramModel::issue(Cycles now, const MemRequest &req)
 }
 
 Cycles
+DramModel::access(Cycles now, const MemRequest &req)
+{
+    return queue_.serveBlocking(
+        {&req, 1}, [&](const MemRequest &r) { return serveOne(now, r); });
+}
+
+Cycles
+DramModel::accessBatch(Cycles now, std::span<const MemRequest> reqs)
+{
+    if (reqs.empty())
+        return now;
+    const Cycles done = queue_.serveBlocking(
+        reqs, [&](const MemRequest &r) { return serveOne(now, r); });
+    return std::max(done, now);
+}
+
+Cycles
 DramModel::serveOne(Cycles now, const MemRequest &req)
 {
     ++requests_;

@@ -26,8 +26,7 @@ class DramModel : public MemoryIf
      * Split-transaction core: the bank/channel state machines resolve
      * the transaction's occupancy at issue time (they are
      * deterministic), and the retirement is queued as an event instead
-     * of collapsed into a blocking return. access()/accessBatch() are
-     * the base-class adapters over this.
+     * of collapsed into a blocking return.
      */
     TxnToken issue(Cycles now, const MemRequest &req) override;
     Cycles nextEventAt() const override { return queue_.nextEventAt(); }
@@ -35,6 +34,11 @@ class DramModel : public MemoryIf
     {
         return queue_.drain(up_to);
     }
+
+    /** Blocking adapters, one pass each (RetireQueue::serveBlocking):
+     *  the same completions and in-flight set as the base event loop. */
+    Cycles access(Cycles now, const MemRequest &req) override;
+    Cycles accessBatch(Cycles now, std::span<const MemRequest> reqs) override;
 
     std::uint64_t requestCount() const override { return requests_; }
     std::uint64_t bytesMoved() const override { return bytes_; }

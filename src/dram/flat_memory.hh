@@ -24,12 +24,7 @@ class FlatMemory : public MemoryIf
     TxnToken
     issue(Cycles now, const MemRequest &req) override
     {
-        ++requests_;
-        bytes_ += req.bytes;
-        // Serialize back-to-back requests at the memory controller.
-        const Cycles start = now > busyUntil_ ? now : busyUntil_;
-        busyUntil_ = start + latency_;
-        return queue_.add(req, now, busyUntil_);
+        return queue_.add(req, now, serveOne(now, req));
     }
 
     Cycles nextEventAt() const override { return queue_.nextEventAt(); }
@@ -38,6 +33,25 @@ class FlatMemory : public MemoryIf
     drainRetired(Cycles up_to) override
     {
         return queue_.drain(up_to);
+    }
+
+    /** Blocking adapters, one pass each (RetireQueue::serveBlocking):
+     *  the same completions and in-flight set as the base event loop. */
+    Cycles
+    access(Cycles now, const MemRequest &req) override
+    {
+        return queue_.serveBlocking(
+            {&req, 1}, [&](const MemRequest &r) { return serveOne(now, r); });
+    }
+
+    Cycles
+    accessBatch(Cycles now, std::span<const MemRequest> reqs) override
+    {
+        if (reqs.empty())
+            return now;
+        const Cycles done = queue_.serveBlocking(
+            reqs, [&](const MemRequest &r) { return serveOne(now, r); });
+        return done > now ? done : now;
     }
 
     std::uint64_t requestCount() const override { return requests_; }
@@ -53,6 +67,18 @@ class FlatMemory : public MemoryIf
     Cycles latency() const { return latency_; }
 
   private:
+    /** Serialize @p req behind the controller's previous transfer;
+     *  returns its completion. */
+    Cycles
+    serveOne(Cycles now, const MemRequest &req)
+    {
+        ++requests_;
+        bytes_ += req.bytes;
+        const Cycles start = now > busyUntil_ ? now : busyUntil_;
+        busyUntil_ = start + latency_;
+        return busyUntil_;
+    }
+
     Cycles latency_;
     Cycles busyUntil_ = 0;
     RetireQueue queue_;

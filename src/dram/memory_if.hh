@@ -12,13 +12,18 @@
  * flight reads of deeper ones (oram/oram_device.hh), and it is the
  * seam background eviction and deadline-aware dispatch build on.
  *
- * The legacy blocking calls — access() and accessBatch() — are thin
- * adapters over the async core (memory_if.cc): issue, then drain until
- * the transaction retires. Every timing backend in this repo computes
- * a transaction's completion cycle deterministically at issue time, so
- * the adapters return exactly the completion times the pre-split
- * synchronous implementations produced; the golden CSVs and the
- * calibration streams are bit-identical through them.
+ * The legacy blocking calls — access() and accessBatch() — are
+ * adapters over the async core. Every timing backend in this repo
+ * computes a transaction's completion cycle deterministically at issue
+ * time, so the adapters return exactly the completion times the
+ * pre-split synchronous implementations produced; the golden CSVs and
+ * the calibration streams are bit-identical through them. The default
+ * adapters (memory_if.cc) run the event loop — issue, then drain the
+ * earliest event until the transaction retires — for decorators such
+ * as FaultyMemory that reach their backend only through the async
+ * core. The RetireQueue backends (DramModel, FlatMemory) answer in one
+ * pass instead (RetireQueue::serveBlocking), with the same return
+ * value and the same in-flight set afterwards.
  *
  * Mixing styles: a blocking call drains (and discards) any retirement
  * records of transactions issued asynchronously before it. Use one
@@ -97,6 +102,37 @@ class RetireQueue
      * until the next drain() or clear(); add() does not invalidate it.
      */
     std::span<const Retired> drain(Cycles up_to);
+
+    /**
+     * One-pass blocking service for a backend that resolves completion
+     * at issue time: present @p reqs (non-empty) to @p serve in request
+     * order, then retire everything that completes by the batch's last
+     * completion. Tokens, the in-flight set and the result are exactly
+     * what add() per request followed by the drain-earliest-event loop
+     * of MemoryIf::accessBatch leaves, without that loop's rescan per
+     * distinct completion: the loop's last drain is at the batch's
+     * latest completion and retires every batch record with it, so
+     * those records are never queued here.
+     * @param serve Cycles(const MemRequest &): advances the backend's
+     *        state machines and returns the request's completion
+     * @return the latest completion in the batch
+     */
+    template <typename Serve>
+    Cycles
+    serveBlocking(std::span<const MemRequest> reqs, Serve &&serve)
+    {
+        Cycles last = 0;
+        for (const MemRequest &req : reqs) {
+            const Cycles done = serve(req);
+            last = done > last ? done : last;
+        }
+        nextToken_ += reqs.size();
+        if (!pending_.empty())
+            std::erase_if(pending_, [last](const Retired &p) {
+                return p.completed <= last;
+            });
+        return last;
+    }
 
     /** In-flight transaction count. */
     std::size_t inFlight() const { return pending_.size(); }

@@ -6,7 +6,10 @@
  * identity or scheduling — so an N-thread run produces results
  * identical to a single-threaded run, and two runs of the same grid
  * are identical full stop. Cells share no mutable state: each one
- * builds its own SecureProcessor stack.
+ * builds its own SecureProcessor stack. What they may share is the
+ * functional fast-forward: within one run() call, the cells of a
+ * workload column with the same seed and LLC size start from one
+ * warm-up (SecureProcessor::WarmState), built once and copied.
  */
 
 #ifndef TCORAM_SIM_EXPERIMENT_ENGINE_HH
@@ -32,7 +35,10 @@ class ExperimentEngine
 
     /**
      * Run every config over every workload. Results are indexed
-     * [config][workload] exactly like the serial runGrid().
+     * [config][workload] exactly like the serial runGrid(), and equal
+     * runOne() of every cell at its cellSeed(). The warm-up is run
+     * once per (workload, cell seed, llcBytes) key of this call and
+     * each of the key's cells adopts a copy; nothing outlives the call.
      */
     Grid run(const std::vector<SystemConfig> &configs,
              const std::vector<workload::Profile> &workloads,

@@ -12,6 +12,17 @@
 
 namespace tcoram::sim {
 
+namespace {
+
+/** Seed of the processor's synthetic trace. */
+std::uint64_t
+traceSeed(const SystemConfig &cfg)
+{
+    return cfg.seed ^ 0xabcd;
+}
+
+} // namespace
+
 /** Insecure flat-DRAM backend (base_dram). */
 class SecureProcessor::DramBackend : public cpu::MemorySystemIf
 {
@@ -117,23 +128,6 @@ class SecureProcessor::EnforcedBackend : public cpu::MemorySystemIf
     std::vector<std::unique_ptr<timing::RateEnforcer>> &enfs_;
 };
 
-namespace {
-
-/**
- * Functional fast-forward backend: misses complete instantly. Used
- * only during warm-up so the caches reach steady state without the
- * ORAM timing machinery observing (the paper fast-forwards 1-20 G
- * instructions functionally before timing simulation, §9.1.1).
- */
-class ZeroLatencyBackend : public cpu::MemorySystemIf
-{
-  public:
-    Cycles serveMiss(Cycles now, Addr) override { return now; }
-    Cycles serveAsync(Cycles now, Addr) override { return now; }
-};
-
-} // namespace
-
 /**
  * §10's no-ORAM device: one cache-line transfer per (real or dummy)
  * access against closed-page DRAM. Closed pages put the row buffer in
@@ -196,8 +190,8 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
     (void)cfg_.shardCount();
 
     hierarchy_ = std::make_unique<cache::Hierarchy>(cfg_.llcBytes);
-    trace_ = std::make_unique<workload::SyntheticTrace>(profile,
-                                                        cfg_.seed ^ 0xabcd);
+    trace_ =
+        std::make_unique<workload::SyntheticTrace>(profile, traceSeed(cfg_));
 
     // Main memory comes from the backend registry so configurations
     // (including "trace" wrapping) select it without new wiring here.
@@ -302,24 +296,44 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
 
 SecureProcessor::~SecureProcessor() = default;
 
+SecureProcessor::WarmState
+SecureProcessor::warmUp(const SystemConfig &cfg,
+                        const workload::Profile &profile, InstCount warmup)
+{
+    WarmState warm{cache::Hierarchy(cfg.llcBytes),
+                   workload::SyntheticTrace(profile, traceSeed(cfg))};
+    cpu::fastForward(warm.hierarchy, warm.trace, warmup);
+    return warm;
+}
+
 SimResult
 SecureProcessor::run(InstCount insts, InstCount warmup)
 {
-    // Warm-up phase: functional fast-forward (§9.1.1). A throwaway
-    // core over the same hierarchy and trace warms the caches with
-    // zero-latency misses; the timed system (including the epoch timer
-    // and rate learner) starts fresh afterwards. Event counters are
-    // snapshotted so the measurement interval reports deltas only.
-    cache::HierarchyEvents ev0;
-    std::uint64_t llc0 = 0, mem_req0 = 0;
-    if (warmup > 0) {
-        ZeroLatencyBackend ff;
-        cpu::Core warm_core(*hierarchy_, ff, *trace_, cfg_.ipcWindow);
-        warm_core.run(warmup);
-        ev0 = hierarchy_->events();
-        llc0 = hierarchy_->llcMisses();
-        mem_req0 = mem_->requestCount();
-    }
+    // Warm-up phase: functional fast-forward (§9.1.1) of the caches
+    // and the trace with zero-latency misses; the timed system
+    // (including the epoch timer and rate learner) starts fresh
+    // afterwards.
+    if (warmup > 0)
+        cpu::fastForward(*hierarchy_, *trace_, warmup);
+    return measure(insts);
+}
+
+SimResult
+SecureProcessor::run(InstCount insts, WarmState warm)
+{
+    *hierarchy_ = std::move(warm.hierarchy);
+    *trace_ = std::move(warm.trace);
+    return measure(insts);
+}
+
+SimResult
+SecureProcessor::measure(InstCount insts)
+{
+    // Event counters are snapshotted so the measurement interval
+    // reports deltas only (of the warm-up, if there was one).
+    const cache::HierarchyEvents ev0 = hierarchy_->events();
+    const std::uint64_t llc0 = hierarchy_->llcMisses();
+    const std::uint64_t mem_req0 = mem_->requestCount();
 
     const cpu::CoreStats cs = core_->run(insts);
 

@@ -31,9 +31,29 @@ namespace tcoram::sim {
 class SecureProcessor
 {
   public:
+    /**
+     * What the functional fast-forward (§9.1.1) leaves behind: the
+     * warmed caches and the trace's stream position. It depends on the
+     * profile, the seed, llcBytes and the warm-up length, not on the
+     * scheme, so cells that share those can start from one copy.
+     */
+    struct WarmState
+    {
+        cache::Hierarchy hierarchy;
+        workload::SyntheticTrace trace;
+    };
+
     SecureProcessor(const SystemConfig &cfg,
                     const workload::Profile &profile);
     ~SecureProcessor();
+
+    /**
+     * The warm state a processor of (@p cfg, @p profile) reaches after
+     * fast-forwarding @p warmup instructions.
+     */
+    static WarmState warmUp(const SystemConfig &cfg,
+                            const workload::Profile &profile,
+                            InstCount warmup);
 
     /**
      * Run @p insts measured instructions and return the result record.
@@ -42,6 +62,13 @@ class SecureProcessor
      *        methodology (§9.1.1).
      */
     SimResult run(InstCount insts, InstCount warmup = 0);
+
+    /**
+     * Same, on a freshly constructed processor, starting from @p warm
+     * instead of fast-forwarding: the result equals run(insts, warmup)
+     * when @p warm is warmUp(cfg, profile, warmup).
+     */
+    SimResult run(InstCount insts, WarmState warm);
 
     /**
      * The rate enforcers of an enforced scheme: one per shard when the
@@ -72,6 +99,9 @@ class SecureProcessor
     const dram::MemoryIf &memory() const { return *mem_; }
 
   private:
+    /** The timed run; every event count is a delta from its start. */
+    SimResult measure(InstCount insts);
+
     class DramBackend;
     class OramBackend;
     class EnforcedBackend;

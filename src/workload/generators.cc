@@ -73,6 +73,18 @@ SyntheticTrace::SyntheticTrace(const Profile &profile, std::uint64_t seed)
     instsLeftInPhase_ = profile_.phases[0].instructions;
 }
 
+bool
+SyntheticTrace::operator==(const SyntheticTrace &o) const
+{
+    return profile_ == o.profile_ && rng_ == o.rng_ &&
+           phaseIdx_ == o.phaseIdx_ &&
+           instsLeftInPhase_ == o.instsLeftInPhase_ &&
+           instsSinceFetchJump_ == o.instsSinceFetchJump_ &&
+           streamPos_ == o.streamPos_ && coldStreamPos_ == o.coldStreamPos_ &&
+           stridePos_ == o.stridePos_ && chasePos_ == o.chasePos_ &&
+           fetchPos_ == o.fetchPos_ && burstLeft_ == o.burstLeft_;
+}
+
 void
 SyntheticTrace::advancePhase(InstCount insts)
 {

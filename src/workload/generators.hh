@@ -34,6 +34,8 @@ struct TraceOp
     std::uint32_t extraGapCycles = 0;
     Addr addr = 0;
     OpKind kind = OpKind::Load;
+
+    bool operator==(const TraceOp &) const = default;
 };
 
 /** Abstract trace source. */
@@ -46,11 +48,19 @@ class TraceSource
     virtual const std::string &name() const = 0;
 };
 
-/** Profile-driven synthetic source. */
-class SyntheticTrace : public TraceSource
+/**
+ * Profile-driven synthetic source. A value: a copy continues the exact
+ * stream the original would, so a warmed trace can seed several runs.
+ */
+class SyntheticTrace final : public TraceSource
 {
   public:
     SyntheticTrace(const Profile &profile, std::uint64_t seed);
+
+    /** Same profile and stream position: both produce the same ops
+     *  from here on. The per-phase draw tables are a function of the
+     *  profile (built lazily), so they are not compared. */
+    bool operator==(const SyntheticTrace &o) const;
 
     TraceOp next() override;
     const std::string &name() const override { return profile_.name; }

@@ -31,6 +31,8 @@ struct PatternMix
     double strided = 0.0;      ///< fixed stride walk
     double random = 0.0;       ///< uniform over the working set
     double pointerChase = 0.0; ///< dependent chain through the set
+
+    bool operator==(const PatternMix &) const = default;
 };
 
 /** One execution phase. */
@@ -73,6 +75,8 @@ struct Phase
     std::uint64_t codeBytes = 64 * 1024;
     /** Mean instructions between instruction-fetch discontinuities. */
     double instsPerFetchJump = 400.0;
+
+    bool operator==(const Phase &) const = default;
 };
 
 /** A named workload: an ordered list of phases, looped if exhausted. */
@@ -82,6 +86,8 @@ struct Profile
     std::vector<Phase> phases;
     /** Base address of the data segment (code lives below it). */
     Addr dataBase = 1ull << 30;
+
+    bool operator==(const Profile &) const = default;
 };
 
 } // namespace tcoram::workload

@@ -1,12 +1,14 @@
 /**
  * @file
  * Core model tests: instruction/cycle accounting, demand-miss
- * blocking, non-blocking store handling through the write buffer, and
- * IPC window series.
+ * blocking, non-blocking store handling through the write buffer, IPC
+ * window series, and the functional fast-forward.
  */
 
 #include <gtest/gtest.h>
 
+#include "../bench/bench_common.hh"
+#include "common/rng.hh"
 #include "cpu/core.hh"
 
 namespace tcoram::cpu {
@@ -189,6 +191,52 @@ TEST(Core, IpcBoundedByOne)
     const CoreStats s = core.run(5000);
     EXPECT_LE(s.ipc(), 1.0);
     EXPECT_GT(s.ipc(), 0.5); // mostly 1-cycle instructions
+}
+
+/**
+ * Misses complete the cycle they arrive. A Core over it is the
+ * reference cpu::fastForward must reproduce.
+ */
+class ZeroLatencyMem : public MemorySystemIf
+{
+  public:
+    Cycles serveMiss(Cycles now, Addr) override { return now; }
+    Cycles serveAsync(Cycles now, Addr) override { return now; }
+};
+
+TEST(FastForward, MatchesTheThrowawayCore)
+{
+    const auto profiles = bench::suiteProfiles();
+    ASSERT_EQ(profiles.size(), 11u);
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        const std::uint64_t seed = mixSeed(0xf00d, i);
+        for (const InstCount warmup :
+             {InstCount{1}, InstCount{7}, InstCount{100'003},
+              bench::kWarmup}) {
+            const std::string what =
+                profiles[i].name + " warm-up " + std::to_string(warmup);
+            cache::Hierarchy core_h(1 << 20);
+            workload::SyntheticTrace core_t(profiles[i], seed);
+            ZeroLatencyMem zero;
+            Core(core_h, zero, core_t, bench::kWindow).run(warmup);
+
+            cache::Hierarchy ff_h(1 << 20);
+            workload::SyntheticTrace ff_t(profiles[i], seed);
+            fastForward(ff_h, ff_t, warmup);
+
+            EXPECT_TRUE(ff_h == core_h) << what;
+            EXPECT_TRUE(ff_h.events() == core_h.events()) << what;
+            EXPECT_EQ(ff_h.llcMisses(), core_h.llcMisses()) << what;
+            EXPECT_EQ(ff_h.writeBuffer().totalPushed(),
+                      core_h.writeBuffer().totalPushed())
+                << what;
+            EXPECT_TRUE(ff_t == core_t) << what;
+            std::size_t same = 0;
+            while (same < 4096 && ff_t.next() == core_t.next())
+                ++same;
+            EXPECT_EQ(same, 4096u) << what << ": next ops diverge";
+        }
+    }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -325,6 +326,76 @@ TEST(SplitTransaction, BlockingAdapterDiscardsForeignRetirements)
     const Cycles done = m.access(0, {64, 64, false});
     EXPECT_EQ(done, 80u) << "serialized behind the in-flight txn";
     EXPECT_EQ(m.nextEventAt(), kNoPendingEvent);
+}
+
+namespace {
+
+/** Drain everything left in flight, as comparable tuples. */
+std::vector<std::tuple<TxnToken, Addr, Cycles, Cycles>>
+drainAll(MemoryIf &mem)
+{
+    std::vector<std::tuple<TxnToken, Addr, Cycles, Cycles>> out;
+    for (const Retired &r : mem.drainRetired(kNoPendingEvent - 1))
+        out.emplace_back(r.token, r.req.addr, r.issued, r.completed);
+    return out;
+}
+
+} // namespace
+
+TEST(MemoryIf, OnePassAdaptersMatchTheEventLoop)
+{
+    // Twin instances, one driven by the backend's own blocking adapters
+    // and one by the base MemoryIf event loop (called without virtual
+    // dispatch, so it runs over the twin's issue/drain). Before every blocking call an
+    // async transaction is left in flight: issued just ahead of the
+    // call it completes before the batch does (the blocking call
+    // retires it); issued far in the future on channel 0, which the
+    // blocking calls never use, it completes after (it stays queued).
+    auto batch = randomStream(92, 0x9e);
+    for (auto &r : batch)
+        r.addr |= 64; // odd line: channel 1 of testConfig()
+    const MemRequest lone{(1ull << 20) | 64, 64, false};
+    const MemRequest early_req{64, 64, true};
+    const MemRequest late_req{0, 64, false};
+
+    for (const bool flat : {true, false}) {
+        for (const bool late : {false, true}) {
+            auto make = [flat]() -> std::unique_ptr<MemoryIf> {
+                if (flat)
+                    return std::make_unique<FlatMemory>(40);
+                return std::make_unique<DramModel>(testConfig());
+            };
+            const auto one_pass = make();
+            const auto loop = make();
+            const std::string what = std::string(flat ? "flat" : "banked") +
+                                     (late ? " late" : " early");
+            Cycles now = 1000;
+            bool stayed = false;
+            for (int round = 0; round < 4; ++round) {
+                const Cycles at = late ? now + 5'000'000 : now;
+                const MemRequest &left = late ? late_req : early_req;
+                EXPECT_EQ(one_pass->issue(at, left), loop->issue(at, left));
+                Cycles got, want;
+                if (round % 2 == 0) {
+                    got = one_pass->accessBatch(now, batch);
+                    want = loop->MemoryIf::accessBatch(now, batch);
+                } else {
+                    got = one_pass->access(now, lone);
+                    want = loop->MemoryIf::access(now, lone);
+                }
+                EXPECT_EQ(got, want) << what << " round " << round;
+                EXPECT_EQ(one_pass->nextEventAt(), loop->nextEventAt())
+                    << what << " round " << round;
+                stayed |= loop->nextEventAt() != kNoPendingEvent;
+                now = want + 10;
+            }
+            EXPECT_EQ(drainAll(*one_pass), drainAll(*loop)) << what;
+            EXPECT_EQ(one_pass->requestCount(), loop->requestCount());
+            // A flat controller serializes everything, so only the
+            // banked model can complete a leftover after the batch.
+            EXPECT_EQ(stayed, late && !flat) << what;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

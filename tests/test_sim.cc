@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../bench/bench_common.hh"
 #include "sim/experiment.hh"
+#include "sim/experiment_engine.hh"
+#include "sim/report.hh"
 #include "sim/secure_processor.hh"
 #include "workload/spec_suite.hh"
 
@@ -190,6 +193,48 @@ TEST(Experiment, GridShape)
     ASSERT_EQ(g.results[0].size(), 2u);
     EXPECT_EQ(g.at(0, 0).configName, "base_dram");
     EXPECT_EQ(g.at(1, 1).workloadName, "sjeng");
+}
+
+TEST(ExperimentEngine, WarmMemoMatchesPerCellRuns)
+{
+    // The six Figure 6 schemes share one warm-up per column; the two
+    // extra base_dram rows differ from the first only in LLC size, so
+    // a memo keyed without llcBytes would hand them the 1 MB state.
+    std::vector<SystemConfig> configs = bench::paperConfigs();
+    for (const std::uint64_t llc : {256u << 10, 512u << 10}) {
+        SystemConfig c = configs.front();
+        c.llcBytes = llc;
+        configs.push_back(c);
+    }
+    const std::vector<workload::Profile> profs = {
+        workload::specProfile("mcf"), workload::specProfile("hmmer"),
+        workload::specProfile("libquantum")};
+    const InstCount insts = 40'000;
+
+    // With no warm-up every cell still starts from its key's (cold)
+    // state, which must measure like a fresh processor.
+    for (const InstCount warmup : {InstCount{0}, InstCount{150'000}}) {
+        Grid per_cell;
+        per_cell.configs = configs;
+        per_cell.workloads = profs;
+        per_cell.results.assign(configs.size(),
+                                std::vector<SimResult>(profs.size()));
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            for (std::size_t w = 0; w < profs.size(); ++w)
+                per_cell.results[c][w] =
+                    runOne(configs[c], profs[w], insts, warmup,
+                           ExperimentEngine::cellSeed(configs[c], w));
+        const std::string want = toCsv(per_cell);
+        // The LLC rows must really differ, or the test shows nothing.
+        EXPECT_NE(per_cell.at(0, 0).cycles, per_cell.at(6, 0).cycles);
+        EXPECT_NE(per_cell.at(6, 0).cycles, per_cell.at(7, 0).cycles);
+
+        for (const unsigned threads : {1u, 4u})
+            EXPECT_EQ(toCsv(ExperimentEngine(threads).run(configs, profs,
+                                                          insts, warmup)),
+                      want)
+                << threads << " engine thread(s), warm-up " << warmup;
+    }
 }
 
 TEST(Experiment, GeoMean)
