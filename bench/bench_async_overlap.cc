@@ -28,7 +28,6 @@
  * at least 15%.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -39,10 +38,7 @@
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
-#include "oram/oram_device.hh"
-#include "oram/sharded_device.hh"
-#include "sim/shard_worker.hh"
-#include "timing/rate_enforcer.hh"
+#include "sim/serving_stack.hh"
 
 using namespace tcoram;
 
@@ -149,47 +145,33 @@ bool
 asyncShardStreamsPeriodic(Cycles rate, std::string &detail)
 {
     constexpr std::uint32_t kShards = 4;
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(kCalibSeed);
-    oram::OramDeviceSpec inner;
-    inner.pathMode = oram::PathMode::Pipelined;
-    oram::ShardedOramDevice device(inner, oram::OramConfig::benchConfig(),
-                                   kShards, /*route_seed=*/7, mem, rng,
-                                   /*record=*/true);
-    timing::RateSet rates{std::vector<Cycles>{rate}};
-    timing::EpochSchedule schedule{Cycles{1} << 30, 2, Cycles{1} << 40};
-    timing::RateLearner learner{rates};
-    protocol::LeakageParams params;
-    params.rateCount = 1;
-    sim::RingScheduler::Options opts;
-    opts.ringCapacity = 512; // the whole backlog is queued up front
-    sim::RingScheduler sched(device, rates, schedule, learner, rate,
-                             params, opts);
+    sim::ServingStack::Config cfg;
+    cfg.inner.pathMode = oram::PathMode::Pipelined;
+    cfg.shards = kShards;
+    cfg.rate = rate;
+    cfg.calibSeed = kCalibSeed;
+    cfg.opts.ringCapacity = 512; // the whole backlog is queued up front
+    sim::ServingStack stack(cfg);
+    sim::RingScheduler &sched = stack.scheduler();
 
     sched.openSession(0x5eed);
     for (std::uint64_t k = 0; k < 512; ++k)
         if (!sched.trySubmit(0, k, timing::OramTransaction::real(k * 7919ull)))
             tcoram_fatal("async backlog overflows its lane");
     const Cycles last = sched.runUntilIdle();
-    sched.drainUntil(last + 16 * (rate + device.accessLatency()));
+    sched.drainUntil(last + 16 * stack.period());
 
     for (std::uint32_t i = 0; i < kShards; ++i) {
-        const auto &dev = device.shard(i);
-        const Cycles period = std::max(rate + dev.accessLatency(),
-                                       dev.occupancyPerAccess());
-        const auto starts = device.recorder(i)->startCycles();
-        if (starts.size() < 8) {
+        if (stack.shardStarts(i).size() < 8) {
             detail = "shard stream too short";
             return false;
         }
-        for (std::size_t j = 1; j < starts.size(); ++j) {
-            if (starts[j] - starts[j - 1] != period) {
-                std::ostringstream os;
-                os << "shard " << i << " gap " << j << ": "
-                   << (starts[j] - starts[j - 1]) << " != " << period;
-                detail = os.str();
-                return false;
-            }
+        if (const auto off = stack.shardOffPeriodGap(i)) {
+            std::ostringstream os;
+            os << "shard " << i << " gap " << off->index << ": "
+               << off->gap << " != " << stack.shardPeriod(i);
+            detail = os.str();
+            return false;
         }
     }
     return true;

@@ -40,16 +40,14 @@
 #include "oram/eviction_engine.hh"
 #include "oram/oram_config.hh"
 #include "oram/sharded_device.hh"
-#include "sim/shard_worker.hh"
-#include "timing/epoch_schedule.hh"
-#include "timing/rate_learner.hh"
-#include "timing/rate_set.hh"
+#include "sim/serving_stack.hh"
 
 using namespace tcoram;
 
 namespace {
 
 constexpr std::uint64_t kSeed = 42;
+constexpr std::uint64_t kRouteSeed = 17;
 constexpr std::uint32_t kSessions = 2;
 
 struct Setup
@@ -67,30 +65,25 @@ struct Outcome
     std::uint64_t evictions = 0;
     std::uint64_t stashHighWater = 0;
     std::vector<std::vector<Cycles>> streams;
-    std::vector<Cycles> periods; ///< rate + per-shard OLAT
+    /** Every shard stream >= 10 starts, each gap its slot period. */
+    bool periodic = true;
 };
 
 Outcome
 runOne(const Setup &s)
 {
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(kSeed);
-    oram::OramDeviceSpec inner;
-    inner.pathMode = oram::PathMode::Pipelined;
-    inner.evictionPolicy = s.evict.policy;
-    inner.evictionBudget = s.evict.budget;
-    oram::ShardedOramDevice device(inner, s.oram, s.shards,
-                                   /*route_seed=*/17, mem, rng,
-                                   /*record=*/true);
-    timing::RateSet rates(std::vector<Cycles>{s.rate});
-    timing::EpochSchedule sched(Cycles{1} << 30, 2, Cycles{1} << 40);
-    timing::RateLearner learner(rates);
-    protocol::LeakageParams params;
-    params.rateCount = 1; // static rate: 0 bits per stream
-    sim::RingScheduler::Options opts;
-    opts.ringCapacity = kSessions * s.txnsPerSession; // one lane holds it
-    sim::RingScheduler scheduler(device, rates, sched, learner, s.rate,
-                                 params, opts);
+    sim::ServingStack::Config cfg;
+    cfg.inner.pathMode = oram::PathMode::Pipelined;
+    cfg.inner.evictionPolicy = s.evict.policy;
+    cfg.inner.evictionBudget = s.evict.budget;
+    cfg.oram = s.oram;
+    cfg.shards = s.shards;
+    cfg.rate = s.rate;
+    cfg.calibSeed = kSeed;
+    cfg.routeSeed = kRouteSeed;
+    cfg.opts.ringCapacity = kSessions * s.txnsPerSession; // one lane holds it
+    sim::ServingStack stack(cfg);
+    sim::RingScheduler &scheduler = stack.scheduler();
     for (std::uint32_t sess = 0; sess < kSessions; ++sess)
         scheduler.openSession(100 + sess);
     // Open-loop burst: the whole backlog arrives up front.
@@ -104,13 +97,13 @@ runOne(const Setup &s)
 
     Outcome o;
     o.span = scheduler.runUntilIdle();
-    scheduler.drainUntil(o.span +
-                         8 * (s.rate + device.accessLatency()));
-    o.evictions = device.evictionsIssued();
-    o.stashHighWater = device.stashHighWater();
+    stack.drainAfter(o.span);
+    o.evictions = stack.device().evictionsIssued();
+    o.stashHighWater = stack.device().stashHighWater();
     for (std::uint32_t i = 0; i < s.shards; ++i) {
-        o.streams.push_back(device.recorder(i)->startCycles());
-        o.periods.push_back(s.rate + device.shard(i).accessLatency());
+        o.streams.push_back(stack.shardStarts(i));
+        o.periodic = o.periodic && o.streams.back().size() >= 10 &&
+                     !stack.shardOffPeriodGap(i);
     }
     return o;
 }
@@ -123,24 +116,12 @@ maxOccupancy(const oram::OramConfig &cfg, std::uint32_t shards)
     Rng rng(kSeed);
     oram::OramDeviceSpec inner;
     inner.pathMode = oram::PathMode::Pipelined;
-    oram::ShardedOramDevice device(inner, cfg, shards, 17, mem, rng);
+    oram::ShardedOramDevice device(inner, cfg, shards, kRouteSeed, mem,
+                                   rng);
     Cycles occ = 0;
     for (std::uint32_t i = 0; i < shards; ++i)
         occ = std::max(occ, device.shard(i).occupancyPerAccess());
     return occ;
-}
-
-bool
-exactlyPeriodic(const Outcome &o)
-{
-    for (std::size_t i = 0; i < o.streams.size(); ++i) {
-        if (o.streams[i].size() < 10)
-            return false;
-        for (std::size_t j = 1; j < o.streams[i].size(); ++j)
-            if (o.streams[i][j] - o.streams[i][j - 1] != o.periods[i])
-                return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -210,7 +191,7 @@ main(int argc, char **argv)
             on.evict = {policy, 16};
             const Outcome o = runOne(on);
             const bool identical = o.streams == off.streams;
-            const bool periodic = exactlyPeriodic(o);
+            const bool periodic = o.periodic;
             const bool fired = o.evictions > 0;
             wide_ok = wide_ok && identical && periodic && fired;
             std::printf("wide M=%u %-9s stream %-10s grid %-10s "

@@ -96,27 +96,8 @@ baseConfig(std::uint32_t shards, std::uint64_t txns)
     return cfg;
 }
 
-/** Fault-free reference streams + per-shard slot periods. */
-struct Golden
-{
-    std::vector<std::vector<sim::RecoveryRun::Event>> streams;
-    std::vector<Cycles> periods;
-};
-
-/** Each shard's stream must tick exactly at its own slot period. */
-bool
-checkPeriodic(sim::RecoveryRun &run)
-{
-    for (std::uint32_t i = 0; i < run.shardCount(); ++i) {
-        const Cycles period =
-            run.config().rate + run.device().shard(i).accessLatency();
-        const auto stream = run.shardStream(i);
-        for (std::size_t j = 1; j < stream.size(); ++j)
-            if (stream[j].start - stream[j - 1].start != period)
-                return false;
-    }
-    return true;
-}
+/** Fault-free reference streams, one per shard. */
+using Golden = std::vector<std::vector<sim::RecoveryRun::Event>>;
 
 /**
  * The leak-freedom gate: the faulty run's access-START sequence must
@@ -164,11 +145,15 @@ runPoint(const std::string &kinds, double rate, std::uint32_t shards,
     p.retries = run.retriesIssued();
     p.recoverySlots = run.recoverySlots();
     p.payloadMismatches = bad;
-    p.periodic = checkPeriodic(run);
+    // Each shard's stream must tick exactly at its own slot period.
+    p.periodic = true;
     p.streamMatchesFaultFree = true;
-    for (std::uint32_t i = 0; i < shards; ++i)
-        if (!startsMatch(run.shardStream(i), golden.streams[i]))
+    for (std::uint32_t i = 0; i < shards; ++i) {
+        if (run.shardOffPeriodGap(i))
+            p.periodic = false;
+        if (!startsMatch(run.shardStream(i), golden[i]))
             p.streamMatchesFaultFree = false;
+    }
     return p;
 }
 
@@ -180,11 +165,8 @@ runGolden(std::uint32_t shards, std::uint64_t txns, std::uint64_t probes)
     run.finish();
     run.verifyPayloads(probes);
     Golden g;
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        g.streams.push_back(run.shardStream(i));
-        g.periods.push_back(run.config().rate +
-                            run.device().shard(i).accessLatency());
-    }
+    for (std::uint32_t i = 0; i < shards; ++i)
+        g.push_back(run.shardStream(i));
     return g;
 }
 

@@ -87,13 +87,9 @@ servingConfig(std::uint32_t sessions, std::uint64_t ops_per_rank)
 bool
 exactlyPeriodic(const sim::KvServingRun &run)
 {
-    for (std::uint32_t i = 0; i < run.config().shards; ++i) {
-        const Cycles period = run.shardPeriod(i);
-        const std::vector<Cycles> starts = run.shardStarts(i);
-        for (std::size_t k = 1; k < starts.size(); ++k)
-            if (starts[k] - starts[k - 1] != period)
-                return false;
-    }
+    for (std::uint32_t i = 0; i < run.config().shards; ++i)
+        if (sim::firstOffPeriodGap(run.shardStarts(i), run.shardPeriod(i)))
+            return false;
     return true;
 }
 

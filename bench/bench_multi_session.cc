@@ -38,10 +38,7 @@
 
 #include "bench_common.hh"
 #include "common/rng.hh"
-#include "dram/dram_model.hh"
-#include "oram/oram_device.hh"
-#include "oram/sharded_device.hh"
-#include "sim/shard_worker.hh"
+#include "sim/serving_stack.hh"
 
 using namespace tcoram;
 
@@ -74,19 +71,12 @@ struct SweepPoint
 SweepPoint
 runPoint(std::size_t n_sessions, Cycles rate, Cycles horizon)
 {
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng calib_rng(42);
-    oram::ShardedOramDevice device(oram::OramDeviceSpec{},
-                                   oram::OramConfig::benchConfig(),
-                                   /*shards=*/1, /*route_seed=*/7, mem,
-                                   calib_rng);
-
-    const timing::RateSet rates(std::vector<Cycles>{rate});
-    const timing::EpochSchedule schedule(Cycles{1} << 30, 2, Cycles{1} << 40);
-    const timing::RateLearner learner(rates);
-    protocol::LeakageParams params;
-    params.rateCount = rates.size(); // single rate: 0 ORAM-timing bits
-    sim::RingScheduler sched(device, rates, schedule, learner, rate, params);
+    sim::ServingStack::Config cfg;
+    cfg.rate = rate; // single rate: 0 ORAM-timing bits
+    cfg.record = false;
+    sim::ServingStack stack(cfg);
+    sim::RingScheduler &sched = stack.scheduler();
+    const oram::ShardedOramDevice &device = stack.device();
 
     // Sessions alternate unlimited and finite (64-bit) budgets so the
     // admission handshake and the shared monitor both get exercised.
@@ -126,7 +116,7 @@ runPoint(std::size_t n_sessions, Cycles rate, Cycles horizon)
     SweepPoint p;
     p.sessions = n_sessions;
     p.span = last;
-    const Cycles slot_period = rate + device.accessLatency();
+    const Cycles slot_period = stack.period();
     for (std::size_t s = 0; s < n_sessions; ++s) {
         const auto sid = static_cast<std::uint32_t>(s);
         const auto &st = sched.stats(sid);

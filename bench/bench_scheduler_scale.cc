@@ -40,11 +40,7 @@
 
 #include "bench_common.hh"
 #include "common/rng.hh"
-#include "dram/dram_model.hh"
-#include "oram/oram_device.hh"
-#include "oram/sharded_device.hh"
-#include "sim/shard_worker.hh"
-#include "timing/rate_enforcer.hh"
+#include "sim/serving_stack.hh"
 
 using namespace tcoram;
 
@@ -54,23 +50,26 @@ constexpr Cycles kRate = 1000;
 constexpr std::uint64_t kRouteSeed = 7;
 constexpr std::uint32_t kShards = 16;
 
-/** The single public rate/epoch configuration (static rate: the
- *  dispatch order cannot move the learner, so every thread count must
- *  produce the same observable envelope). */
-struct RateConfig
+/**
+ * The one public stack every point runs: M = 16 unrecorded timing
+ * shards behind the ring scheduler with one lane. The rate is static,
+ * so the dispatch order cannot move the learner and every thread count
+ * must produce the same observable envelope.
+ */
+sim::ServingStack::Config
+stackConfig(unsigned threads)
 {
-    timing::RateSet rates{std::vector<Cycles>{kRate}};
-    timing::EpochSchedule schedule{Cycles{1} << 30, 2, Cycles{1} << 40};
-    timing::RateLearner learner{rates};
-
-    static protocol::LeakageParams
-    params()
-    {
-        protocol::LeakageParams p;
-        p.rateCount = 1;
-        return p;
-    }
-};
+    sim::ServingStack::Config cfg;
+    cfg.shards = kShards;
+    cfg.rate = kRate;
+    cfg.routeSeed = kRouteSeed;
+    cfg.record = false;
+    cfg.opts.lanes = 1;
+    cfg.opts.ringCapacity = 4096;
+    cfg.opts.threads = threads;
+    cfg.opts.recordLatencies = false; // samples would dominate the smoke
+    return cfg;
+}
 
 /** Deterministic per-(session, k) block id, spread for the router. */
 std::uint64_t
@@ -118,19 +117,8 @@ struct EnginePoint
 EnginePoint
 runRing(std::size_t sessions, std::uint64_t total_txns, unsigned threads)
 {
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(42);
-    oram::OramDeviceSpec inner;
-    oram::ShardedOramDevice device(inner, oram::OramConfig::benchConfig(),
-                                   kShards, kRouteSeed, mem, rng);
-    RateConfig rc;
-    sim::RingScheduler::Options opts;
-    opts.lanes = 1;
-    opts.ringCapacity = 4096;
-    opts.threads = threads;
-    opts.recordLatencies = false;
-    sim::RingScheduler sched(device, rc.rates, rc.schedule, rc.learner,
-                             kRate, RateConfig::params(), opts);
+    sim::ServingStack stack(stackConfig(threads));
+    sim::RingScheduler &sched = stack.scheduler();
     for (std::size_t s = 0; s < sessions; ++s)
         sched.openSession(mixSeed(0x5a7d, s));
 
@@ -182,19 +170,8 @@ struct SmokePoint
 SmokePoint
 runMillionSmoke(std::size_t sessions, std::uint64_t txns)
 {
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng(42);
-    oram::OramDeviceSpec inner;
-    oram::ShardedOramDevice device(inner, oram::OramConfig::benchConfig(),
-                                   kShards, kRouteSeed, mem, rng);
-    RateConfig rc;
-    sim::RingScheduler::Options opts;
-    opts.lanes = 1;
-    opts.ringCapacity = 4096;
-    opts.threads = 1;
-    opts.recordLatencies = false; // samples would dominate the footprint
-    sim::RingScheduler sched(device, rc.rates, rc.schedule, rc.learner,
-                             kRate, RateConfig::params(), opts);
+    sim::ServingStack stack(stackConfig(1));
+    sim::RingScheduler &sched = stack.scheduler();
 
     SmokePoint p;
     p.sessions = sessions;

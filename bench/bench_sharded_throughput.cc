@@ -41,8 +41,7 @@
 #include "common/rng.hh"
 #include "dram/dram_model.hh"
 #include "oram/oram_device.hh"
-#include "oram/sharded_device.hh"
-#include "sim/shard_worker.hh"
+#include "sim/serving_stack.hh"
 #include "timing/rate_enforcer.hh"
 
 using namespace tcoram;
@@ -68,29 +67,6 @@ struct SweepPoint
     bool periodic = false;
 };
 
-/** One recorded stream (start cycle + kind) for the equality check. */
-struct StreamEvent
-{
-    Cycles start;
-    timing::OramTransaction::Kind kind;
-
-    bool
-    operator==(const StreamEvent &o) const
-    {
-        return start == o.start && kind == o.kind;
-    }
-};
-
-std::vector<StreamEvent>
-events(const timing::RecordingOramDevice &rec)
-{
-    std::vector<StreamEvent> out;
-    out.reserve(rec.records().size());
-    for (const auto &r : rec.records())
-        out.push_back({r.completion.start, r.kind});
-    return out;
-}
-
 /** Deterministic per-(session, k) block id, spread wide so the PRF
  *  router sees distinct blocks. */
 std::uint64_t
@@ -98,22 +74,6 @@ blockId(std::size_t session, std::uint64_t k)
 {
     return session * 1'000'003ull + k * 7919ull;
 }
-
-/** The single public rate/epoch configuration every harness shares. */
-struct RateConfig
-{
-    timing::RateSet rates{std::vector<Cycles>{kRate}};
-    timing::EpochSchedule schedule{Cycles{1} << 30, 2, Cycles{1} << 40};
-    timing::RateLearner learner{rates};
-
-    static protocol::LeakageParams
-    params()
-    {
-        protocol::LeakageParams p;
-        p.rateCount = 1; // single rate: 0 bits per stream
-        return p;
-    }
-};
 
 /**
  * The ONE workload every harness runs (the M = 1 equality check is
@@ -136,61 +96,47 @@ forEachArrival(std::size_t n_sessions, std::uint64_t total_txns,
 
 /** Sharded harness: M recorded subtrees behind the ring scheduler,
  *  whose one lane holds the whole backlog. */
-struct ShardedRun
+sim::ServingStack::Config
+shardedConfig(std::uint32_t shards, std::uint64_t total_txns)
 {
-    dram::DramModel mem{dram::DramConfig{}};
-    Rng rng{42};
-    oram::OramDeviceSpec inner; // timing backend per subtree
-    oram::ShardedOramDevice device;
-    RateConfig rc;
-    sim::RingScheduler sched;
+    sim::ServingStack::Config cfg;
+    cfg.shards = shards;
+    cfg.rate = kRate;
+    cfg.routeSeed = kRouteSeed;
+    cfg.opts.ringCapacity = total_txns;
+    return cfg;
+}
 
-    ShardedRun(std::uint32_t shards, std::uint64_t total_txns)
-        : device(inner, oram::OramConfig::benchConfig(), shards,
-                 kRouteSeed, mem, rng, /*record=*/true),
-          sched(device, rc.rates, rc.schedule, rc.learner, kRate,
-                RateConfig::params(), options(total_txns))
-    {
-    }
-
-    static sim::RingScheduler::Options
-    options(std::uint64_t total_txns)
-    {
-        sim::RingScheduler::Options o;
-        o.ringCapacity = total_txns;
-        return o;
-    }
-
-    /**
-     * Run the workload, then fire trailing dummies that keep every
-     * stream going past the last real completion — periodicity must
-     * survive the drain too.
-     * @return the last completion cycle (the throughput span).
-     */
-    Cycles
-    drive(std::size_t n_sessions, std::uint64_t total_txns)
-    {
-        for (std::size_t s = 0; s < n_sessions; ++s)
-            sched.openSession(mixSeed(0x5a7d, s));
-        forEachArrival(n_sessions, total_txns,
-                       [&](std::uint32_t s, Cycles k,
-                           const timing::OramTransaction &txn) {
-                           if (!sched.trySubmit(s, k, txn))
-                               tcoram_fatal("backlog overflows its lane");
-                       });
-        const Cycles last = sched.runUntilIdle();
-        sched.drainUntil(last + 8 * (kRate + device.accessLatency()));
-        return last;
-    }
-};
+/**
+ * Run the workload, then fire trailing dummies that keep every stream
+ * going past the last real completion — periodicity must survive the
+ * drain too.
+ * @return the last completion cycle (the throughput span).
+ */
+Cycles
+drive(sim::ServingStack &stack, std::size_t n_sessions,
+      std::uint64_t total_txns)
+{
+    sim::RingScheduler &sched = stack.scheduler();
+    for (std::size_t s = 0; s < n_sessions; ++s)
+        sched.openSession(mixSeed(0x5a7d, s));
+    forEachArrival(n_sessions, total_txns,
+                   [&](std::uint32_t s, Cycles k,
+                       const timing::OramTransaction &txn) {
+                       if (!sched.trySubmit(s, k, txn))
+                           tcoram_fatal("backlog overflows its lane");
+                   });
+    const Cycles last = sched.runUntilIdle();
+    stack.drainAfter(last);
+    return last;
+}
 
 SweepPoint
 runPoint(std::uint32_t n_shards, std::size_t n_sessions,
          std::uint64_t total_txns)
 {
-    ShardedRun run(n_shards, total_txns);
-    oram::ShardedOramDevice &device = run.device;
-    const Cycles last = run.drive(n_sessions, total_txns);
+    sim::ServingStack stack(shardedConfig(n_shards, total_txns));
+    const Cycles last = drive(stack, n_sessions, total_txns);
 
     SweepPoint p;
     p.shards = n_shards;
@@ -201,7 +147,7 @@ runPoint(std::uint32_t n_shards, std::size_t n_sessions,
         last ? 1e6 * static_cast<double>(p.completed) /
                    static_cast<double>(last)
              : 0.0;
-    p.fairness = run.sched.fairnessRatio();
+    p.fairness = stack.scheduler().fairnessRatio();
 
     // Per-shard stream checks: exact periodicity at that shard's own
     // calibrated slot period, and routing balance.
@@ -209,17 +155,12 @@ runPoint(std::uint32_t n_shards, std::size_t n_sessions,
     std::uint64_t min_real = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_real = 0;
     for (std::uint32_t i = 0; i < n_shards; ++i) {
-        const auto &dev = device.shard(i);
-        const Cycles period = kRate + dev.accessLatency();
+        const auto &dev = stack.device().shard(i);
         p.maxShardOlat = std::max(p.maxShardOlat, dev.accessLatency());
         min_real = std::min(min_real, dev.realAccesses());
         max_real = std::max(max_real, dev.realAccesses());
-        const auto starts = device.recorder(i)->startCycles();
-        for (std::size_t j = 1; j < starts.size(); ++j)
-            if (starts[j] - starts[j - 1] != period) {
-                p.periodic = false;
-                break;
-            }
+        if (stack.shardOffPeriodGap(i))
+            p.periodic = false;
     }
     p.minShardShare = static_cast<double>(min_real) /
                       static_cast<double>(p.completed);
@@ -234,7 +175,7 @@ runPoint(std::uint32_t n_shards, std::size_t n_sessions,
  * same trailing drain. Returns the full observable stream (reals +
  * dummies).
  */
-std::vector<StreamEvent>
+std::vector<sim::ServingStack::Event>
 bareStream(std::size_t n_sessions, std::uint64_t total_txns)
 {
     dram::DramModel mem{dram::DramConfig{}};
@@ -242,9 +183,11 @@ bareStream(std::size_t n_sessions, std::uint64_t total_txns)
     oram::TimingOramDevice inner(oram::OramConfig::benchConfig(), mem,
                                  calib_rng);
     timing::RecordingOramDevice recorder(inner);
-    RateConfig rc;
-    timing::RateEnforcer enforcer(recorder, rc.rates, rc.schedule,
-                                  rc.learner, kRate);
+    const timing::RateSet rates{std::vector<Cycles>{kRate}};
+    const timing::EpochSchedule schedule{Cycles{1} << 30, 2,
+                                         Cycles{1} << 40};
+    const timing::RateLearner learner{rates};
+    timing::RateEnforcer enforcer(recorder, rates, schedule, learner, kRate);
     Cycles last = enforcer.lastCompletion();
     forEachArrival(n_sessions, total_txns,
                    [&](std::uint32_t, Cycles k,
@@ -252,16 +195,20 @@ bareStream(std::size_t n_sessions, std::uint64_t total_txns)
                        last = std::max(last, enforcer.serve(k, txn).done);
                    });
     enforcer.drainUntil(last + 8 * (kRate + recorder.accessLatency()));
-    return events(recorder);
+    std::vector<sim::ServingStack::Event> out;
+    for (const auto &r : recorder.records())
+        out.push_back({r.completion.start,
+                       r.kind == timing::OramTransaction::Kind::Real});
+    return out;
 }
 
 /** The M = 1 array's stream for the same workload. */
-std::vector<StreamEvent>
+std::vector<sim::ServingStack::Event>
 shardedM1Stream(std::size_t n_sessions, std::uint64_t total_txns)
 {
-    ShardedRun run(1, total_txns);
-    run.drive(n_sessions, total_txns);
-    return events(*run.device.recorder(0));
+    sim::ServingStack stack(shardedConfig(1, total_txns));
+    drive(stack, n_sessions, total_txns);
+    return stack.shardStream(0);
 }
 
 } // namespace

@@ -31,13 +31,15 @@ KvServingRun::KvServingRun(const KvServingConfig &cfg)
                   "-block per-shard subtree");
     oram::OramDeviceSpec spec;
     spec.kind = "functional";
-    RingScheduler::Options opts;
-    opts.lanes = cfg_.lanes;
-    opts.ringCapacity = cfg_.ringCapacity;
-    opts.threads = cfg_.threads;
-    opts.recordLatencies = false; // whole-op latencies tracked here
-    stack_ = std::make_unique<ServingStack>(spec, cfg_.shards, cfg_.rate,
-                                            cfg_.epoch0, cfg_.seed, opts);
+    ServingStack::Config sc = ServingStack::seededBy(cfg_.seed, spec);
+    sc.shards = cfg_.shards;
+    sc.rate = cfg_.rate;
+    sc.epoch0 = cfg_.epoch0;
+    sc.opts.lanes = cfg_.lanes;
+    sc.opts.ringCapacity = cfg_.ringCapacity;
+    sc.opts.threads = cfg_.threads;
+    sc.opts.recordLatencies = false; // whole-op latencies tracked here
+    stack_ = std::make_unique<ServingStack>(sc);
     source_ = workload::loadWorkload(cfg_.workload);
     const std::uint32_t ranks = source_->ranks();
     tcoram_assert(ranks >= 1, "kv serving: workload has no ranks");

@@ -52,11 +52,13 @@ RecoveryRun::RecoveryRun(const RecoveryRunConfig &cfg) : cfg_(cfg)
     tcoram_assert(cfg_.sessions >= 1, "recovery run needs a session");
     // One lane, sized to hold the whole backlog: start() queues all of
     // it before anything is served.
-    RingScheduler::Options opts;
-    opts.ringCapacity = std::max<std::uint64_t>(backlogTotal(), 2);
-    stack_ = std::make_unique<ServingStack>(innerSpec(cfg_), cfg_.shards,
-                                            cfg_.rate, cfg_.epoch0,
-                                            cfg_.seed, opts);
+    ServingStack::Config sc = ServingStack::seededBy(cfg_.seed,
+                                                     innerSpec(cfg_));
+    sc.shards = cfg_.shards;
+    sc.rate = cfg_.rate;
+    sc.epoch0 = cfg_.epoch0;
+    sc.opts.ringCapacity = std::max<std::uint64_t>(backlogTotal(), 2);
+    stack_ = std::make_unique<ServingStack>(sc);
     // Session 0 carries a finite budget so the shared LeakageMonitor
     // exists and its ledger is exercised (and checkpointed); with a
     // single-rate set each decision reveals lg 1 = 0 bits, so the

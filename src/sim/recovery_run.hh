@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,11 @@ class RecoveryRun
     std::vector<Event> shardStream(std::uint32_t i) const
     {
         return stack_->shardStream(i);
+    }
+    /** Shard @p i's first gap off its enforced slot period. */
+    std::optional<OffPeriodGap> shardOffPeriodGap(std::uint32_t i) const
+    {
+        return stack_->shardOffPeriodGap(i);
     }
 
     const RingScheduler &scheduler() const { return stack_->scheduler(); }

@@ -1,20 +1,33 @@
 #include "sim/serving_stack.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/log.hh"
-#include "oram/oram_config.hh"
 
 namespace tcoram::sim {
 
-namespace {
-
-oram::OramDeviceSpec
-keyed(oram::OramDeviceSpec inner, std::uint64_t seed)
+std::optional<OffPeriodGap>
+firstOffPeriodGap(std::span<const Cycles> starts, Cycles period)
 {
-    inner.keySeed = mixSeed(seed, 0x0de71ce5ull);
-    return inner;
+    for (std::size_t j = 1; j < starts.size(); ++j)
+        if (starts[j] - starts[j - 1] != period)
+            return OffPeriodGap{j, starts[j] - starts[j - 1]};
+    return std::nullopt;
 }
+
+ServingStack::Config
+ServingStack::seededBy(std::uint64_t seed, oram::OramDeviceSpec inner)
+{
+    Config c;
+    c.inner = std::move(inner);
+    c.inner.keySeed = mixSeed(seed, 0x0de71ce5ull);
+    c.calibSeed = seed;
+    c.routeSeed = mixSeed(seed, 0x0072a7e5ull);
+    return c;
+}
+
+namespace {
 
 protocol::LeakageParams
 singleRateParams(Cycles epoch0)
@@ -27,24 +40,22 @@ singleRateParams(Cycles epoch0)
 
 } // namespace
 
-ServingStack::ServingStack(oram::OramDeviceSpec inner, std::uint32_t shards,
-                           Cycles rate, Cycles epoch0, std::uint64_t seed,
-                           const RingScheduler::Options &opts)
-    : rate_(rate), mem_(dram::DramConfig{}), rng_(seed),
-      rates_(std::vector<Cycles>{rate}),
-      schedule_(epoch0, 2, Cycles{1} << 40), learner_(rates_),
-      device_(keyed(std::move(inner), seed),
-              oram::OramConfig::benchConfig(), shards,
-              mixSeed(seed, 0x0072a7e5ull), mem_, rng_, /*record=*/true),
-      sched_(device_, rates_, schedule_, learner_, rate,
-             singleRateParams(epoch0), opts)
+ServingStack::ServingStack(const Config &cfg)
+    : rate_(cfg.rate), mem_(dram::DramConfig{}), rng_(cfg.calibSeed),
+      rates_(std::vector<Cycles>{cfg.rate}),
+      schedule_(cfg.epoch0, 2, Cycles{1} << 40), learner_(rates_),
+      device_(cfg.inner, cfg.oram, cfg.shards, cfg.routeSeed, mem_, rng_,
+              cfg.record),
+      sched_(device_, rates_, schedule_, learner_, cfg.rate,
+             singleRateParams(cfg.epoch0), cfg.opts)
 {
 }
 
 Cycles
 ServingStack::shardPeriod(std::uint32_t i) const
 {
-    return rate_ + device_.shard(i).accessLatency();
+    const timing::OramDeviceIf &dev = device_.shard(i);
+    return std::max(rate_ + dev.accessLatency(), dev.occupancyPerAccess());
 }
 
 Cycles
@@ -62,17 +73,30 @@ ServingStack::drainAfter(Cycles last)
     return horizon;
 }
 
+const timing::RecordingOramDevice &
+ServingStack::recorder(std::uint32_t i) const
+{
+    const timing::RecordingOramDevice *rec = device_.recorder(i);
+    tcoram_assert(rec != nullptr, "stream accessors need a recorded stack");
+    return *rec;
+}
+
 std::vector<ServingStack::Event>
 ServingStack::shardStream(std::uint32_t i) const
 {
-    const timing::RecordingOramDevice *rec = device_.recorder(i);
-    tcoram_assert(rec != nullptr, "serving stacks always record");
+    const timing::RecordingOramDevice &rec = recorder(i);
     std::vector<Event> out;
-    out.reserve(rec->records().size());
-    for (const auto &r : rec->records())
+    out.reserve(rec.records().size());
+    for (const auto &r : rec.records())
         out.push_back({r.completion.start,
                        r.kind == timing::OramTransaction::Kind::Real});
     return out;
+}
+
+std::vector<Cycles>
+ServingStack::shardStarts(std::uint32_t i) const
+{
+    return recorder(i).startCycles();
 }
 
 std::string

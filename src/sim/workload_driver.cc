@@ -12,13 +12,14 @@ WorkloadReplayRun::WorkloadReplayRun(const WorkloadReplayConfig &cfg)
 {
     tcoram_assert(cfg_.shards >= 1, "workload replay needs a shard");
     numBlocks_ = oram::OramConfig::benchConfig().numBlocks;
-    RingScheduler::Options opts;
-    opts.threads = cfg_.threads;
-    opts.recordLatencies = false;
-    constexpr Cycles kEpoch0 = Cycles{1} << 18;
-    stack_ = std::make_unique<ServingStack>(oram::OramDeviceSpec{},
-                                            cfg_.shards, cfg_.rate, kEpoch0,
-                                            cfg_.seed, opts);
+    ServingStack::Config sc =
+        ServingStack::seededBy(cfg_.seed, oram::OramDeviceSpec{});
+    sc.shards = cfg_.shards;
+    sc.rate = cfg_.rate;
+    sc.epoch0 = Cycles{1} << 18;
+    sc.opts.threads = cfg_.threads;
+    sc.opts.recordLatencies = false;
+    stack_ = std::make_unique<ServingStack>(sc);
     source_ = workload::loadWorkload(cfg_.workload);
     const std::uint32_t ranks = source_->ranks();
     tcoram_assert(ranks >= 1, "workload replay: workload has no ranks");

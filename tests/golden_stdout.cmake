@@ -1,0 +1,35 @@
+# Golden-stdout check for one bench, run as a ctest:
+#
+#   cmake -DBENCH=<bench binary> -DGOLDEN=<tests/golden/<bench>.txt>
+#         -P tests/golden_stdout.cmake
+#
+# Runs `<bench> --quick --json /dev/null` and fails unless its stdout
+# equals the golden file byte for byte (stderr is ignored: benches
+# print warn:/[engine] lines there by design). With
+# TCORAM_REGEN_GOLDEN=1 in the environment it rewrites the golden from
+# this run instead.
+
+execute_process(COMMAND ${BENCH} --quick --json /dev/null
+                OUTPUT_VARIABLE actual
+                ERROR_VARIABLE stderr_text
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${BENCH} exited with ${rc}:\n${stderr_text}")
+endif()
+
+if("$ENV{TCORAM_REGEN_GOLDEN}" STREQUAL "1")
+    file(WRITE ${GOLDEN} "${actual}")
+    message(STATUS "regenerated ${GOLDEN}")
+    return()
+endif()
+
+file(READ ${GOLDEN} expected)
+if(NOT actual STREQUAL expected)
+    get_filename_component(name ${GOLDEN} NAME)
+    set(actual_path ${CMAKE_CURRENT_BINARY_DIR}/${name}.actual)
+    file(WRITE ${actual_path} "${actual}")
+    execute_process(COMMAND diff -u ${GOLDEN} ${actual_path}
+                    OUTPUT_VARIABLE delta)
+    message(FATAL_ERROR "stdout of ${BENCH} differs from ${GOLDEN} "
+                        "(actual: ${actual_path}):\n${delta}")
+endif()
