@@ -126,7 +126,7 @@ baselineNumber(const std::string &path, const std::string &key)
  * data through the PathOram stack with timing-device-identical
  * charging, so a bench's numbers must not change with the flag — the
  * golden-stats test enforces exactly that. Unknown kinds die with a
- * clear fatal when the first SecureProcessor resolves the config.
+ * clear fatal when the first SecureProcessor checks the device spec.
  */
 inline void
 applyOramDeviceFlag(int argc, char **argv,
@@ -136,7 +136,7 @@ applyOramDeviceFlag(int argc, char **argv,
     if (kind == nullptr)
         return;
     for (auto &c : configs)
-        c.oramDevice = kind;
+        c.device.kind = kind;
     std::fprintf(stderr, "[bench] ORAM device: %s\n", kind);
 }
 
@@ -148,8 +148,7 @@ applyOramDeviceFlag(int argc, char **argv,
  * the write-back tail drains inside the enforced inter-access gap —
  * so figures run faster at identical leakage accounting. Sync (the
  * default) is the mode every golden CSV is pinned under. Unknown
- * modes die with a clear fatal when the first SecureProcessor
- * resolves the config.
+ * modes die here, naming the string (oram::parsePathMode).
  */
 inline void
 applyDramModeFlag(int argc, char **argv,
@@ -158,8 +157,9 @@ applyDramModeFlag(int argc, char **argv,
     const char *mode = argValue(argc, argv, "--dram-mode", nullptr);
     if (mode == nullptr)
         return;
+    const oram::PathMode path_mode = oram::parsePathMode(mode);
     for (auto &c : configs)
-        c.dramMode = mode;
+        c.device.pathMode = path_mode;
     std::fprintf(stderr, "[bench] DRAM mode: %s\n", mode);
 }
 

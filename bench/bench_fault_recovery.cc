@@ -88,7 +88,7 @@ sim::RecoveryRunConfig
 baseConfig(std::uint32_t shards, std::uint64_t txns)
 {
     sim::RecoveryRunConfig cfg;
-    cfg.deviceKind = "functional"; // data faults need the real datapath
+    cfg.inner.kind = "functional"; // data faults need the real datapath
     cfg.shards = shards;
     cfg.sessions = 2;
     cfg.txnsPerSession = txns;
@@ -127,7 +127,7 @@ runPoint(const std::string &kinds, double rate, std::uint32_t shards,
     if (rate > 0.0) {
         std::ostringstream spec;
         spec << kinds << '@' << rate << "#9";
-        cfg.fault = dram::FaultSpec::parse(spec.str());
+        cfg.inner.fault = dram::FaultSpec::parse(spec.str());
     }
     sim::RecoveryRun run(cfg);
     run.start();
@@ -181,7 +181,7 @@ checkpointGate(std::uint32_t shards, std::uint64_t txns,
                std::uint64_t probes, const std::string &ckpt_path)
 {
     sim::RecoveryRunConfig cfg = baseConfig(shards, txns);
-    cfg.fault = dram::FaultSpec::parse("flip+stuck@1e-3#9");
+    cfg.inner.fault = dram::FaultSpec::parse("flip+stuck@1e-3#9");
 
     sim::RecoveryRun a(cfg);
     a.start();

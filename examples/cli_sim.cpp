@@ -140,6 +140,33 @@ has(int argc, char **argv, const char *flag)
     return false;
 }
 
+/**
+ * The device flags both the CPU simulation and checkpoint mode honor,
+ * applied over @p spec (absent flags keep its defaults), then
+ * oram::checkDeviceSpec(). A named eviction policy without
+ * --eviction-budget gets the default budget of 64.
+ */
+void
+parseDeviceFlags(int argc, char **argv, oram::OramDeviceSpec &spec)
+{
+    if (const char *dev = arg(argc, argv, "--oram-device", nullptr))
+        spec.kind = dev;
+    if (const char *mode = arg(argc, argv, "--dram-mode", nullptr))
+        spec.pathMode = oram::parsePathMode(mode);
+    if (const char *shards = arg(argc, argv, "--shards", nullptr))
+        spec.shards = parseNum<std::uint32_t>("--shards", shards);
+    const char *ep = arg(argc, argv, "--eviction-policy", nullptr);
+    if (ep != nullptr)
+        spec.evictionPolicy = oram::parseEvictionPolicy(ep);
+    if (const char *eb = arg(argc, argv, "--eviction-budget",
+                             ep != nullptr ? "64" : nullptr))
+        spec.evictionBudget = parseNum<std::uint32_t>("--eviction-budget", eb);
+    if (const char *fs = arg(argc, argv, "--fault-spec", nullptr))
+        spec.fault = dram::FaultSpec::parse(fs);
+    spec.retryBudget = numArg<unsigned>(argc, argv, "--retry-budget", "4");
+    oram::checkDeviceSpec(spec);
+}
+
 } // namespace
 
 int
@@ -191,28 +218,13 @@ main(int argc, char **argv)
     const char *restore_from = arg(argc, argv, "--restore-from", nullptr);
     if (ckpt_every != nullptr || restore_from != nullptr) {
         sim::RecoveryRunConfig rc;
-        rc.deviceKind = arg(argc, argv, "--oram-device", "timing");
-        if (rc.deviceKind != "timing" && rc.deviceKind != "functional") {
+        parseDeviceFlags(argc, argv, rc.inner);
+        if (rc.inner.kind != "timing" && rc.inner.kind != "functional") {
             tcoram_fatal("checkpoint mode supports --oram-device "
-                         "timing|functional, got ", rc.deviceKind);
+                         "timing|functional, got ", rc.inner.kind);
         }
-        rc.shards = numArg<std::uint32_t>(argc, argv, "--shards", "1");
+        rc.shards = rc.inner.shards;
         rc.seed = numArg<std::uint64_t>(argc, argv, "--seed", "1");
-        if (const char *fs = arg(argc, argv, "--fault-spec", nullptr))
-            rc.fault = dram::FaultSpec::parse(fs);
-        rc.retryBudget = numArg<unsigned>(argc, argv, "--retry-budget", "4");
-        if (std::string(arg(argc, argv, "--dram-mode", "sync")) == "async")
-            rc.pathMode = oram::PathMode::Pipelined;
-        if (const char *ep = arg(argc, argv, "--eviction-policy", nullptr)) {
-            rc.evictionPolicy = oram::parseEvictionPolicy(ep);
-            rc.evictionBudget =
-                numArg<std::uint32_t>(argc, argv, "--eviction-budget", "64");
-            if (rc.evictionPolicy != oram::EvictionPolicy::Off &&
-                rc.pathMode != oram::PathMode::Pipelined) {
-                tcoram_fatal("--eviction-policy ", ep,
-                             " requires --dram-mode async");
-            }
-        }
         const std::string ckpt_path =
             arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
         const std::uint64_t every =
@@ -270,7 +282,7 @@ main(int argc, char **argv)
         std::uint32_t auto_budget = 0;
         if (has(argc, argv, "--eviction-auto")) {
             auto_budget = workload::observedBurstDepth(
-                wp, sim::SystemConfig::kMaxEvictionBudget);
+                wp, oram::OramDeviceSpec::kMaxEvictionBudget);
             std::printf("eviction    auto budget %u"
                         " (observed burst depth)\n",
                         auto_budget);
@@ -316,9 +328,9 @@ main(int argc, char **argv)
             rc.seed = wl_seed;
             rc.workloadSpec = wspec;
             if (auto_budget > 0) {
-                rc.pathMode = oram::PathMode::Pipelined;
-                rc.evictionPolicy = oram::EvictionPolicy::HighWater;
-                rc.evictionBudget = auto_budget;
+                rc.inner.pathMode = oram::PathMode::Pipelined;
+                rc.inner.evictionPolicy = oram::EvictionPolicy::HighWater;
+                rc.inner.evictionBudget = auto_budget;
             }
             const std::string ckpt_path =
                 arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
@@ -410,28 +422,9 @@ main(int argc, char **argv)
     // Applied here, before any simulation thread exists.
     if (const char *be = arg(argc, argv, "--crypto-backend", nullptr))
         crypto::setDefaultCryptoBackend(crypto::parseCryptoBackend(be));
-    if (const char *dev = arg(argc, argv, "--oram-device", nullptr))
-        cfg.oramDevice = dev;
-    if (const char *mode = arg(argc, argv, "--dram-mode", nullptr))
-        cfg.dramMode = mode;
-    if (const char *shards = arg(argc, argv, "--shards", nullptr))
-        cfg.oramShards = parseNum<std::uint32_t>("--shards", shards);
-    if (const char *ep = arg(argc, argv, "--eviction-policy", nullptr))
-        cfg.evictionPolicy = ep;
-    if (const char *eb = arg(argc, argv, "--eviction-budget", nullptr))
-        cfg.evictionBudget = parseNum<std::uint32_t>("--eviction-budget", eb);
-    // Validate now so a bad knob fails fast, naming the config — the
-    // dramModeKind() discipline.
-    (void)cfg.evictionPolicyKind();
-    (void)cfg.evictionBudgetValue();
+    parseDeviceFlags(argc, argv, cfg.device);
     if (const char *mb = arg(argc, argv, "--memory-backend", nullptr))
         cfg.memoryBackend = mb;
-    if (const char *fs = arg(argc, argv, "--fault-spec", nullptr)) {
-        cfg.faultSpec = fs;
-        (void)cfg.faultSpecParsed(); // fail fast on a malformed spec
-    }
-    cfg.faultRetryBudget =
-        numArg<unsigned>(argc, argv, "--retry-budget", "4");
     if (std::string(arg(argc, argv, "--learner", "simple")) == "threshold")
         cfg.learnerKind = sim::SystemConfig::Learner::Threshold;
     if (const char *limit = arg(argc, argv, "--limit", nullptr)) {

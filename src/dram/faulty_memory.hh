@@ -65,7 +65,7 @@ inline constexpr std::uint32_t kFaultTimingMask = kFaultDelay | kFaultRefuse;
 
 /**
  * Parsed fault configuration: which kinds, how often, from which seed.
- * Text form (SystemConfig::faultSpec, cli --fault-spec, bench
+ * Carried as OramDeviceSpec::fault. Text form (cli --fault-spec, bench
  * --fault-spec): "<kinds>@<rate>[#seed]" where <kinds> is a '+'-joined
  * subset of {flip, stuck, delay, refuse} or "all"; "none" or the empty
  * string disables injection. Examples: "flip@1e-4", "flip+stuck@1e-3#7",

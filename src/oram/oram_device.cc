@@ -8,6 +8,16 @@
 
 namespace tcoram::oram {
 
+PathMode
+parsePathMode(const std::string &name)
+{
+    if (name.empty() || name == "sync")
+        return PathMode::Sync;
+    if (name == "async")
+        return PathMode::Pipelined;
+    tcoram_fatal("unknown DRAM mode \"", name, "\" (known: async sync)");
+}
+
 TimingOramDevice::TimingOramDevice(const OramConfig &cfg, dram::MemoryIf &mem,
                                    Rng &rng, PathMode mode,
                                    const EvictionConfig &evict)
@@ -347,10 +357,42 @@ oramDeviceKindKnown(const std::string &kind)
     return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
 }
 
+void
+checkDeviceSpec(const OramDeviceSpec &spec)
+{
+    if (!oramDeviceKindKnown(spec.kind)) {
+        tcoram_fatal("unknown ORAM device kind \"", spec.kind,
+                     "\" (registered: ", joinNames(oramDeviceKinds()), ")");
+    }
+    if (spec.shards == 0 || spec.shards > OramDeviceSpec::kMaxShards) {
+        tcoram_fatal("ORAM device shards must be in [1, ",
+                     OramDeviceSpec::kMaxShards, "], got ", spec.shards);
+    }
+    if (spec.evictionBudget > OramDeviceSpec::kMaxEvictionBudget) {
+        tcoram_fatal("ORAM device evictionBudget must be in [0, ",
+                     OramDeviceSpec::kMaxEvictionBudget, "], got ",
+                     spec.evictionBudget);
+    }
+    if (spec.evictionPolicy == EvictionPolicy::Off)
+        return;
+    const char *policy = evictionPolicyName(spec.evictionPolicy);
+    if (spec.evictionBudget == 0) {
+        tcoram_fatal("ORAM device evictionBudget must be nonzero when "
+                     "evictionPolicy is \"", policy, "\", got 0");
+    }
+    if (spec.pathMode != PathMode::Pipelined) {
+        tcoram_fatal("ORAM device evictionPolicy \"", policy,
+                     "\" requires the async DRAM mode (pathMode Pipelined; "
+                     "the sync controller has no write-back tail to "
+                     "defer), got sync");
+    }
+}
+
 std::unique_ptr<timing::OramDeviceIf>
 makeOramDevice(const OramDeviceSpec &spec, const OramConfig &cfg,
                dram::MemoryIf &mem, Rng &rng)
 {
+    checkDeviceSpec(spec);
     // The sharded array wraps M inner devices of a non-sharded kind:
     // either explicitly (kind "sharded", even at M = 1 — the wrapper
     // transparency the golden tests pin) or implicitly whenever a
@@ -358,29 +400,21 @@ makeOramDevice(const OramDeviceSpec &spec, const OramConfig &cfg,
     if (spec.kind == "sharded" || spec.shards > 1) {
         OramDeviceSpec inner = spec;
         inner.kind = spec.kind == "sharded" ? spec.innerKind : spec.kind;
-        inner.shards = 1;
-        tcoram_assert(inner.kind != "sharded", "sharded inners cannot nest");
         return std::make_unique<ShardedOramDevice>(
-            inner, cfg, std::max<std::uint32_t>(1, spec.shards),
-            spec.routeSeed, mem, rng);
+            inner, cfg, spec.shards, spec.routeSeed, mem, rng);
     }
     if (spec.kind == "timing")
         return std::make_unique<TimingOramDevice>(cfg, mem, rng,
                                                   spec.pathMode,
                                                   spec.evictionConfig());
-    if (spec.kind == "functional") {
-        auto dev = std::make_unique<FunctionalOramDevice>(
-            cfg, mem, rng, spec.keySeed, spec.functionalBlockCap,
-            crypto::CryptoBackend::Auto, spec.pathMode,
-            spec.evictionConfig());
-        // Data-fault kinds arm the fault-tolerant datapath; timing
-        // kinds belong to the DRAM decorator and are ignored here.
-        if (spec.fault.enabled() && spec.fault.has(dram::kFaultDataMask))
-            dev->enableFaultModel(spec.fault, spec.retryBudget);
-        return dev;
-    }
-    tcoram_fatal("unknown ORAM device kind \"", spec.kind,
-                 "\" (registered: ", joinNames(oramDeviceKinds()), ")");
+    auto dev = std::make_unique<FunctionalOramDevice>(
+        cfg, mem, rng, spec.keySeed, spec.functionalBlockCap,
+        crypto::CryptoBackend::Auto, spec.pathMode, spec.evictionConfig());
+    // Data-fault kinds arm the fault-tolerant datapath; timing kinds
+    // belong to the DRAM decorator and are ignored here.
+    if (spec.fault.enabled() && spec.fault.has(dram::kFaultDataMask))
+        dev->enableFaultModel(spec.fault, spec.retryBudget);
+    return dev;
 }
 
 } // namespace tcoram::oram

@@ -48,12 +48,16 @@
 
 namespace tcoram::oram {
 
-/** Path read/write-back scheduling policy (SystemConfig::dramMode). */
+/** Path read/write-back scheduling policy (OramDeviceSpec::pathMode). */
 enum class PathMode
 {
     Sync,      ///< whole-path read, then whole-path write-back
     Pipelined, ///< write-backs overlap in-flight deeper reads
 };
+
+/** PathMode from its DRAM-mode name: "sync" (or empty) or "async"
+ *  (Pipelined). Fatal, naming the string, on anything else. */
+PathMode parsePathMode(const std::string &name);
 
 /**
  * The calibrated ORAM controller (paper §3): it sits where a DRAM
@@ -325,9 +329,17 @@ class FunctionalOramDevice : public TimingOramDevice
     std::uint64_t dataBytesMoved_ = 0;
 };
 
-/** Selection spec the sim layer derives from its SystemConfig. */
+/**
+ * Which ORAM device serves a run: the one spec both the CPU simulator
+ * (SystemConfig::device) and the ring-scheduler stacks
+ * (ServingStack::Config::inner, RecoveryRunConfig::inner) carry.
+ * checkDeviceSpec() states its invariants.
+ */
 struct OramDeviceSpec
 {
+    static constexpr std::uint32_t kMaxShards = 64;
+    static constexpr std::uint32_t kMaxEvictionBudget = 1u << 20;
+
     /** "timing", "functional" or "sharded" (M-subtree array). */
     std::string kind = "timing";
     /** Functional datapath key seed. */
@@ -337,16 +349,18 @@ struct OramDeviceSpec
 
     /**
      * Path read/write-back scheduling the per-access charging is
-     * calibrated under (SystemConfig::dramMode). Pipelined shrinks
-     * OLAT to the path-read phase and reports the full-drain time as
-     * occupancyPerAccess(); Sync is the paper's blocking controller.
+     * calibrated under (DRAM mode "sync" or "async"). Pipelined
+     * shrinks OLAT to the path-read phase and reports the full-drain
+     * time as occupancyPerAccess(); Sync is the paper's blocking
+     * controller.
      */
     PathMode pathMode = PathMode::Sync;
 
     /**
-     * Subtree count for the sharded array (oram/sharded_device.hh).
-     * Any kind with shards > 1 is wrapped; kind "sharded" wraps even
-     * at shards = 1 (the transparency the golden-stats tests pin).
+     * Subtree count for the sharded array (oram/sharded_device.hh), in
+     * [1, kMaxShards]. Any kind with shards > 1 is wrapped; kind
+     * "sharded" wraps even at shards = 1 (the transparency the
+     * golden-stats tests pin).
      */
     std::uint32_t shards = 1;
     /** PRF key seed for the deterministic block -> shard router. */
@@ -358,8 +372,9 @@ struct OramDeviceSpec
      * Fault model for the datapath (dram/faulty_memory.hh). Data-fault
      * kinds (flip/stuck) arm the functional backend's fault-tolerant
      * datapath via enableFaultModel(); timing kinds (delay/refuse) are
-     * the DRAM decorator's job (SystemConfig wraps the memory spec in
-     * "faulty:<kind>") and are ignored here. Disabled by default.
+     * the DRAM decorator's job (SystemConfig::memorySpec() wraps the
+     * memory in "faulty:<kind>") and are ignored here. Disabled by
+     * default.
      */
     dram::FaultSpec fault{};
     /** Retry budget of the recovery engine when the fault model is on. */
@@ -367,12 +382,12 @@ struct OramDeviceSpec
 
     /**
      * Background eviction engine (oram/eviction_engine.hh). Off by
-     * default; enabling it requires pathMode = Pipelined (validated by
-     * SystemConfig, asserted by TimingOramDevice). Per shard when the
-     * device is sharded.
+     * default; enabling it requires pathMode = Pipelined and a nonzero
+     * budget. Per shard when the device is sharded.
      */
     EvictionPolicy evictionPolicy = EvictionPolicy::Off;
-    /** Max deferred write-back tails outstanding per device. */
+    /** Max deferred write-back tails outstanding per device, in
+     *  [0, kMaxEvictionBudget]. */
     std::uint32_t evictionBudget = 0;
 
     EvictionConfig
@@ -382,13 +397,23 @@ struct OramDeviceSpec
     }
 };
 
+/**
+ * Fatal, naming the field and its bad value, unless @p spec is
+ * consistent: a registered kind, shards in [1, kMaxShards],
+ * evictionBudget <= kMaxEvictionBudget, and an eviction policy only
+ * with a nonzero budget under PathMode::Pipelined (the sync
+ * controller has no write-back tail to defer). Every device built
+ * from a spec passes it: makeOramDevice() and ShardedOramDevice run it.
+ */
+void checkDeviceSpec(const OramDeviceSpec &spec);
+
 /** Registered device kinds, sorted (for --list-backends). */
 std::vector<std::string> oramDeviceKinds();
 
 /** True if @p kind names a known device backend. */
 bool oramDeviceKindKnown(const std::string &kind);
 
-/** Instantiate spec.kind over @p cfg (fatal on unknown kind). */
+/** Instantiate spec.kind over @p cfg (checkDeviceSpec() first). */
 std::unique_ptr<timing::OramDeviceIf>
 makeOramDevice(const OramDeviceSpec &spec, const OramConfig &cfg,
                dram::MemoryIf &mem, Rng &rng);

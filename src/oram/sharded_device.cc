@@ -31,14 +31,17 @@ ShardedOramDevice::ShardedOramDevice(const OramDeviceSpec &inner_spec,
                                      bool record)
     : router_(route_seed, shards), shardCfg_(cfg)
 {
-    tcoram_assert(inner_spec.kind != "sharded",
-                  "sharded inners cannot nest");
+    OramDeviceSpec spec = inner_spec;
+    spec.shards = shards;
+    checkDeviceSpec(spec);
+    spec.shards = 1;
+    tcoram_assert(spec.kind != "sharded", "sharded inners cannot nest");
     // Each shard is a subtree holding its slice of the block space;
     // with M = 1 the "slice" is the whole tree and the single inner
     // consumes exactly the bare device's calibration draws.
     shardCfg_.numBlocks =
         std::max<std::uint64_t>(1, divCeil(cfg.numBlocks, shards));
-    compactIds_ = inner_spec.kind == "functional";
+    compactIds_ = spec.kind == "functional";
     if (compactIds_)
         localIds_.resize(shards);
     inner_.reserve(shards);
@@ -49,7 +52,7 @@ ShardedOramDevice::ShardedOramDevice(const OramDeviceSpec &inner_spec,
         // linearly in the shard index). A no-op on a fresh memory, so
         // M = 1 calibrates exactly like the bare device.
         mem.resetTiming();
-        inner_.push_back(makeOramDevice(inner_spec, shardCfg_, mem, rng));
+        inner_.push_back(makeOramDevice(spec, shardCfg_, mem, rng));
         recorders_.push_back(
             record ? std::make_unique<timing::RecordingOramDevice>(
                          *inner_.back())

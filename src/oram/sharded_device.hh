@@ -66,7 +66,7 @@ class ShardedOramDevice : public timing::OramDeviceIf
      *        be a non-sharded kind; shards in the spec are ignored)
      * @param cfg modeled geometry of the WHOLE tree; each shard gets
      *        ceil(numBlocks / M) blocks of it (a shallower subtree)
-     * @param shards M >= 1
+     * @param shards M, checked with inner_spec by checkDeviceSpec()
      * @param route_seed PRF key seed for the block router
      * @param mem DRAM model shard calibrations replay against
      * @param rng calibration randomness (per-shard streams drawn in

@@ -26,7 +26,7 @@ KVStats::merge(const KVStats &o)
 }
 
 KVBackend::KVBackend(const KvConfig &cfg)
-    : cfg_(cfg), prf_(crypto::keyFromSeed(cfg.prfSeed))
+    : cfg_(cfg), prf_(crypto::keyFromSeed(KvConfig::kPrfSeed))
 {
     tcoram_assert(cfg_.blockBytes > KvConfig::kHeaderBytes,
                   "kv: block size ", cfg_.blockBytes,

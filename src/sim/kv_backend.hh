@@ -8,8 +8,8 @@
  * strip per slot, all at DETERMINISTIC block ids (no pointers stored,
  * so every access sequence is computable from key + header alone):
  *
- *   home slot h        -> blockId base + h
- *   spill j of slot h  -> blockId base + homeSlots + h*spillPerSlot + j
+ *   home slot h        -> blockId h
+ *   spill j of slot h  -> blockId homeSlots + h*spillPerSlot + j
  *
  * A record lives in the home block of the slot its key PROBED to
  * (AES-PRF home slot + linear probing, one ORAM access per probe):
@@ -57,10 +57,7 @@ struct KvConfig
     /** Max linear probes before a get misses / a put fails. */
     std::uint32_t probeLimit = 64;
     /** AES-PRF key seed for the key -> home-slot map. */
-    std::uint64_t prfSeed = 1;
-    /** First block id of the table (tables can be stacked). */
-    std::uint64_t baseBlockId = 0;
-
+    static constexpr std::uint64_t kPrfSeed = 1;
     /** [state u8][key u64][len u32]. */
     static constexpr std::uint64_t kHeaderBytes = 13;
 
@@ -123,14 +120,13 @@ class KVBackend
     std::uint64_t
     homeBlockId(std::uint64_t slot) const
     {
-        return cfg_.baseBlockId + slot;
+        return slot;
     }
 
     std::uint64_t
     spillBlockId(std::uint64_t slot, std::uint32_t j) const
     {
-        return cfg_.baseBlockId + cfg_.homeSlots + slot * cfg_.spillPerSlot +
-               j;
+        return cfg_.homeSlots + slot * cfg_.spillPerSlot + j;
     }
 
     /** Spill blocks a value of @p len bytes needs beyond the inline

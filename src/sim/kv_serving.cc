@@ -65,10 +65,9 @@ KvServingRun::KvServingRun(const KvServingConfig &cfg)
 std::int64_t
 KvServingRun::slotOfBlock(std::uint64_t block_id) const
 {
-    const std::uint64_t rel = block_id - cfg_.kv.baseBlockId;
-    if (rel < cfg_.kv.homeSlots)
-        return static_cast<std::int64_t>(rel);
-    return static_cast<std::int64_t>((rel - cfg_.kv.homeSlots) /
+    if (block_id < cfg_.kv.homeSlots)
+        return static_cast<std::int64_t>(block_id);
+    return static_cast<std::int64_t>((block_id - cfg_.kv.homeSlots) /
                                      cfg_.kv.spillPerSlot);
 }
 

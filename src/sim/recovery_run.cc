@@ -28,20 +28,6 @@ probeBlockId(std::uint64_t i)
     return 0xbe57'0000ull + i * 104'729ull;
 }
 
-oram::OramDeviceSpec
-innerSpec(const RecoveryRunConfig &cfg)
-{
-    oram::OramDeviceSpec spec;
-    spec.kind = cfg.deviceKind;
-    spec.functionalBlockCap = cfg.functionalBlockCap;
-    spec.fault = cfg.fault;
-    spec.retryBudget = cfg.retryBudget;
-    spec.pathMode = cfg.pathMode;
-    spec.evictionPolicy = cfg.evictionPolicy;
-    spec.evictionBudget = cfg.evictionBudget;
-    return spec;
-}
-
 } // namespace
 
 RecoveryRun::RecoveryRun(const RecoveryRunConfig &cfg) : cfg_(cfg)
@@ -52,8 +38,7 @@ RecoveryRun::RecoveryRun(const RecoveryRunConfig &cfg) : cfg_(cfg)
     tcoram_assert(cfg_.sessions >= 1, "recovery run needs a session");
     // One lane, sized to hold the whole backlog: start() queues all of
     // it before anything is served.
-    ServingStack::Config sc = ServingStack::seededBy(cfg_.seed,
-                                                     innerSpec(cfg_));
+    ServingStack::Config sc = ServingStack::seededBy(cfg_.seed, cfg_.inner);
     sc.shards = cfg_.shards;
     sc.rate = cfg_.rate;
     sc.epoch0 = cfg_.epoch0;
@@ -249,7 +234,7 @@ RecoveryRun::evictionsIssued() const
 std::uint64_t
 RecoveryRun::verifyPayloads(std::uint64_t probes)
 {
-    if (cfg_.deviceKind != "functional")
+    if (cfg_.inner.kind != "functional")
         return 0; // timing backends move no payloads
     tcoram_assert(started_ && stack_->scheduler().idle(),
                   "probe after the backlog is drained");
@@ -297,11 +282,11 @@ std::string
 RecoveryRun::csvRow() const
 {
     std::ostringstream os;
-    os << cfg_.deviceKind << ',' << cfg_.shards << ',' << cfg_.sessions
+    os << cfg_.inner.kind << ',' << cfg_.shards << ',' << cfg_.sessions
        << ',' << cfg_.txnsPerSession << ',' << cfg_.rate << ','
-       << (cfg_.fault.enabled() ? cfg_.fault.toString() : "none") << ','
-       << servedTotal() << ',' << lastReal_ << ',' << faultsInjected() << ','
-       << faultsDetected() << ',' << faultsRecovered() << ','
+       << (cfg_.inner.fault.enabled() ? cfg_.inner.fault.toString() : "none")
+       << ',' << servedTotal() << ',' << lastReal_ << ',' << faultsInjected()
+       << ',' << faultsDetected() << ',' << faultsRecovered() << ','
        << retriesIssued() << ',' << recoverySlots();
     return os.str();
 }

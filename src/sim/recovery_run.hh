@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "dram/faulty_memory.hh"
 #include "oram/oram_device.hh"
 #include "sim/serving_stack.hh"
 
@@ -49,8 +48,15 @@ namespace tcoram::sim {
 
 struct RecoveryRunConfig
 {
-    /** Per-shard backend: "timing" or "functional". */
-    std::string deviceKind = "timing";
+    /**
+     * Per-shard backend spec: kind "timing" or "functional", path
+     * mode (the golden-pinned recovery streams run Sync), fault model
+     * (data kinds arm the functional datapath), background eviction.
+     * The functional capacity cap defaults to 512 blocks to keep host
+     * memory bounded. Its seeds and shard count come from the fields
+     * below (ServingStack::seededBy).
+     */
+    oram::OramDeviceSpec inner = {.functionalBlockCap = 512};
     std::uint32_t shards = 1;
     std::uint32_t sessions = 2;
     /** Open-loop backlog per session (arrivals at cycle k). */
@@ -59,18 +65,6 @@ struct RecoveryRunConfig
     Cycles rate = 1000;
     /** Master seed: calibration, keys, routing, protocol identities. */
     std::uint64_t seed = 42;
-    /** Fault model (data kinds arm the functional datapath). */
-    dram::FaultSpec fault{};
-    unsigned retryBudget = 4;
-    /** Functional tree capacity cap (keeps host memory bounded). */
-    std::uint64_t functionalBlockCap = 512;
-    /** Path read/write-back scheduling of each shard's controller
-     *  (the golden-pinned recovery streams run Sync). */
-    oram::PathMode pathMode = oram::PathMode::Sync;
-    /** Background eviction engine (requires Pipelined pathMode when
-     *  non-off; oram/eviction_engine.hh). */
-    oram::EvictionPolicy evictionPolicy = oram::EvictionPolicy::Off;
-    std::uint32_t evictionBudget = 0;
     /** First epoch length; small enough that runs cross boundaries. */
     Cycles epoch0 = Cycles{1} << 18;
     /**

@@ -182,12 +182,10 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
                                  const workload::Profile &profile)
     : cfg_(cfg), rng_(cfg.seed)
 {
-    // Validate dramMode and the shard count up front so an ill-formed
-    // config dies naming itself even for the schemes (base_dram /
-    // protected_dram) whose backends have no ORAM path and ignore the
-    // resolved values.
-    (void)cfg_.dramModeKind();
-    (void)cfg_.shardCount();
+    // Check the device spec up front so an ill-formed one dies even
+    // for the schemes (base_dram / protected_dram) whose backends have
+    // no ORAM path and ignore it.
+    oram::checkDeviceSpec(cfg_.device);
 
     hierarchy_ = std::make_unique<cache::Hierarchy>(cfg_.llcBytes);
     trace_ =
@@ -205,24 +203,11 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
         // ORAM schemes run over the banked DDR3 model, behind the
         // configured transactional device backend (timing model or
         // real functional datapath — identical charging either way).
-        oram::OramDeviceSpec dev_spec;
-        dev_spec.kind = cfg_.oramDeviceKind();
-        dev_spec.pathMode = cfg_.pathMode();
+        oram::OramDeviceSpec dev_spec = cfg_.device;
         dev_spec.keySeed = cfg_.seed ^ 0x0de71ce5ull;
-        dev_spec.functionalBlockCap = cfg_.functionalBlockCap;
-        dev_spec.shards = cfg_.shardCount();
         // Route assignment must be reproducible per seeded run but
         // independent of the datapath key stream.
         dev_spec.routeSeed = cfg_.seed ^ 0x0072a7e5ull;
-        // Data-fault kinds arm the functional datapath's MAC-verified
-        // retry recovery; timing kinds were already folded into the
-        // memory spec by SystemConfig::memorySpec().
-        dev_spec.fault = cfg_.faultSpecParsed();
-        dev_spec.retryBudget = cfg_.faultRetryBudget;
-        // Background eviction engine (validated: a non-off policy
-        // requires the pipelined path mode and a nonzero budget).
-        dev_spec.evictionPolicy = cfg_.evictionPolicyKind();
-        dev_spec.evictionBudget = cfg_.evictionBudgetValue();
         device_ = oram::makeOramDevice(dev_spec, cfg_.oram, *mem_, rng_);
         if (cfg_.scheme == Scheme::BaseOram)
             backend_ = std::make_unique<OramBackend>(*device_);

@@ -2,7 +2,7 @@
  * @file
  * SecureProcessor: the full system of Figure 3. Assembles the core,
  * cache hierarchy, DRAM, the transactional ORAM device (timing model
- * or functional datapath, per SystemConfig::oramDevice), and (for the
+ * or functional datapath, per SystemConfig::device), and (for the
  * protected schemes) the epoch timer + rate learner + enforcer, then
  * runs a workload and reports a SimResult.
  */
@@ -84,7 +84,7 @@ class SecureProcessor
     /**
      * The transactional ORAM device behind the memory system
      * (timing/oram_device.hh), if the scheme has one (else nullptr).
-     * Its concrete backend is SystemConfig::oramDevice.
+     * Its concrete backend is SystemConfig::device.kind.
      */
     const timing::OramDeviceIf *oramDevice() const { return device_.get(); }
 

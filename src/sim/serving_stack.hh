@@ -114,6 +114,12 @@ class ServingStack
      * occupancy_i). The next slot opens rate cycles after the last
      * access's data is ready, but a pipelined path stays busy until its
      * write-back tail drains; in sync mode occupancy == OLAT.
+     *
+     * One regime is not exactly periodic at this value: with the
+     * eviction engine on and rate + OLAT below occupancy, each access
+     * defers its tail while deferral budget remains, so the first
+     * `budget` gaps are rate + OLAT. Only then does the stream settle
+     * at occupancy (an eviction never fits a rate-cycle idle window).
      */
     Cycles shardPeriod(std::uint32_t i) const;
     /** rate + the array's max OLAT (sizes drain horizons). */

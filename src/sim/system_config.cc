@@ -42,7 +42,7 @@ SystemConfig::memorySpec() const
     // whatever backend was resolved above in the FaultyMemory
     // decorator. Data kinds are the functional datapath's job and do
     // not touch the memory spec.
-    const dram::FaultSpec fault = faultSpecParsed();
+    const dram::FaultSpec &fault = device.fault;
     if (fault.enabled() && fault.has(dram::kFaultTimingMask) &&
         spec.kind != "faulty") {
         spec.faultInner = spec.kind;
@@ -53,96 +53,6 @@ SystemConfig::memorySpec() const
         spec.fault.kinds &= dram::kFaultTimingMask;
     }
     return spec;
-}
-
-dram::FaultSpec
-SystemConfig::faultSpecParsed() const
-{
-    if (faultSpec.empty())
-        return {};
-    return dram::FaultSpec::parse(faultSpec);
-}
-
-std::string
-SystemConfig::oramDeviceKind() const
-{
-    if (oramDevice.empty())
-        return "timing";
-    if (!oram::oramDeviceKindKnown(oramDevice)) {
-        tcoram_fatal("config '", name, "': unknown ORAM device \"",
-                     oramDevice, "\" (registered: ",
-                     joinNames(oram::oramDeviceKinds()), ")");
-    }
-    return oramDevice;
-}
-
-std::string
-SystemConfig::dramModeKind() const
-{
-    if (dramMode.empty())
-        return "sync";
-    if (dramMode != "sync" && dramMode != "async") {
-        tcoram_fatal("config '", name, "': unknown dramMode \"", dramMode,
-                     "\" (known: async, sync)");
-    }
-    return dramMode;
-}
-
-oram::PathMode
-SystemConfig::pathMode() const
-{
-    return dramModeKind() == "async" ? oram::PathMode::Pipelined
-                                     : oram::PathMode::Sync;
-}
-
-std::uint32_t
-SystemConfig::shardCount() const
-{
-    if (oramShards == 0 || oramShards > kMaxOramShards) {
-        tcoram_fatal("config '", name, "': oramShards must be in [1, ",
-                     kMaxOramShards, "], got ", oramShards);
-    }
-    return oramShards;
-}
-
-oram::EvictionPolicy
-SystemConfig::evictionPolicyKind() const
-{
-    oram::EvictionPolicy p;
-    if (evictionPolicy.empty() || evictionPolicy == "off") {
-        p = oram::EvictionPolicy::Off;
-    } else if (evictionPolicy == "gap") {
-        p = oram::EvictionPolicy::Gap;
-    } else if (evictionPolicy == "highwater") {
-        p = oram::EvictionPolicy::HighWater;
-    } else {
-        tcoram_fatal("config '", name, "': unknown evictionPolicy \"",
-                     evictionPolicy, "\" (known: ",
-                     oram::evictionPolicyNames(), ")");
-    }
-    if (p != oram::EvictionPolicy::Off &&
-        pathMode() != oram::PathMode::Pipelined) {
-        tcoram_fatal("config '", name, "': evictionPolicy \"",
-                     evictionPolicy, "\" requires dramMode = \"async\" "
-                     "(the sync controller has no write-back tail to "
-                     "defer)");
-    }
-    return p;
-}
-
-std::uint32_t
-SystemConfig::evictionBudgetValue() const
-{
-    if (evictionBudget > kMaxEvictionBudget) {
-        tcoram_fatal("config '", name, "': evictionBudget must be in [0, ",
-                     kMaxEvictionBudget, "], got ", evictionBudget);
-    }
-    if (evictionBudget == 0 &&
-        evictionPolicyKind() != oram::EvictionPolicy::Off) {
-        tcoram_fatal("config '", name, "': evictionBudget must be nonzero "
-                     "when evictionPolicy is \"", evictionPolicy, "\"");
-    }
-    return evictionBudget;
 }
 
 SystemConfig

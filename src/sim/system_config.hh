@@ -96,115 +96,40 @@ struct SystemConfig
     std::string memoryBackend;
 
     /** Registry spec for this configuration's main memory (fatal on
-     *  an unknown memoryBackend string, naming the config). When the
-     *  fault model carries timing kinds (delay/refuse), the resolved
+     *  an unknown memoryBackend string, naming the config). When
+     *  device.fault carries timing kinds (delay/refuse), the resolved
      *  kind is wrapped as "faulty:<kind>" so the decorator perturbs
      *  the async core underneath the controller. */
     dram::BackendSpec memorySpec() const;
 
     /**
-     * Fault-injection spec in FaultSpec text form ("flip@1e-4",
-     * "all@0.001#7", ...; dram/faulty_memory.hh). Empty or "none"
-     * disables injection. Data kinds (flip/stuck) arm the functional
-     * datapath's MAC-verified bounded-retry recovery; timing kinds
-     * (delay/refuse) wrap main memory in the FaultyMemory decorator.
-     */
-    std::string faultSpec;
-
-    /** Parsed spec (fatal on a malformed string, naming the input). */
-    dram::FaultSpec faultSpecParsed() const;
-
-    /** Retry budget of the recovery engine when faults are armed. */
-    unsigned faultRetryBudget = 4;
-
-    /**
-     * ORAM device backend serving the processor (oram/oram_device.hh).
-     * Empty selects "timing" (the paper's calibrated constant-OLAT
-     * model). "functional" runs the real PathOram datapath with
-     * identical cycle charging, so a run's stats are bit-identical
-     * across the two devices.
-     */
-    std::string oramDevice;
-
-    /**
-     * Functional datapath capacity cap in blocks (0 = uncapped).
-     * Paper-scale trees are multi-GB; the cap bounds host memory while
-     * timing/cost attribution stays on the modeled geometry. The
-     * default fits the bench tree exactly (so bench geometry runs
-     * uncapped) and keeps paper-scale functional runs ~20 MB.
-     */
-    std::uint64_t functionalBlockCap = std::uint64_t{1} << 16;
-
-    /** Resolved device kind (fatal on an unknown oramDevice string). */
-    std::string oramDeviceKind() const;
-
-    /**
-     * Path read/write-back scheduling of the ORAM controller against
-     * DRAM (oram::TimingOramDevice, oram/oram_device.hh):
+     * ORAM device serving the ORAM-backed schemes (oram/oram_device.hh;
+     * base_dram and protected_dram have no ORAM path and ignore it, but
+     * SecureProcessor still runs oram::checkDeviceSpec() on it):
      *
-     *   "sync"  — whole-path read then whole-path write-back (the
-     *             paper's blocking controller; the default, and the
-     *             mode every golden CSV is pinned under)
-     *   "async" — split-transaction controller: bucket write-backs are
-     *             issued while deeper reads are still in flight, OLAT
-     *             shrinks to the path-read phase, and the write-back
-     *             tail drains inside the enforced inter-access gap
+     *  - kind "timing" is the paper's calibrated constant-OLAT model;
+     *    "functional" runs the real PathOram datapath with identical
+     *    cycle charging, so a run's stats are bit-identical across the
+     *    two; "sharded" engages the array wrapper even at shards = 1.
+     *  - pathMode Sync (DRAM mode "sync") is the paper's blocking
+     *    controller and the mode every golden CSV is pinned under;
+     *    Pipelined ("async") is the split-transaction controller.
+     *  - shards > 1 splits the tree across that many subtree devices,
+     *    each behind its own rate enforcer; the leakage bound composes
+     *    additively.
+     *  - fault's data kinds (flip/stuck) arm the functional datapath's
+     *    MAC-verified bounded-retry recovery (retryBudget); its timing
+     *    kinds (delay/refuse) wrap main memory in FaultyMemory.
+     *  - evictionPolicy/evictionBudget configure the background
+     *    eviction engine (needs Pipelined).
      *
-     * Empty selects "sync". Ignored by base_dram / protected_dram,
-     * which have no ORAM path.
+     * keySeed and routeSeed are derived from `seed` at construction.
+     * The functional cap defaults to 2^16 blocks: it fits the bench
+     * tree exactly (bench geometry runs uncapped) and keeps paper-scale
+     * functional runs ~20 MB. The budget defaults to 64 deferred tails.
      */
-    std::string dramMode;
-
-    /** Resolved mode string (fatal on an unknown dramMode, naming the
-     *  config). */
-    std::string dramModeKind() const;
-
-    /** dramModeKind() as the oram-layer enum. */
-    oram::PathMode pathMode() const;
-
-    /**
-     * Subtree shards of the ORAM device array (oram/sharded_device.hh).
-     * 1 = the bare device (default). With M > 1 the ORAM-backed
-     * schemes split the tree across M independent devices, each behind
-     * its own rate enforcer: aggregate throughput scales with M and
-     * the leakage bound composes additively (M parallel streams).
-     * Ignored by base_dram / protected_dram, which have no ORAM tree.
-     * oramDevice = "sharded" engages the array wrapper even at M = 1
-     * (bit-identical to the bare device; golden-pinned).
-     */
-    std::uint32_t oramShards = 1;
-
-    /** Validated shard count (fatal on 0 or on more shards than
-     *  kMaxOramShards, naming the config). */
-    std::uint32_t shardCount() const;
-    static constexpr std::uint32_t kMaxOramShards = 64;
-
-    /**
-     * Background eviction engine (oram/eviction_engine.hh): "off"
-     * (default; bit-identical to builds without the engine), "gap"
-     * (evict whenever deferred write-back tails exist and one fits the
-     * enforced-gap idle window) or "highwater" (evict only once the
-     * deferred-tail debt reaches half the budget). Requires
-     * dramMode = "async": the sync controller has no write-back tail
-     * to defer. Empty selects "off".
-     */
-    std::string evictionPolicy;
-
-    /** Resolved policy (fatal on an unknown evictionPolicy or on a
-     *  non-off policy under the sync dramMode, naming the config). */
-    oram::EvictionPolicy evictionPolicyKind() const;
-
-    /**
-     * Max deferred write-back tails outstanding per device (per shard
-     * when sharded). Sizes how much burst backlog can drain at the
-     * read-phase period before full-occupancy charging resumes.
-     */
-    std::uint32_t evictionBudget = 64;
-
-    /** Validated budget (fatal on 0 with a non-off policy or above
-     *  kMaxEvictionBudget, naming the config). */
-    std::uint32_t evictionBudgetValue() const;
-    static constexpr std::uint32_t kMaxEvictionBudget = 1u << 20;
+    oram::OramDeviceSpec device = {
+        .functionalBlockCap = std::uint64_t{1} << 16, .evictionBudget = 64};
 
     // --- Named presets (§9.1.6, §10) ---
     static SystemConfig baseDram();

@@ -1,15 +1,19 @@
-# Golden-stdout check for one bench, run as a ctest:
+# Golden-stdout check for one program, run as a ctest:
 #
-#   cmake -DBENCH=<bench binary> -DGOLDEN=<tests/golden/<bench>.txt>
-#         -P tests/golden_stdout.cmake
+#   cmake -DBENCH=<binary> -DGOLDEN=<tests/golden/<name>.txt>
+#         [-DARGS=<arg;arg;...>] -P tests/golden_stdout.cmake
 #
-# Runs `<bench> --quick --json /dev/null` and fails unless its stdout
-# equals the golden file byte for byte (stderr is ignored: benches
-# print warn:/[engine] lines there by design). With
-# TCORAM_REGEN_GOLDEN=1 in the environment it rewrites the golden from
-# this run instead.
+# Runs `<binary> <ARGS>` (ARGS defaults to `--quick --json /dev/null`,
+# the benches' quick mode) and fails unless its stdout equals the
+# golden file byte for byte (stderr is ignored: benches print
+# warn:/[engine] lines there by design). With TCORAM_REGEN_GOLDEN=1 in
+# the environment it rewrites the golden from this run instead.
 
-execute_process(COMMAND ${BENCH} --quick --json /dev/null
+if(NOT DEFINED ARGS)
+    set(ARGS --quick --json /dev/null)
+endif()
+
+execute_process(COMMAND ${BENCH} ${ARGS}
                 OUTPUT_VARIABLE actual
                 ERROR_VARIABLE stderr_text
                 RESULT_VARIABLE rc)

@@ -74,48 +74,71 @@ TEST(EvictionPolicy, ParsesNamesAndRejectsUnknown)
                 ::testing::ExitedWithCode(1), "bogus");
 }
 
-TEST(SystemConfigEviction, PolicyAndBudgetAreValidated)
+TEST(PathMode, ParsesNamesAndRejectsUnknown)
 {
-    auto ok = sim::SystemConfig::dynamicScheme(4, 4);
-    ok.dramMode = "async";
-    ok.evictionPolicy = "gap";
-    EXPECT_EQ(ok.evictionPolicyKind(), oram::EvictionPolicy::Gap);
-    EXPECT_EQ(ok.evictionBudgetValue(), 64u);
+    using oram::PathMode;
+    EXPECT_EQ(oram::parsePathMode(""), PathMode::Sync) << "empty is sync";
+    EXPECT_EQ(oram::parsePathMode("sync"), PathMode::Sync);
+    EXPECT_EQ(oram::parsePathMode("async"), PathMode::Pipelined);
+    EXPECT_EXIT((void)oram::parsePathMode("ddr5"),
+                ::testing::ExitedWithCode(1), "unknown DRAM mode \"ddr5\"");
+    EXPECT_EXIT((void)oram::parsePathMode("asnyc"),
+                ::testing::ExitedWithCode(1), "asnyc");
+}
 
-    // Off (and empty) is valid under the sync default.
-    auto off = sim::SystemConfig::dynamicScheme(4, 4);
-    EXPECT_EQ(off.evictionPolicyKind(), oram::EvictionPolicy::Off);
+TEST(DeviceSpecCheck, EvictionPolicyAndBudget)
+{
+    // SystemConfig's default budget, armed under the async mode.
+    oram::OramDeviceSpec ok = sim::SystemConfig{}.device;
+    EXPECT_EQ(ok.evictionBudget, 64u);
+    ok.pathMode = oram::PathMode::Pipelined;
+    ok.evictionPolicy = oram::EvictionPolicy::Gap;
+    oram::checkDeviceSpec(ok);
 
+    // Off is valid under the sync default, whatever the budget.
+    oram::checkDeviceSpec(sim::SystemConfig{}.device);
+    oram::checkDeviceSpec(oram::OramDeviceSpec{});
+
+    EXPECT_EXIT((void)oram::parseEvictionPolicy("sideways"),
+                ::testing::ExitedWithCode(1), "sideways");
     EXPECT_EXIT(
         {
-            auto bad = sim::SystemConfig::dynamicScheme(4, 4);
-            bad.evictionPolicy = "sideways";
-            bad.evictionPolicyKind();
+            oram::OramDeviceSpec bad = sim::SystemConfig{}.device;
+            bad.evictionPolicy = oram::EvictionPolicy::Gap; // sync mode
+            oram::checkDeviceSpec(bad);
         },
-        ::testing::ExitedWithCode(1), "evictionPolicy");
+        ::testing::ExitedWithCode(1),
+        "evictionPolicy \"gap\" requires the async");
     EXPECT_EXIT(
         {
-            auto bad = sim::SystemConfig::dynamicScheme(4, 4);
-            bad.evictionPolicy = "gap"; // sync dramMode: no tail to defer
-            bad.evictionPolicyKind();
-        },
-        ::testing::ExitedWithCode(1), "async");
-    EXPECT_EXIT(
-        {
-            auto bad = sim::SystemConfig::dynamicScheme(4, 4);
-            bad.dramMode = "async";
-            bad.evictionPolicy = "gap";
+            oram::OramDeviceSpec bad = ok;
             bad.evictionBudget = 0;
-            bad.evictionBudgetValue();
+            oram::checkDeviceSpec(bad);
         },
-        ::testing::ExitedWithCode(1), "evictionBudget");
+        ::testing::ExitedWithCode(1), "evictionBudget must be nonzero");
     EXPECT_EXIT(
         {
-            auto bad = sim::SystemConfig::dynamicScheme(4, 4);
-            bad.evictionBudget = sim::SystemConfig::kMaxEvictionBudget + 1;
-            bad.evictionBudgetValue();
+            oram::OramDeviceSpec bad;
+            bad.evictionBudget = oram::OramDeviceSpec::kMaxEvictionBudget + 1;
+            oram::checkDeviceSpec(bad);
         },
-        ::testing::ExitedWithCode(1), "evictionBudget");
+        ::testing::ExitedWithCode(1),
+        "evictionBudget must be in .*got 1048577");
+}
+
+TEST(DeviceSpecCheck, FactoryRejectsAPolicyUnderSync)
+{
+    EXPECT_EXIT(
+        {
+            dram::DramModel mem{dram::DramConfig{}};
+            Rng rng(1);
+            oram::OramDeviceSpec spec;
+            spec.evictionPolicy = oram::EvictionPolicy::HighWater;
+            spec.evictionBudget = 8;
+            oram::makeOramDevice(spec, oram::OramConfig::benchConfig(), mem,
+                                 rng);
+        },
+        ::testing::ExitedWithCode(1), "highwater");
 }
 
 TEST(EvictionEngine, ScheduleLeafIsAPermutationEachPeriod)
@@ -424,15 +447,14 @@ pipelinedConfig(Cycles rate, oram::EvictionPolicy policy,
                 std::uint32_t budget)
 {
     sim::RecoveryRunConfig cfg;
-    cfg.deviceKind = "timing";
     cfg.shards = 1;
     cfg.sessions = 2;
     cfg.txnsPerSession = 24;
     cfg.seed = 42;
     cfg.rate = rate;
-    cfg.pathMode = oram::PathMode::Pipelined;
-    cfg.evictionPolicy = policy;
-    cfg.evictionBudget = budget;
+    cfg.inner.pathMode = oram::PathMode::Pipelined;
+    cfg.inner.evictionPolicy = policy;
+    cfg.inner.evictionBudget = budget;
     return cfg;
 }
 

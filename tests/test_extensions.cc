@@ -244,7 +244,7 @@ TEST(LeakageBudget, SecureProcessorHonorsLimit)
         auto cfg = sim::SystemConfig::dynamicScheme(4, 2);
         cfg.oram.numBlocks = 1 << 12;
         cfg.epoch0 = 1 << 15;
-        cfg.oramShards = shards;
+        cfg.device.shards = shards;
         cfg.leakageLimitBits = 4.0; // two free decisions of lg4 = 2 bits
         const auto prof = workload::specProfile("mcf");
         sim::SecureProcessor proc(cfg, prof);

@@ -102,17 +102,17 @@ TEST(FaultSpec, ToStringRoundTrips)
     }
 }
 
-TEST(FaultSpec, SystemConfigParsesAndWrapsMemory)
+TEST(FaultSpec, DeviceFaultWrapsSystemMemory)
 {
     sim::SystemConfig cfg = sim::SystemConfig::dynamicScheme(4, 4);
-    EXPECT_FALSE(cfg.faultSpecParsed().enabled());
+    EXPECT_FALSE(cfg.device.fault.enabled());
     // Data-only kinds: the memory spec is untouched.
-    cfg.faultSpec = "flip@1e-4";
-    EXPECT_TRUE(cfg.faultSpecParsed().enabled());
+    cfg.device.fault = dram::FaultSpec::parse("flip@1e-4");
+    EXPECT_TRUE(cfg.device.fault.enabled());
     EXPECT_EQ(cfg.memorySpec().kind, "banked");
     // Timing kinds wrap the resolved backend in the decorator, with
     // the data kinds masked out of the decorator's share.
-    cfg.faultSpec = "all@1e-4#3";
+    cfg.device.fault = dram::FaultSpec::parse("all@1e-4#3");
     const auto spec = cfg.memorySpec();
     EXPECT_EQ(spec.kind, "faulty");
     EXPECT_EQ(spec.faultInner, "banked");
@@ -430,13 +430,13 @@ runConfig(const std::string &kind, std::uint32_t shards,
           const std::string &fault = "")
 {
     sim::RecoveryRunConfig cfg;
-    cfg.deviceKind = kind;
+    cfg.inner.kind = kind;
     cfg.shards = shards;
     cfg.sessions = 2;
     cfg.txnsPerSession = 16;
     cfg.seed = 42;
     if (!fault.empty())
-        cfg.fault = dram::FaultSpec::parse(fault);
+        cfg.inner.fault = dram::FaultSpec::parse(fault);
     return cfg;
 }
 
@@ -511,9 +511,9 @@ TEST(RecoveryRun, RestoredEvictingRunReplaysGoldenStream)
     // restore must replay the uninterrupted eviction schedule bit for
     // bit (debt and the schedule counter ride the checkpoint).
     auto cfg = runConfig("timing", 1);
-    cfg.pathMode = oram::PathMode::Pipelined;
-    cfg.evictionPolicy = oram::EvictionPolicy::Gap;
-    cfg.evictionBudget = 16;
+    cfg.inner.pathMode = oram::PathMode::Pipelined;
+    cfg.inner.evictionPolicy = oram::EvictionPolicy::Gap;
+    cfg.inner.evictionBudget = 16;
     cfg.rate = 2500;
 
     GoldenRun g;
@@ -555,9 +555,9 @@ TEST(RecoveryRun, RestoredEvictingBurstReplaysGoldenStream)
     // mid-burst, so the checkpoint carries peak deferral debt — the
     // restored run must still land on the golden stream.
     auto cfg = runConfig("timing", 1);
-    cfg.pathMode = oram::PathMode::Pipelined;
-    cfg.evictionPolicy = oram::EvictionPolicy::Gap;
-    cfg.evictionBudget = 1u << 12;
+    cfg.inner.pathMode = oram::PathMode::Pipelined;
+    cfg.inner.evictionPolicy = oram::EvictionPolicy::Gap;
+    cfg.inner.evictionBudget = 1u << 12;
     cfg.rate = 64;
     expectRestoredMatchesGolden(cfg, 11);
 }
@@ -565,9 +565,9 @@ TEST(RecoveryRun, RestoredEvictingBurstReplaysGoldenStream)
 TEST(RecoveryRun, RestoreRejectsMismatchedEvictionConfig)
 {
     auto cfg = runConfig("timing", 1);
-    cfg.pathMode = oram::PathMode::Pipelined;
-    cfg.evictionPolicy = oram::EvictionPolicy::Gap;
-    cfg.evictionBudget = 16;
+    cfg.inner.pathMode = oram::PathMode::Pipelined;
+    cfg.inner.evictionPolicy = oram::EvictionPolicy::Gap;
+    cfg.inner.evictionBudget = 16;
     const std::string path = tmpPath("evict_mismatch.ckpt");
     {
         sim::RecoveryRun run(cfg);
@@ -578,7 +578,7 @@ TEST(RecoveryRun, RestoreRejectsMismatchedEvictionConfig)
     // Restoring under a different eviction budget would silently shift
     // the deferral pattern mid-stream: the chain must fail loudly.
     auto other = cfg;
-    other.evictionBudget = 8;
+    other.inner.evictionBudget = 8;
     sim::RecoveryRun victim(other);
     EXPECT_DEATH(
         {
@@ -739,12 +739,12 @@ TEST(SecureProcessorFaults, PinnedRowsWithRecoveryAcrossEpochs)
     for (const Case &c : cases) {
         SCOPED_TRACE(c.shards);
         auto cfg = sim::SystemConfig::dynamicScheme(4, 2);
-        cfg.oramDevice = "functional";
-        cfg.faultSpec = "flip@2e-3#5";
+        cfg.device.kind = "functional";
+        cfg.device.fault = dram::FaultSpec::parse("flip@2e-3#5");
         cfg.epoch0 = Cycles{1} << 15;
         cfg.oram.numBlocks = 1 << 12;
-        cfg.functionalBlockCap = 1 << 12;
-        cfg.oramShards = c.shards;
+        cfg.device.functionalBlockCap = 1 << 12;
+        cfg.device.shards = c.shards;
         sim::SecureProcessor proc(cfg, workload::specProfile("mcf"));
         const sim::SimResult r = proc.run(150'000, 50'000);
         EXPECT_EQ(sim::csvRow(r), c.row);

@@ -119,10 +119,10 @@ TEST(GoldenStats, Fig6FunctionalDeviceMatchesTheSameGolden)
         scaled(sim::SystemConfig::staticScheme(1300)),
     };
     for (auto &c : configs) {
-        c.oramDevice = "functional";
+        c.device.kind = "functional";
         // Keep the functional trees tiny: this test pins equality of
         // the charged stats, not datapath throughput.
-        c.functionalBlockCap = 1 << 10;
+        c.device.functionalBlockCap = 1 << 10;
     }
     compareOrRegen(sim::runGrid(configs, profiles(), kInsts, kWarmup),
                    "fig6_summary.csv");
@@ -146,8 +146,8 @@ TEST(GoldenStats, Fig6OneShardArrayMatchesTheSameGolden)
         scaled(sim::SystemConfig::staticScheme(1300)),
     };
     for (auto &c : configs) {
-        c.oramDevice = "sharded";
-        c.oramShards = 1;
+        c.device.kind = "sharded";
+        c.device.shards = 1;
     }
     compareOrRegen(sim::runGrid(configs, profiles(), kInsts, kWarmup),
                    "fig6_summary.csv");

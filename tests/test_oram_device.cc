@@ -203,15 +203,37 @@ TEST(OramDeviceFactory, UnknownKindDiesWithRegisteredList)
         ::testing::ExitedWithCode(1), "unknown ORAM device kind");
 }
 
-TEST(SystemConfigValidation, UnknownDeviceAndMemoryBackendsDie)
+TEST(DeviceSpecCheck, UnknownKindDies)
 {
+    oram::OramDeviceSpec spec;
+    oram::checkDeviceSpec(spec); // the defaults are consistent
+    spec.kind = "bogus";
+    EXPECT_EXIT(oram::checkDeviceSpec(spec), ::testing::ExitedWithCode(1),
+                "unknown ORAM device kind \"bogus\"");
+}
+
+TEST(DeviceSpecCheck, SecureProcessorChecksEveryScheme)
+{
+    // base_dram builds no ORAM device, yet an ill-formed spec still
+    // dies at construction rather than being silently ignored.
     EXPECT_EXIT(
         {
-            auto cfg = sim::SystemConfig::baseOram();
-            cfg.oramDevice = "bogus";
-            cfg.oramDeviceKind();
+            auto cfg = sim::SystemConfig::baseDram();
+            cfg.device.kind = "bogus";
+            sim::SecureProcessor proc(cfg, workload::specProfile("mcf"));
         },
-        ::testing::ExitedWithCode(1), "unknown ORAM device");
+        ::testing::ExitedWithCode(1), "unknown ORAM device kind");
+    EXPECT_EXIT(
+        {
+            auto cfg = sim::SystemConfig::baseDram();
+            cfg.device.shards = oram::OramDeviceSpec::kMaxShards + 1;
+            sim::SecureProcessor proc(cfg, workload::specProfile("mcf"));
+        },
+        ::testing::ExitedWithCode(1), "shards must be in \\[1, 64\\], got 65");
+}
+
+TEST(SystemConfigValidation, UnknownMemoryBackendDies)
+{
     EXPECT_EXIT(
         {
             auto cfg = sim::SystemConfig::baseOram();
@@ -219,23 +241,6 @@ TEST(SystemConfigValidation, UnknownDeviceAndMemoryBackendsDie)
             cfg.memorySpec();
         },
         ::testing::ExitedWithCode(1), "unknown memory backend");
-}
-
-TEST(SystemConfigValidation, DramModeIsValidated)
-{
-    auto cfg = sim::SystemConfig::baseOram();
-    EXPECT_EQ(cfg.dramModeKind(), "sync") << "empty selects sync";
-    EXPECT_EQ(cfg.pathMode(), oram::PathMode::Sync);
-    cfg.dramMode = "async";
-    EXPECT_EQ(cfg.dramModeKind(), "async");
-    EXPECT_EQ(cfg.pathMode(), oram::PathMode::Pipelined);
-    EXPECT_EXIT(
-        {
-            auto bad = sim::SystemConfig::baseOram();
-            bad.dramMode = "ddr5";
-            bad.dramModeKind();
-        },
-        ::testing::ExitedWithCode(1), "unknown dramMode");
 }
 
 TEST(AsyncDevice, PipelinedSubmitReportsOlatAndOccupancy)
@@ -329,9 +334,9 @@ TEST(DeviceEquality, FullRunStatsAreBitIdenticalAcrossDevices)
         cfg.ipcWindow = 50'000;
 
         sim::SystemConfig cfg_t = cfg;
-        cfg_t.oramDevice = "timing";
+        cfg_t.device.kind = "timing";
         sim::SystemConfig cfg_f = cfg;
-        cfg_f.oramDevice = "functional";
+        cfg_f.device.kind = "functional";
 
         const auto rt = sim::runOne(cfg_t, prof, 60'000, 120'000);
         const auto rf = sim::runOne(cfg_f, prof, 60'000, 120'000);

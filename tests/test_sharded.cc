@@ -465,25 +465,36 @@ TEST(ShardedScheduler, SharedMonitorBoundsTheSumAcrossShards)
                      realized - 2.0 * pinned);
 }
 
-TEST(SystemConfigSharding, ShardCountIsValidated)
+TEST(DeviceSpecCheck, ShardCountIsValidated)
 {
-    auto ok = sim::SystemConfig::dynamicScheme(4, 4);
-    ok.oramShards = sim::SystemConfig::kMaxOramShards;
-    EXPECT_EQ(ok.shardCount(), sim::SystemConfig::kMaxOramShards);
+    oram::OramDeviceSpec ok;
+    ok.shards = oram::OramDeviceSpec::kMaxShards;
+    oram::checkDeviceSpec(ok);
     EXPECT_EXIT(
         {
-            auto bad = sim::SystemConfig::dynamicScheme(4, 4);
-            bad.oramShards = 0;
-            bad.shardCount();
+            oram::OramDeviceSpec bad;
+            bad.shards = 0;
+            oram::checkDeviceSpec(bad);
         },
-        ::testing::ExitedWithCode(1), "oramShards");
+        ::testing::ExitedWithCode(1), "shards must be in .*got 0");
     EXPECT_EXIT(
         {
-            auto bad = sim::SystemConfig::dynamicScheme(4, 4);
-            bad.oramShards = sim::SystemConfig::kMaxOramShards + 1;
-            bad.shardCount();
+            oram::OramDeviceSpec bad;
+            bad.shards = oram::OramDeviceSpec::kMaxShards + 1;
+            oram::checkDeviceSpec(bad);
         },
-        ::testing::ExitedWithCode(1), "oramShards");
+        ::testing::ExitedWithCode(1), "shards must be in .*got 65");
+    // The array checks its own shard count against the inner spec
+    // before it builds a single subtree.
+    EXPECT_EXIT(
+        {
+            dram::DramModel mem{dram::DramConfig{}};
+            Rng rng(1);
+            oram::ShardedOramDevice dev(oram::OramDeviceSpec{}, tinyConfig(),
+                                        oram::OramDeviceSpec::kMaxShards + 1,
+                                        7, mem, rng);
+        },
+        ::testing::ExitedWithCode(1), "shards must be in .*got 65");
 }
 
 /** Full-system sharded run: per-shard enforcers drive the subtree
@@ -494,7 +505,7 @@ TEST(SecureProcessorSharded, RunsWithComposedLeakageAccounting)
     cfg.oram = oram::OramConfig::benchConfig();
     cfg.epoch0 = Cycles{1} << 16;
     cfg.ipcWindow = 50'000;
-    cfg.oramShards = 4;
+    cfg.device.shards = 4;
 
     const auto prof = workload::specProfile("mcf");
     sim::SecureProcessor proc(cfg, prof);
@@ -531,10 +542,10 @@ TEST(SecureProcessorSharded, OneShardRunMatchesTheBareDeviceRun)
         cfg.ipcWindow = 50'000;
 
         sim::SystemConfig bare = cfg;
-        bare.oramDevice = "timing";
+        bare.device.kind = "timing";
         sim::SystemConfig arr = cfg;
-        arr.oramDevice = "sharded"; // engages the wrapper at M = 1
-        arr.oramShards = 1;
+        arr.device.kind = "sharded"; // engages the wrapper at M = 1
+        arr.device.shards = 1;
 
         const auto prof = workload::specProfile("h264");
         const auto rb = sim::runOne(bare, prof, 60'000, 120'000);

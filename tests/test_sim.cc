@@ -147,15 +147,16 @@ TEST(SecureProcessor, CryptoWorkAttributed)
 
 TEST(SecureProcessor, AsyncDramModeShrinksOlatAndSpeedsTheRun)
 {
-    // dramMode = "async" calibrates the split-transaction controller:
-    // the requested line returns after the path read, so the reported
-    // OLAT drops well below sync and a miss-bound run finishes in
-    // fewer cycles. Everything else about the run stays well-formed
-    // (dummies fire, leakage accounting unchanged in structure).
+    // The async DRAM mode (PathMode::Pipelined) calibrates the
+    // split-transaction controller: the requested line returns after
+    // the path read, so the reported OLAT drops well below sync and a
+    // miss-bound run finishes in fewer cycles. Everything else about
+    // the run stays well-formed (dummies fire, leakage accounting
+    // unchanged in structure).
     const auto prof = workload::specProfile("mcf");
     auto sync_cfg = fastConfig(SystemConfig::dynamicScheme(4, 2));
     auto async_cfg = sync_cfg;
-    async_cfg.dramMode = "async";
+    async_cfg.device.pathMode = oram::PathMode::Pipelined;
 
     const SimResult s = runOne(sync_cfg, prof, kShortRun);
     const SimResult a = runOne(async_cfg, prof, kShortRun);
@@ -172,7 +173,7 @@ TEST(SecureProcessor, AsyncDramModeShrinksOlatAndSpeedsTheRun)
 TEST(SecureProcessor, AsyncModeIsSeedReproducible)
 {
     auto cfg = fastConfig(SystemConfig::dynamicScheme(4, 2));
-    cfg.dramMode = "async";
+    cfg.device.pathMode = oram::PathMode::Pipelined;
     const auto prof = workload::specProfile("gobmk");
     const SimResult a = runOne(cfg, prof, kShortRun);
     const SimResult b = runOne(cfg, prof, kShortRun);
