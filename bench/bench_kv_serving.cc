@@ -21,8 +21,9 @@
  *  4. MULTI-PRODUCER — one client thread per lane pushing through the
  *     SPSC rings while the scheduler pumps: all tokens retired, zero
  *     mismatches, streams still exactly periodic.
- *  5. REPLAY TRIO — the same replay harness runs the synthetic-
- *     profile, recorded-trace and KV-client methods through the one
+ *  5. REPLAY TRIO — RecoveryRun's workload mode (sim/recovery_run.hh,
+ *     the one raw-access replay harness) runs the synthetic-profile,
+ *     recorded-trace and KV-client methods through the one
  *     WorkloadSource API; the recorded trace of the synthetic run
  *     replays a bit-identical observable stream.
  *
@@ -38,14 +39,15 @@
 #include <filesystem>
 #include <fstream>
 #include <locale>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "sim/kv_serving.hh"
+#include "sim/recovery_run.hh"
 #include "sim/stat_dump.hh"
-#include "sim/workload_driver.hh"
 #include "workload/op_trace.hh"
 
 using namespace tcoram;
@@ -238,14 +240,22 @@ main(int argc, char **argv)
                 (unsigned long long)mp_point.mismatches);
 
     // --- 5. replay trio: one API, three methods; trace == synthetic
-    sim::WorkloadReplayConfig replay_cfg;
-    replay_cfg.shards = 2;
-    replay_cfg.workload.method = "synthetic";
-    replay_cfg.workload.ranks = 8;
-    replay_cfg.workload.opsPerRank = quick ? 48 : 96;
-    replay_cfg.workload.profile = "astar";
-    sim::WorkloadReplayRun synth(replay_cfg);
-    synth.run();
+    workload::WorkloadParams synth_wl;
+    synth_wl.method = "synthetic";
+    synth_wl.ranks = 8;
+    synth_wl.opsPerRank = quick ? 48 : 96;
+    synth_wl.profile = "astar";
+    auto replay = [](const workload::WorkloadParams &wl) {
+        sim::RecoveryRunConfig cfg;
+        cfg.shards = 2;
+        cfg.rate = 300;
+        cfg.workload = wl;
+        auto run = std::make_unique<sim::RecoveryRun>(cfg);
+        run->start();
+        run->finish();
+        return run;
+    };
+    const auto synth = replay(synth_wl);
 
     // Scratch file under a per-process name in the temp directory:
     // the artifact path may be unwritable (--json /dev/null).
@@ -254,32 +264,29 @@ main(int argc, char **argv)
          ("tcoram_kv_serving_" + std::to_string(::getpid()) + ".optrace"))
             .string();
     {
-        auto recorded =
-            workload::loadWorkload(replay_cfg.workload);
+        auto recorded = workload::loadWorkload(synth_wl);
         const workload::OpTrace trace =
             workload::recordOpTrace(*recorded);
         if (std::string err = workload::writeOpTrace(trace_path, trace);
             !err.empty())
             tcoram_fatal("cannot record op trace: ", err);
     }
-    sim::WorkloadReplayConfig trace_cfg = replay_cfg;
-    trace_cfg.workload.method = "trace";
-    trace_cfg.workload.path = trace_path;
-    sim::WorkloadReplayRun replay(trace_cfg);
-    replay.run();
+    workload::WorkloadParams trace_wl = synth_wl;
+    trace_wl.method = "trace";
+    trace_wl.path = trace_path;
+    const auto traced = replay(trace_wl);
     const bool trace_identical =
-        replay.streamCsv() == synth.streamCsv() &&
-        replay.opsCompleted() == synth.opsCompleted();
+        traced->streamCsv() == synth->streamCsv() &&
+        traced->servedTotal() == synth->servedTotal();
 
-    sim::WorkloadReplayConfig kv_replay_cfg = replay_cfg;
-    kv_replay_cfg.workload.method = "kv";
-    kv_replay_cfg.workload.keySpace = 1024;
-    sim::WorkloadReplayRun kv_replay(kv_replay_cfg);
-    kv_replay.run();
-    const bool trio_ok = synth.allTokensRetired() &&
-                         replay.allTokensRetired() &&
-                         kv_replay.allTokensRetired() &&
-                         kv_replay.opsCompleted() > 0;
+    workload::WorkloadParams kv_wl = synth_wl;
+    kv_wl.method = "kv";
+    kv_wl.keySpace = 1024;
+    const auto kv_replay = replay(kv_wl);
+    const bool trio_ok = synth->allTokensRetired() &&
+                         traced->allTokensRetired() &&
+                         kv_replay->allTokensRetired() &&
+                         kv_replay->servedTotal() > 0;
     std::remove(trace_path.c_str());
     std::printf("replay trio (synthetic/trace/kv): %s; recorded trace "
                 "stream: %s\n",

@@ -31,7 +31,6 @@
 #include "sim/report.hh"
 #include "sim/secure_processor.hh"
 #include "sim/stat_dump.hh"
-#include "sim/workload_driver.hh"
 #include "workload/spec_suite.hh"
 #include "workload/workload_source.hh"
 
@@ -73,9 +72,9 @@ usage()
         "  --checkpoint-every <n> snapshot after every n served txns\n"
         "  --checkpoint-path <p>  snapshot file               [tcoram.ckpt]\n"
         "  --restore-from <p>     resume a run from a snapshot\n"
-        "  (honors --oram-device timing|functional, --shards,\n"
+        "  (honors --oram-device timing|functional, --shards [1],\n"
         "   --dram-mode, --eviction-policy, --eviction-budget,\n"
-        "   --fault-spec, --retry-budget, --seed)\n"
+        "   --fault-spec, --retry-budget, --seed [1])\n"
         "workload mode (runs the workload plane through the ring\n"
         "scheduler harness, not the CPU sim):\n"
         "  --workload <spec>      \"method:k=v,...\" — methods listed by\n"
@@ -83,14 +82,18 @@ usage()
         "                         KV-serving scenario, \"daly\" the\n"
         "                         checkpoint chain (snapshots at the\n"
         "                         method's optimum interval), anything\n"
-        "                         else a pure stream replay\n"
+        "                         else a raw-access stream replay\n"
         "  --eviction-auto        size the highwater eviction budget\n"
         "                         from the workload's observed burst\n"
         "                         depth (implies --eviction-policy\n"
-        "                         highwater --dram-mode async; daly\n"
-        "                         runs apply it, others report it)\n"
-        "  (honors --shards, --rate, --threads, --seed;\n"
-        "   daly also honors --checkpoint-path)\n");
+        "                         highwater --dram-mode async, so it\n"
+        "                         conflicts with those flags; kv runs\n"
+        "                         report it, others apply it)\n"
+        "  (daly and replays honor checkpoint mode's device flags and\n"
+        "   --checkpoint-path, with --shards [2], --rate [300],\n"
+        "   --seed [42]; kv honors --shards [2], --rate [300],\n"
+        "   --threads [1], --seed [42] and rejects the other device\n"
+        "   flags)\n");
 }
 
 const char *
@@ -141,8 +144,8 @@ has(int argc, char **argv, const char *flag)
 }
 
 /**
- * The device flags both the CPU simulation and checkpoint mode honor,
- * applied over @p spec (absent flags keep its defaults), then
+ * The device flags the CPU simulation and the scheduler harness modes
+ * honor, applied over @p spec (absent flags keep its defaults), then
  * oram::checkDeviceSpec(). A named eviction policy without
  * --eviction-budget gets the default budget of 64.
  */
@@ -165,6 +168,32 @@ parseDeviceFlags(int argc, char **argv, oram::OramDeviceSpec &spec)
         spec.fault = dram::FaultSpec::parse(fs);
     spec.retryBudget = numArg<unsigned>(argc, argv, "--retry-budget", "4");
     oram::checkDeviceSpec(spec);
+}
+
+/**
+ * The RecoveryRunConfig of checkpoint mode (@p workload_mode false:
+ * 1 shard, seed 1, the harness's fixed rate of 1000) and of the
+ * daly/replay workload runs (2 shards, seed 42, --rate [300]): the
+ * device flags over the harness's spec, restricted to the timing and
+ * functional kinds, then the seed and the rate.
+ */
+sim::RecoveryRunConfig
+harnessConfig(int argc, char **argv, bool workload_mode)
+{
+    sim::RecoveryRunConfig rc;
+    rc.inner.shards = workload_mode ? 2 : 1;
+    parseDeviceFlags(argc, argv, rc.inner);
+    if (rc.inner.kind != "timing" && rc.inner.kind != "functional") {
+        tcoram_fatal(workload_mode ? "workload" : "checkpoint",
+                     " mode supports --oram-device timing|functional, got ",
+                     rc.inner.kind);
+    }
+    rc.shards = rc.inner.shards;
+    rc.seed = numArg<std::uint64_t>(argc, argv, "--seed",
+                                    workload_mode ? "42" : "1");
+    if (workload_mode)
+        rc.rate = numArg<Cycles>(argc, argv, "--rate", "300");
+    return rc;
 }
 
 } // namespace
@@ -217,14 +246,7 @@ main(int argc, char **argv)
     const char *ckpt_every = arg(argc, argv, "--checkpoint-every", nullptr);
     const char *restore_from = arg(argc, argv, "--restore-from", nullptr);
     if (ckpt_every != nullptr || restore_from != nullptr) {
-        sim::RecoveryRunConfig rc;
-        parseDeviceFlags(argc, argv, rc.inner);
-        if (rc.inner.kind != "timing" && rc.inner.kind != "functional") {
-            tcoram_fatal("checkpoint mode supports --oram-device "
-                         "timing|functional, got ", rc.inner.kind);
-        }
-        rc.shards = rc.inner.shards;
-        rc.seed = numArg<std::uint64_t>(argc, argv, "--seed", "1");
+        const sim::RecoveryRunConfig rc = harnessConfig(argc, argv, false);
         const std::string ckpt_path =
             arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
         const std::uint64_t every =
@@ -266,21 +288,38 @@ main(int argc, char **argv)
 
     // Workload mode drives the workload plane (workload/) through the
     // scheduler harnesses instead of the CPU simulation: "kv" runs the
-    // KV-serving scenario end to end, "daly" runs the checkpoint chain
-    // on the method's optimum interval, every other method replays its
-    // op stream over the sharded rate-enforced device array.
+    // KV-serving scenario end to end; every other method runs on
+    // RecoveryRun's workload mode, which maps its op stream onto raw
+    // ORAM accesses and snapshots at the stream's checkpoint marks
+    // ("daly"'s optimum interval, or a trace recorded from one).
     if (const char *wspec = arg(argc, argv, "--workload", nullptr)) {
         const workload::WorkloadParams wp =
             workload::parseWorkloadSpec(wspec);
-        const auto wl_shards =
-            numArg<std::uint32_t>(argc, argv, "--shards", "2");
-        const auto wl_rate = numArg<Cycles>(argc, argv, "--rate", "300");
-        const auto wl_threads =
-            numArg<unsigned>(argc, argv, "--threads", "1");
-        const auto wl_seed = numArg<std::uint64_t>(argc, argv, "--seed", "42");
+        const bool eviction_auto = has(argc, argv, "--eviction-auto");
+        for (const char *flag : {"--eviction-policy", "--eviction-budget"})
+            if (eviction_auto && has(argc, argv, flag))
+                tcoram_fatal(flag, " conflicts with --eviction-auto, which "
+                                   "sets the eviction policy and budget");
+        if (eviction_auto &&
+            std::strcmp(arg(argc, argv, "--dram-mode", "async"), "async"))
+            tcoram_fatal("--dram-mode conflicts with --eviction-auto, "
+                         "which needs async");
+
+        if (wp.method == "kv") {
+            // KvServingRun builds its own functional shards: of the
+            // device flags it takes only the shard count.
+            for (const char *flag :
+                 {"--oram-device", "--dram-mode", "--eviction-policy",
+                  "--eviction-budget", "--fault-spec", "--retry-budget"})
+                if (has(argc, argv, flag))
+                    tcoram_fatal(flag, " does not apply to --workload kv "
+                                       "(its functional shards take only "
+                                       "--shards)");
+        }
+        sim::RecoveryRunConfig rc = harnessConfig(argc, argv, true);
 
         std::uint32_t auto_budget = 0;
-        if (has(argc, argv, "--eviction-auto")) {
+        if (eviction_auto) {
             auto_budget = workload::observedBurstDepth(
                 wp, oram::OramDeviceSpec::kMaxEvictionBudget);
             std::printf("eviction    auto budget %u"
@@ -290,10 +329,10 @@ main(int argc, char **argv)
 
         if (wp.method == "kv") {
             sim::KvServingConfig kc;
-            kc.shards = wl_shards;
-            kc.rate = wl_rate;
-            kc.threads = wl_threads;
-            kc.seed = wl_seed;
+            kc.shards = rc.shards;
+            kc.rate = rc.rate;
+            kc.threads = numArg<unsigned>(argc, argv, "--threads", "1");
+            kc.seed = rc.seed;
             kc.workload = wp;
             sim::KvServingRun run(kc);
             run.run();
@@ -321,60 +360,51 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (wp.method == "daly") {
-            sim::RecoveryRunConfig rc;
-            rc.shards = wl_shards;
-            rc.rate = wl_rate;
-            rc.seed = wl_seed;
-            rc.workloadSpec = wspec;
-            if (auto_budget > 0) {
-                rc.inner.pathMode = oram::PathMode::Pipelined;
-                rc.inner.evictionPolicy = oram::EvictionPolicy::HighWater;
-                rc.inner.evictionBudget = auto_budget;
-            }
-            const std::string ckpt_path =
-                arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
-            sim::RecoveryRun run(rc);
-            run.start();
+        rc.workload = wp;
+        if (auto_budget > 0) {
+            rc.inner.pathMode = oram::PathMode::Pipelined;
+            rc.inner.evictionPolicy = oram::EvictionPolicy::HighWater;
+            rc.inner.evictionBudget = auto_budget;
+        }
+        const bool daly = wp.method == "daly";
+        const std::string ckpt_path =
+            arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
+        sim::RecoveryRun run(rc);
+        run.start();
+        if (daly) {
             std::printf("daly        interval %llu ops, %zu snapshot "
                         "mark(s) over %llu ops\n",
                         (unsigned long long)run.checkpointIntervalOps(),
                         run.checkpointMarks().size(),
                         (unsigned long long)run.backlogTotal());
-            std::uint64_t snapshots = 0;
-            auto mark = run.checkpointMarks().begin();
-            while (run.serveOne()) {
-                if (mark != run.checkpointMarks().end() &&
-                    run.servedTotal() == *mark) {
-                    ++mark;
-                    ++snapshots;
-                    if (std::string err = run.saveTo(ckpt_path);
-                        !err.empty())
-                        tcoram_fatal(err);
-                }
+        }
+        std::uint64_t snapshots = 0;
+        auto mark = run.checkpointMarks().begin();
+        while (run.serveOne()) {
+            if (mark != run.checkpointMarks().end() &&
+                run.servedTotal() == *mark) {
+                ++mark;
+                ++snapshots;
+                if (std::string err = run.saveTo(ckpt_path); !err.empty())
+                    tcoram_fatal(err);
             }
-            run.finish();
+        }
+        run.finish();
+        if (daly || snapshots > 0) {
             std::printf("served      %llu/%llu, %llu snapshot(s) to %s\n",
                         (unsigned long long)run.servedTotal(),
                         (unsigned long long)run.backlogTotal(),
                         (unsigned long long)snapshots, ckpt_path.c_str());
+        }
+        if (daly) {
             std::printf("%s\n%s\n", sim::RecoveryRun::csvHeader().c_str(),
                         run.csvRow().c_str());
             return 0;
         }
-
-        sim::WorkloadReplayConfig wc;
-        wc.shards = wl_shards;
-        wc.rate = wl_rate;
-        wc.threads = wl_threads;
-        wc.seed = wl_seed;
-        wc.workload = wp;
-        sim::WorkloadReplayRun run(wc);
-        run.run();
         std::printf("replayed    %llu ops over %u rank(s), tokens %s "
                     "retired\n",
-                    (unsigned long long)run.opsCompleted(),
-                    run.sessionCount(),
+                    (unsigned long long)run.backlogTotal(),
+                    run.config().sessions,
                     run.allTokensRetired() ? "all" : "NOT ALL");
         if (!run.allTokensRetired())
             tcoram_fatal("workload replay left unretired tokens");

@@ -6,7 +6,6 @@
 #include "common/log.hh"
 #include "oram/oram_config.hh"
 #include "sim/checkpoint.hh"
-#include "workload/workload_source.hh"
 
 namespace tcoram::sim {
 
@@ -19,6 +18,10 @@ blockId(std::uint32_t session, std::uint64_t k)
 {
     return session * 1'000'003ull + k * 7919ull;
 }
+
+/** Largest workload-driven backlog, in accesses (the lane ring holds
+ *  all of it). */
+constexpr std::uint64_t kMaxWorkloadBacklog = 1u << 24;
 
 /** Probe block ids live in their own sparse range so write-then-read
  *  probes land on blocks the backlog never touched. */
@@ -64,16 +67,14 @@ RecoveryRun::materializeWorkload()
 {
     using workload::WorkloadOp;
     using workload::WorkloadOpKind;
-    const workload::WorkloadParams params =
-        workload::parseWorkloadSpec(cfg_.workloadSpec);
-    const auto source = workload::loadWorkload(params);
+    const auto source = workload::loadWorkload(*cfg_.workload);
     checkpointIntervalOps_ = source->checkpointIntervalOps();
     cfg_.sessions = source->ranks();
     const std::uint64_t blocks = oram::OramConfig::benchConfig().numBlocks;
     // Walk each rank's stream to End, mapping access ops onto blocks
-    // the way the replay driver does; think time stretches the rank's
-    // arrival clock. A checkpointAfter request becomes a served-count
-    // mark: serve until servedTotal() hits it, snapshot, continue.
+    // (header comment); think time stretches the rank's arrival clock.
+    // A checkpointAfter request becomes a served-count mark: serve
+    // until servedTotal() hits it, snapshot, continue.
     for (std::uint32_t rank = 0; rank < cfg_.sessions; ++rank) {
         Cycles arrival = 0;
         for (;;) {
@@ -86,14 +87,19 @@ RecoveryRun::materializeWorkload()
             }
             const std::uint32_t n =
                 op.kind == WorkloadOpKind::Scan ? op.scanLen : 1;
+            if (n > kMaxWorkloadBacklog - plan_.size()) {
+                tcoram_fatal("workload '", cfg_.workload->method,
+                             "': rank ", rank, "'s ", n,
+                             "-access op takes the backlog past its "
+                             "limit of ", kMaxWorkloadBacklog,
+                             " accesses (", plan_.size(), " so far)");
+            }
             for (std::uint32_t j = 0; j < n; ++j) {
                 plan_.push_back({rank, arrival++, (op.key + j) % blocks,
                                  op.kind == WorkloadOpKind::Put});
             }
             if (op.checkpointAfter)
                 marks_.push_back(plan_.size());
-            tcoram_assert(plan_.size() < (1u << 24),
-                          "workload-driven recovery backlog too large");
         }
     }
     std::sort(marks_.begin(), marks_.end());

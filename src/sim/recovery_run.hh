@@ -1,11 +1,21 @@
 /**
  * @file
  * RecoveryRun: the crash-consistent run harness behind the fault-
- * recovery bench, the checkpoint tests and cli_sim's checkpoint mode.
- * It owns one ServingStack (sim/serving_stack.hh: DRAM model,
- * recorded sharded device array, single-rate configuration, ring
- * scheduler) and drives one open-loop multi-session workload through
- * it, with three additions over driving the scheduler directly:
+ * recovery bench, the checkpoint tests, cli_sim's checkpoint mode and
+ * every raw-access workload replay (cli_sim --workload <non-kv>,
+ * bench_kv_serving's replay trio). It owns one ServingStack
+ * (sim/serving_stack.hh: DRAM model, recorded sharded device array,
+ * single-rate configuration, ring scheduler) and drives one open-loop
+ * multi-session backlog through it — the legacy synthetic backlog, or
+ * a workload-plane op stream mapped onto raw ORAM accesses:
+ *
+ *   Get k       -> real read  of block k mod numBlocks
+ *   Put k       -> real write of block k mod numBlocks
+ *   Scan k, n   -> n sequential real reads starting at k
+ *   Think t     -> the rank's arrival clock advances t cycles
+ *   End         -> the rank's backlog is complete
+ *
+ * It adds three things over driving the scheduler directly:
  *
  *  - checkpoint: saveTo() serializes the complete run state (device
  *    array including functional tree images and fault-injector draws,
@@ -43,6 +53,7 @@
 
 #include "oram/oram_device.hh"
 #include "sim/serving_stack.hh"
+#include "workload/workload_source.hh"
 
 namespace tcoram::sim {
 
@@ -68,15 +79,15 @@ struct RecoveryRunConfig
     /** First epoch length; small enough that runs cross boundaries. */
     Cycles epoch0 = Cycles{1} << 18;
     /**
-     * Workload-plane spec ("method:k=v,..."; workload/
-     * workload_source.hh). Empty keeps the legacy synthetic backlog.
-     * Non-empty switches the run to workload-driven mode: the op
-     * stream is materialized into the backlog at construction (one
-     * session per rank — `sessions` is overridden), and checkpoint
+     * Workload-plane op stream (workload/workload_source.hh). Unset
+     * keeps the legacy synthetic backlog. Set switches the run to
+     * workload-driven mode: the op stream is materialized into the
+     * backlog at construction (one session per rank — `sessions` is
+     * overridden; at most 2^24 accesses), and checkpoint
      * marks requested by the method (e.g. "daly"'s optimum interval)
      * become checkpointMarks() for the snapshot chain.
      */
-    std::string workloadSpec{};
+    std::optional<workload::WorkloadParams> workload{};
 };
 
 class RecoveryRun
@@ -123,7 +134,7 @@ class RecoveryRun
         return static_cast<std::uint64_t>(cfg_.sessions) *
                cfg_.txnsPerSession;
     }
-    bool workloadDriven() const { return !cfg_.workloadSpec.empty(); }
+    bool workloadDriven() const { return cfg_.workload.has_value(); }
     /**
      * Served-count marks at which the workload asked for a snapshot
      * (serve until servedTotal() == mark, then saveTo() — the Daly
@@ -155,6 +166,12 @@ class RecoveryRun
     {
         return stack_->shardOffPeriodGap(i);
     }
+
+    /** Every shard's stream as "shard,start,kind" rows — the replay
+     *  bit-identity digest. */
+    std::string streamCsv() const { return stack_->streamCsv(); }
+    /** Every lane's tokens drained and behind the fence. */
+    bool allTokensRetired() const { return stack_->allTokensRetired(); }
 
     const RingScheduler &scheduler() const { return stack_->scheduler(); }
     oram::ShardedOramDevice &device() { return stack_->device(); }

@@ -5,8 +5,8 @@
  * RateSet / EpochSchedule / RateLearner -> RingScheduler. Its callers
  * and their seeds (calibration Rng / block router):
  *
- *  - RecoveryRun (sim/recovery_run.hh), WorkloadReplayRun
- *    (sim/workload_driver.hh) and KvServingRun (sim/kv_serving.hh):
+ *  - RecoveryRun (sim/recovery_run.hh; also every raw-access
+ *    workload replay) and KvServingRun (sim/kv_serving.hh):
  *    ServingStack::seededBy(run seed), i.e. the run seed /
  *    mixSeed(seed, 0x0072a7e5), per-shard key seed
  *    mixSeed(seed, 0x0de71ce5);

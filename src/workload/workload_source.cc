@@ -1,8 +1,10 @@
 #include "workload/workload_source.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 
 #include "common/log.hh"
@@ -290,16 +292,31 @@ class DalyWorkload : public WorkloadSource
     std::vector<std::uint64_t> emitted_;
 };
 
+/** @p value as an unsigned integer no larger than @p max; dies naming
+ *  the spec and the key on a sign, junk or a value out of range. */
 std::uint64_t
 parseU64(const std::string &spec, const std::string &key,
-         const std::string &value)
+         const std::string &value,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
+    errno = 0;
     char *end = nullptr;
     const std::uint64_t v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
+    if (value.empty() || value[0] < '0' || value[0] > '9' || *end != '\0')
         tcoram_fatal("workload spec '", spec, "': key '", key,
                      "' wants an unsigned integer, got '", value, "'");
+    if (errno == ERANGE || v > max)
+        tcoram_fatal("workload spec '", spec, "': key '", key,
+                     "' must be at most ", max, ", got '", value, "'");
     return v;
+}
+
+std::uint32_t
+parseU32(const std::string &spec, const std::string &key,
+         const std::string &value)
+{
+    return static_cast<std::uint32_t>(parseU64(
+        spec, key, value, std::numeric_limits<std::uint32_t>::max()));
 }
 
 double
@@ -436,8 +453,7 @@ parseWorkloadSpec(const std::string &spec)
         if (key == "seed")
             params.seed = parseU64(spec, key, value);
         else if (key == "ranks")
-            params.ranks = static_cast<std::uint32_t>(
-                parseU64(spec, key, value));
+            params.ranks = parseU32(spec, key, value);
         else if (key == "ops")
             params.opsPerRank = parseU64(spec, key, value);
         else if (key == "profile")
@@ -453,11 +469,9 @@ parseWorkloadSpec(const std::string &spec)
         else if (key == "scan")
             params.scanFraction = parseF64(spec, key, value);
         else if (key == "scanlen")
-            params.scanLen = static_cast<std::uint32_t>(
-                parseU64(spec, key, value));
+            params.scanLen = parseU32(spec, key, value);
         else if (key == "value")
-            params.valueBytes = static_cast<std::uint32_t>(
-                parseU64(spec, key, value));
+            params.valueBytes = parseU32(spec, key, value);
         else if (key == "think")
             params.thinkCycles = parseU64(spec, key, value);
         else if (key == "mtti")

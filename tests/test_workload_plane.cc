@@ -5,8 +5,9 @@
  * binary op-trace format (round-trip + rejection), KV-over-ORAM block
  * packing (inline/spill round trips, probing, updates, misses, failed
  * puts), the KV-serving harness's worker-count bit-identity and
- * pinned run digests, the synthetic-vs-recorded-trace replay identity,
- * the Daly checkpoint method driving RecoveryRun's snapshot chain, and
+ * pinned run digests, the synthetic-vs-recorded-trace replay identity
+ * and backlog cap of RecoveryRun's workload mode, the Daly checkpoint
+ * method driving RecoveryRun's snapshot chain, and
  * the kv.* stat dump around all of it.
  */
 
@@ -26,7 +27,6 @@
 #include "sim/kv_serving.hh"
 #include "sim/recovery_run.hh"
 #include "sim/stat_dump.hh"
-#include "sim/workload_driver.hh"
 #include "workload/op_trace.hh"
 #include "workload/workload_source.hh"
 
@@ -142,6 +142,30 @@ TEST(WorkloadSpecDeath, RejectsBadSpecs)
         "ranks");
     EXPECT_DEATH({ auto p = workload::parseWorkloadSpec(""); },
                  "method");
+    // 32-bit keys reject what they cannot hold instead of truncating
+    // (ranks=4294967297 used to run as one rank).
+    EXPECT_DEATH(
+        {
+            auto p = workload::parseWorkloadSpec(
+                "synthetic:ranks=4294967297,ops=8");
+        },
+        "synthetic:ranks=4294967297,ops=8'.*key 'ranks' must be at most "
+        "4294967295");
+    EXPECT_DEATH(
+        { auto p = workload::parseWorkloadSpec("kv:scanlen=4294967296"); },
+        "key 'scanlen' must be at most 4294967295");
+    EXPECT_DEATH(
+        { auto p = workload::parseWorkloadSpec("kv:value=99999999999"); },
+        "key 'value' must be at most 4294967295");
+    EXPECT_DEATH(
+        {
+            auto p = workload::parseWorkloadSpec(
+                "kv:ops=99999999999999999999");
+        },
+        "key 'ops' must be at most");
+    EXPECT_DEATH(
+        { auto p = workload::parseWorkloadSpec("kv:ranks=-1"); },
+        "key 'ranks' wants an unsigned integer");
 }
 
 // ---------------------------------------------------------------------
@@ -621,45 +645,70 @@ TEST(KvServing, PinnedRunDigests)
 }
 
 // ---------------------------------------------------------------------
-// Replay driver: one API, bit-identical trace replay
+// Raw-access replay (RecoveryRun's workload mode): one API,
+// bit-identical trace replay
+
+namespace {
+
+sim::RecoveryRunConfig
+replayConfig(const WorkloadParams &workload)
+{
+    sim::RecoveryRunConfig cfg;
+    cfg.shards = 2;
+    cfg.rate = 300;
+    cfg.workload = workload;
+    return cfg;
+}
+
+} // namespace
 
 TEST(WorkloadReplay, RecordedTraceIsBitIdentical)
 {
-    sim::WorkloadReplayConfig cfg;
-    cfg.shards = 2;
-    cfg.workload.method = "synthetic";
-    cfg.workload.ranks = 4;
-    cfg.workload.opsPerRank = 32;
-    sim::WorkloadReplayRun synth(cfg);
-    synth.run();
+    WorkloadParams wp;
+    wp.method = "synthetic";
+    wp.ranks = 4;
+    wp.opsPerRank = 32;
+    sim::RecoveryRun synth(replayConfig(wp));
+    synth.start();
+    synth.finish();
     EXPECT_TRUE(synth.allTokensRetired());
 
     const std::string path = tmpPath("replay_identity.trace");
     {
-        auto src = workload::loadWorkload(cfg.workload);
+        auto src = workload::loadWorkload(wp);
         ASSERT_EQ(workload::writeOpTrace(path,
                                          workload::recordOpTrace(*src)),
                   "");
     }
-    auto tcfg = cfg;
-    tcfg.workload.method = "trace";
-    tcfg.workload.path = path;
-    sim::WorkloadReplayRun replay(tcfg);
-    replay.run();
+    WorkloadParams tp = wp;
+    tp.method = "trace";
+    tp.path = path;
+    sim::RecoveryRun replay(replayConfig(tp));
+    replay.start();
+    replay.finish();
     EXPECT_EQ(replay.streamCsv(), synth.streamCsv());
-    EXPECT_EQ(replay.opsCompleted(), synth.opsCompleted());
+    EXPECT_EQ(replay.servedTotal(), synth.servedTotal());
     std::remove(path.c_str());
 }
 
 TEST(WorkloadReplay, KvMethodRunsThroughTheSameApi)
 {
-    sim::WorkloadReplayConfig cfg;
-    cfg.shards = 2;
-    cfg.workload = kvParams();
-    sim::WorkloadReplayRun run(cfg);
-    run.run();
+    sim::RecoveryRun run(replayConfig(kvParams()));
+    run.start();
+    run.finish();
     EXPECT_TRUE(run.allTokensRetired());
-    EXPECT_GT(run.opsCompleted(), 0u);
+    EXPECT_GT(run.servedTotal(), 0u);
+}
+
+TEST(WorkloadReplayDeath, BacklogCapIsCheckedBeforeAllocating)
+{
+    // One scan of ~4e9 accesses: the cap must fire before the backlog
+    // grows, naming the workload and the limit.
+    WorkloadParams wp = workload::parseWorkloadSpec(
+        "kv:ranks=1,ops=1,theta=0,get=0,scan=1,"
+        "keys=1000000000000000,scanlen=4000000000");
+    EXPECT_DEATH({ sim::RecoveryRun run(replayConfig(wp)); },
+                 "workload 'kv'.*limit of 16777216 accesses");
 }
 
 // ---------------------------------------------------------------------
@@ -707,8 +756,8 @@ TEST(DalyRecovery, SnapshotChainRestoresBitIdentically)
     sim::RecoveryRunConfig cfg;
     cfg.shards = 2;
     cfg.rate = 500;
-    cfg.workloadSpec = "daly:ranks=2,ops=40,mtti=1e5,delta=4500,"
-                       "opcycles=1000";
+    cfg.workload = workload::parseWorkloadSpec(
+        "daly:ranks=2,ops=40,mtti=1e5,delta=4500,opcycles=1000");
     sim::RecoveryRun probe(cfg);
     EXPECT_TRUE(probe.workloadDriven());
     EXPECT_EQ(probe.backlogTotal(), 80u);
