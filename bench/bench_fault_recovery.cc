@@ -23,9 +23,10 @@
  *     summary row bit-for-bit.
  *
  * A fourth stage exercises the timing-fault decorator directly: a
- * faulty:banked memory under delay+refuse faults must retire every
- * async transaction exactly once, and at rate 0 the decorator must be
- * a bit-identical pass-through (dram/differential.hh).
+ * FaultyMemory over the banked model under delay+refuse faults must
+ * retire every async transaction exactly once, and at rate 0 the
+ * decorator must be a bit-identical pass-through
+ * (dram/differential.hh).
  *
  * Usage: bench_fault_recovery [--quick] [--json <path>] [--check]
  * --check (CI gate) fails the process unless every gate holds.

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 
 #include "common/log.hh"
@@ -60,7 +61,6 @@ usage()
         "                         eviction (needs async)      [off]\n"
         "  --eviction-budget <n>  max deferred write-backs    [64]\n"
         "  --shards <m>           ORAM subtree shards         [1]\n"
-        "  --memory-backend <flat|banked|trace>               [scheme's]\n"
         "  --fault-spec <s>       fault injection, e.g. flip@1e-4 or\n"
         "                         all@1e-3#7                  [none]\n"
         "  --retry-budget <n>     recovery retry budget       [4]\n"
@@ -74,7 +74,7 @@ usage()
         "  --restore-from <p>     resume a run from a snapshot\n"
         "  (honors --oram-device timing|functional, --shards [1],\n"
         "   --dram-mode, --eviction-policy, --eviction-budget,\n"
-        "   --fault-spec, --retry-budget, --seed [1])\n"
+        "   --fault-spec, --retry-budget, --rate [1000], --seed [1])\n"
         "workload mode (runs the workload plane through the ring\n"
         "scheduler harness, not the CPU sim):\n"
         "  --workload <spec>      \"method:k=v,...\" — methods listed by\n"
@@ -93,15 +93,27 @@ usage()
         "   --checkpoint-path, with --shards [2], --rate [300],\n"
         "   --seed [42]; kv honors --shards [2], --rate [300],\n"
         "   --threads [1], --seed [42] and rejects the other device\n"
-        "   flags)\n");
+        "   flags)\n"
+        "Every mode dies on a flag it does not read.\n");
 }
+
+/**
+ * Every flag the chosen mode has looked up, mapped to whether it takes
+ * a value: rejectUnreadFlags() dies on any other flag.
+ */
+std::map<std::string, bool> gFlagsRead;
 
 const char *
 arg(int argc, char **argv, const char *flag, const char *fallback)
 {
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
+    gFlagsRead[flag] = true;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], flag) != 0)
+            continue;
+        if (i + 1 == argc)
+            tcoram_fatal(flag, " needs a value");
+        return argv[i + 1];
+    }
     return fallback;
 }
 
@@ -137,10 +149,28 @@ numArg(int argc, char **argv, const char *flag, const char *fallback)
 bool
 has(int argc, char **argv, const char *flag)
 {
+    gFlagsRead.try_emplace(flag, false);
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], flag) == 0)
             return true;
     return false;
+}
+
+/**
+ * Dies naming the first --flag on the command line that @p mode never
+ * looked up, so a flag the mode does not read is not silently dropped.
+ * Call once the mode has read all its flags, before it runs.
+ */
+void
+rejectUnreadFlags(int argc, char **argv, const char *mode)
+{
+    for (int i = 1; i < argc; ++i) {
+        const auto it = gFlagsRead.find(argv[i]);
+        if (it != gFlagsRead.end())
+            i += it->second; // skip the flag's value
+        else if (std::strncmp(argv[i], "--", 2) == 0)
+            tcoram_fatal(argv[i], " is not read in ", mode);
+    }
 }
 
 /**
@@ -172,10 +202,10 @@ parseDeviceFlags(int argc, char **argv, oram::OramDeviceSpec &spec)
 
 /**
  * The RecoveryRunConfig of checkpoint mode (@p workload_mode false:
- * 1 shard, seed 1, the harness's fixed rate of 1000) and of the
- * daly/replay workload runs (2 shards, seed 42, --rate [300]): the
- * device flags over the harness's spec, restricted to the timing and
- * functional kinds, then the seed and the rate.
+ * 1 shard, seed 1, --rate [1000]) and of the daly/replay workload runs
+ * (2 shards, seed 42, --rate [300]): the device flags over the
+ * harness's spec, restricted to the timing and functional kinds, then
+ * the seed and the rate.
  */
 sim::RecoveryRunConfig
 harnessConfig(int argc, char **argv, bool workload_mode)
@@ -191,8 +221,8 @@ harnessConfig(int argc, char **argv, bool workload_mode)
     rc.shards = rc.inner.shards;
     rc.seed = numArg<std::uint64_t>(argc, argv, "--seed",
                                     workload_mode ? "42" : "1");
-    if (workload_mode)
-        rc.rate = numArg<Cycles>(argc, argv, "--rate", "300");
+    rc.rate = numArg<Cycles>(argc, argv, "--rate",
+                             workload_mode ? "300" : "1000");
     return rc;
 }
 
@@ -207,12 +237,14 @@ main(int argc, char **argv)
         return 0;
     }
     if (has(argc, argv, "--list")) {
+        rejectUnreadFlags(argc, argv, "--list mode");
         for (const auto &n : workload::specSuiteNames())
             std::printf("%s\n", n.c_str());
         std::printf("perl.splitmail\nastar.biglakes\n");
         return 0;
     }
     if (has(argc, argv, "--list-backends")) {
+        rejectUnreadFlags(argc, argv, "--list-backends mode");
         std::printf("memory backends:");
         for (const auto &k : dram::BackendRegistry::instance().kinds())
             std::printf(" %s", k.c_str());
@@ -228,8 +260,8 @@ main(int argc, char **argv)
                     " --dram-mode async)",
                     oram::evictionPolicyNames());
         std::printf("\nfault kinds: flip stuck delay refuse"
-                    " (spec \"<kinds>@<rate>[#seed]\"; the faulty"
-                    " backend wraps any inner as faulty:<inner>)");
+                    " (spec \"<kinds>@<rate>[#seed]\"; delay and refuse"
+                    " wrap main memory in the faulty backend)");
         std::printf("\nworkload methods:");
         for (const auto &m :
              workload::WorkloadRegistry::instance().methods())
@@ -251,6 +283,7 @@ main(int argc, char **argv)
             arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
         const std::uint64_t every =
             numArg<std::uint64_t>(argc, argv, "--checkpoint-every", "0");
+        rejectUnreadFlags(argc, argv, "checkpoint mode");
 
         sim::RecoveryRun run(rc);
         if (restore_from != nullptr) {
@@ -317,6 +350,13 @@ main(int argc, char **argv)
                                        "--shards)");
         }
         sim::RecoveryRunConfig rc = harnessConfig(argc, argv, true);
+        const bool kv = wp.method == "kv";
+        const unsigned threads =
+            kv ? numArg<unsigned>(argc, argv, "--threads", "1") : 1;
+        const std::string ckpt_path =
+            kv ? "" : arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
+        rejectUnreadFlags(argc, argv,
+                          kv ? "--workload kv" : "--workload daly/replay");
 
         std::uint32_t auto_budget = 0;
         if (eviction_auto) {
@@ -327,11 +367,11 @@ main(int argc, char **argv)
                         auto_budget);
         }
 
-        if (wp.method == "kv") {
+        if (kv) {
             sim::KvServingConfig kc;
             kc.shards = rc.shards;
             kc.rate = rc.rate;
-            kc.threads = numArg<unsigned>(argc, argv, "--threads", "1");
+            kc.threads = threads;
             kc.seed = rc.seed;
             kc.workload = wp;
             sim::KvServingRun run(kc);
@@ -367,8 +407,6 @@ main(int argc, char **argv)
             rc.inner.evictionBudget = auto_budget;
         }
         const bool daly = wp.method == "daly";
-        const std::string ckpt_path =
-            arg(argc, argv, "--checkpoint-path", "tcoram.ckpt");
         sim::RecoveryRun run(rc);
         run.start();
         if (daly) {
@@ -424,8 +462,6 @@ main(int argc, char **argv)
     const auto warmup = numArg<InstCount>(argc, argv, "--warmup", "2400000");
 
     const std::string scheme = arg(argc, argv, "--scheme", "dynamic");
-    const auto rates = numArg<std::size_t>(argc, argv, "--rates", "4");
-    const auto growth = numArg<unsigned>(argc, argv, "--growth", "4");
 
     sim::SystemConfig cfg;
     if (scheme == "base_dram") {
@@ -435,10 +471,12 @@ main(int argc, char **argv)
     } else if (scheme == "static") {
         cfg = sim::SystemConfig::staticScheme(
             numArg<Cycles>(argc, argv, "--rate", "300"));
-    } else if (scheme == "dynamic") {
-        cfg = sim::SystemConfig::dynamicScheme(rates, growth);
-    } else if (scheme == "protected_dram") {
-        cfg = sim::SystemConfig::protectedDram(rates, growth);
+    } else if (scheme == "dynamic" || scheme == "protected_dram") {
+        const auto rates = numArg<std::size_t>(argc, argv, "--rates", "4");
+        const auto growth = numArg<unsigned>(argc, argv, "--growth", "4");
+        cfg = scheme == "dynamic"
+                  ? sim::SystemConfig::dynamicScheme(rates, growth)
+                  : sim::SystemConfig::protectedDram(rates, growth);
     } else {
         usage();
         tcoram_fatal("unknown scheme: ", scheme);
@@ -453,8 +491,6 @@ main(int argc, char **argv)
     if (const char *be = arg(argc, argv, "--crypto-backend", nullptr))
         crypto::setDefaultCryptoBackend(crypto::parseCryptoBackend(be));
     parseDeviceFlags(argc, argv, cfg.device);
-    if (const char *mb = arg(argc, argv, "--memory-backend", nullptr))
-        cfg.memoryBackend = mb;
     if (std::string(arg(argc, argv, "--learner", "simple")) == "threshold")
         cfg.learnerKind = sim::SystemConfig::Learner::Threshold;
     if (const char *limit = arg(argc, argv, "--limit", nullptr)) {
@@ -467,6 +503,10 @@ main(int argc, char **argv)
                          limit, "\"");
         }
     }
+
+    const char *csv = arg(argc, argv, "--csv", nullptr);
+    const std::string mode = "CPU mode (--scheme " + scheme + ")";
+    rejectUnreadFlags(argc, argv, mode.c_str());
 
     sim::SecureProcessor proc(cfg, prof);
     const sim::SimResult r = proc.run(insts, warmup);
@@ -523,7 +563,7 @@ main(int argc, char **argv)
                         pinned, cfg.leakageLimitBits);
     }
 
-    if (const char *csv = arg(argc, argv, "--csv", nullptr)) {
+    if (csv != nullptr) {
         std::FILE *f = std::fopen(csv, "a");
         if (f == nullptr)
             tcoram_fatal("cannot open ", csv);

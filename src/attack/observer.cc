@@ -2,15 +2,6 @@
 
 namespace tcoram::attack {
 
-std::vector<Cycles>
-TimingTraceRecorder::gaps() const
-{
-    std::vector<Cycles> g;
-    for (std::size_t i = 1; i < trace_.size(); ++i)
-        g.push_back(trace_[i] - trace_[i - 1]);
-    return g;
-}
-
 RootBucketProbe::RootBucketProbe(const oram::PathOram &oram) : oram_(oram)
 {
     lastSeen_ = crypto::Ciphertext::copyOf(oram_.bucketCiphertext(0));

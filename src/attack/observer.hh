@@ -6,39 +6,18 @@
  * every access rewrites the whole path (root included) under
  * probabilistic encryption, so the root's ciphertext changes iff at
  * least one access happened between two reads.
+ *
+ * The pin-watching adversary sees when each ORAM access starts; that
+ * view is what timing::RecordingOramDevice records.
  */
 
 #ifndef TCORAM_ATTACK_OBSERVER_HH
 #define TCORAM_ATTACK_OBSERVER_HH
 
-#include <cstdint>
-#include <vector>
-
-#include "common/types.hh"
 #include "crypto/ctr.hh"
 #include "oram/path_oram.hh"
 
 namespace tcoram::attack {
-
-/**
- * Records the exact start time of every ORAM access — the strongest
- * ("perfect monitoring") adversary the leakage definition assumes.
- */
-class TimingTraceRecorder
-{
-  public:
-    void noteAccess(Cycles start) { trace_.push_back(start); }
-    const std::vector<Cycles> &trace() const { return trace_; }
-
-    /**
-     * Inter-access gaps, the feature the rate-learning attack of
-     * Figure 1 consumes.
-     */
-    std::vector<Cycles> gaps() const;
-
-  private:
-    std::vector<Cycles> trace_;
-};
 
 /**
  * Root-bucket probe (§3.2): the adversary repeatedly reads the root

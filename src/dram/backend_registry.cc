@@ -5,7 +5,6 @@
 #include "common/log.hh"
 #include "dram/dram_model.hh"
 #include "dram/flat_memory.hh"
-#include "dram/trace_memory.hh"
 
 namespace tcoram::dram {
 
@@ -18,16 +17,6 @@ BackendRegistry::BackendRegistry()
     entries_.push_back(
         {"banked", [](const BackendSpec &spec) -> std::unique_ptr<MemoryIf> {
              return std::make_unique<DramModel>(spec.dram);
-         }});
-    entries_.push_back(
-        {"trace", [](const BackendSpec &spec) -> std::unique_ptr<MemoryIf> {
-             tcoram_assert(spec.traceInner != "trace",
-                           "trace backend cannot wrap itself");
-             BackendSpec inner_spec = spec;
-             inner_spec.kind = spec.traceInner;
-             return std::make_unique<TraceMemory>(
-                 BackendRegistry::instance().make(inner_spec),
-                 spec.traceMaxRecords);
          }});
     entries_.push_back(
         {"faulty", [](const BackendSpec &spec) -> std::unique_ptr<MemoryIf> {
@@ -65,14 +54,6 @@ BackendRegistry::registerBackend(const std::string &kind, Factory factory)
 std::unique_ptr<MemoryIf>
 BackendRegistry::make(const BackendSpec &spec) const
 {
-    // "faulty:<inner>" folds the wrapped kind into the name — the
-    // spelling SystemConfig and the CLI use.
-    if (spec.kind.rfind("faulty:", 0) == 0) {
-        BackendSpec normalized = spec;
-        normalized.kind = "faulty";
-        normalized.faultInner = spec.kind.substr(7);
-        return make(normalized);
-    }
     Factory factory;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -88,18 +69,6 @@ BackendRegistry::make(const BackendSpec &spec) const
                      "\" (registered: ", joinNames(kinds()), ")");
     }
     return factory(spec);
-}
-
-bool
-BackendRegistry::contains(const std::string &kind) const
-{
-    if (kind.rfind("faulty:", 0) == 0) {
-        const std::string inner = kind.substr(7);
-        return inner != "faulty" && contains("faulty") && contains(inner);
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    return std::any_of(entries_.begin(), entries_.end(),
-                       [&](const Entry &e) { return e.kind == kind; });
 }
 
 std::vector<std::string>

@@ -6,14 +6,12 @@
  *
  *   "flat"   — fixed-latency insecure DRAM (FlatMemory)
  *   "banked" — banked multi-channel DDR3 model (DramModel)
- *   "trace"  — TraceMemory recorder wrapping another backend
- *   "faulty" — FaultyMemory fault injector wrapping another backend;
- *              the spelling "faulty:<inner>" selects both at once
- *              (e.g. "faulty:banked")
+ *   "faulty" — FaultyMemory fault injector wrapping faultInner
  *
- * New backends register themselves (e.g. from a static initializer or
- * at program start) and become selectable by name from SystemConfig
- * without touching the sim layer.
+ * SystemConfig::memorySpec() picks the kind from the scheme and the
+ * fault spec. To substitute a backend, re-register one of those kinds
+ * at program start (perfbench wraps "flat" and "banked" in counting
+ * decorators this way); every later make() of that kind gets it.
  */
 
 #ifndef TCORAM_DRAM_BACKEND_REGISTRY_HH
@@ -43,10 +41,6 @@ struct BackendSpec
     Cycles flatLatency = 40;
     /** Banked-model geometry/timing. */
     DramConfig dram;
-    /** For "trace": the wrapped backend's kind (must not be "trace"). */
-    std::string traceInner = "banked";
-    /** For "trace": record ring capacity. */
-    std::size_t traceMaxRecords = 1 << 20;
     /** For "faulty": the injected fault configuration. */
     FaultSpec fault;
     /** For "faulty": the wrapped backend's kind (must not be "faulty"). */
@@ -65,15 +59,8 @@ class BackendRegistry
     /** Register @p kind; replaces any previous factory of that name. */
     void registerBackend(const std::string &kind, Factory factory);
 
-    /**
-     * Instantiate spec.kind (fatal on unknown kind). The spelling
-     * "faulty:<inner>" is normalized to kind "faulty" with faultInner
-     * "<inner>" before lookup.
-     */
+    /** Instantiate spec.kind (fatal on unknown kind). */
     std::unique_ptr<MemoryIf> make(const BackendSpec &spec) const;
-
-    /** True for registered kinds and valid "faulty:<inner>" spellings. */
-    bool contains(const std::string &kind) const;
 
     /** Registered kind names, sorted. */
     std::vector<std::string> kinds() const;

@@ -23,8 +23,8 @@
  * per-bucket HMAC before decrypting (oram/integrity.hh). delay/refuse
  * are TIMING faults, injected by the FaultyMemory decorator below.
  *
- * FaultyMemory — a MemoryIf decorator (registered as "faulty:<inner>"
- * in BackendRegistry) wrapping any backend's async issue/nextEventAt/
+ * FaultyMemory — a MemoryIf decorator (registered as "faulty" in
+ * BackendRegistry) wrapping any backend's async issue/nextEventAt/
  * drainRetired core. It owns its tokens: inner retirements are mapped
  * back to the decorator's token space with their completion cycles
  * shifted by any drawn delay, and retirements whose shifted completion

@@ -373,7 +373,7 @@ struct OramDeviceSpec
      * kinds (flip/stuck) arm the functional backend's fault-tolerant
      * datapath via enableFaultModel(); timing kinds (delay/refuse) are
      * the DRAM decorator's job (SystemConfig::memorySpec() wraps the
-     * memory in "faulty:<kind>") and are ignored here. Disabled by
+     * memory in a "faulty" backend) and are ignored here. Disabled by
      * default.
      */
     dram::FaultSpec fault{};

@@ -221,6 +221,11 @@ KvServingRun::advanceSession(Session &s)
             continue;
         }
         case WorkloadOpKind::Scan:
+            if (op.scanLen > kMaxWorkloadAccesses) {
+                tcoram_fatal("kv workload: rank ", s.rank, "'s scan of ",
+                             op.scanLen, " keys exceeds the limit of ",
+                             kMaxWorkloadAccesses, " accesses");
+            }
             s.opKind = WorkloadOpKind::Scan;
             s.opStart = s.clock;
             s.scanKey = op.key;

@@ -58,7 +58,8 @@ struct KvServingConfig
     Cycles rate = 300;
     std::uint64_t seed = 42;
     Cycles epoch0 = Cycles{1} << 18;
-    /** Op stream; workload.ranks == session count. */
+    /** Op stream; workload.ranks == session count. A scan longer
+     *  than kMaxWorkloadAccesses keys is fatal when it is drawn. */
     workload::WorkloadParams workload;
     KvConfig kv{};
 };

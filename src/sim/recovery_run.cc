@@ -19,10 +19,6 @@ blockId(std::uint32_t session, std::uint64_t k)
     return session * 1'000'003ull + k * 7919ull;
 }
 
-/** Largest workload-driven backlog, in accesses (the lane ring holds
- *  all of it). */
-constexpr std::uint64_t kMaxWorkloadBacklog = 1u << 24;
-
 /** Probe block ids live in their own sparse range so write-then-read
  *  probes land on blocks the backlog never touched. */
 std::uint64_t
@@ -87,11 +83,11 @@ RecoveryRun::materializeWorkload()
             }
             const std::uint32_t n =
                 op.kind == WorkloadOpKind::Scan ? op.scanLen : 1;
-            if (n > kMaxWorkloadBacklog - plan_.size()) {
+            if (n > kMaxWorkloadAccesses - plan_.size()) {
                 tcoram_fatal("workload '", cfg_.workload->method,
                              "': rank ", rank, "'s ", n,
                              "-access op takes the backlog past its "
-                             "limit of ", kMaxWorkloadBacklog,
+                             "limit of ", kMaxWorkloadAccesses,
                              " accesses (", plan_.size(), " so far)");
             }
             for (std::uint32_t j = 0; j < n; ++j) {
@@ -287,9 +283,18 @@ RecoveryRun::csvHeader()
 std::string
 RecoveryRun::csvRow() const
 {
+    // A workload-driven run never reads cfg_.txnsPerSession: report the
+    // largest per-session access count of its materialized plan.
+    std::uint64_t per_session = cfg_.txnsPerSession;
+    if (workloadDriven()) {
+        std::vector<std::uint64_t> count(cfg_.sessions, 0);
+        for (const PlannedOp &op : plan_)
+            ++count[op.session];
+        per_session = *std::max_element(count.begin(), count.end());
+    }
     std::ostringstream os;
     os << cfg_.inner.kind << ',' << cfg_.shards << ',' << cfg_.sessions
-       << ',' << cfg_.txnsPerSession << ',' << cfg_.rate << ','
+       << ',' << per_session << ',' << cfg_.rate << ','
        << (cfg_.inner.fault.enabled() ? cfg_.inner.fault.toString() : "none")
        << ',' << servedTotal() << ',' << lastReal_ << ',' << faultsInjected()
        << ',' << faultsDetected() << ',' << faultsRecovered() << ','

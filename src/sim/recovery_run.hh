@@ -83,7 +83,7 @@ struct RecoveryRunConfig
      * keeps the legacy synthetic backlog. Set switches the run to
      * workload-driven mode: the op stream is materialized into the
      * backlog at construction (one session per rank — `sessions` is
-     * overridden; at most 2^24 accesses), and checkpoint
+     * overridden; at most kMaxWorkloadAccesses), and checkpoint
      * marks requested by the method (e.g. "daly"'s optimum interval)
      * become checkpointMarks() for the snapshot chain.
      */
@@ -210,7 +210,9 @@ class RecoveryRun
      */
     std::uint64_t verifyPayloads(std::uint64_t probes);
 
-    /** One CSV row: config echo + outcome + fault counters. */
+    /** One CSV row: config echo + outcome + fault counters. Its
+     *  txns_per_session is the largest per-session access count of a
+     *  workload-driven run's plan. */
     std::string csvRow() const;
     static std::string csvHeader();
 

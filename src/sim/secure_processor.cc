@@ -5,7 +5,6 @@
 
 #include "common/bitutils.hh"
 #include "common/log.hh"
-#include "dram/trace_memory.hh"
 #include "oram/oram_device.hh"
 #include "oram/sharded_device.hh"
 #include "timing/leakage.hh"
@@ -268,12 +267,6 @@ SecureProcessor::SecureProcessor(const SystemConfig &cfg,
                 enf->attachMonitor(monitor_.get());
         }
     }
-
-    // Controller construction calibrates against main memory; drop
-    // those transactions from a recording backend so its trace holds
-    // only what an adversary would observe at runtime.
-    if (auto *tm = dynamic_cast<dram::TraceMemory *>(mem_.get()))
-        tm->clearRecords();
 
     core_ = std::make_unique<cpu::Core>(*hierarchy_, *backend_, *trace_,
                                         cfg_.ipcWindow);

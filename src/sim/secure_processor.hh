@@ -90,14 +90,6 @@ class SecureProcessor
 
     const cache::Hierarchy &hierarchy() const { return *hierarchy_; }
 
-    /**
-     * The main memory behind the processor. With memoryBackend =
-     * "trace" this is the dram::TraceMemory whose records the attack
-     * experiments read.
-     */
-    dram::MemoryIf &memory() { return *mem_; }
-    const dram::MemoryIf &memory() const { return *mem_; }
-
   private:
     /** The timed run; every event count is a delta from its start. */
     SimResult measure(InstCount insts);

@@ -44,6 +44,13 @@
 
 namespace tcoram::sim {
 
+/**
+ * Most ORAM accesses one workload op stream may ask a harness for:
+ * RecoveryRun's whole materialized backlog (its lane ring holds all of
+ * it), and each single KV scan of KvServingRun.
+ */
+inline constexpr std::uint64_t kMaxWorkloadAccesses = std::uint64_t{1} << 24;
+
 /** A gap of a recorded start stream that is not the public period. */
 struct OffPeriodGap
 {

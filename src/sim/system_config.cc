@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/log.hh"
 #include "oram/oram_device.hh"
 
 namespace tcoram::sim {
@@ -25,26 +24,12 @@ SystemConfig::memorySpec() const
         spec.kind = "banked";
         break;
     }
-    if (!memoryBackend.empty() && memoryBackend != spec.kind) {
-        // Validate here, where the config (not a later registry make()
-        // deep in construction) can be named in the error.
-        if (!dram::BackendRegistry::instance().contains(memoryBackend)) {
-            tcoram_fatal(
-                "config '", name, "': unknown memory backend \"",
-                memoryBackend, "\" (registered: ",
-                joinNames(dram::BackendRegistry::instance().kinds()), ")");
-        }
-        if (memoryBackend == "trace")
-            spec.traceInner = spec.kind;
-        spec.kind = memoryBackend;
-    }
     // Timing-fault kinds (delay/refuse) live in the memory layer: wrap
-    // whatever backend was resolved above in the FaultyMemory
-    // decorator. Data kinds are the functional datapath's job and do
-    // not touch the memory spec.
+    // the scheme's backend in the FaultyMemory decorator. Data kinds
+    // are the functional datapath's job and do not touch the memory
+    // spec.
     const dram::FaultSpec &fault = device.fault;
-    if (fault.enabled() && fault.has(dram::kFaultTimingMask) &&
-        spec.kind != "faulty") {
+    if (fault.enabled() && fault.has(dram::kFaultTimingMask)) {
         spec.faultInner = spec.kind;
         spec.kind = "faulty";
         spec.fault = fault;

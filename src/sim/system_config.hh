@@ -88,18 +88,14 @@ struct SystemConfig
     InstCount ipcWindow = 1'000'000;
 
     /**
-     * Main-memory backend kind (dram/backend_registry.hh). Empty
-     * selects the scheme's natural backend: "flat" for BaseDram,
-     * "banked" otherwise. Set to "trace" to record every transaction
-     * for the attack experiments.
+     * Registry spec for this configuration's main memory
+     * (dram/backend_registry.hh), from the scheme and the fault spec
+     * alone: "flat" for BaseDram, closed-page "banked" for
+     * ProtectedDram, "banked" otherwise. When device.fault carries
+     * timing kinds (delay/refuse), that kind becomes the faultInner of
+     * a "faulty" spec so the decorator perturbs the async core
+     * underneath the controller.
      */
-    std::string memoryBackend;
-
-    /** Registry spec for this configuration's main memory (fatal on
-     *  an unknown memoryBackend string, naming the config). When
-     *  device.fault carries timing kinds (delay/refuse), the resolved
-     *  kind is wrapped as "faulty:<kind>" so the decorator perturbs
-     *  the async core underneath the controller. */
     dram::BackendSpec memorySpec() const;
 
     /**

@@ -36,18 +36,6 @@ randomSecret(std::size_t n, std::uint64_t seed)
     return s;
 }
 
-TEST(TimingTraceRecorder, GapsComputed)
-{
-    TimingTraceRecorder rec;
-    rec.noteAccess(100);
-    rec.noteAccess(350);
-    rec.noteAccess(400);
-    const auto gaps = rec.gaps();
-    ASSERT_EQ(gaps.size(), 2u);
-    EXPECT_EQ(gaps[0], 250u);
-    EXPECT_EQ(gaps[1], 50u);
-}
-
 TEST(RootBucketProbe, DetectsSingleAccess)
 {
     oram::FlatPositionMap map(128);

@@ -19,7 +19,6 @@
 #include "dram/differential.hh"
 #include "dram/dram_model.hh"
 #include "dram/flat_memory.hh"
-#include "dram/trace_memory.hh"
 
 namespace tcoram::dram {
 namespace {
@@ -213,16 +212,13 @@ randomStream(std::size_t n, std::uint64_t seed)
     return reqs;
 }
 
-/** The three registered backends, freshly constructed. */
+/** The two base backends, freshly constructed. */
 std::vector<std::pair<const char *, std::unique_ptr<MemoryIf>>>
 allBackends()
 {
     std::vector<std::pair<const char *, std::unique_ptr<MemoryIf>>> out;
     out.emplace_back("flat", std::make_unique<FlatMemory>(40));
     out.emplace_back("banked", std::make_unique<DramModel>(testConfig()));
-    out.emplace_back("trace",
-                     std::make_unique<TraceMemory>(
-                         std::make_unique<DramModel>(testConfig())));
     return out;
 }
 
@@ -237,10 +233,7 @@ TEST(SplitTransaction, IssueDrainMatchesBlockingAccess)
         auto twin = [&]() -> std::unique_ptr<MemoryIf> {
             if (std::string(name) == "flat")
                 return std::make_unique<FlatMemory>(40);
-            if (std::string(name) == "banked")
-                return std::make_unique<DramModel>(testConfig());
-            return std::make_unique<TraceMemory>(
-                std::make_unique<DramModel>(testConfig()));
+            return std::make_unique<DramModel>(testConfig());
         }();
         Cycles now = 0;
         for (const auto &r : reqs) {
@@ -300,21 +293,6 @@ TEST(SplitTransaction, DrainReturnsCompletionOrderAndCarriesRequests)
     EXPECT_EQ(batch[1].completed, 80u);
     EXPECT_TRUE(batch[1].req.isWrite);
     EXPECT_GT(tb, ta) << "tokens are monotonic";
-}
-
-TEST(SplitTransaction, TraceMemoryRecordsAsyncRetirements)
-{
-    TraceMemory m(std::make_unique<FlatMemory>(40));
-    m.issue(10, {0, 64, false});
-    m.issue(10, {64, 64, true});
-    EXPECT_TRUE(m.records().empty()) << "recorded only at retirement";
-    m.drainRetired(m.nextEventAt() + 1000);
-    const auto recs = m.records();
-    ASSERT_EQ(recs.size(), 2u);
-    EXPECT_EQ(recs[0].issued, 10u);
-    EXPECT_EQ(recs[0].completed, 50u);
-    EXPECT_EQ(recs[1].completed, 90u);
-    EXPECT_EQ(m.requestCount(), 2u);
 }
 
 TEST(SplitTransaction, BlockingAdapterDiscardsForeignRetirements)
@@ -483,24 +461,6 @@ TEST(ResetTiming, DramModelRestoresIdleTimingAndKeepsCounters)
     const auto replay = randomStream(128, 0x9);
     for (const auto &r : replay)
         ASSERT_EQ(m.access(1000, r), fresh.access(1000, r));
-}
-
-TEST(ResetTiming, TraceMemoryForwardsResetAndKeepsRecords)
-{
-    TraceMemory m(std::make_unique<DramModel>(testConfig()));
-    const auto traffic = randomStream(16, 0xc);
-    for (const auto &r : traffic)
-        m.access(0, r);
-    const std::size_t records_before = m.records().size();
-
-    m.resetTiming();
-    EXPECT_EQ(m.records().size(), records_before)
-        << "the record ring is an observation log, not timing state";
-
-    TraceMemory fresh(std::make_unique<DramModel>(testConfig()));
-    const auto replay = randomStream(16, 0xd);
-    for (const auto &r : replay)
-        EXPECT_EQ(m.access(77, r), fresh.access(77, r));
 }
 
 TEST(ResetTiming, AbortsInFlightTransactions)

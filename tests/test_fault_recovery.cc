@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -179,8 +180,8 @@ TEST(FaultInjector, CorruptsAtTheConfiguredRateAndRoundTripsState)
 TEST(FaultyMemory, RegisteredAndRateZeroIsPassThroughOnEveryBackend)
 {
     auto &reg = dram::BackendRegistry::instance();
-    EXPECT_TRUE(reg.contains("faulty"));
-    EXPECT_TRUE(reg.contains("faulty:flat"));
+    const auto kinds = reg.kinds();
+    EXPECT_NE(std::find(kinds.begin(), kinds.end(), "faulty"), kinds.end());
 
     std::vector<dram::MemRequest> reqs;
     for (std::uint64_t i = 0; i < 64; ++i)

@@ -232,17 +232,6 @@ TEST(DeviceSpecCheck, SecureProcessorChecksEveryScheme)
         ::testing::ExitedWithCode(1), "shards must be in \\[1, 64\\], got 65");
 }
 
-TEST(SystemConfigValidation, UnknownMemoryBackendDies)
-{
-    EXPECT_EXIT(
-        {
-            auto cfg = sim::SystemConfig::baseOram();
-            cfg.memoryBackend = "mram";
-            cfg.memorySpec();
-        },
-        ::testing::ExitedWithCode(1), "unknown memory backend");
-}
-
 TEST(AsyncDevice, PipelinedSubmitReportsOlatAndOccupancy)
 {
     const auto cfg = tinyConfig();

@@ -2,8 +2,8 @@
  * @file
  * Transaction-pipeline regression tests: the allocation-free steady
  * state of the ORAM datapath (counting global new/delete), batched
- * vs per-request DRAM equivalence, the recording TraceMemory and the
- * backend registry, recursive-ORAM invariants under sustained mixed
+ * vs per-request DRAM equivalence, the backend registry,
+ * recursive-ORAM invariants under sustained mixed
  * load, per-cell seeding of the parallel ExperimentEngine, and
  * locale-independent report formatting.
  */
@@ -21,7 +21,6 @@
 #include "dram/backend_registry.hh"
 #include "dram/dram_model.hh"
 #include "dram/flat_memory.hh"
-#include "dram/trace_memory.hh"
 #include "oram/oram_device.hh"
 #include "oram/path_oram.hh"
 #include "oram/sharded_device.hh"
@@ -359,54 +358,14 @@ TEST(AccessBatch, BankedMatchesPerRequest)
 }
 
 // ---------------------------------------------------------------------
-// TraceMemory and the backend registry.
+// The backend registry.
 // ---------------------------------------------------------------------
 
-TEST(TraceMemory, RecordsTransactions)
-{
-    dram::TraceMemory mem(std::make_unique<dram::FlatMemory>(40));
-    const dram::MemRequest r0{0x1000, 64, false};
-    const dram::MemRequest r1{0x2000, 64, true};
-    const Cycles t0 = mem.access(100, r0);
-    const Cycles t1 = mem.access(t0, r1);
-
-    const auto recs = mem.records();
-    ASSERT_EQ(recs.size(), 2u);
-    EXPECT_EQ(recs[0].req.addr, 0x1000u);
-    EXPECT_EQ(recs[0].issued, 100u);
-    EXPECT_EQ(recs[0].completed, t0);
-    EXPECT_TRUE(recs[1].req.isWrite);
-    EXPECT_EQ(recs[1].completed, t1);
-    EXPECT_EQ(mem.requestCount(), 2u);
-    EXPECT_EQ(mem.droppedRecords(), 0u);
-
-    EXPECT_EQ(mem.issueTimes(), (std::vector<Cycles>{100, t0}));
-
-    mem.clearRecords();
-    EXPECT_TRUE(mem.records().empty());
-    EXPECT_EQ(mem.requestCount(), 2u) << "clearing records keeps stats";
-}
-
-TEST(TraceMemory, RingEvictsOldest)
-{
-    dram::TraceMemory mem(std::make_unique<dram::FlatMemory>(10), 4);
-    Cycles now = 0;
-    for (Addr a = 0; a < 6; ++a)
-        now = mem.access(now, {a * 64, 64, false});
-    const auto recs = mem.records();
-    ASSERT_EQ(recs.size(), 4u);
-    EXPECT_EQ(mem.droppedRecords(), 2u);
-    // Oldest two (addr 0, 64) evicted.
-    EXPECT_EQ(recs.front().req.addr, 2u * 64u);
-    EXPECT_EQ(recs.back().req.addr, 5u * 64u);
-}
-
-TEST(BackendRegistry, BuiltinsAndTraceWrapping)
+TEST(BackendRegistry, MakesBuiltins)
 {
     auto &reg = dram::BackendRegistry::instance();
-    EXPECT_TRUE(reg.contains("flat"));
-    EXPECT_TRUE(reg.contains("banked"));
-    EXPECT_TRUE(reg.contains("trace"));
+    EXPECT_EQ(reg.kinds(),
+              (std::vector<std::string>{"banked", "faulty", "flat"}));
 
     dram::BackendSpec spec;
     spec.kind = "flat";
@@ -418,15 +377,6 @@ TEST(BackendRegistry, BuiltinsAndTraceWrapping)
     spec.kind = "banked";
     auto banked = dram::makeMemory(spec);
     EXPECT_NE(dynamic_cast<dram::DramModel *>(banked.get()), nullptr);
-
-    spec.kind = "trace";
-    spec.traceInner = "flat";
-    auto traced = dram::makeMemory(spec);
-    auto *tm = dynamic_cast<dram::TraceMemory *>(traced.get());
-    ASSERT_NE(tm, nullptr);
-    EXPECT_NE(dynamic_cast<dram::FlatMemory *>(&tm->inner()), nullptr);
-    traced->access(0, {0, 64, false});
-    EXPECT_EQ(tm->records().size(), 1u);
 }
 
 TEST(BackendRegistry, SystemConfigSelectsByScheme)
@@ -436,32 +386,6 @@ TEST(BackendRegistry, SystemConfigSelectsByScheme)
     EXPECT_TRUE(sim::SystemConfig::protectedDram(4, 2)
                     .memorySpec()
                     .dram.closedPage);
-
-    auto cfg = sim::SystemConfig::baseOram();
-    cfg.memoryBackend = "trace";
-    const auto spec = cfg.memorySpec();
-    EXPECT_EQ(spec.kind, "trace");
-    EXPECT_EQ(spec.traceInner, "banked");
-}
-
-TEST(TraceMemory, CalibrationTrafficExcludedFromProcessorTrace)
-{
-    // ORAM controller calibration replays a path against main memory
-    // at construction; a recording backend must not leak those phantom
-    // transactions into the adversary-visible record stream.
-    auto cfg = sim::SystemConfig::baseOram();
-    cfg.oram.numBlocks = 1 << 12;
-    cfg.memoryBackend = "trace";
-    sim::SecureProcessor proc(cfg, workload::specProfile("hmmer"));
-
-    auto *tm = dynamic_cast<dram::TraceMemory *>(&proc.memory());
-    ASSERT_NE(tm, nullptr) << "registry must hand out the trace backend";
-    ASSERT_GT(proc.oramDevice()->accessLatency(), 0u)
-        << "device calibrated through the traced memory";
-    EXPECT_GT(tm->requestCount(), 0u)
-        << "calibration transactions count toward the stats";
-    EXPECT_TRUE(tm->records().empty())
-        << "but must not appear in the adversary-visible records";
 }
 
 // ---------------------------------------------------------------------

@@ -711,6 +711,26 @@ TEST(WorkloadReplayDeath, BacklogCapIsCheckedBeforeAllocating)
                  "workload 'kv'.*limit of 16777216 accesses");
 }
 
+TEST(KvServingDeath, ScanLengthIsCheckedBeforeTheScanStarts)
+{
+    // The same scan through the KV harness, which reads its op stream
+    // lazily: the cap must fire when the op is drawn, not after ~4e9
+    // gets. theta = 0 keeps setup instant (a Zipf normalizer would sum
+    // over all 1e15 keys).
+    sim::KvServingConfig cfg;
+    cfg.shards = 2;
+    cfg.workload = workload::parseWorkloadSpec(
+        "kv:ranks=1,ops=1,theta=0,get=0,scan=1,"
+        "keys=1000000000000000,scanlen=4000000000");
+    EXPECT_DEATH(
+        {
+            sim::KvServingRun run(cfg);
+            run.run();
+        },
+        "rank 0's scan of 4000000000 keys exceeds the limit of 16777216 "
+        "accesses");
+}
+
 // ---------------------------------------------------------------------
 // Daly checkpoint chain
 
